@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import EdgeTag, TriMesh, DomainSpec, dirichlet_vertex_set
-from .sparse import SparseMatrix, solve_direct
+from .sparse import SparseMatrix, SparsityPattern, solve_direct
 
 __all__ = [
     "MaterialModel",
@@ -112,6 +112,7 @@ class _ElementTables:
     div6: np.ndarray   # (E, 6) divergence of the six local displacement modes
     dmat6: np.ndarray  # (E, 6, 6) div outer div
     gmat6: np.ndarray  # (E, 6, 6) 2 E(psi_a):E(psi_b)
+    pattern: SparsityPattern  # density-space layout of the (E, 3, 3) element triplets
 
 
 _GEOMETRY_CACHE: "weakref.WeakKeyDictionary[TriMesh, _ElementTables]" = weakref.WeakKeyDictionary()
@@ -146,7 +147,10 @@ def element_geometry(mesh: TriMesh) -> _ElementTables:
     gmat6[:, 0::2, 0::2] = gg
     gmat6[:, 1::2, 1::2] = gg
     gmat6 += np.einsum("eib,eja->eiajb", grads, grads).reshape(ne, 6, 6)
-    tables = _ElementTables(tri, area, grads, div6, dmat6, gmat6)
+    n_v = mesh.n_vertices
+    pattern = SparsityPattern(n_v, n_v, np.broadcast_to(tri[:, :, None], (ne, 3, 3)),
+                              np.broadcast_to(tri[:, None, :], (ne, 3, 3)))
+    tables = _ElementTables(tri, area, grads, div6, dmat6, gmat6, pattern)
     _GEOMETRY_CACHE[mesh] = tables
     return tables
 
@@ -175,12 +179,26 @@ def assemble_state_operator(mesh: TriMesh, dofmap: DofMap, material: MaterialMod
     rho = np.asarray(rho, dtype=np.float64)
     lam_w, mu_w = _effective_weights(geo, material, rho)
     ke = lam_w[:, None, None] * geo.dmat6 + mu_w[:, None, None] * geo.gmat6
-    gdof = dofmap.disp_index[geo.tri].reshape(-1, 6)
-    rows = np.broadcast_to(gdof[:, :, None], ke.shape)
-    cols = np.broadcast_to(gdof[:, None, :], ke.shape)
+    return _state_pattern(mesh, dofmap).fill(ke)
+
+
+_STATE_PATTERNS: "weakref.WeakKeyDictionary[DofMap, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _state_pattern(mesh: TriMesh, dofmap: DofMap) -> SparsityPattern:
+    """Layout of K(rho) from the (E, 6, 6) element blocks, cached per DOF map."""
+    mesh_and_pattern = _STATE_PATTERNS.get(dofmap)
+    if mesh_and_pattern is not None and mesh_and_pattern[0] is mesh:
+        return mesh_and_pattern[1]
+    gdof = dofmap.disp_index[element_geometry(mesh).tri].reshape(-1, 6)
+    shape = (gdof.shape[0], 6, 6)
+    rows = np.broadcast_to(gdof[:, :, None], shape)
+    cols = np.broadcast_to(gdof[:, None, :], shape)
     keep = (rows >= 0) & (cols >= 0)
-    return SparseMatrix.from_triplets(dofmap.n_disp, dofmap.n_disp,
-                                      rows[keep], cols[keep], ke[keep])
+    pattern = SparsityPattern(dofmap.n_disp, dofmap.n_disp, rows[keep], cols[keep],
+                              source=np.flatnonzero(keep))
+    _STATE_PATTERNS[dofmap] = (mesh, pattern)
+    return pattern
 
 
 def assemble_traction_load(mesh: TriMesh, dofmap: DofMap, spec: DomainSpec) -> np.ndarray:
@@ -208,12 +226,8 @@ def assemble_gl_operators(mesh: TriMesh, dofmap: DofMap):
     geo = element_geometry(mesh)
     n = dofmap.n_density
     gg = np.einsum("eik,ejk->eij", geo.grads, geo.grads)
-    k_vals = geo.area[:, None, None] * gg
-    m_vals = geo.area[:, None, None] * _MASS3
-    rows = np.broadcast_to(geo.tri[:, :, None], k_vals.shape)
-    cols = np.broadcast_to(geo.tri[:, None, :], k_vals.shape)
-    k_rho = SparseMatrix.from_triplets(n, n, rows.ravel(), cols.ravel(), k_vals.ravel())
-    mass = SparseMatrix.from_triplets(n, n, rows.ravel(), cols.ravel(), m_vals.ravel())
+    k_rho = geo.pattern.fill(geo.area[:, None, None] * gg)
+    mass = geo.pattern.fill(geo.area[:, None, None] * _MASS3)
     phi_vol = np.zeros(n)
     np.add.at(phi_vol, geo.tri.ravel(), np.repeat(geo.area / 3.0, 3))
     return k_rho, mass, phi_vol

@@ -9,7 +9,7 @@ accepted point.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -243,7 +243,11 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
     """Trace the zero curve from (x0, 0) until t = 1 is accepted.
 
     Returns ``(x_final, SolveTrace)``.  Rejected steps are retried from the
-    last accepted point with half the increment.  Once the increment falls
+    last accepted point with half the increment.  A proposal that repeats a
+    rejected ``t`` from the same accepted point (the proposal clamps at 1)
+    would rerun the same corrector, so its rejection is recorded again
+    without running it, with ``newton_iters = 0`` and reason ``"repeat"``.
+    Once the increment falls
     below ``controller.dt_min`` a single full-budget correction at t = 1 is
     attempted (the proposal rule tops out at exactly 1 for large steps; when
     the curve folds in t, the endpoint problem is often the nearest
@@ -261,33 +265,39 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
     if on_accept is not None:
         on_accept(0.0, x)
     index = 0
+    rejected = {}  # t_try -> record of its rejection since the last accepted step
     while t < 1.0:
         t_try = controller.propose(t)
-        fallback = False
-        if predictor_order == 1:
-            direction = _tangent_direction(problem, x, t)
-            fallback = direction is None
-            x_pred = x if fallback else x + (t_try - t) * direction
-        else:
-            x_pred = x
-        result = newton_corrector(problem, x_pred, t_try, cfg)
         index += 1
-        mu = problem.mu_of_t(t_try) if problem.mu_of_t is not None else None
-        result_trace.records.append(TraceRecord(
-            index, t_try, mu, result.iters, result.residual_norm,
-            result.converged, fallback, result.reason))
-        if result.converged:
+        if t_try in rejected:
+            record = replace(rejected[t_try], index=index, newton_iters=0, reason="repeat")
+        else:
+            fallback = False
+            if predictor_order == 1:
+                direction = _tangent_direction(problem, x, t)
+                fallback = direction is None
+                x_pred = x if fallback else x + (t_try - t) * direction
+            else:
+                x_pred = x
+            result = newton_corrector(problem, x_pred, t_try, cfg)
+            mu = problem.mu_of_t(t_try) if problem.mu_of_t is not None else None
+            record = TraceRecord(index, t_try, mu, result.iters, result.residual_norm,
+                                 result.converged, fallback, result.reason)
+        result_trace.records.append(record)
+        if record.accepted:
+            rejected.clear()
             x = result.x
             t = t_try
             controller.accept()
             log.info("step %d accepted: t=%.10g newton=%d res=%.3e",
-                     index, t, result.iters, result.residual_norm)
+                     index, t, record.newton_iters, record.residual_norm)
             if on_accept is not None:
                 on_accept(t, x)
         else:
+            rejected.setdefault(t_try, record)
             controller.reject()
             log.info("step %d rejected (%s): t=%.10g res=%.3e dt->%.3e",
-                     index, result.reason, t_try, result.residual_norm, controller.dt)
+                     index, record.reason, t_try, record.residual_norm, controller.dt)
             if controller.dt < controller.dt_min:
                 final_cfg = NewtonConfig(tol=cfg.tol, max_iter=5 * cfg.max_iter,
                                          divergence_growth=cfg.divergence_growth)

@@ -469,11 +469,14 @@ def _cmd_solve(args) -> int:
         import logging
         logging.basicConfig(level=logging.INFO, format="%(message)s")
 
+    try:
+        msh = build_structured_mesh(bridge_domain(), cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.diagonal)
+    except ValueError as exc:
+        _print_err(f"error: {exc}")
+        return 1
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = config_digest(cfg)
-    domain = bridge_domain()
-    msh = build_structured_mesh(domain, cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.diagonal)
     title = f"rho nx={cfg.mesh.nx} ny={cfg.mesh.ny} config={digest}"
     pending = sorted(set(cfg.snapshots))
 
@@ -542,7 +545,11 @@ def _cmd_check_derivatives(args) -> int:
     except (ConfigError, OSError) as exc:
         _print_err(f"error: {exc}")
         return 1
-    system, schedule = solver.build_system(cfg)
+    try:
+        system, schedule = solver.build_system(cfg)
+    except ValueError as exc:
+        _print_err(f"error: {exc}")
+        return 1
     lagr = system.lagr
     rng = np.random.default_rng(0)
     n, l = system.n, system.l
@@ -603,7 +610,7 @@ def _cmd_check_derivatives(args) -> int:
         direction /= np.linalg.norm(direction)
         rp = system.residual(system.unpack(v + h * direction), anchor, t, schedule)
         rm = system.residual(system.unpack(v - h * direction), anchor, t, schedule)
-        jac_dir = system.jacobian(point).assemble().matvec(direction)
+        jac_dir = system.jacobian(point).matvec(direction)
         worst_jac = max(worst_jac, _rel_err((rp - rm) / (2 * h), jac_dir))
         ht = system.h_t(anchor, t, schedule)
         fd_t = (system.residual(point, anchor, t + h, schedule)

@@ -21,7 +21,7 @@ import numpy as np
 from . import fem
 from .fem import DofMap, MaterialModel, local_displacements
 from .mesh import TriMesh
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, SparsityPattern
 
 __all__ = [
     "ProblemParams",
@@ -76,7 +76,10 @@ class Lagrangian:
 
     Density-independent operators (density stiffness/mass, hat volumes) are
     assembled once.  The state matrix K(rho) is cached for the last density
-    seen, since residual and Jacobian evaluations share it.
+    seen, since residual and Jacobian evaluations share it.  The Hessian
+    blocks are refilled on sparsity patterns fixed by the mesh: ``rr`` on the
+    element pattern of ``k_rho`` and ``mass``, ``ru`` and ``rp`` on one
+    density-displacement pattern built at the first Hessian.
     """
 
     def __init__(self, mesh: TriMesh, dofmap: DofMap, material: MaterialModel,
@@ -91,6 +94,11 @@ class Lagrangian:
         self.k_rho, self.mass, self.phi_vol = fem.assemble_gl_operators(mesh, dofmap)
         self._geo = fem.element_geometry(mesh)
         self._k_cache = (None, None)
+        # beta*eps*K_rho - (beta/eps)*M on the element pattern, the constant
+        # part of the density Hessian (same operation order as the sparse sum)
+        self._rr_const = (params.beta * params.epsilon) * self.k_rho.csr.data \
+            - (params.beta / params.epsilon) * self.mass.csr.data
+        self._cross_pattern = None
 
     @property
     def n_density(self) -> int:
@@ -150,12 +158,10 @@ class Lagrangian:
         rho = np.asarray(rho, dtype=np.float64)
         u = np.asarray(u, dtype=np.float64)
         p_adj = np.asarray(p_adj, dtype=np.float64)
-        prm = self.params
         geo = self._geo
         pe = self.material.exponent
         dlam = self.material.lambda1 - self.material.lambda0
         dmu = self.material.mu1 - self.material.mu0
-        n, l = self.n_density, self.n_disp
 
         u_loc = local_displacements(self.dofmap, geo.tri, u)
         p_loc = local_displacements(self.dofmap, geo.tri, p_adj)
@@ -172,17 +178,11 @@ class Lagrangian:
         m_phiphi = geo.area[:, None, None] * np.einsum(
             "eq,q,qi,qj->eij", rho_q ** (pe - 2.0), fem.QUAD_W, fem.QUAD_BARY, fem.QUAD_BARY)
 
-        rows3 = np.broadcast_to(geo.tri[:, :, None], m_phiphi.shape)
-        cols3 = np.broadcast_to(geo.tri[:, None, :], m_phiphi.shape)
         s_vals = (pe * (pe - 1.0)) * m_phiphi * w[:, None, None]
-        s_mat = SparseMatrix.from_triplets(n, n, rows3.ravel(), cols3.ravel(), s_vals.ravel())
-        rr_csr = (prm.beta * prm.epsilon) * self.k_rho.csr \
-            - (prm.beta / prm.epsilon) * self.mass.csr + s_mat.csr
-        rr = SparseMatrix(rr_csr.tocsr())
+        rr = geo.pattern.matrix(self._rr_const + geo.pattern.reduce(s_vals))
 
-        gdof = self.dofmap.disp_index[geo.tri].reshape(-1, 6)
-        ru = self._coupling_cross(geo, pe, m_phi, dlam, dmu, div_p, g_p, gdof)
-        rp = self._coupling_cross(geo, pe, m_phi, dlam, dmu, div_u, g_u, gdof)
+        ru = self._coupling_cross(geo, pe, m_phi, dlam, dmu, div_p, g_p)
+        rp = self._coupling_cross(geo, pe, m_phi, dlam, dmu, div_u, g_u)
         return HessianBlocks(rr=rr, ru=ru, rp=rp, up=self.state_matrix(rho))
 
     def _coupling_gradient(self, rho, u, p_adj) -> np.ndarray:
@@ -203,13 +203,17 @@ class Lagrangian:
         np.add.at(out, geo.tri.ravel(), (pe * m_phi * w[:, None]).ravel())
         return out
 
-    def _coupling_cross(self, geo, pe, m_phi, dlam, dmu, div_other, g_other, gdof) -> SparseMatrix:
+    def _coupling_cross(self, geo, pe, m_phi, dlam, dmu, div_other, g_other) -> SparseMatrix:
         """Mixed density-displacement block: rows are density DOFs, columns the
         displacement modes, with the other adjoint/state field held fixed."""
         bracket = dlam * geo.div6 * div_other[:, None] + dmu * g_other  # (E, 6)
         vals = pe * m_phi[:, :, None] * bracket[:, None, :]             # (E, 3, 6)
-        rows = np.broadcast_to(geo.tri[:, :, None], vals.shape)
-        cols = np.broadcast_to(gdof[:, None, :], vals.shape)
-        keep = cols >= 0
-        return SparseMatrix.from_triplets(self.n_density, self.n_disp,
-                                          rows[keep], cols[keep], vals[keep])
+        if self._cross_pattern is None:
+            gdof = self.dofmap.disp_index[geo.tri].reshape(-1, 6)
+            rows = np.broadcast_to(geo.tri[:, :, None], vals.shape)
+            cols = np.broadcast_to(gdof[:, None, :], vals.shape)
+            keep = cols >= 0
+            self._cross_pattern = SparsityPattern(
+                self.n_density, self.n_disp, rows[keep], cols[keep],
+                source=np.flatnonzero(keep))
+        return self._cross_pattern.fill(vals)

@@ -171,6 +171,8 @@ def build_structured_mesh(spec: DomainSpec, nx: int, ny: int, diagonal: str = "r
     ``diagonal="right"`` splits every cell along the lower-left to upper-right
     diagonal.  ``diagonal="mirrored"`` flips the split in the right half so the
     triangulation is symmetric under x -> width - x (requires even nx).
+    A spec whose clamped or loaded segments catch no grid edge raises
+    ``ValueError``: such a mesh has no supports or no load.
     """
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be at least 1")
@@ -220,6 +222,15 @@ def build_structured_mesh(spec: DomainSpec, nx: int, ny: int, diagonal: str = "r
             tags[idx] = int(EdgeTag.DIRICHLET_ZERO)
         elif any(s.contains(pa) and s.contains(pb) for s in spec.neumann_traction_segments):
             tags[idx] = int(EdgeTag.NEUMANN_TRACTION)
+    for kind, tag, segments in (("clamped", EdgeTag.DIRICHLET_ZERO, spec.dirichlet_segments),
+                                ("loaded", EdgeTag.NEUMANN_TRACTION,
+                                 spec.neumann_traction_segments)):
+        if segments and not np.any(tags == int(tag)):
+            raise ValueError(
+                f"mesh: no edge of the {nx}x{ny} grid lies on a {kind} boundary segment "
+                f"(cells are {spec.width / nx:.4g} x {spec.height / ny:.4g}); segment ends "
+                f"must fall on grid vertices, so for the bridge mesh.nx must be a "
+                f"multiple of 20")
 
     mesh = TriMesh(vertices, triangles, boundary_edges, tags)
     areas = triangle_signed_areas(mesh)

@@ -19,9 +19,9 @@ import numpy as np
 from . import fem, homotopy
 from .barrier import BarrierSchedule, BoxConstraints, fraction_to_boundary
 from .homotopy import HomotopyProblem, NewtonConfig, SolveTrace, StepController
-from .lagrangian import Lagrangian
+from .lagrangian import HessianBlocks, Lagrangian
 from .mesh import bridge_domain, build_structured_mesh
-from .sparse import BlockSystem, solve_direct
+from .sparse import SparseMatrix, SparsityPattern, solve_direct
 
 if TYPE_CHECKING:  # pragma: no cover
     from .io_cli import SolverConfig
@@ -73,6 +73,7 @@ class KktSystem:
         self.l = lagr.n_disp
         self.sizes = (self.n, self.l, self.l, self.n, self.n)
         self.dim = 3 * self.n + 2 * self.l
+        self._kkt_pattern = None  # built at the first Jacobian
 
     def pack(self, point: KktPoint) -> np.ndarray:
         return point.pack()
@@ -125,25 +126,19 @@ class KktSystem:
         r_up = point.z_b * self.box.upper_gap(point.rho) - mu
         return np.concatenate([r_stat, g.d_u, g.d_p, r_low, r_up])
 
-    def jacobian(self, point: KktPoint) -> BlockSystem:
-        """5x5 block Jacobian; independent of t, which only shifts the residual."""
+    def jacobian(self, point: KktPoint) -> SparseMatrix:
+        """Assembled 5x5 block Jacobian, blocks ordered as ``BLOCK_NAMES``;
+        independent of t, which only shifts the residual.
+
+        Row blocks: [rr, ru, rp, -I, I], [ru^T, 0, up, 0, 0],
+        [rp^T, up, 0, 0, 0], [diag z_a, 0, 0, diag gap_a, 0] and
+        [-diag z_b, 0, 0, 0, diag gap_b].  The layout is fixed, so every call
+        after the first is one gather from the values ``_kkt_values`` lists.
+        """
         h = self.lagr.hessian(point.rho, point.u, point.p_adj)
-        n = self.n
-        blocks = BlockSystem(self.BLOCK_NAMES, self.sizes)
-        blocks.set("rho", "rho", h.rr)
-        blocks.set("rho", "u", h.ru)
-        blocks.set("rho", "p", h.rp)
-        blocks.set("rho", "z_a", -np.ones(n))
-        blocks.set("rho", "z_b", np.ones(n))
-        blocks.set("u", "rho", h.ru.transpose())
-        blocks.set("u", "p", h.up)
-        blocks.set("p", "rho", h.rp.transpose())
-        blocks.set("p", "u", h.up)
-        blocks.set("z_a", "rho", point.z_a)
-        blocks.set("z_a", "z_a", self.box.lower_gap(point.rho))
-        blocks.set("z_b", "rho", -point.z_b)
-        blocks.set("z_b", "z_b", self.box.upper_gap(point.rho))
-        return blocks
+        if self._kkt_pattern is None:
+            self._kkt_pattern = _kkt_pattern(h, self.n, self.l)
+        return self._kkt_pattern.fill(_kkt_values(h, point, self.box))
 
     def h_t(self, anchor: HomotopyAnchor, t: float, schedule: BarrierSchedule) -> np.ndarray:
         """Derivative of the traced map in t: anchor row plus the mu(t) chain rule."""
@@ -177,7 +172,7 @@ class KktSystem:
             return self.residual(self.unpack(v), anchor, t, schedule)
 
         def jacobian_x(v, t):
-            return self.jacobian(self.unpack(v)).assemble()
+            return self.jacobian(self.unpack(v))
 
         def dh_dt(v, t):
             return self.h_t(anchor, t, schedule)
@@ -199,6 +194,55 @@ class KktSystem:
         return HomotopyProblem(residual, jacobian_x, dh_dt, dim=self.dim,
                                iterate_valid=valid, mu_of_t=schedule.mu,
                                step_limit=step_limit)
+
+
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _kkt_values(h: HessianBlocks, point: KktPoint, box: BoxConstraints) -> np.ndarray:
+    """Every value the KKT matrix gathers from, in the order ``_kkt_pattern`` indexes."""
+    return np.concatenate([h.rr.csr.data, h.ru.csr.data, h.rp.csr.data, h.up.csr.data,
+                           point.z_a, box.lower_gap(point.rho), -point.z_b,
+                           box.upper_gap(point.rho), _SIGNS])
+
+
+def _kkt_pattern(h: HessianBlocks, n: int, l: int) -> SparsityPattern:
+    """KKT layout over the values of ``_kkt_values``.
+
+    The blocks do not overlap, so every KKT entry gathers exactly one value,
+    and the entries land where sorting the block triplets puts them.
+    """
+    pos = 0
+
+    def stored(m: SparseMatrix):  # row, column and value position of each entry
+        nonlocal pos
+        rows = np.repeat(np.arange(m.nrows), np.diff(m.csr.indptr))
+        at = pos + np.arange(m.nnz)
+        pos += m.nnz
+        return rows, m.csr.indices, at
+
+    def diagonal():  # value positions of one length-n vector
+        nonlocal pos
+        pos += n
+        return pos - n + np.arange(n)
+
+    rr, ru, rp, up = stored(h.rr), stored(h.ru), stored(h.rp), stored(h.up)
+    z_a, gap_a, minus_z_b, gap_b = diagonal(), diagonal(), diagonal(), diagonal()
+    minus_one, one = np.full(n, pos), np.full(n, pos + 1)
+    i = np.arange(n)
+    u0, p0, za0, zb0 = n, n + l, n + 2 * l, 2 * n + 2 * l
+    blocks = [  # (rows, cols, value positions)
+        rr,
+        (ru[0], ru[1] + u0, ru[2]), (ru[1] + u0, ru[0], ru[2]),
+        (rp[0], rp[1] + p0, rp[2]), (rp[1] + p0, rp[0], rp[2]),
+        (up[0] + u0, up[1] + p0, up[2]), (up[0] + p0, up[1] + u0, up[2]),
+        (i, i + za0, minus_one), (i, i + zb0, one),
+        (i + za0, i, z_a), (i + za0, i + za0, gap_a),
+        (i + zb0, i, minus_z_b), (i + zb0, i + zb0, gap_b),
+    ]
+    rows, cols, source = (np.concatenate(part) for part in zip(*blocks))
+    dim = 3 * n + 2 * l
+    return SparsityPattern(dim, dim, rows, cols, source=source)
 
 
 def build_system(config: "SolverConfig") -> Tuple[KktSystem, BarrierSchedule]:

@@ -17,6 +17,7 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "SparseMatrix",
+    "SparsityPattern",
     "BlockSystem",
     "SingularMatrixError",
     "finalize",
@@ -38,8 +39,10 @@ class SparseMatrix:
     """Immutable sparse matrix in compressed-row form built from triplets.
 
     Duplicate triplets are summed in a fixed order (stable sort by row then
-    column, left-to-right accumulation within each group), so assembly is
-    bit-reproducible for a given triplet sequence.
+    column, ``np.add.reduceat`` over each group in input order), so assembly
+    is bit-reproducible for a given triplet sequence.  Operators assembled
+    again and again on one mesh keep a :class:`SparsityPattern` and only
+    refill its values.
     """
 
     __slots__ = ("_csr",)
@@ -53,31 +56,10 @@ class SparseMatrix:
 
     @classmethod
     def from_triplets(cls, nrows: int, ncols: int, rows, cols, values) -> "SparseMatrix":
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
         values = np.asarray(values, dtype=np.float64).ravel()
-        if not (rows.size == cols.size == values.size):
+        if not (np.size(rows) == np.size(cols) == values.size):
             raise ValueError("rows, cols and values must have equal length")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= nrows:
-                raise IndexError(f"row index out of range for {nrows}x{ncols} matrix")
-            if cols.min() < 0 or cols.max() >= ncols:
-                raise IndexError(f"column index out of range for {nrows}x{ncols} matrix")
-            order = np.lexsort((cols, rows))  # stable: ties keep input order
-            r, c, v = rows[order], cols[order], values[order]
-            first = np.empty(r.size, dtype=bool)
-            first[0] = True
-            first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-            starts = np.flatnonzero(first)
-            v = np.add.reduceat(v, starts)  # sequential sum within each group
-            r, c = r[starts], c[starts]
-        else:
-            r = np.zeros(0, dtype=np.int64)
-            c = np.zeros(0, dtype=np.int64)
-            v = np.zeros(0, dtype=np.float64)
-        counts = np.bincount(r, minlength=nrows)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        return cls(sp.csr_matrix((v, c, indptr), shape=(nrows, ncols)))
+        return SparsityPattern(nrows, ncols, rows, cols).fill(values)
 
     @classmethod
     def from_dense(cls, array) -> "SparseMatrix":
@@ -125,6 +107,61 @@ class SparseMatrix:
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
+
+
+class SparsityPattern:
+    """CSR layout of a fixed ``(rows, cols)`` triplet sequence.
+
+    The stable (row, column) sort runs once, at construction; :meth:`fill`
+    then assembles any values for the same sequence by a gather and a
+    per-entry ``np.add.reduceat``, bit-identical to ``from_triplets``.
+    ``source`` optionally gives, for each triplet, the position of its value
+    in the arrays later passed to :meth:`fill` (default: its own position),
+    so a masked or reordered triplet sequence costs one gather.
+    """
+
+    __slots__ = ("shape", "order", "starts", "indices", "indptr")
+
+    def __init__(self, nrows: int, ncols: int, rows, cols, source=None):
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        cols = np.asarray(cols, dtype=np.int64).ravel()
+        if rows.size != cols.size:
+            raise ValueError("rows and cols must have equal length")
+        if rows.size:
+            if rows.min() < 0 or rows.max() >= nrows:
+                raise IndexError(f"row index out of range for {nrows}x{ncols} matrix")
+            if cols.min() < 0 or cols.max() >= ncols:
+                raise IndexError(f"column index out of range for {nrows}x{ncols} matrix")
+        order = np.lexsort((cols, rows))  # stable: ties keep input order
+        r, c = rows[order], cols[order]
+        first = np.ones(r.size, dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        starts = np.flatnonzero(first)
+        counts = np.bincount(r[starts], minlength=nrows)
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        # scipy picks the index dtype; keep its arrays so refills share them
+        csr = sp.csr_matrix((np.zeros(starts.size), c[starts], indptr), shape=(nrows, ncols))
+        self.shape = (nrows, ncols)
+        self.order = order if source is None else np.asarray(source, dtype=np.int64)[order]
+        self.starts = None if starts.size == r.size else starts  # None: no duplicates
+        self.indices = csr.indices
+        self.indptr = csr.indptr
+
+    def reduce(self, values) -> np.ndarray:
+        """CSR data: each entry sums its triplets' values in input order."""
+        v = np.asarray(values, dtype=np.float64).ravel()[self.order]
+        if self.starts is not None:
+            v = np.add.reduceat(v, self.starts)
+        return v
+
+    def matrix(self, data: np.ndarray) -> "SparseMatrix":
+        """The matrix with this pattern and the given CSR data."""
+        csr = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        csr.has_sorted_indices = True
+        return SparseMatrix(csr)
+
+    def fill(self, values) -> "SparseMatrix":
+        return self.matrix(self.reduce(values))
 
 
 def finalize(nrows: int, ncols: int, triplets: Iterable[Tuple[int, int, float]]) -> SparseMatrix:

@@ -203,6 +203,41 @@ def test_step_underflow_raises_with_trace():
     assert all(not r.accepted for r in err.value.trace.records)
 
 
+def test_repeated_rejected_proposal_is_replayed_not_rerun():
+    # x = t solves every t < 1 in one Newton step; t = 1 has no root, so each
+    # corrector there spends its whole budget.  Proposals clamped to 1 repeat
+    # from the same accepted point until a shorter step is accepted.
+    jacobian_ts = []
+
+    def jacobian_x(x, t):
+        jacobian_ts.append(t)
+        return np.array([[1.0]])
+
+    problem = HomotopyProblem(
+        residual=lambda x, t: np.array([1.0]) if t == 1.0 else x - t,
+        jacobian_x=jacobian_x,
+        dh_dt=lambda x, t: np.array([-1.0]),
+        dim=1,
+    )
+    controller = StepController(dt_init=0.5, dt_max=4.0, growth=4.0, dt_min=0.1)
+    with pytest.raises(StepUnderflowError) as err:
+        trace(problem, np.array([0.0]), controller, NewtonConfig(max_iter=3))
+    records = err.value.trace.records
+    assert [r.t for r in records] == [0.5, 1.0, 1.0, 1.0, 0.75, 1.0, 1.0, 1.0,
+                                      0.875, 1.0, 1.0, 1.0, 1.0]
+    assert [r.reason for r in records] == ["", "max_iter", "repeat", "repeat"] * 3 \
+        + ["max_iter"]
+    assert [r.newton_iters for r in records] == [1, 3, 0, 0] * 3 + [15]
+    for i, rec in enumerate(records):
+        if rec.reason == "repeat":
+            assert not rec.accepted
+            assert rec.residual_norm == records[i - 1].residual_norm
+    # three correctors at t = 1 run (3 Jacobians each) plus the endpoint jump
+    # (15); the six repeats add none
+    assert jacobian_ts.count(1.0) == 3 * 3 + 15
+    assert len(jacobian_ts) == 3 + 3 * 3 + 15
+
+
 def test_trace_rejects_bad_start():
     problem = cubic_problem()
     with pytest.raises(ValueError):

@@ -218,6 +218,17 @@ def test_cli_solve_rejects_bad_config(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+def test_cli_solve_rejects_mesh_without_supports(tmp_path, capsys):
+    # 0.24-wide cells miss the 0.12-wide clamped segments of the bridge
+    cfg_path = tmp_path / "coarse.cfg"
+    cfg_path.write_text("mesh.nx = 10\nmesh.ny = 4\n")
+    out_dir = tmp_path / "out"
+    assert run_cli(["solve", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "clamped" in err and "multiple of 20" in err
+    assert not out_dir.exists()
+
+
 def test_cli_check_derivatives(tmp_path, capsys):
     cfg_path = tmp_path / "small.cfg"
     cfg_path.write_text(SMALL_CONFIG)

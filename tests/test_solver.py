@@ -6,6 +6,7 @@ from homotopt.barrier import BarrierSchedule
 from homotopt.io_cli import (BarrierConfig, MeshConfig, NewtonSettings,
                              SolverConfig, SteppingConfig)
 from homotopt.solver import KktPoint
+from homotopt.sparse import BlockSystem
 
 
 def rel_err(approx, exact):
@@ -17,6 +18,28 @@ def small_config(**overrides):
     base = dict(mesh=MeshConfig(nx=20, ny=8, diagonal="mirrored"))
     base.update(overrides)
     return SolverConfig(**base)
+
+
+def random_point(system, rng):
+    return KktPoint(rho=rng.uniform(0.2, 0.8, system.n),
+                    u=rng.standard_normal(system.l),
+                    p_adj=rng.standard_normal(system.l),
+                    z_a=rng.uniform(0.5, 2.0, system.n),
+                    z_b=rng.uniform(0.5, 2.0, system.n))
+
+
+def kkt_block(system, jac, row, col):
+    """Block (row, col) of the assembled KKT matrix, as a dense array."""
+    offsets = np.concatenate([[0], np.cumsum(system.sizes)])
+    i, j = system.BLOCK_NAMES.index(row), system.BLOCK_NAMES.index(col)
+    return jac.csr[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]].toarray()
+
+
+def kkt_diagonal(system, jac, row, col):
+    """Diagonal of a KKT block that must be diagonal."""
+    block = kkt_block(system, jac, row, col)
+    assert np.count_nonzero(block - np.diag(np.diag(block))) == 0
+    return np.diag(block)
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +129,7 @@ def test_jacobian_matches_fd_of_residual(small_system, rng):
                   p_adj=rng.standard_normal(system.l),
                   z_a=rng.uniform(0.5, 2.0, system.n),
                   z_b=rng.uniform(0.5, 2.0, system.n))
-    jac = system.jacobian(pt).assemble()
+    jac = system.jacobian(pt)
     v = pt.pack()
     h = 1e-6
     t = 0.6
@@ -125,9 +148,9 @@ def test_jacobian_coupling_blocks_vanish_at_zero_fields(small_system):
                   p_adj=np.zeros(system.l),
                   z_a=np.ones(system.n),
                   z_b=np.ones(system.n))
-    blocks = system.jacobian(pt)
-    assert np.max(np.abs(blocks.get("rho", "u").toarray())) == 0.0
-    assert np.max(np.abs(blocks.get("rho", "p").toarray())) == 0.0
+    jac = system.jacobian(pt)
+    assert np.max(np.abs(kkt_block(system, jac, "rho", "u"))) == 0.0
+    assert np.max(np.abs(kkt_block(system, jac, "rho", "p"))) == 0.0
 
 
 def test_jacobian_barrier_rows(small_system):
@@ -137,13 +160,42 @@ def test_jacobian_barrier_rows(small_system):
                   p_adj=np.zeros(system.l),
                   z_a=np.full(system.n, 2.0),
                   z_b=np.full(system.n, 5.0))
-    blocks = system.jacobian(pt)
-    assert np.all(blocks.get("z_a", "rho") == 2.0)
-    assert np.all(blocks.get("z_a", "z_a") == pytest.approx(0.3))
-    assert np.all(blocks.get("z_b", "rho") == -5.0)
-    assert np.all(blocks.get("z_b", "z_b") == pytest.approx(0.7))
-    assert np.all(blocks.get("rho", "z_a") == -1.0)
-    assert np.all(blocks.get("rho", "z_b") == 1.0)
+    jac = system.jacobian(pt)
+    assert np.all(kkt_diagonal(system, jac, "z_a", "rho") == 2.0)
+    assert np.all(kkt_diagonal(system, jac, "z_a", "z_a") == pytest.approx(0.3))
+    assert np.all(kkt_diagonal(system, jac, "z_b", "rho") == -5.0)
+    assert np.all(kkt_diagonal(system, jac, "z_b", "z_b") == pytest.approx(0.7))
+    assert np.all(kkt_diagonal(system, jac, "rho", "z_a") == -1.0)
+    assert np.all(kkt_diagonal(system, jac, "rho", "z_b") == 1.0)
+
+
+def test_jacobian_bit_identical_to_block_assembly(small_system, rng):
+    # reference: the 5x5 block layout flattened by a triplet sort on every call
+    system, _ = small_system
+    n = system.n
+    for _ in range(3):
+        pt = random_point(system, rng)
+        h = system.lagr.hessian(pt.rho, pt.u, pt.p_adj)
+        blocks = BlockSystem(system.BLOCK_NAMES, system.sizes)
+        blocks.set("rho", "rho", h.rr)
+        blocks.set("rho", "u", h.ru)
+        blocks.set("rho", "p", h.rp)
+        blocks.set("rho", "z_a", -np.ones(n))
+        blocks.set("rho", "z_b", np.ones(n))
+        blocks.set("u", "rho", h.ru.transpose())
+        blocks.set("u", "p", h.up)
+        blocks.set("p", "rho", h.rp.transpose())
+        blocks.set("p", "u", h.up)
+        blocks.set("z_a", "rho", pt.z_a)
+        blocks.set("z_a", "z_a", system.box.lower_gap(pt.rho))
+        blocks.set("z_b", "rho", -pt.z_b)
+        blocks.set("z_b", "z_b", system.box.upper_gap(pt.rho))
+        want = blocks.assemble().csr
+        got = system.jacobian(pt).csr
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_pack_unpack_roundtrip(small_system, rng):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homotopt.sparse import (BlockSystem, SingularMatrixError, SparseMatrix,
-                             assemble_block_system, diagonal, finalize,
-                             identity, solve_direct)
+                             SparsityPattern, assemble_block_system, diagonal,
+                             finalize, identity, solve_direct)
 
 
 def test_finalize_sums_duplicates():
@@ -47,6 +49,58 @@ def test_matvec_matches_triplet_accumulation(rng):
         v = rng.standard_normal(nc)
         assert m.matvec(v) == pytest.approx(dense @ v, abs=1e-12)
         assert m.toarray() == pytest.approx(dense, abs=1e-12)
+
+
+def one_shot_compression(nrows, rows, cols, values):
+    """Reference: sort the triplets and sum each group, all in one call."""
+    rows, cols, values = (np.asarray(a) for a in (rows, cols, values))
+    order = np.lexsort((cols, rows))
+    r, c, v = rows[order], cols[order], values[order]
+    first = np.ones(r.size, dtype=bool)
+    first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+    starts = np.flatnonzero(first)
+    data = np.add.reduceat(v, starts) if r.size else v
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(r[starts], minlength=nrows))])
+    return data, c[starts], indptr
+
+
+def assert_same_csr(m, data, indices, indptr):
+    assert m.csr.data.tobytes() == np.asarray(data, dtype=np.float64).tobytes()
+    assert np.array_equal(m.csr.indices, indices)
+    assert np.array_equal(m.csr.indptr, indptr)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pattern_refill_bit_identical_to_from_triplets(data):
+    # few rows and columns, many triplets: groups of up to dozens of duplicates,
+    # with magnitudes far apart so that any change of summation order shows
+    nrows = data.draw(st.integers(1, 5))
+    ncols = data.draw(st.integers(1, 5))
+    size = data.draw(st.integers(0, 60))
+    index = lambda n: st.lists(st.integers(0, n - 1), min_size=size, max_size=size)
+    rows = np.array(data.draw(index(nrows)), dtype=np.int64)
+    cols = np.array(data.draw(index(ncols)), dtype=np.int64)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)), bool)
+    value = st.one_of(st.floats(-1e8, 1e8), st.floats(-1e-8, 1e-8))
+    pattern = SparsityPattern(nrows, ncols, rows, cols)
+    masked = SparsityPattern(nrows, ncols, rows[keep], cols[keep], source=np.flatnonzero(keep))
+    for _ in range(2):  # the second fill reuses the pattern with new values
+        values = np.array(data.draw(st.lists(value, min_size=size, max_size=size)), float)
+        want = SparseMatrix.from_triplets(nrows, ncols, rows, cols, values).csr
+        assert_same_csr(pattern.fill(values), want.data, want.indices, want.indptr)
+        assert_same_csr(pattern.fill(values), *one_shot_compression(nrows, rows, cols, values))
+        assert_same_csr(masked.fill(values), *one_shot_compression(
+            nrows, rows[keep], cols[keep], values[keep]))
+
+
+def test_pattern_validation():
+    with pytest.raises(ValueError):
+        SparsityPattern(2, 2, [0, 1], [0])
+    with pytest.raises(IndexError):
+        SparsityPattern(2, 2, [0, 2], [0, 0])
+    with pytest.raises(ValueError):
+        SparseMatrix.from_triplets(2, 2, [0, 1], [0, 1], [1.0])
 
 
 def test_transpose_and_row_access():
