@@ -20,8 +20,8 @@ from .lagrangian import Lagrangian, ProblemParams, default_params
 from .mesh import (BoundarySegment, DomainSpec, EdgeTag, TriMesh, bridge_domain,
                    build_structured_mesh, dirichlet_vertex_set)
 from .solver import HomotopyAnchor, KktPoint, KktSystem, build_system, run
-from .sparse import (BlockSystem, SingularMatrixError, SparseMatrix,
-                     assemble_block_system, finalize, solve_direct)
+from .sparse import (BlockSystem, SingularMatrixError, SparseMatrix, finalize,
+                     solve_direct)
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "build_structured_mesh", "dirichlet_vertex_set",
     "HomotopyAnchor", "KktPoint", "KktSystem", "build_system", "run",
     "BlockSystem", "SingularMatrixError", "SparseMatrix",
-    "assemble_block_system", "finalize", "solve_direct",
+    "finalize", "solve_direct",
     "__version__",
 ]

@@ -12,15 +12,15 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import solver
-from .barrier import (BoxConstraints, ObjectiveOracle, geometric_rule,
-                      run_pd_barrier)
+from .barrier import (BarrierSchedule, BoxConstraints, ObjectiveOracle,
+                      geometric_rule, run_pd_barrier)
 from .fem import MaterialModel, default_material
 from .homotopy import NewtonConfig, SolveTrace, StepController, global_homotopy, trace
 from .lagrangian import ProblemParams, default_params
@@ -104,44 +104,53 @@ class SolverConfig:
     snapshots: tuple = DEFAULT_SNAPSHOTS
 
 
-_INT = ("int", int)
-_FLOAT = ("float", float)
-_STR = ("str", str)
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def _parse_snapshots(text: str) -> tuple:
-    values = tuple(float(v) for v in text.split(",") if v.strip())
-    return values
+    return tuple(_finite_float(v) for v in text.split(",") if v.strip())
 
 
-_SCHEMA = {
-    "mesh.nx": _INT,
-    "mesh.ny": _INT,
-    "mesh.diagonal": _STR,
-    "material.lambda0": _FLOAT,
-    "material.lambda1": _FLOAT,
-    "material.mu0": _FLOAT,
-    "material.mu1": _FLOAT,
-    "material.exponent": _FLOAT,
-    "params.gamma": _FLOAT,
-    "params.beta": _FLOAT,
-    "params.epsilon": _FLOAT,
-    "barrier.mu0": _FLOAT,
-    "barrier.mu_inf": _FLOAT,
-    "barrier.schedule": _STR,
-    "stepping.dt_init": _FLOAT,
-    "stepping.dt_max": _FLOAT,
-    "stepping.growth": _FLOAT,
-    "stepping.shrink": _FLOAT,
-    "stepping.dt_min": _FLOAT,
-    "newton.tol": _FLOAT,
-    "newton.max_iter": _INT,
-    "newton.divergence_growth": _FLOAT,
-    "newton.damping": _FLOAT,
-    "predictor_order": _INT,
-    "out_dir": _STR,
-    "snapshots": ("floats", _parse_snapshots),
+# Type of a field's default value -> (name in error messages, caster).
+_CASTERS = {
+    int: ("int", int),
+    float: ("a finite float", _finite_float),
+    str: ("str", str),
+    tuple: ("comma-separated finite floats", _parse_snapshots),
 }
+
+
+def _config_table() -> dict:
+    """``dotted key -> (section or None, field, _CASTERS entry)``, in
+    serialization order."""
+    table = {}
+    defaults = SolverConfig()
+    for top in fields(SolverConfig):
+        value = getattr(defaults, top.name)
+        if is_dataclass(value):
+            for f in fields(value):
+                caster = _CASTERS[type(getattr(value, f.name))]
+                table[f"{top.name}.{f.name}"] = (top.name, f.name, caster)
+        else:
+            table[top.name] = (None, top.name, _CASTERS[type(value)])
+    return table
+
+
+_TABLE = _config_table()
+
+
+def _cast(key: str, text: str, where: str):
+    if key not in _TABLE:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    typename, caster = _TABLE[key][2]
+    try:
+        return caster(text)
+    except ValueError:
+        raise ConfigError(f"{where}: value for {key} must be {typename}, got {text!r}") from None
 
 
 def parse_config_text(text: str) -> SolverConfig:
@@ -154,141 +163,61 @@ def parse_config_text(text: str) -> SolverConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        typename, caster = _SCHEMA[key]
-        try:
-            values[key] = caster(value)
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: value for {key} must be {typename}, got {value!r}"
-            ) from None
-    return _build_config(values)
+        values[key] = _cast(key, value.strip(), f"line {lineno}")
+    return _build_config(values, SolverConfig())
 
 
 def parse_config(path) -> SolverConfig:
     return parse_config_text(Path(path).read_text(encoding="utf-8"))
 
 
-def _build_config(values: dict) -> SolverConfig:
-    def pick(key, default):
-        return values.get(key, default)
-
-    defaults = SolverConfig()
+def _build_config(values: dict, base: SolverConfig) -> SolverConfig:
+    """``base`` with ``values`` (dotted key -> cast value) applied, validated."""
+    changes: dict = {}
+    for key, value in values.items():
+        section, name, _ = _TABLE[key]
+        changes.setdefault(section, {})[name] = value
+    top = changes.pop(None, {})
     try:
-        material = MaterialModel(
-            lambda0=pick("material.lambda0", defaults.material.lambda0),
-            lambda1=pick("material.lambda1", defaults.material.lambda1),
-            mu0=pick("material.mu0", defaults.material.mu0),
-            mu1=pick("material.mu1", defaults.material.mu1),
-            exponent=pick("material.exponent", defaults.material.exponent),
-        )
-        params = ProblemParams(
-            gamma=pick("params.gamma", defaults.params.gamma),
-            beta=pick("params.beta", defaults.params.beta),
-            epsilon=pick("params.epsilon", defaults.params.epsilon),
-        )
+        for section, section_changes in changes.items():
+            top[section] = replace(getattr(base, section), **section_changes)
+        cfg = replace(base, **top)
+        _validate_config(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    cfg = SolverConfig(
-        mesh=MeshConfig(
-            nx=pick("mesh.nx", defaults.mesh.nx),
-            ny=pick("mesh.ny", defaults.mesh.ny),
-            diagonal=pick("mesh.diagonal", defaults.mesh.diagonal),
-        ),
-        material=material,
-        params=params,
-        barrier=BarrierConfig(
-            mu0=pick("barrier.mu0", defaults.barrier.mu0),
-            mu_inf=pick("barrier.mu_inf", defaults.barrier.mu_inf),
-            schedule=pick("barrier.schedule", defaults.barrier.schedule),
-        ),
-        stepping=SteppingConfig(
-            dt_init=pick("stepping.dt_init", defaults.stepping.dt_init),
-            dt_max=pick("stepping.dt_max", defaults.stepping.dt_max),
-            growth=pick("stepping.growth", defaults.stepping.growth),
-            shrink=pick("stepping.shrink", defaults.stepping.shrink),
-            dt_min=pick("stepping.dt_min", defaults.stepping.dt_min),
-        ),
-        newton=NewtonSettings(
-            tol=pick("newton.tol", defaults.newton.tol),
-            max_iter=pick("newton.max_iter", defaults.newton.max_iter),
-            divergence_growth=pick("newton.divergence_growth", defaults.newton.divergence_growth),
-            damping=pick("newton.damping", defaults.newton.damping),
-        ),
-        predictor_order=pick("predictor_order", defaults.predictor_order),
-        out_dir=pick("out_dir", defaults.out_dir),
-        snapshots=tuple(pick("snapshots", defaults.snapshots)),
-    )
-    _validate_config(cfg)
     return cfg
 
 
 def _validate_config(cfg: SolverConfig) -> None:
+    """Raise ValueError for a configuration the solver cannot run.
+
+    ``MaterialModel`` and ``ProblemParams`` check themselves when built; the
+    barrier, stepping and Newton sections are checked by building the solver
+    objects made from them.
+    """
     if cfg.mesh.nx < 1 or cfg.mesh.ny < 1:
-        raise ConfigError("mesh.nx and mesh.ny must be at least 1")
+        raise ValueError("mesh.nx and mesh.ny must be at least 1")
     if cfg.mesh.diagonal not in ("right", "mirrored"):
-        raise ConfigError(f"mesh.diagonal must be 'right' or 'mirrored', got {cfg.mesh.diagonal!r}")
-    if cfg.barrier.mu_inf <= 0 or cfg.barrier.mu0 <= 0:
-        raise ConfigError("barrier.mu0 and barrier.mu_inf must be positive")
-    if cfg.barrier.mu_inf >= cfg.barrier.mu0:
-        raise ConfigError("barrier.mu_inf must be below barrier.mu0 (schedule must decrease)")
-    if cfg.barrier.schedule not in ("linear", "geometric"):
-        raise ConfigError(f"barrier.schedule must be 'linear' or 'geometric', got {cfg.barrier.schedule!r}")
-    st = cfg.stepping
-    if not 0 < st.dt_init <= st.dt_max:
-        raise ConfigError("stepping requires 0 < dt_init <= dt_max")
-    if st.growth < 1.0 or not 0 < st.shrink < 1:
-        raise ConfigError("stepping requires growth >= 1 and 0 < shrink < 1")
-    if st.dt_min <= 0:
-        raise ConfigError("stepping.dt_min must be positive")
-    if cfg.newton.tol <= 0 or cfg.newton.max_iter < 1:
-        raise ConfigError("newton requires tol > 0 and max_iter >= 1")
+        raise ValueError(f"mesh.diagonal must be 'right' or 'mirrored', got {cfg.mesh.diagonal!r}")
+    BarrierSchedule(cfg.barrier.mu0, cfg.barrier.mu_inf, kind=cfg.barrier.schedule)
+    StepController(**asdict(cfg.stepping))
+    NewtonConfig(cfg.newton.tol, cfg.newton.max_iter, cfg.newton.divergence_growth)
     if not 0.0 <= cfg.newton.damping < 1.0:
-        raise ConfigError("newton.damping must lie in [0, 1); 0 disables it")
+        raise ValueError("newton.damping must lie in [0, 1); 0 disables it")
     if cfg.predictor_order not in (0, 1):
-        raise ConfigError("predictor_order must be 0 or 1")
+        raise ValueError("predictor_order must be 0 or 1")
     if any(not 0.0 <= s <= 1.0 for s in cfg.snapshots):
-        raise ConfigError("snapshots must lie in [0, 1]")
+        raise ValueError("snapshots must lie in [0, 1]")
 
 
 def serialize_config(cfg: SolverConfig) -> str:
     """Canonical text form; parsing it reproduces the configuration."""
-    items = {
-        "mesh.nx": cfg.mesh.nx,
-        "mesh.ny": cfg.mesh.ny,
-        "mesh.diagonal": cfg.mesh.diagonal,
-        "material.lambda0": cfg.material.lambda0,
-        "material.lambda1": cfg.material.lambda1,
-        "material.mu0": cfg.material.mu0,
-        "material.mu1": cfg.material.mu1,
-        "material.exponent": cfg.material.exponent,
-        "params.gamma": cfg.params.gamma,
-        "params.beta": cfg.params.beta,
-        "params.epsilon": cfg.params.epsilon,
-        "barrier.mu0": cfg.barrier.mu0,
-        "barrier.mu_inf": cfg.barrier.mu_inf,
-        "barrier.schedule": cfg.barrier.schedule,
-        "stepping.dt_init": cfg.stepping.dt_init,
-        "stepping.dt_max": cfg.stepping.dt_max,
-        "stepping.growth": cfg.stepping.growth,
-        "stepping.shrink": cfg.stepping.shrink,
-        "stepping.dt_min": cfg.stepping.dt_min,
-        "newton.tol": cfg.newton.tol,
-        "newton.max_iter": cfg.newton.max_iter,
-        "newton.divergence_growth": cfg.newton.divergence_growth,
-        "newton.damping": cfg.newton.damping,
-        "predictor_order": cfg.predictor_order,
-        "out_dir": cfg.out_dir,
-        "snapshots": ",".join(repr(float(s)) for s in cfg.snapshots),
-    }
     lines = []
-    for key, value in items.items():
-        if isinstance(value, float):
-            lines.append(f"{key} = {value!r}")
-        else:
-            lines.append(f"{key} = {value}")
+    for key, (section, name, (_, cast)) in _TABLE.items():
+        value = getattr(getattr(cfg, section) if section else cfg, name)
+        if cast is _parse_snapshots:
+            value = ",".join(repr(float(s)) for s in value)
+        lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -452,19 +381,25 @@ def _print_err(*args) -> None:
     print(*args, file=sys.stderr)
 
 
-def _cmd_solve(args) -> int:
+def _load_config(args, **overrides) -> Optional[SolverConfig]:
+    """The config file (or the defaults) with the set command-line overrides
+    applied and validated like file values; None after printing the error."""
     path = args.config_opt or args.config
     try:
         cfg = parse_config(path) if path else SolverConfig()
+        values = {key: _cast(key, str(text), "command line")
+                  for key, text in overrides.items() if text not in (None, "")}
+        return _build_config(values, cfg)
     except (ConfigError, OSError) as exc:
         _print_err(f"error: {exc}")
+        return None
+
+
+def _cmd_solve(args) -> int:
+    cfg = _load_config(args, out_dir=args.out_dir, snapshots=args.snapshots,
+                       predictor_order=args.predictor)
+    if cfg is None:
         return 1
-    if args.out_dir:
-        cfg = replace(cfg, out_dir=args.out_dir)
-    if args.snapshots:
-        cfg = replace(cfg, snapshots=_parse_snapshots(args.snapshots))
-    if args.predictor is not None:
-        cfg = replace(cfg, predictor_order=args.predictor)
     if args.verbose:
         import logging
         logging.basicConfig(level=logging.INFO, format="%(message)s")
@@ -539,11 +474,8 @@ def _rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
 
 
 def _cmd_check_derivatives(args) -> int:
-    path = args.config_opt or args.config
-    try:
-        cfg = parse_config(path) if path else SolverConfig()
-    except (ConfigError, OSError) as exc:
-        _print_err(f"error: {exc}")
+    cfg = _load_config(args)
+    if cfg is None:
         return 1
     try:
         system, schedule = solver.build_system(cfg)

@@ -11,7 +11,7 @@ initialization zeroes them by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
@@ -75,9 +75,6 @@ class KktSystem:
         self.dim = 3 * self.n + 2 * self.l
         self._kkt_pattern = None  # built at the first Jacobian
 
-    def pack(self, point: KktPoint) -> np.ndarray:
-        return point.pack()
-
     def unpack(self, v: np.ndarray) -> KktPoint:
         n, l = self.n, self.l
         v = np.asarray(v, dtype=np.float64)
@@ -119,12 +116,10 @@ class KktSystem:
 
     def residual(self, point: KktPoint, anchor: HomotopyAnchor, t: float,
                  schedule: BarrierSchedule) -> np.ndarray:
-        mu = schedule.mu(t)
-        g = self.lagr.gradient(point.rho, point.u, point.p_adj)
-        r_stat = g.d_rho - point.z_a + point.z_b - (1.0 - t) * anchor.r_rho
-        r_low = point.z_a * self.box.lower_gap(point.rho) - mu
-        r_up = point.z_b * self.box.upper_gap(point.rho) - mu
-        return np.concatenate([r_stat, g.d_u, g.d_p, r_low, r_up])
+        """``f_box`` at mu(t), with the design row anchored by ``(1 - t) * r_rho``."""
+        r = self.f_box(point, schedule.mu(t))
+        r[:self.n] -= (1.0 - t) * anchor.r_rho
+        return r
 
     def jacobian(self, point: KktPoint) -> SparseMatrix:
         """Assembled 5x5 block Jacobian, blocks ordered as ``BLOCK_NAMES``;
@@ -271,13 +266,7 @@ def run(config: "SolverConfig",
     point0, anchor = system.initialize(config.barrier.mu0)
     damping = config.newton.damping if config.newton.damping > 0 else None
     problem = system.homotopy_problem(anchor, schedule, damping=damping)
-    controller = StepController(
-        dt_init=config.stepping.dt_init,
-        dt_max=config.stepping.dt_max,
-        growth=config.stepping.growth,
-        shrink=config.stepping.shrink,
-        dt_min=config.stepping.dt_min,
-    )
+    controller = StepController(**asdict(config.stepping))
     # Dimension-independent stopping: scale the residual tolerance with the
     # square root of the system size.
     cfg = NewtonConfig(

@@ -22,7 +22,6 @@ __all__ = [
     "SingularMatrixError",
     "finalize",
     "solve_direct",
-    "assemble_block_system",
     "identity",
     "diagonal",
 ]
@@ -287,8 +286,3 @@ class BlockSystem:
         else:
             rows = cols = vals = np.zeros(0)
         return SparseMatrix.from_triplets(self.dim, self.dim, rows, cols, vals)
-
-
-def assemble_block_system(blocks: BlockSystem) -> SparseMatrix:
-    """Flatten a block layout into one global sparse matrix."""
-    return blocks.assemble()

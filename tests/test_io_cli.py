@@ -1,12 +1,20 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homotopt import io_cli, solver
 from homotopt.homotopy import SolveTrace, TraceRecord
-from homotopt.io_cli import (ConfigError, SolverConfig, config_digest,
-                             parse_config, parse_config_text, read_density_vtk,
-                             run_cli, serialize_config, write_density_vtk,
-                             write_param_history)
+from homotopt.fem import MaterialModel
+from homotopt.io_cli import (BarrierConfig, ConfigError, MeshConfig,
+                             NewtonSettings, SolverConfig, SteppingConfig,
+                             config_digest, parse_config, parse_config_text,
+                             read_density_vtk, run_cli, serialize_config,
+                             write_density_vtk, write_param_history)
+from homotopt.lagrangian import ProblemParams
 from homotopt.mesh import DomainSpec, build_structured_mesh
 
 SMALL_CONFIG = """
@@ -84,6 +92,102 @@ def test_config_roundtrip_fixed_point():
     assert again == cfg
     assert serialize_config(again) == text
     assert config_digest(again) == config_digest(cfg)
+
+
+FLOAT_KEYS = [key for key, (_, _, (_, cast)) in io_cli._TABLE.items()
+              if cast is io_cli._finite_float]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_rejected(key, value):
+    with pytest.raises(ConfigError, match=rf"line 2: value for {re.escape(key)} "):
+        parse_config_text(f"mesh.nx = 20\n{key} = {value}")
+
+
+def test_non_finite_snapshot_rejected():
+    with pytest.raises(ConfigError, match="line 1: value for snapshots"):
+        parse_config_text("snapshots = 0.5,nan")
+
+
+DEFAULT_TEXT = """\
+mesh.nx = 60
+mesh.ny = 20
+mesh.diagonal = mirrored
+material.lambda0 = 7.498e-05
+material.lambda1 = 0.75
+material.mu0 = 3.75e-05
+material.mu1 = 0.375
+material.exponent = 3.0
+params.gamma = 9.75
+params.beta = 0.5
+params.epsilon = 0.0075
+barrier.mu0 = 50.0
+barrier.mu_inf = 0.001
+barrier.schedule = linear
+stepping.dt_init = 0.25
+stepping.dt_max = 0.25
+stepping.growth = 1.5
+stepping.shrink = 0.5
+stepping.dt_min = 1e-08
+newton.tol = 1e-08
+newton.max_iter = 20
+newton.divergence_growth = 1000.0
+newton.damping = 0.995
+predictor_order = 0
+out_dir = out
+snapshots = 0.0,0.5,0.9375,0.999931,0.999946,0.999956,0.999974,0.999988,1.0
+"""
+
+
+def test_serialization_and_digest_pinned():
+    # The digest goes into every VTK title, so this text must not drift.
+    assert serialize_config(SolverConfig()) == DEFAULT_TEXT
+    assert config_digest(SolverConfig()) == "ffdc917cbf6e"
+    assert config_digest(parse_config_text(SMALL_CONFIG)) == "a65c93cd40de"
+
+
+POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@st.composite
+def valid_configs(draw):
+    lam0, mu0, mu_inf, dt_init = draw(POSITIVE), draw(POSITIVE), draw(POSITIVE), draw(POSITIVE)
+    ratio = st.floats(min_value=1.001, max_value=1e3)
+    return SolverConfig(
+        mesh=MeshConfig(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6)),
+                        draw(st.sampled_from(["right", "mirrored"]))),
+        material=MaterialModel(lam0, lam0 * draw(ratio), mu0, mu0 * draw(ratio),
+                               draw(st.floats(min_value=1.0, max_value=10.0))),
+        params=ProblemParams(draw(POSITIVE), draw(POSITIVE), draw(POSITIVE)),
+        barrier=BarrierConfig(mu_inf * draw(ratio), mu_inf,
+                              draw(st.sampled_from(["linear", "geometric"]))),
+        stepping=SteppingConfig(dt_init, dt_init * draw(st.floats(1.0, 10.0)),
+                                draw(st.floats(1.0, 10.0)),
+                                draw(st.floats(1e-3, 0.999)), draw(POSITIVE)),
+        newton=NewtonSettings(draw(POSITIVE), draw(st.integers(1, 1000)),
+                              draw(st.floats(allow_nan=False, allow_infinity=False)),
+                              draw(st.floats(0.0, 0.999))),
+        predictor_order=draw(st.sampled_from([0, 1])),
+        out_dir=draw(st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True)),
+        snapshots=tuple(draw(st.lists(st.floats(0.0, 1.0), max_size=10))),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_configs())
+def test_config_roundtrip_property(cfg):
+    text = serialize_config(cfg)
+    assert parse_config_text(text) == cfg
+    assert serialize_config(parse_config_text(text)) == text
+
+
+def test_readme_config_block_is_complete_and_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert parse_config_text(block) == SolverConfig()
+    named = {line.split("=")[0].strip() for line in block.splitlines() if "=" in line}
+    assert named == set(io_cli._TABLE)
 
 
 # --- param history --------------------------------------------------------------
@@ -216,6 +320,17 @@ def test_cli_solve_rejects_bad_config(tmp_path, capsys):
     cfg_path.write_text("params.gamma = -2\n")
     assert run_cli(["solve", str(cfg_path)]) == 1
     assert "gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("snapshots", ["abc", "1.5,-3"])
+def test_cli_solve_rejects_bad_snapshots_override(tmp_path, capsys, snapshots):
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text(SMALL_CONFIG)
+    out_dir = tmp_path / "out"
+    argv = ["solve", str(cfg_path), "--out-dir", str(out_dir), "--snapshots", snapshots]
+    assert run_cli(argv) == 1
+    assert "snapshots" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_solve_rejects_mesh_without_supports(tmp_path, capsys):

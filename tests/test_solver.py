@@ -93,6 +93,17 @@ def test_residual_at_t1_equals_unanchored_system(small_system, rng):
         assert np.max(np.abs(r_hom - r_box)) <= 1e-14
 
 
+def test_residual_is_f_box_minus_anchor_term(small_system, rng):
+    system, schedule = small_system
+    _, anchor = system.initialize(50.0)
+    pt = random_point(system, rng)
+    n = system.n
+    for t in (0.0, 0.5, 1.0):
+        r_box = system.f_box(pt, schedule.mu(t))
+        expected = np.concatenate([r_box[:n] - (1.0 - t) * anchor.r_rho, r_box[n:]])
+        assert np.array_equal(system.residual(pt, anchor, t, schedule), expected)
+
+
 def test_h_t_values_and_t_independence(small_system):
     system, schedule = small_system
     point, anchor = system.initialize(50.0)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homotopt.sparse import (BlockSystem, SingularMatrixError, SparseMatrix,
-                             SparsityPattern, assemble_block_system, diagonal,
+                             SparsityPattern, diagonal,
                              finalize, identity, solve_direct)
 
 
@@ -166,14 +166,14 @@ def test_block_diagonal_layout():
     blocks = BlockSystem(("p", "q"), (1, 1))
     blocks.set("p", "p", finalize(1, 1, [(0, 0, 3.0)]))
     blocks.set("q", "q", finalize(1, 1, [(0, 0, 7.0)]))
-    assert assemble_block_system(blocks).toarray() == pytest.approx(np.array([[3.0, 0.0], [0.0, 7.0]]))
+    assert blocks.assemble().toarray() == pytest.approx(np.array([[3.0, 0.0], [0.0, 7.0]]))
 
 
 def test_block_identity_blocks_give_global_identity():
     blocks = BlockSystem(("a", "b"), (2, 3))
     blocks.set("a", "a", identity(2))
     blocks.set("b", "b", identity(3))
-    assert assemble_block_system(blocks).toarray() == pytest.approx(np.eye(5))
+    assert blocks.assemble().toarray() == pytest.approx(np.eye(5))
 
 
 def test_block_scalar_box_matches_hand_assembly():
@@ -188,7 +188,7 @@ def test_block_scalar_box_matches_hand_assembly():
     blocks.set("zb", "x", np.array([-zb]))
     blocks.set("zb", "zb", np.array([cb]))
     expected = np.array([[h, -1.0, 1.0], [za, ca, 0.0], [-zb, 0.0, cb]])
-    assert assemble_block_system(blocks).toarray() == pytest.approx(expected)
+    assert blocks.assemble().toarray() == pytest.approx(expected)
 
 
 def test_block_roundtrip_every_block(rng):
