@@ -20,8 +20,7 @@ from .lagrangian import Lagrangian, ProblemParams, default_params
 from .mesh import (BoundarySegment, DomainSpec, EdgeTag, TriMesh, bridge_domain,
                    build_structured_mesh, dirichlet_vertex_set)
 from .solver import HomotopyAnchor, KktPoint, KktSystem, build_system, run
-from .sparse import (BlockSystem, SingularMatrixError, SparseMatrix, finalize,
-                     solve_direct)
+from .sparse import BlockSystem, SingularMatrixError, SparseMatrix, solve_direct
 
 __version__ = "0.1.0"
 
@@ -39,7 +38,6 @@ __all__ = [
     "BoundarySegment", "DomainSpec", "EdgeTag", "TriMesh", "bridge_domain",
     "build_structured_mesh", "dirichlet_vertex_set",
     "HomotopyAnchor", "KktPoint", "KktSystem", "build_system", "run",
-    "BlockSystem", "SingularMatrixError", "SparseMatrix",
-    "finalize", "solve_direct",
+    "BlockSystem", "SingularMatrixError", "SparseMatrix", "solve_direct",
     "__version__",
 ]

@@ -30,6 +30,7 @@ __all__ = [
     "barrier_value",
     "pd_residual_box",
     "pd_newton_step_box",
+    "set_box_duals",
     "box_barrier_problem",
     "fraction_to_boundary",
     "geometric_rule",
@@ -156,25 +157,34 @@ def pd_residual_box(grad: np.ndarray, x: np.ndarray, box: BoxConstraints,
     return np.concatenate([r_stat, r_low, r_up])
 
 
-def _box_newton_matrix(hess, x, box: BoxConstraints, duals: DualPair) -> SparseMatrix:
+def set_box_duals(blocks: BlockSystem, primal: str, x, box: BoxConstraints,
+                  duals: DualPair) -> None:
+    """Set the six box-dual blocks of the primal-dual Newton matrix around
+    the primal block ``primal``: ``[., -I, I; Z_a, G_a, 0; -Z_b, 0, G_b]``,
+    with the dual blocks named ``z_a`` and ``z_b``."""
     n = box.n
-    blocks = BlockSystem(("x", "z_a", "z_b"), (n, n, n))
-    if isinstance(hess, np.ndarray):
-        hess = SparseMatrix.from_dense(np.atleast_2d(hess))
-    blocks.set("x", "x", hess)
-    blocks.set("x", "z_a", -np.ones(n))
-    blocks.set("x", "z_b", np.ones(n))
-    blocks.set("z_a", "x", np.asarray(duals.z_a, dtype=np.float64))
+    blocks.set(primal, "z_a", -np.ones(n))
+    blocks.set(primal, "z_b", np.ones(n))
+    blocks.set("z_a", primal, np.asarray(duals.z_a, dtype=np.float64))
     blocks.set("z_a", "z_a", box.lower_gap(x))
-    blocks.set("z_b", "x", -np.asarray(duals.z_b, dtype=np.float64))
+    blocks.set("z_b", primal, -np.asarray(duals.z_b, dtype=np.float64))
     blocks.set("z_b", "z_b", box.upper_gap(x))
+
+
+def _box_newton_matrix(blocks: BlockSystem, hess, x, box: BoxConstraints,
+                       duals: DualPair) -> SparseMatrix:
+    """Newton matrix of the box problem on ``blocks`` (named x, z_a, z_b);
+    a dense ``hess`` is converted by ``blocks.set``."""
+    blocks.set("x", "x", hess)
+    set_box_duals(blocks, "x", x, box, duals)
     return blocks.assemble()
 
 
 def pd_newton_step_box(hess, grad, x, box: BoxConstraints, duals: DualPair, mu: float):
     """One full primal-dual Newton step; returns (dx, dz_a, dz_b)."""
     n = box.n
-    matrix = _box_newton_matrix(hess, x, box, duals)
+    blocks = BlockSystem(("x", "z_a", "z_b"), (n, n, n))
+    matrix = _box_newton_matrix(blocks, hess, x, box, duals)
     rhs = -pd_residual_box(grad, x, box, duals, mu)
     d = solve_direct(matrix, rhs)
     return d[:n], d[n:2 * n], d[2 * n:]
@@ -204,6 +214,7 @@ def box_barrier_problem(oracle: ObjectiveOracle, box: BoxConstraints,
     when None).
     """
     n = box.n
+    blocks = BlockSystem(("x", "z_a", "z_b"), (n, n, n))
 
     def split(v):
         return v[:n], v[n:2 * n], v[2 * n:]
@@ -214,7 +225,7 @@ def box_barrier_problem(oracle: ObjectiveOracle, box: BoxConstraints,
 
     def jacobian(v, mu):
         x, z_a, z_b = split(v)
-        return _box_newton_matrix(oracle.hessian(x), x, box, DualPair(z_a, z_b))
+        return _box_newton_matrix(blocks, oracle.hessian(x), x, box, DualPair(z_a, z_b))
 
     def dh_dmu(v, mu):
         return np.concatenate([np.zeros(n), -np.ones(n), -np.ones(n)])

@@ -81,6 +81,8 @@ class NewtonConfig:
             raise ValueError("newton: tol must be positive")
         if self.max_iter < 1:
             raise ValueError("newton: max_iter must be at least 1")
+        if not self.divergence_growth > 0:
+            raise ValueError("newton: divergence_growth must be positive")
 
 
 @dataclass

@@ -130,19 +130,15 @@ class Lagrangian:
     def value(self, rho: np.ndarray, u: np.ndarray, p_adj: np.ndarray) -> float:
         """Full Lagrangian; element-wise evaluation, cheap enough for FD oracles."""
         geo = self._geo
-        lam_w, mu_w = fem._effective_weights(geo, self.material, np.asarray(rho, float))
-        u_loc = local_displacements(self.dofmap, geo.tri, np.asarray(u, float))
-        p_loc = local_displacements(self.dofmap, geo.tri, np.asarray(p_adj, float))
-        div_u = np.einsum("ea,ea->e", geo.div6, u_loc)
-        div_p = np.einsum("ea,ea->e", geo.div6, p_loc)
+        rho = np.asarray(rho, float)
+        lam_w, mu_w = fem._effective_weights(geo, self.material, rho)
+        u_loc, p_loc, div_u, div_p, _, _ = self._element_fields(rho, u, p_adj)
         gup = np.einsum("ea,eab,eb->e", u_loc, geo.gmat6, p_loc)
         p_k_u = float(np.sum(lam_w * div_u * div_p + mu_w * gup))
         return self.objective(rho, u) + p_k_u - float(np.asarray(p_adj) @ self.load)
 
     def gradient(self, rho: np.ndarray, u: np.ndarray, p_adj: np.ndarray) -> GradientBlocks:
         rho = np.asarray(rho, dtype=np.float64)
-        u = np.asarray(u, dtype=np.float64)
-        p_adj = np.asarray(p_adj, dtype=np.float64)
         prm = self.params
         k = self.state_matrix(rho)
         d_rho = prm.gamma * self.phi_vol + prm.beta * (
@@ -156,25 +152,17 @@ class Lagrangian:
 
     def hessian(self, rho: np.ndarray, u: np.ndarray, p_adj: np.ndarray) -> HessianBlocks:
         rho = np.asarray(rho, dtype=np.float64)
-        u = np.asarray(u, dtype=np.float64)
-        p_adj = np.asarray(p_adj, dtype=np.float64)
         geo = self._geo
         pe = self.material.exponent
         dlam = self.material.lambda1 - self.material.lambda0
         dmu = self.material.mu1 - self.material.mu0
 
-        u_loc = local_displacements(self.dofmap, geo.tri, u)
-        p_loc = local_displacements(self.dofmap, geo.tri, p_adj)
-        div_u = np.einsum("ea,ea->e", geo.div6, u_loc)
-        div_p = np.einsum("ea,ea->e", geo.div6, p_loc)
+        u_loc, p_loc, div_u, div_p, rho_q, m_phi = self._element_fields(rho, u, p_adj)
         g_u = np.einsum("eab,eb->ea", geo.gmat6, u_loc)
         g_p = np.einsum("eab,eb->ea", geo.gmat6, p_loc)
         w = dlam * div_u * div_p + dmu * np.einsum("ea,ea->e", u_loc, g_p)
 
-        rho_q = rho[geo.tri] @ fem.QUAD_BARY.T
-        # int_T rho^(p-1) phi_i and int_T rho^(p-2) phi_i phi_j
-        m_phi = geo.area[:, None] * np.einsum(
-            "eq,q,qi->ei", rho_q ** (pe - 1.0), fem.QUAD_W, fem.QUAD_BARY)
+        # int_T rho^(p-2) phi_i phi_j
         m_phiphi = geo.area[:, None, None] * np.einsum(
             "eq,q,qi,qj->eij", rho_q ** (pe - 2.0), fem.QUAD_W, fem.QUAD_BARY, fem.QUAD_BARY)
 
@@ -185,20 +173,27 @@ class Lagrangian:
         rp = self._coupling_cross(geo, pe, m_phi, dlam, dmu, div_u, g_u)
         return HessianBlocks(rr=rr, ru=ru, rp=rp, up=self.state_matrix(rho))
 
+    def _element_fields(self, rho, u, p_adj):
+        """Per element: local u and p, their divergences, rho at the
+        quadrature points and int_T rho^(p-1) phi_i."""
+        geo = self._geo
+        u_loc = local_displacements(self.dofmap, geo.tri, np.asarray(u, dtype=np.float64))
+        p_loc = local_displacements(self.dofmap, geo.tri, np.asarray(p_adj, dtype=np.float64))
+        div_u = np.einsum("ea,ea->e", geo.div6, u_loc)
+        div_p = np.einsum("ea,ea->e", geo.div6, p_loc)
+        rho_q = rho[geo.tri] @ fem.QUAD_BARY.T
+        m_phi = geo.area[:, None] * np.einsum(
+            "eq,q,qi->ei", rho_q ** (self.material.exponent - 1.0), fem.QUAD_W, fem.QUAD_BARY)
+        return u_loc, p_loc, div_u, div_p, rho_q, m_phi
+
     def _coupling_gradient(self, rho, u, p_adj) -> np.ndarray:
         geo = self._geo
         pe = self.material.exponent
         dlam = self.material.lambda1 - self.material.lambda0
         dmu = self.material.mu1 - self.material.mu0
-        u_loc = local_displacements(self.dofmap, geo.tri, u)
-        p_loc = local_displacements(self.dofmap, geo.tri, p_adj)
-        div_u = np.einsum("ea,ea->e", geo.div6, u_loc)
-        div_p = np.einsum("ea,ea->e", geo.div6, p_loc)
+        u_loc, p_loc, div_u, div_p, _, m_phi = self._element_fields(rho, u, p_adj)
         gup = np.einsum("ea,eab,eb->e", u_loc, geo.gmat6, p_loc)
         w = dlam * div_u * div_p + dmu * gup
-        rho_q = rho[geo.tri] @ fem.QUAD_BARY.T
-        m_phi = geo.area[:, None] * np.einsum(
-            "eq,q,qi->ei", rho_q ** (pe - 1.0), fem.QUAD_W, fem.QUAD_BARY)
         out = np.zeros(self.n_density)
         np.add.at(out, geo.tri.ravel(), (pe * m_phi * w[:, None]).ravel())
         return out

@@ -17,11 +17,12 @@ from typing import TYPE_CHECKING, Callable, Optional, Tuple
 import numpy as np
 
 from . import fem, homotopy
-from .barrier import BarrierSchedule, BoxConstraints, fraction_to_boundary
+from .barrier import (BarrierSchedule, BoxConstraints, DualPair, fraction_to_boundary,
+                      pd_residual_box, set_box_duals)
 from .homotopy import HomotopyProblem, NewtonConfig, SolveTrace, StepController
-from .lagrangian import HessianBlocks, Lagrangian
+from .lagrangian import Lagrangian
 from .mesh import bridge_domain, build_structured_mesh
-from .sparse import SparseMatrix, SparsityPattern, solve_direct
+from .sparse import BlockSystem, SparseMatrix, solve_direct
 
 if TYPE_CHECKING:  # pragma: no cover
     from .io_cli import SolverConfig
@@ -73,7 +74,7 @@ class KktSystem:
         self.l = lagr.n_disp
         self.sizes = (self.n, self.l, self.l, self.n, self.n)
         self.dim = 3 * self.n + 2 * self.l
-        self._kkt_pattern = None  # built at the first Jacobian
+        self._blocks = BlockSystem(self.BLOCK_NAMES, self.sizes)
 
     def unpack(self, v: np.ndarray) -> KktPoint:
         n, l = self.n, self.l
@@ -97,8 +98,7 @@ class KktSystem:
         if not self.box.interior(rho):
             raise ValueError("initial density must be strictly interior to the box")
         k = self.lagr.state_matrix(rho)
-        u = solve_direct(k, self.lagr.load)
-        p = solve_direct(k, -self.lagr.load)
+        u, p = solve_direct(k, np.column_stack([self.lagr.load, -self.lagr.load])).T.copy()
         z_a = mu0 / self.box.lower_gap(rho)
         z_b = mu0 / self.box.upper_gap(rho)
         point = KktPoint(rho, u, p, z_a, z_b)
@@ -109,10 +109,8 @@ class KktSystem:
     def f_box(self, point: KktPoint, mu: float) -> np.ndarray:
         """Unanchored optimality residual at barrier weight mu."""
         g = self.lagr.gradient(point.rho, point.u, point.p_adj)
-        r_stat = g.d_rho - point.z_a + point.z_b
-        r_low = point.z_a * self.box.lower_gap(point.rho) - mu
-        r_up = point.z_b * self.box.upper_gap(point.rho) - mu
-        return np.concatenate([r_stat, g.d_u, g.d_p, r_low, r_up])
+        r = pd_residual_box(g.d_rho, point.rho, self.box, DualPair(point.z_a, point.z_b), mu)
+        return np.concatenate([r[:self.n], g.d_u, g.d_p, r[self.n:]])
 
     def residual(self, point: KktPoint, anchor: HomotopyAnchor, t: float,
                  schedule: BarrierSchedule) -> np.ndarray:
@@ -127,13 +125,17 @@ class KktSystem:
 
         Row blocks: [rr, ru, rp, -I, I], [ru^T, 0, up, 0, 0],
         [rp^T, up, 0, 0, 0], [diag z_a, 0, 0, diag gap_a, 0] and
-        [-diag z_b, 0, 0, 0, diag gap_b].  The layout is fixed, so every call
-        after the first is one gather from the values ``_kkt_values`` lists.
+        [-diag z_b, 0, 0, 0, diag gap_b] (``up`` = K(rho) is symmetric).
+        The layout is fixed, so the block system sorts it once.
         """
         h = self.lagr.hessian(point.rho, point.u, point.p_adj)
-        if self._kkt_pattern is None:
-            self._kkt_pattern = _kkt_pattern(h, self.n, self.l)
-        return self._kkt_pattern.fill(_kkt_values(h, point, self.box))
+        blocks = self._blocks
+        blocks.set("rho", "rho", h.rr)
+        blocks.set("rho", "u", h.ru, mirror=True)
+        blocks.set("rho", "p", h.rp, mirror=True)
+        blocks.set("u", "p", h.up, mirror=True)
+        set_box_duals(blocks, "rho", point.rho, self.box, DualPair(point.z_a, point.z_b))
+        return blocks.assemble()
 
     def h_t(self, anchor: HomotopyAnchor, t: float, schedule: BarrierSchedule) -> np.ndarray:
         """Derivative of the traced map in t: anchor row plus the mu(t) chain rule."""
@@ -189,55 +191,6 @@ class KktSystem:
         return HomotopyProblem(residual, jacobian_x, dh_dt, dim=self.dim,
                                iterate_valid=valid, mu_of_t=schedule.mu,
                                step_limit=step_limit)
-
-
-_SIGNS = np.array([-1.0, 1.0])
-
-
-def _kkt_values(h: HessianBlocks, point: KktPoint, box: BoxConstraints) -> np.ndarray:
-    """Every value the KKT matrix gathers from, in the order ``_kkt_pattern`` indexes."""
-    return np.concatenate([h.rr.csr.data, h.ru.csr.data, h.rp.csr.data, h.up.csr.data,
-                           point.z_a, box.lower_gap(point.rho), -point.z_b,
-                           box.upper_gap(point.rho), _SIGNS])
-
-
-def _kkt_pattern(h: HessianBlocks, n: int, l: int) -> SparsityPattern:
-    """KKT layout over the values of ``_kkt_values``.
-
-    The blocks do not overlap, so every KKT entry gathers exactly one value,
-    and the entries land where sorting the block triplets puts them.
-    """
-    pos = 0
-
-    def stored(m: SparseMatrix):  # row, column and value position of each entry
-        nonlocal pos
-        rows = np.repeat(np.arange(m.nrows), np.diff(m.csr.indptr))
-        at = pos + np.arange(m.nnz)
-        pos += m.nnz
-        return rows, m.csr.indices, at
-
-    def diagonal():  # value positions of one length-n vector
-        nonlocal pos
-        pos += n
-        return pos - n + np.arange(n)
-
-    rr, ru, rp, up = stored(h.rr), stored(h.ru), stored(h.rp), stored(h.up)
-    z_a, gap_a, minus_z_b, gap_b = diagonal(), diagonal(), diagonal(), diagonal()
-    minus_one, one = np.full(n, pos), np.full(n, pos + 1)
-    i = np.arange(n)
-    u0, p0, za0, zb0 = n, n + l, n + 2 * l, 2 * n + 2 * l
-    blocks = [  # (rows, cols, value positions)
-        rr,
-        (ru[0], ru[1] + u0, ru[2]), (ru[1] + u0, ru[0], ru[2]),
-        (rp[0], rp[1] + p0, rp[2]), (rp[1] + p0, rp[0], rp[2]),
-        (up[0] + u0, up[1] + p0, up[2]), (up[0] + p0, up[1] + u0, up[2]),
-        (i, i + za0, minus_one), (i, i + zb0, one),
-        (i + za0, i, z_a), (i + za0, i + za0, gap_a),
-        (i + zb0, i, minus_z_b), (i + zb0, i + zb0, gap_b),
-    ]
-    rows, cols, source = (np.concatenate(part) for part in zip(*blocks))
-    dim = 3 * n + 2 * l
-    return SparsityPattern(dim, dim, rows, cols, source=source)
 
 
 def build_system(config: "SolverConfig") -> Tuple[KktSystem, BarrierSchedule]:

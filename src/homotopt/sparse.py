@@ -9,7 +9,7 @@ degenerated", distinct from a shape error.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,10 +20,7 @@ __all__ = [
     "SparsityPattern",
     "BlockSystem",
     "SingularMatrixError",
-    "finalize",
     "solve_direct",
-    "identity",
-    "diagonal",
 ]
 
 # Pivots below this fraction of the largest pivot count as singular.
@@ -96,11 +93,6 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self._csr.T.tocsr())
 
-    def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Column indices and values of row ``i``."""
-        lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
-        return self._csr.indices[lo:hi].copy(), self._csr.data[lo:hi].copy()
-
     def toarray(self) -> np.ndarray:
         return self._csr.toarray()
 
@@ -163,38 +155,23 @@ class SparsityPattern:
         return self.matrix(self.reduce(values))
 
 
-def finalize(nrows: int, ncols: int, triplets: Iterable[Tuple[int, int, float]]) -> SparseMatrix:
-    """Compress ``(row, col, value)`` triplets, summing duplicates."""
-    items = list(triplets)
-    if items:
-        rows, cols, values = zip(*items)
-    else:
-        rows, cols, values = (), (), ()
-    return SparseMatrix.from_triplets(nrows, ncols, rows, cols, values)
-
-
-def identity(n: int) -> SparseMatrix:
-    return SparseMatrix(sp.identity(n, format="csr"))
-
-
-def diagonal(values) -> SparseMatrix:
-    values = np.asarray(values, dtype=np.float64).ravel()
-    return SparseMatrix(sp.diags(values, format="csr"))
-
-
 def solve_direct(a: SparseMatrix, b: np.ndarray) -> np.ndarray:
     """Solve ``a x = b`` by sparse LU with partial pivoting.
 
-    Raises ``ValueError`` on shape mismatch and :class:`SingularMatrixError`
-    when the factorization is exactly or numerically singular.
+    ``b`` is a vector or an ``(m, k)`` array of ``k`` right-hand sides, all
+    solved with one factorization.  Raises ``ValueError`` on shape mismatch
+    and :class:`SingularMatrixError` when the factorization is exactly or
+    numerically singular.
     """
     if a.nrows != a.ncols:
         raise ValueError(f"matrix must be square, got {a.nrows}x{a.ncols}")
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if b.size != a.nrows:
-        raise ValueError(f"right-hand side of length {a.nrows} expected, got {b.size}")
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 2:
+        b = b.ravel()
+    if b.shape[0] != a.nrows:
+        raise ValueError(f"right-hand side with {a.nrows} rows expected, got shape {b.shape}")
     if a.nrows == 0:
-        return np.zeros(0)
+        return np.zeros(b.shape)
     try:
         lu = spla.splu(a.csr.tocsc())
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
@@ -210,10 +187,15 @@ def solve_direct(a: SparseMatrix, b: np.ndarray) -> np.ndarray:
 
 
 class BlockSystem:
-    """Square block layout with named blocks.
+    """Square block layout with named blocks, assembled on a cached pattern.
 
     Entries are :class:`SparseMatrix` blocks or 1-D vectors standing for
-    diagonal blocks.  Unset blocks are zero.
+    diagonal blocks.  Unset blocks are zero; a mirrored block also places
+    its transpose, and blocks placed at the same position sum.  The first
+    :meth:`assemble` sorts the layout into a :class:`SparsityPattern`; later
+    calls refill it while the structure stays the same: which blocks are
+    set, diagonal or sparse, mirrored or not, and each sparse block's CSR
+    ``indptr`` and ``indices``.  Any change of structure rebuilds it.
     """
 
     def __init__(self, names: Sequence[str], sizes: Sequence[int]):
@@ -228,24 +210,22 @@ class BlockSystem:
         self.names = names
         self.sizes = sizes
         self.offsets = tuple(int(o) for o in np.concatenate([[0], np.cumsum(sizes)]))
-        self._blocks: dict = {}
+        self._blocks: dict = {}  # (i, j) -> (block, mirror)
+        self._layout = None  # structure the pattern was built for
+        self._pattern = None
 
     @property
     def dim(self) -> int:
         return self.offsets[-1]
 
-    def _index(self, key) -> int:
-        if isinstance(key, str):
-            try:
-                return self.names.index(key)
-            except ValueError:
-                raise KeyError(f"unknown block name {key!r}") from None
-        i = int(key)
-        if not 0 <= i < len(self.names):
-            raise IndexError(f"block index {i} out of range")
-        return i
+    def _index(self, name: str) -> int:
+        if name not in self.names:
+            raise KeyError(f"unknown block name {name!r}")
+        return self.names.index(name)
 
-    def set(self, row, col, block: Union[SparseMatrix, np.ndarray]) -> None:
+    def set(self, row, col, block: Union[SparseMatrix, np.ndarray], mirror: bool = False) -> None:
+        """Place ``block`` at (row, col); ``mirror`` also places its transpose
+        at (col, row), read from the same values."""
         i, j = self._index(row), self._index(col)
         nr, nc = self.sizes[i], self.sizes[j]
         if isinstance(block, np.ndarray) and block.ndim == 2:
@@ -259,30 +239,47 @@ class BlockSystem:
                 raise ValueError(f"diagonal shorthand needs a square block, ({row},{col}) is {nr}x{nc}")
             if block.size != nr:
                 raise ValueError(f"diagonal for block ({row},{col}) must have length {nr}")
-        self._blocks[(i, j)] = block
-
-    def get(self, row, col):
-        return self._blocks.get((self._index(row), self._index(col)))
+        self._blocks[(i, j)] = (block, bool(mirror))
 
     def assemble(self) -> SparseMatrix:
-        rows, cols, vals = [], [], []
-        for (i, j) in sorted(self._blocks):
-            block = self._blocks[(i, j)]
-            ro, co = self.offsets[i], self.offsets[j]
+        entries = [(key, *self._blocks[key]) for key in sorted(self._blocks)]
+        layout = [(key, mirror, *_csr_index(block)) for key, block, mirror in entries]
+        if self._pattern is None or not _same_layout(layout, self._layout):
+            self._pattern = self._build_pattern(entries)
+            self._layout = layout
+        values = [block.csr.data if isinstance(block, SparseMatrix) else block
+                  for _, block, _ in entries]
+        return self._pattern.fill(np.concatenate([np.zeros(0)] + values))
+
+    def _build_pattern(self, entries) -> SparsityPattern:
+        """Triplets of every placement, each taking its value from the
+        concatenated block values that :meth:`assemble` fills with."""
+        rows, cols, source = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
+        start = 0
+        for (i, j), block, mirror in entries:
             if isinstance(block, SparseMatrix):
-                coo = block.csr.tocoo()
-                rows.append(coo.row.astype(np.int64) + ro)
-                cols.append(coo.col.astype(np.int64) + co)
-                vals.append(coo.data)
+                r = np.repeat(np.arange(block.nrows), np.diff(block.csr.indptr))
+                c = block.csr.indices
             else:
-                idx = np.arange(block.size, dtype=np.int64)
-                rows.append(idx + ro)
-                cols.append(idx + co)
-                vals.append(block)
-        if rows:
-            rows = np.concatenate(rows)
-            cols = np.concatenate(cols)
-            vals = np.concatenate(vals)
-        else:
-            rows = cols = vals = np.zeros(0)
-        return SparseMatrix.from_triplets(self.dim, self.dim, rows, cols, vals)
+                r = c = np.arange(block.size)
+            at = np.arange(start, start + r.size)
+            start += r.size
+            for bi, bj, br, bc in [(i, j, r, c)] + ([(j, i, c, r)] if mirror else []):
+                rows.append(br + self.offsets[bi])
+                cols.append(bc + self.offsets[bj])
+                source.append(at)
+        return SparsityPattern(self.dim, self.dim, np.concatenate(rows), np.concatenate(cols),
+                               source=np.concatenate(source))
+
+
+def _csr_index(block) -> tuple:
+    if isinstance(block, SparseMatrix):
+        return block.csr.indptr, block.csr.indices
+    return None, None
+
+
+def _same_layout(a, b) -> bool:
+    """Whether two block layouts agree item by item, arrays compared by
+    identity first, then by value."""
+    return len(a) == len(b) and all(
+        x is y or np.array_equal(x, y) for ea, eb in zip(a, b) for x, y in zip(ea, eb))

@@ -251,3 +251,12 @@ def test_controller_validation():
         StepController(shrink=1.5)
     with pytest.raises(ValueError):
         StepController(checkpoints=(0.0,))
+
+
+def test_newton_config_validation():
+    for growth in (0.0, -1.0):
+        with pytest.raises(ValueError, match="divergence_growth must be positive"):
+            NewtonConfig(divergence_growth=growth)
+    # at or below 1 every iterate must shrink the best residual so far: strict, but legal
+    for growth in (0.5, 1.0):
+        assert NewtonConfig(divergence_growth=growth).divergence_growth == growth

@@ -73,6 +73,12 @@ def test_increasing_schedule_rejected():
         parse_config_text("barrier.mu0 = 1.0\nbarrier.mu_inf = 2.0")
 
 
+@pytest.mark.parametrize("growth", ["0", "-1"])
+def test_non_positive_divergence_growth_rejected(growth):
+    with pytest.raises(ConfigError, match="divergence_growth must be positive"):
+        parse_config_text(f"newton.divergence_growth = {growth}")
+
+
 def test_unknown_key_rejected_with_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config_text("mesh.nx = 10\nmesh.nz = 3")
@@ -165,8 +171,7 @@ def valid_configs(draw):
         stepping=SteppingConfig(dt_init, dt_init * draw(st.floats(1.0, 10.0)),
                                 draw(st.floats(1.0, 10.0)),
                                 draw(st.floats(1e-3, 0.999)), draw(POSITIVE)),
-        newton=NewtonSettings(draw(POSITIVE), draw(st.integers(1, 1000)),
-                              draw(st.floats(allow_nan=False, allow_infinity=False)),
+        newton=NewtonSettings(draw(POSITIVE), draw(st.integers(1, 1000)), draw(POSITIVE),
                               draw(st.floats(0.0, 0.999))),
         predictor_order=draw(st.sampled_from([0, 1])),
         out_dir=draw(st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True)),

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from homotopt import solver
+from homotopt import solver, sparse
 from homotopt.barrier import BarrierSchedule
 from homotopt.io_cli import (BarrierConfig, MeshConfig, NewtonSettings,
                              SolverConfig, SteppingConfig)
 from homotopt.solver import KktPoint
-from homotopt.sparse import BlockSystem
 
 
 def rel_err(approx, exact):
@@ -181,32 +181,52 @@ def test_jacobian_barrier_rows(small_system):
 
 
 def test_jacobian_bit_identical_to_block_assembly(small_system, rng):
-    # reference: the 5x5 block layout flattened by a triplet sort on every call
+    # independent reference: scipy's bmat of the 13 blocks
     system, _ = small_system
-    n = system.n
+    eye = sp.identity(system.n, format="csr")
     for _ in range(3):
         pt = random_point(system, rng)
         h = system.lagr.hessian(pt.rho, pt.u, pt.p_adj)
-        blocks = BlockSystem(system.BLOCK_NAMES, system.sizes)
-        blocks.set("rho", "rho", h.rr)
-        blocks.set("rho", "u", h.ru)
-        blocks.set("rho", "p", h.rp)
-        blocks.set("rho", "z_a", -np.ones(n))
-        blocks.set("rho", "z_b", np.ones(n))
-        blocks.set("u", "rho", h.ru.transpose())
-        blocks.set("u", "p", h.up)
-        blocks.set("p", "rho", h.rp.transpose())
-        blocks.set("p", "u", h.up)
-        blocks.set("z_a", "rho", pt.z_a)
-        blocks.set("z_a", "z_a", system.box.lower_gap(pt.rho))
-        blocks.set("z_b", "rho", -pt.z_b)
-        blocks.set("z_b", "z_b", system.box.upper_gap(pt.rho))
-        want = blocks.assemble().csr
+        rr, ru, rp, up = h.rr.csr, h.ru.csr, h.rp.csr, h.up.csr
+        want = sp.bmat([
+            [rr, ru, rp, -eye, eye],
+            [ru.T, None, up, None, None],
+            [rp.T, up, None, None, None],
+            [sp.diags(pt.z_a), None, None, sp.diags(system.box.lower_gap(pt.rho)), None],
+            [sp.diags(-pt.z_b), None, None, None, sp.diags(system.box.upper_gap(pt.rho))],
+        ], format="csr")
+        want.sort_indices()
         got = system.jacobian(pt).csr
         assert got.shape == want.shape
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
+    # every Jacobian after the first refills the KKT pattern built at the first
+    system, _ = solver.build_system(small_config())
+    kkt_patterns = []
+
+    class CountingPattern(sparse.SparsityPattern):
+        def __init__(self, nrows, ncols, *args, **kwargs):
+            super().__init__(nrows, ncols, *args, **kwargs)
+            if (nrows, ncols) == (system.dim, system.dim):
+                kkt_patterns.append(self)
+
+    jacobians = []
+    jacobian = solver.KktSystem.jacobian
+
+    def counted_jacobian(self, point):
+        jacobians.append(point)
+        return jacobian(self, point)
+
+    monkeypatch.setattr(sparse, "SparsityPattern", CountingPattern)
+    monkeypatch.setattr(solver.KktSystem, "jacobian", counted_jacobian)
+    _, trace = solver.run(small_config())
+    assert trace.accepted()[-1].t == 1.0
+    assert len(jacobians) >= 10
+    assert len(kkt_patterns) == 1
 
 
 def test_pack_unpack_roundtrip(small_system, rng):

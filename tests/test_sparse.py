@@ -4,24 +4,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homotopt.sparse import (BlockSystem, SingularMatrixError, SparseMatrix,
-                             SparsityPattern, diagonal,
-                             finalize, identity, solve_direct)
+                             SparsityPattern, solve_direct)
+
+
+def identity(n):
+    return SparseMatrix.from_dense(np.eye(n))
 
 
 def test_finalize_sums_duplicates():
-    m = finalize(1, 1, {(0, 0, 1.0), (0, 0, 2.0)})
+    m = SparseMatrix.from_triplets(1, 1, [0, 0], [0, 0], [1.0, 2.0])
     assert m.toarray() == pytest.approx(np.array([[3.0]]))
     assert m.nnz == 1
 
 
 def test_finalize_empty_is_zero():
-    m = finalize(3, 3, [])
+    m = SparseMatrix.from_triplets(3, 3, [], [], [])
     assert m.nnz == 0
     assert np.all(m.matvec(np.ones(3)) == 0.0)
 
 
 def test_identity_matvec(rng):
-    m = finalize(2, 2, [(0, 0, 1.0), (1, 1, 1.0)])
+    m = SparseMatrix.from_triplets(2, 2, [0, 1], [0, 1], [1.0, 1.0])
     for _ in range(5):
         v = rng.standard_normal(2)
         assert m.matvec(v) == pytest.approx(v)
@@ -29,9 +32,9 @@ def test_identity_matvec(rng):
 
 def test_finalize_rejects_out_of_range():
     with pytest.raises(IndexError):
-        finalize(2, 2, [(2, 0, 1.0)])
+        SparseMatrix.from_triplets(2, 2, [2], [0], [1.0])
     with pytest.raises(IndexError):
-        finalize(2, 2, [(0, -1, 1.0)])
+        SparseMatrix.from_triplets(2, 2, [0], [-1], [1.0])
 
 
 def test_matvec_matches_triplet_accumulation(rng):
@@ -103,12 +106,9 @@ def test_pattern_validation():
         SparseMatrix.from_triplets(2, 2, [0, 1], [0, 1], [1.0])
 
 
-def test_transpose_and_row_access():
-    m = finalize(2, 3, [(0, 1, 2.0), (1, 2, -1.0)])
+def test_transpose():
+    m = SparseMatrix.from_triplets(2, 3, [0, 1], [1, 2], [2.0, -1.0])
     assert m.transpose().toarray() == pytest.approx(m.toarray().T)
-    cols, vals = m.row(0)
-    assert list(cols) == [1]
-    assert vals == pytest.approx([2.0])
 
 
 def test_solve_identity(rng):
@@ -117,8 +117,24 @@ def test_solve_identity(rng):
 
 
 def test_solve_diagonal():
-    a = finalize(2, 2, [(0, 0, 2.0), (1, 1, 4.0)])
+    a = SparseMatrix.from_triplets(2, 2, [0, 1], [0, 1], [2.0, 4.0])
     assert solve_direct(a, np.array([2.0, 8.0])) == pytest.approx([1.0, 2.0])
+
+
+def test_solve_several_right_hand_sides(rng):
+    # one factorization for an (m, k) right-hand side, each column bit-identical
+    # to its own solve
+    n = 30
+    a = SparseMatrix.from_dense(rng.standard_normal((n, n)) + n * np.eye(n))
+    b = rng.standard_normal((n, 3))
+    x = solve_direct(a, b)
+    assert x.shape == (n, 3)
+    for k in range(3):
+        assert x[:, k].tobytes() == solve_direct(a, b[:, k]).tobytes()
+    with pytest.raises(ValueError):
+        solve_direct(a, np.ones((n + 1, 2)))
+    with pytest.raises(SingularMatrixError):
+        solve_direct(SparseMatrix.from_triplets(2, 2, [0], [0], [1.0]), np.ones((2, 2)))
 
 
 def test_solve_matches_dense_oracle(rng):
@@ -150,22 +166,22 @@ def test_solve_after_matvec_roundtrip(rng):
 
 
 def test_singularity_reported_distinctly():
-    singular = finalize(2, 2, [(0, 0, 1.0)])
+    singular = SparseMatrix.from_triplets(2, 2, [0], [0], [1.0])
     with pytest.raises(SingularMatrixError):
         solve_direct(singular, np.ones(2))
-    near_singular = finalize(2, 2, [(0, 0, 1.0), (1, 1, 1e-16)])
+    near_singular = SparseMatrix.from_triplets(2, 2, [0, 1], [0, 1], [1.0, 1e-16])
     with pytest.raises(SingularMatrixError):
         solve_direct(near_singular, np.ones(2))
     with pytest.raises(ValueError):
-        solve_direct(finalize(2, 3, []), np.ones(3))
+        solve_direct(SparseMatrix.from_triplets(2, 3, [], [], []), np.ones(3))
     with pytest.raises(ValueError):
         solve_direct(identity(2), np.ones(3))
 
 
 def test_block_diagonal_layout():
     blocks = BlockSystem(("p", "q"), (1, 1))
-    blocks.set("p", "p", finalize(1, 1, [(0, 0, 3.0)]))
-    blocks.set("q", "q", finalize(1, 1, [(0, 0, 7.0)]))
+    blocks.set("p", "p", SparseMatrix.from_dense([[3.0]]))
+    blocks.set("q", "q", SparseMatrix.from_dense([[7.0]]))
     assert blocks.assemble().toarray() == pytest.approx(np.array([[3.0, 0.0], [0.0, 7.0]]))
 
 
@@ -180,7 +196,7 @@ def test_block_scalar_box_matches_hand_assembly():
     # n=1 primal-dual system: [[h, -1, 1], [za, ca, 0], [-zb, 0, cb]]
     h, za, zb, ca, cb = 2.5, 0.8, 0.3, 0.7456, 1.2456
     blocks = BlockSystem(("x", "za", "zb"), (1, 1, 1))
-    blocks.set("x", "x", finalize(1, 1, [(0, 0, h)]))
+    blocks.set("x", "x", SparseMatrix.from_dense([[h]]))
     blocks.set("x", "za", -np.ones(1))
     blocks.set("x", "zb", np.ones(1))
     blocks.set("za", "x", np.array([za]))
@@ -192,8 +208,8 @@ def test_block_scalar_box_matches_hand_assembly():
 
 
 def test_block_roundtrip_every_block(rng):
-    sizes = (2, 3, 2)
-    blocks = BlockSystem(("r", "s", "t"), sizes)
+    names, sizes = ("r", "s", "t"), (2, 3, 2)
+    blocks = BlockSystem(names, sizes)
     stored = {}
     offsets = (0, 2, 5, 7)
     for i in range(3):
@@ -201,13 +217,12 @@ def test_block_roundtrip_every_block(rng):
             if rng.random() < 0.4:
                 continue
             dense = rng.standard_normal((sizes[i], sizes[j]))
-            blocks.set(i, j, SparseMatrix.from_dense(dense))
+            blocks.set(names[i], names[j], SparseMatrix.from_dense(dense))
             stored[(i, j)] = dense
     full = blocks.assemble().toarray()
     for (i, j), dense in stored.items():
         sub = full[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]
         assert sub == pytest.approx(dense, abs=1e-15)
-        assert blocks.get(i, j).toarray() == pytest.approx(dense)
 
 
 def test_block_size_validation():
@@ -218,8 +233,53 @@ def test_block_size_validation():
         blocks.set("a", "b", np.ones(2))  # diagonal shorthand needs square block
     with pytest.raises(ValueError):
         blocks.set("a", "a", np.ones(3))  # diagonal length mismatch
+    with pytest.raises(KeyError):
+        blocks.set("a", "c", np.ones(2))  # unknown block name
 
 
-def test_diagonal_helper():
-    d = diagonal([1.0, -2.0])
-    assert d.toarray() == pytest.approx(np.array([[1.0, 0.0], [0.0, -2.0]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_block_refill_bit_identical_to_fresh_assembly(data):
+    # rounds of new values on the same layout or on a changed one (sparse,
+    # diagonal and mirrored blocks); each assembly must equal a fresh system's
+    # and the dense sum of its blocks, and the pattern must be rebuilt exactly
+    # when the structure changed
+    names = ("a", "b", "c")
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = BlockSystem(names, sizes)
+    layout = {}  # (i, j) -> (nonzero mask, None for a diagonal block; mirror)
+    pattern, structure = None, None
+    for _ in range(data.draw(st.integers(1, 5))):
+        if not layout or data.draw(st.booleans()):
+            keys = data.draw(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                                     min_size=1, max_size=4))
+            for i, j in sorted(keys):
+                diagonal = sizes[i] == sizes[j] and data.draw(st.booleans())
+                mask = None if diagonal else rng.random((sizes[i], sizes[j])) < 0.6
+                layout[(i, j)] = (mask, data.draw(st.booleans()))
+        fresh = BlockSystem(names, sizes)
+        reference = np.zeros((offsets[-1], offsets[-1]))
+        for (i, j), (mask, mirror) in layout.items():  # new values for every block
+            if mask is None:
+                block = rng.standard_normal(sizes[i])
+                dense = np.diag(block)
+            else:
+                block = SparseMatrix.from_dense(rng.standard_normal(mask.shape) * mask)
+                dense = block.toarray()
+            blocks.set(names[i], names[j], block, mirror=mirror)
+            fresh.set(names[i], names[j], block, mirror=mirror)
+            reference[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] += dense
+            if mirror:
+                reference[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] += dense.T
+        got = blocks.assemble()
+        want = fresh.assemble().csr
+        assert_same_csr(got, want.data, want.indices, want.indptr)
+        assert np.array_equal(got.toarray(), reference)
+        new_structure = sorted((key, None if mask is None else mask.tobytes(), mirror)
+                               for key, (mask, mirror) in layout.items())
+        assert (blocks._pattern is not pattern) == (new_structure != structure)
+        pattern, structure = blocks._pattern, new_structure
