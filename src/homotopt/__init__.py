@@ -13,7 +13,7 @@ from .fem import (DofMap, MaterialModel, assemble_gl_operators,
                   default_material, make_dofmap, solve_state)
 from .homotopy import (HomotopyProblem, NewtonConfig, SolveTrace, StepController,
                        StepUnderflowError, global_homotopy, newton_corrector,
-                       tangent_predictor, trace)
+                       trace)
 from .io_cli import (SolverConfig, parse_config, run_cli, write_density_vtk,
                      write_param_history)
 from .lagrangian import Lagrangian, ProblemParams, default_params
@@ -30,8 +30,7 @@ __all__ = [
     "DofMap", "MaterialModel", "assemble_gl_operators", "assemble_state_operator",
     "assemble_traction_load", "default_material", "make_dofmap", "solve_state",
     "HomotopyProblem", "NewtonConfig", "SolveTrace", "StepController",
-    "StepUnderflowError", "global_homotopy", "newton_corrector",
-    "tangent_predictor", "trace",
+    "StepUnderflowError", "global_homotopy", "newton_corrector", "trace",
     "SolverConfig", "parse_config", "run_cli", "write_density_vtk",
     "write_param_history",
     "Lagrangian", "ProblemParams", "default_params",

@@ -26,7 +26,6 @@ __all__ = [
     "StepUnderflowError",
     "global_homotopy",
     "newton_corrector",
-    "tangent_predictor",
     "trace",
 ]
 
@@ -137,22 +136,11 @@ def newton_corrector(problem: HomotopyProblem, x: np.ndarray, t: float,
 
 
 def _tangent_direction(problem: HomotopyProblem, x: np.ndarray, t: float) -> Optional[np.ndarray]:
+    """Tangent x'(t) of the zero curve from H_x x' = -H_t; None if H_x is singular."""
     try:
         return _solve_linear(problem.jacobian_x(x, t), -np.asarray(problem.dh_dt(x, t), float))
     except SingularMatrixError:
         return None
-
-
-def tangent_predictor(problem: HomotopyProblem, x: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """First-order predictor x + dt * x'(t) with H_x x' = -H_t.
-
-    Falls back to the zero-order predictor (x unchanged) if H_x is singular.
-    """
-    xp = _tangent_direction(problem, x, t)
-    x = np.asarray(x, dtype=np.float64)
-    if xp is None:
-        return x.copy()
-    return x + dt * xp
 
 
 @dataclass
@@ -207,6 +195,7 @@ class TraceRecord:
     accepted: bool
     predictor_fallback: bool = False
     reason: str = ""  # divergence cause for rejected steps
+    endpoint_jump: bool = False  # the attempt at t = 1 made after dt underflowed
 
 
 @dataclass
@@ -222,12 +211,6 @@ class SolveTrace:
 
     @property
     def n_attempts(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self):
         return len(self.records)
 
 
@@ -249,12 +232,11 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
     rejected ``t`` from the same accepted point (the proposal clamps at 1)
     would rerun the same corrector, so its rejection is recorded again
     without running it, with ``newton_iters = 0`` and reason ``"repeat"``.
-    Once the increment falls
-    below ``controller.dt_min`` a single full-budget correction at t = 1 is
-    attempted (the proposal rule tops out at exactly 1 for large steps; when
-    the curve folds in t, the endpoint problem is often the nearest
-    attractor).  If that also fails the run aborts with
-    :class:`StepUnderflowError`.
+    Once a rejection takes the increment below ``controller.dt_min``, the
+    next attempt is the endpoint jump: a correction at t = 1 from the last
+    accepted point with five times the Newton budget (past a fold in t the
+    endpoint problem is often the nearest attractor).  Its record has
+    ``endpoint_jump`` set; if it fails, :class:`StepUnderflowError` is raised.
     """
     if predictor_order not in (0, 1):
         raise ValueError("predictor_order must be 0 or 1")
@@ -266,57 +248,44 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
     t = 0.0
     if on_accept is not None:
         on_accept(0.0, x)
-    index = 0
     rejected = {}  # t_try -> record of its rejection since the last accepted step
+    jump = False  # whether this attempt is the endpoint jump
     while t < 1.0:
-        t_try = controller.propose(t)
-        index += 1
-        if t_try in rejected:
+        t_try = 1.0 if jump else controller.propose(t)
+        index = len(result_trace.records) + 1
+        if not jump and t_try in rejected:
             record = replace(rejected[t_try], index=index, newton_iters=0, reason="repeat")
         else:
-            fallback = False
-            if predictor_order == 1:
+            fallback, x_pred = False, x
+            if predictor_order == 1 and not jump:
                 direction = _tangent_direction(problem, x, t)
                 fallback = direction is None
                 x_pred = x if fallback else x + (t_try - t) * direction
-            else:
-                x_pred = x
-            result = newton_corrector(problem, x_pred, t_try, cfg)
+            # a distinct settings object marks the jump's corrector call
+            step_cfg = replace(cfg, max_iter=5 * cfg.max_iter) if jump else cfg
+            result = newton_corrector(problem, x_pred, t_try, step_cfg)
             mu = problem.mu_of_t(t_try) if problem.mu_of_t is not None else None
             record = TraceRecord(index, t_try, mu, result.iters, result.residual_norm,
-                                 result.converged, fallback, result.reason)
+                                 result.converged, fallback, result.reason, jump)
         result_trace.records.append(record)
         if record.accepted:
             rejected.clear()
             x = result.x
             t = t_try
             controller.accept()
-            log.info("step %d accepted: t=%.10g newton=%d res=%.3e",
-                     index, t, record.newton_iters, record.residual_norm)
+            log.info("step %d accepted%s: t=%.10g newton=%d res=%.3e", index,
+                     " (endpoint jump after underflow)" if jump else "",
+                     t, record.newton_iters, record.residual_norm)
             if on_accept is not None:
                 on_accept(t, x)
+        elif jump:
+            raise StepUnderflowError(
+                f"homotopy step underflow below {controller.dt_min:g} at t={t:.8g}",
+                result_trace)
         else:
             rejected.setdefault(t_try, record)
             controller.reject()
             log.info("step %d rejected (%s): t=%.10g res=%.3e dt->%.3e",
                      index, record.reason, t_try, record.residual_norm, controller.dt)
-            if controller.dt < controller.dt_min:
-                final_cfg = NewtonConfig(tol=cfg.tol, max_iter=5 * cfg.max_iter,
-                                         divergence_growth=cfg.divergence_growth)
-                result = newton_corrector(problem, x, 1.0, final_cfg)
-                index += 1
-                mu = problem.mu_of_t(1.0) if problem.mu_of_t is not None else None
-                result_trace.records.append(TraceRecord(
-                    index, 1.0, mu, result.iters, result.residual_norm,
-                    result.converged, False, result.reason))
-                if not result.converged:
-                    raise StepUnderflowError(
-                        f"homotopy step underflow below {controller.dt_min:g} at t={t:.8g}",
-                        result_trace)
-                x = result.x
-                t = 1.0
-                log.info("step %d accepted (endpoint jump after underflow): newton=%d res=%.3e",
-                         index, result.iters, result.residual_norm)
-                if on_accept is not None:
-                    on_accept(t, x)
+            jump = controller.dt < controller.dt_min
     return x, result_trace

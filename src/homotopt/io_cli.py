@@ -22,9 +22,11 @@ from . import solver
 from .barrier import (BarrierSchedule, BoxConstraints, ObjectiveOracle,
                       geometric_rule, run_pd_barrier)
 from .fem import MaterialModel, default_material
-from .homotopy import NewtonConfig, SolveTrace, StepController, global_homotopy, trace
+from .homotopy import (NewtonConfig, SolveTrace, StepController, StepUnderflowError,
+                       global_homotopy, trace)
 from .lagrangian import ProblemParams, default_params
 from .mesh import TriMesh, bridge_domain, build_structured_mesh
+from .sparse import SingularMatrixError
 
 __all__ = [
     "SolverConfig",
@@ -305,15 +307,9 @@ CUBIC_PATH_POINTS = {0.4: -1.0420, 0.65: -0.9147, 0.9: -0.7399}
 QUARTIC_MINIMIZERS = {2.9: 0.2008, 1.1: 0.0315, 0.4: -0.2456, 0.1: -0.41}
 
 
-def _cubic(x: np.ndarray) -> np.ndarray:
-    return 4.0 * x ** 3 - 3.0 * x ** 2 - 2.0 * x + 1.0
-
-
-def _cubic_jac(x: np.ndarray) -> np.ndarray:
-    return np.diag(12.0 * x ** 2 - 6.0 * x - 2.0)
-
-
 def quartic_oracle() -> ObjectiveOracle:
+    """The quartic x^4 - x^3 - x^2 + x + 1/4; its gradient is the cubic test
+    problem 4x^3 - 3x^2 - 2x + 1."""
     return ObjectiveOracle(
         value=lambda x: float(x[0] ** 4 - x[0] ** 3 - x[0] ** 2 + x[0] + 0.25),
         gradient=lambda x: 4.0 * x ** 3 - 3.0 * x ** 2 - 2.0 * x + 1.0,
@@ -321,14 +317,15 @@ def quartic_oracle() -> ObjectiveOracle:
     )
 
 
-def run_cubic_demo(predictor_order: int = 0):
+def run_cubic_demo():
     """Trace the cubic test problem, landing on the reference t values.
 
-    Returns ``(path_values, x_final, trace)`` where ``path_values`` maps each
+    Returns ``(path_values, x_final)`` where ``path_values`` maps each
     landed t to the accepted x.
     """
     targets = tuple(sorted(CUBIC_PATH_POINTS))
-    problem = global_homotopy(_cubic, _cubic_jac, np.array([-1.2]))
+    cubic = quartic_oracle()
+    problem = global_homotopy(cubic.gradient, cubic.hessian, np.array([-1.2]))
     controller = StepController(dt_init=0.25, dt_max=0.25, checkpoints=targets)
     captured = {}
 
@@ -337,9 +334,8 @@ def run_cubic_demo(predictor_order: int = 0):
             if abs(t - target) < 1e-12:
                 captured[target] = float(x[0])
 
-    x, tr = trace(problem, np.array([-1.2]), controller, NewtonConfig(),
-                  predictor_order=predictor_order, on_accept=on_accept)
-    return captured, float(x[0]), tr
+    x, _ = trace(problem, np.array([-1.2]), controller, NewtonConfig(), on_accept=on_accept)
+    return captured, float(x[0])
 
 
 def mu_sequence_rule(values: Sequence[float], fallback: float = 0.5):
@@ -354,11 +350,11 @@ def mu_sequence_rule(values: Sequence[float], fallback: float = 0.5):
     return theta
 
 
-def run_quartic_demo(mu_stop: float = 0.2):
-    """Barrier method on the quartic box problem, visiting the reference mus.
+def run_quartic_demo():
+    """Barrier method on the quartic box problem, visiting the reference mus
+    down to mu = 0.2.
 
-    Returns ``(minimizers, x_final)``; ``minimizers`` maps mu to the
-    subproblem solution.
+    Returns ``minimizers``, which maps mu to the subproblem solution.
     """
     box = BoxConstraints(np.array([-0.5]), np.array([1.0]))
     mus = sorted(QUARTIC_MINIMIZERS, reverse=True)
@@ -367,11 +363,9 @@ def run_quartic_demo(mu_stop: float = 0.2):
     def capture(mu, x, duals):
         minimizers[round(mu, 12)] = float(x[0])
 
-    x, _ = run_pd_barrier(quartic_oracle(), box.analytic_center(), box,
-                          mu0=mus[0], mu_inf=mu_stop,
-                          theta=mu_sequence_rule(mus),
-                          on_subproblem=capture)
-    return minimizers, float(x[0])
+    run_pd_barrier(quartic_oracle(), box.analytic_center(), box, mu0=mus[0], mu_inf=0.2,
+                   theta=mu_sequence_rule(mus), on_subproblem=capture)
+    return minimizers
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +373,12 @@ def run_quartic_demo(mu_stop: float = 0.2):
 
 def _print_err(*args) -> None:
     print(*args, file=sys.stderr)
+
+
+def _report(line: str, passed: bool) -> bool:
+    """Print one self-check line with its verdict; returns ``passed``."""
+    print(f"{line}  {'PASS' if passed else 'FAIL'}")
+    return passed
 
 
 def _load_config(args, **overrides) -> Optional[SolverConfig]:
@@ -414,63 +414,123 @@ def _cmd_solve(args) -> int:
     digest = config_digest(cfg)
     title = f"rho nx={cfg.mesh.nx} ny={cfg.mesh.ny} config={digest}"
     pending = sorted(set(cfg.snapshots))
+    last = None  # (t, point) of the last accepted step
+
+    def snapshot(t, point):
+        write_density_vtk(msh, point.rho, out_dir / f"density_t{t:.6f}.vtk", title=title)
 
     def on_accept(t, point):
-        nonlocal pending
+        nonlocal pending, last
+        last = (t, point)
         if pending and t >= pending[0] - 1e-12:
-            write_density_vtk(msh, point.rho, out_dir / f"density_t{t:.6f}.vtk", title=title)
+            snapshot(t, point)
             pending = [s for s in pending if s > t + 1e-12]
 
     try:
         point, tr = solver.run(cfg, on_accept=on_accept)
-    except Exception as exc:
+    except StepUnderflowError as exc:
+        # Keep what was traced: the history up to the failed endpoint jump
+        # and the last accepted density.
+        write_param_history(exc.trace, out_dir / "param_history.csv")
+        snapshot(*last)
+        _print_err(f"error: solve failed: {exc}")
+        _print_err(f"partial outputs in {out_dir}")
+        return 1
+    except (SingularMatrixError, ValueError) as exc:
         _print_err(f"error: solve failed: {exc}")
         return 1
     write_density_vtk(msh, point.rho, out_dir / "density_final.vtk", title=title)
     write_param_history(tr, out_dir / "param_history.csv")
-    final = tr.accepted()[-1]
+    final = tr.records[-1]
+    t_traced = max([r.t for r in tr.accepted() if not r.endpoint_jump], default=0.0)
+    how = f"; t = 1 reached by endpoint jump from t = {t_traced:.8g}" if final.endpoint_jump else ""
     print(f"solve finished: {tr.n_accepted} accepted / {tr.n_attempts} total steps, "
-          f"final residual {final.residual_norm:.3e}")
+          f"final residual {final.residual_norm:.3e}{how}")
     print(f"outputs in {out_dir}")
     return 0
 
 
 def _cmd_scalar_demos(_args) -> int:
-    ok = True
-    captured, x_final, _ = run_cubic_demo()
-    for t in sorted(CUBIC_PATH_POINTS):
-        expected = CUBIC_PATH_POINTS[t]
-        got = captured.get(t)
-        passed = got is not None and abs(got - expected) < 1e-3
-        ok &= passed
-        print(f"cubic x({t:.2f}) = {got:+.6f} (reference {expected:+.4f})  "
-              f"{'PASS' if passed else 'FAIL'}")
-    passed = abs(x_final - CUBIC_ROOT) < 1e-6
-    ok &= passed
-    print(f"cubic x(1.00) = {x_final:+.8f} (root {CUBIC_ROOT:+.8f})  "
-          f"{'PASS' if passed else 'FAIL'}")
+    def near(label, got, ref):
+        return _report(f"{label} = {got:+.6f} (reference {ref:+.4f})", abs(got - ref) < 1e-3)
 
-    minimizers, _ = run_quartic_demo()
-    for mu in sorted(QUARTIC_MINIMIZERS, reverse=True):
-        expected = QUARTIC_MINIMIZERS[mu]
-        got = minimizers.get(round(mu, 12))
-        passed = got is not None and abs(got - expected) < 1e-3
-        ok &= passed
-        print(f"quartic argmin B(x;{mu}) = {got:+.6f} (reference {expected:+.4f})  "
-              f"{'PASS' if passed else 'FAIL'}")
+    captured, x_final = run_cubic_demo()
+    results = [near(f"cubic x({t:.2f})", captured.get(t, math.nan), ref)
+               for t, ref in sorted(CUBIC_PATH_POINTS.items())]
+    results.append(_report(f"cubic x(1.00) = {x_final:+.8f} (root {CUBIC_ROOT:+.8f})",
+                           abs(x_final - CUBIC_ROOT) < 1e-6))
+    minimizers = run_quartic_demo()
+    results += [near(f"quartic argmin B(x;{mu})", minimizers.get(round(mu, 12), math.nan), ref)
+                for mu, ref in sorted(QUARTIC_MINIMIZERS.items(), reverse=True)]
     box = BoxConstraints(np.array([-0.5]), np.array([1.0]))
     x_lim, _ = run_pd_barrier(quartic_oracle(), box.analytic_center(), box,
                               mu0=2.9, mu_inf=1e-6, theta=geometric_rule(0.5))
-    passed = abs(float(x_lim[0]) - (-0.5)) < 1e-3
-    ok &= passed
-    print(f"quartic x(mu->0) = {float(x_lim[0]):+.6f} (bound -0.5)  "
-          f"{'PASS' if passed else 'FAIL'}")
-    return 0 if ok else 1
+    x_lim = float(x_lim[0])
+    results.append(_report(f"quartic x(mu->0) = {x_lim:+.6f} (bound -0.5)",
+                           abs(x_lim - (-0.5)) < 1e-3))
+    return 0 if all(results) else 1
 
 
 def _rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
     scale = max(float(np.linalg.norm(exact)), 1e-30)
     return float(np.linalg.norm(approx - exact)) / scale
+
+
+def _fd_errors(system, schedule, anchor, rng, h: float = 1e-6):
+    """Central-difference errors of the derivatives at one random point:
+    ``(gradient, hessian, jacobian, h_t)``, each the largest relative error
+    over the directions tried."""
+    lagr = system.lagr
+    n, l = system.n, system.l
+
+    def unit(size):
+        d = rng.standard_normal(size)
+        return d / np.linalg.norm(d)
+
+    rho = rng.uniform(0.2, 0.8, size=n)
+    u = rng.standard_normal(l)
+    p = rng.standard_normal(l)
+
+    # gradient vs directional central differences of L
+    g = lagr.gradient(rho, u, p)
+    err_grad = 0.0
+    for block, at in ((g.d_rho, lambda d: (rho + d, u, p)),
+                      (g.d_u, lambda d: (rho, u + d, p)),
+                      (g.d_p, lambda d: (rho, u, p + d))):
+        for _ in range(3):
+            d = unit(block.size)
+            fd = (lagr.value(*at(h * d)) - lagr.value(*at(-h * d))) / (2.0 * h)
+            exact = float(block @ d)
+            err_grad = max(err_grad, abs(fd - exact) / max(abs(exact), 1.0))
+
+    # hessian blocks vs directional central differences of the gradient
+    hess = lagr.hessian(rho, u, p)
+    d_rho = unit(n)
+    gp = lagr.gradient(rho + h * d_rho, u, p)
+    gm = lagr.gradient(rho - h * d_rho, u, p)
+    err_hess = max(_rel_err((gp.d_rho - gm.d_rho) / (2 * h), hess.rr.matvec(d_rho)),
+                   _rel_err((gp.d_u - gm.d_u) / (2 * h), hess.ru.transpose().matvec(d_rho)),
+                   _rel_err((gp.d_p - gm.d_p) / (2 * h), hess.rp.transpose().matvec(d_rho)))
+    d_u = unit(l)
+    gp = lagr.gradient(rho, u + h * d_u, p)
+    gm = lagr.gradient(rho, u - h * d_u, p)
+    err_hess = max(err_hess,
+                   _rel_err((gp.d_rho - gm.d_rho) / (2 * h), hess.ru.matvec(d_u)),
+                   _rel_err((gp.d_p - gm.d_p) / (2 * h), hess.up.matvec(d_u)))
+
+    # full residual Jacobian and t-derivative of the traced map
+    point = solver.KktPoint(rho, u, p, rng.uniform(0.5, 2.0, size=n),
+                            rng.uniform(0.5, 2.0, size=n))
+    t = 0.5
+    v = point.pack()
+    d = unit(v.size)
+    rp = system.residual(system.unpack(v + h * d), anchor, t, schedule)
+    rm = system.residual(system.unpack(v - h * d), anchor, t, schedule)
+    err_jac = _rel_err((rp - rm) / (2 * h), system.jacobian(point).matvec(d))
+    fd_t = (system.residual(point, anchor, t + h, schedule)
+            - system.residual(point, anchor, t - h, schedule)) / (2 * h)
+    err_ht = _rel_err(fd_t, system.h_t(anchor, t, schedule))
+    return err_grad, err_hess, err_jac, err_ht
 
 
 def _cmd_check_derivatives(args) -> int:
@@ -482,86 +542,16 @@ def _cmd_check_derivatives(args) -> int:
     except ValueError as exc:
         _print_err(f"error: {exc}")
         return 1
-    lagr = system.lagr
+    _, anchor = system.initialize(cfg.barrier.mu0)
     rng = np.random.default_rng(0)
-    n, l = system.n, system.l
-    h = 1e-6
-    worst_grad = 0.0
-    worst_hess = 0.0
-    worst_jac = 0.0
-    worst_ht = 0.0
+    worst = [0.0] * 4
     for _ in range(args.points):
-        rho = rng.uniform(0.2, 0.8, size=n)
-        u = rng.standard_normal(l)
-        p = rng.standard_normal(l)
-        g = lagr.gradient(rho, u, p)
-
-        # gradient vs directional central differences of L
-        for grad_block, make_args in (
-            (g.d_rho, lambda d: (rho + d, u, p)),
-            (g.d_u, lambda d: (rho, u + d, p)),
-            (g.d_p, lambda d: (rho, u, p + d)),
-        ):
-            size = grad_block.size
-            for _k in range(3):
-                direction = rng.standard_normal(size)
-                direction /= np.linalg.norm(direction)
-                fd = (lagr.value(*make_args(h * direction))
-                      - lagr.value(*make_args(-h * direction))) / (2.0 * h)
-                worst_grad = max(worst_grad, abs(fd - float(grad_block @ direction))
-                                 / max(abs(float(grad_block @ direction)), 1.0))
-
-        # hessian blocks vs directional central differences of the gradient
-        hess = lagr.hessian(rho, u, p)
-        d_rho = rng.standard_normal(n)
-        d_rho /= np.linalg.norm(d_rho)
-        gp = lagr.gradient(rho + h * d_rho, u, p)
-        gm = lagr.gradient(rho - h * d_rho, u, p)
-        worst_hess = max(worst_hess,
-                         _rel_err((gp.d_rho - gm.d_rho) / (2 * h), hess.rr.matvec(d_rho)),
-                         _rel_err((gp.d_u - gm.d_u) / (2 * h),
-                                  hess.ru.transpose().matvec(d_rho)),
-                         _rel_err((gp.d_p - gm.d_p) / (2 * h),
-                                  hess.rp.transpose().matvec(d_rho)))
-        d_u = rng.standard_normal(l)
-        d_u /= np.linalg.norm(d_u)
-        gp = lagr.gradient(rho, u + h * d_u, p)
-        gm = lagr.gradient(rho, u - h * d_u, p)
-        worst_hess = max(worst_hess,
-                         _rel_err((gp.d_rho - gm.d_rho) / (2 * h), hess.ru.matvec(d_u)),
-                         _rel_err((gp.d_p - gm.d_p) / (2 * h), hess.up.matvec(d_u)))
-
-        # full residual Jacobian and t-derivative of the traced map
-        point0, anchor = system.initialize(cfg.barrier.mu0)
-        z_a = rng.uniform(0.5, 2.0, size=n)
-        z_b = rng.uniform(0.5, 2.0, size=n)
-        point = solver.KktPoint(rho, u, p, z_a, z_b)
-        t = 0.5
-        v = point.pack()
-        direction = rng.standard_normal(v.size)
-        direction /= np.linalg.norm(direction)
-        rp = system.residual(system.unpack(v + h * direction), anchor, t, schedule)
-        rm = system.residual(system.unpack(v - h * direction), anchor, t, schedule)
-        jac_dir = system.jacobian(point).matvec(direction)
-        worst_jac = max(worst_jac, _rel_err((rp - rm) / (2 * h), jac_dir))
-        ht = system.h_t(anchor, t, schedule)
-        fd_t = (system.residual(point, anchor, t + h, schedule)
-                - system.residual(point, anchor, t - h, schedule)) / (2 * h)
-        worst_ht = max(worst_ht, _rel_err(fd_t, ht))
-
-    checks = (
-        ("gradient vs FD(L)", worst_grad, 1e-6),
-        ("hessian vs FD(gradient)", worst_hess, 1e-5),
-        ("jacobian vs FD(residual)", worst_jac, 1e-5),
-        ("h_t vs FD in t", worst_ht, 1e-6),
-    )
-    ok = True
-    for name, err, tol in checks:
-        passed = err <= tol
-        ok &= passed
-        print(f"{name}: max relative error {err:.3e} (tol {tol:.0e})  "
-              f"{'PASS' if passed else 'FAIL'}")
-    return 0 if ok else 1
+        worst = [max(w, e) for w, e in zip(worst, _fd_errors(system, schedule, anchor, rng))]
+    checks = (("gradient vs FD(L)", 1e-6), ("hessian vs FD(gradient)", 1e-5),
+              ("jacobian vs FD(residual)", 1e-5), ("h_t vs FD in t", 1e-6))
+    results = [_report(f"{name}: max relative error {err:.3e} (tol {tol:.0e})", err <= tol)
+               for (name, tol), err in zip(checks, worst)]
+    return 0 if all(results) else 1
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -569,7 +559,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         prog="homotopt",
         description="Barrier-homotopy solver for density-based topology optimization.",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
     p_solve = sub.add_parser("solve", help="run the full continuation solve")
     p_solve.add_argument("config", nargs="?", default=None, help="config file path")
     p_solve.add_argument("--config", dest="config_opt", default=None)
@@ -578,12 +568,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
                          help="comma-separated t values for density snapshots")
     p_solve.add_argument("--predictor", type=int, choices=(0, 1), default=None)
     p_solve.add_argument("--verbose", action="store_true")
-    sub.add_parser("scalar-demos", help="run the scalar reference problems")
+    p_solve.set_defaults(func=_cmd_solve)
+    sub.add_parser("scalar-demos", help="run the scalar reference problems").set_defaults(
+        func=_cmd_scalar_demos)
     p_chk = sub.add_parser("check-derivatives",
                            help="finite-difference verification of all derivative blocks")
     p_chk.add_argument("config", nargs="?", default=None)
     p_chk.add_argument("--config", dest="config_opt", default=None)
     p_chk.add_argument("--points", type=int, default=3)
+    p_chk.set_defaults(func=_cmd_check_derivatives)
     return parser
 
 
@@ -593,17 +586,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 2
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "scalar-demos":
-        return _cmd_scalar_demos(args)
-    if args.command == "check-derivatives":
-        return _cmd_check_derivatives(args)
-    parser.print_usage(sys.stderr)
-    return 2
+    return args.func(args)
 
 
 def main() -> None:

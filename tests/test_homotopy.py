@@ -5,8 +5,8 @@ import pytest
 from scipy.optimize import brentq
 
 from homotopt.homotopy import (NewtonConfig, StepController, StepUnderflowError,
-                               HomotopyProblem, global_homotopy, newton_corrector,
-                               tangent_predictor, trace)
+                               HomotopyProblem, _tangent_direction, global_homotopy,
+                               newton_corrector, trace)
 
 ROOT = (-1.0 - math.sqrt(17.0)) / 8.0  # root of 4x^2 + x - 1 reached by the path
 
@@ -65,30 +65,33 @@ def test_plain_newton_at_t1_reaches_some_root():
 
 def test_tangent_predictor_direction():
     problem = cubic_problem()
-    x0 = np.array([-1.2])
-    x_tilde = tangent_predictor(problem, x0, 0.0, 1.0)
-    slope = x_tilde[0] - x0[0]
+    slope = _tangent_direction(problem, np.array([-1.2]), 0.0)[0]
     assert slope == pytest.approx(7.832 / 22.48, rel=1e-12)
     assert slope == pytest.approx(0.34840, abs=5e-6)
-    assert tangent_predictor(problem, x0, 0.0, 0.0) == pytest.approx(x0)
 
 
 def test_tangent_predictor_singular_fallback():
+    # x = t is the zero curve; H_x is singular only at t = 0, so the first
+    # predictor falls back to x while every corrector converges
     problem = HomotopyProblem(
-        residual=lambda x, t: np.array([0.0]),
-        jacobian_x=lambda x, t: np.array([[0.0]]),
-        dh_dt=lambda x, t: np.array([1.0]),
+        residual=lambda x, t: x - t,
+        jacobian_x=lambda x, t: np.array([[0.0 if t == 0.0 else 1.0]]),
+        dh_dt=lambda x, t: np.array([-1.0]),
         dim=1,
     )
-    x = np.array([2.0])
-    assert tangent_predictor(problem, x, 0.0, 0.5) == pytest.approx(x)
+    assert _tangent_direction(problem, np.array([0.0]), 0.0) is None
+    controller = StepController(dt_init=0.5, dt_max=0.5)
+    x, tr = trace(problem, np.array([0.0]), controller, NewtonConfig(), predictor_order=1)
+    assert [r.t for r in tr.records] == [0.5, 1.0]
+    assert [r.predictor_fallback for r in tr.records] == [True, False]
+    assert all(r.accepted for r in tr.records)
+    assert x == pytest.approx([1.0], abs=1e-12)
 
 
 def test_linear_problem_predictor_exact():
     a = np.array([0.3, -1.7])
     problem = global_homotopy(lambda x: x - a, lambda x: np.eye(2), np.zeros(2))
-    x_tilde = tangent_predictor(problem, np.zeros(2), 0.0, 1.0)
-    assert x_tilde == pytest.approx(a, abs=1e-12)
+    assert _tangent_direction(problem, np.zeros(2), 0.0) == pytest.approx(a, abs=1e-12)
     controller = StepController(dt_init=1.0, dt_max=1.0)
     x, tr = trace(problem, np.zeros(2), controller, NewtonConfig(), predictor_order=1)
     assert x == pytest.approx(a, abs=1e-10)
@@ -129,6 +132,7 @@ def test_trace_invariants_from_records():
     ts = [r.t for r in accepted]
     assert all(t1 > t0 for t0, t1 in zip(ts, ts[1:]))
     assert ts[-1] == 1.0
+    assert not any(r.endpoint_jump for r in tr.records)
 
 
 def test_trace_trivial_when_target_already_solved():
@@ -228,6 +232,7 @@ def test_repeated_rejected_proposal_is_replayed_not_rerun():
     assert [r.reason for r in records] == ["", "max_iter", "repeat", "repeat"] * 3 \
         + ["max_iter"]
     assert [r.newton_iters for r in records] == [1, 3, 0, 0] * 3 + [15]
+    assert [r.endpoint_jump for r in records] == [False] * 12 + [True]
     for i, rec in enumerate(records):
         if rec.reason == "repeat":
             assert not rec.accepted
@@ -236,6 +241,36 @@ def test_repeated_rejected_proposal_is_replayed_not_rerun():
     # (15); the six repeats add none
     assert jacobian_ts.count(1.0) == 3 * 3 + 15
     assert len(jacobian_ts) == 3 + 3 * 3 + 15
+
+
+def test_endpoint_jump_is_marked_and_accepted():
+    # every corrector for 0 < t < 1 fails; the problem at t = 1 is x = 1
+    problem = HomotopyProblem(
+        residual=lambda x, t: np.array([1.0]) if 0.0 < t < 1.0 else x - t,
+        jacobian_x=lambda x, t: np.array([[1.0]]),
+        dh_dt=lambda x, t: np.array([-1.0]),
+        dim=1,
+        mu_of_t=lambda t: 2.0 - t,
+    )
+    accepted_at = []
+    controller = StepController(dt_init=0.25, dt_max=0.25, dt_min=0.1)
+    x, tr = trace(problem, np.array([0.0]), controller, NewtonConfig(max_iter=3),
+                  on_accept=lambda t, x: accepted_at.append(t))
+    assert [r.t for r in tr.records] == [0.25, 0.125, 1.0]
+    assert [r.index for r in tr.records] == [1, 2, 3]
+    assert [r.endpoint_jump for r in tr.records] == [False, False, True]
+    assert [r.accepted for r in tr.records] == [False, False, True]
+    assert [r.mu for r in tr.records] == [1.75, 1.875, 1.0]
+    assert accepted_at == [0.0, 1.0]
+    assert x == pytest.approx([1.0], abs=1e-12)
+
+
+def test_dt_min_matters_only_after_a_rejection():
+    # dt_min above dt_init is a legal config; the jump still waits for a rejection
+    runs = [trace(cubic_problem(), np.array([-1.2]),
+                  StepController(dt_init=0.25, dt_max=0.25, dt_min=dt_min), NewtonConfig())[1]
+            for dt_min in (1e-8, 0.5)]
+    assert runs[0].records == runs[1].records
 
 
 def test_trace_rejects_bad_start():

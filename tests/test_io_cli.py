@@ -293,11 +293,22 @@ def test_cli_unknown_subcommand(capsys):
     assert run_cli([]) == 2
 
 
+SCALAR_DEMOS_TEXT = """\
+cubic x(0.40) = -1.042026 (reference -1.0420)  PASS
+cubic x(0.65) = -0.914651 (reference -0.9147)  PASS
+cubic x(0.90) = -0.739945 (reference -0.7399)  PASS
+cubic x(1.00) = -0.64038820 (root -0.64038820)  PASS
+quartic argmin B(x;2.9) = +0.200758 (reference +0.2008)  PASS
+quartic argmin B(x;1.1) = +0.031392 (reference +0.0315)  PASS
+quartic argmin B(x;0.4) = -0.245568 (reference -0.2456)  PASS
+quartic argmin B(x;0.1) = -0.409988 (reference -0.4100)  PASS
+quartic x(mu->0) = -0.499999 (bound -0.5)  PASS
+"""
+
+
 def test_cli_scalar_demos(capsys):
     assert run_cli(["scalar-demos"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out
-    assert "FAIL" not in out
+    assert capsys.readouterr().out == SCALAR_DEMOS_TEXT
 
 
 def test_cli_solve_and_determinism(tmp_path, capsys):
@@ -313,11 +324,49 @@ def test_cli_solve_and_determinism(tmp_path, capsys):
     final1 = (out1 / "density_final.vtk").read_bytes()
     final2 = (out2 / "density_final.vtk").read_bytes()
     assert final1 == final2
+    assert "endpoint jump" not in capsys.readouterr().out
     snaps1 = sorted(p.name for p in out1.glob("density_t*.vtk"))
     snaps2 = sorted(p.name for p in out2.glob("density_t*.vtk"))
     assert snaps1 == snaps2 and snaps1
     for name in snaps1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_cli_closing_line_names_the_endpoint_jump(tmp_path, capsys):
+    # with four Newton iterations per step the 20x8 trace stalls below t = 1
+    cfg_path = tmp_path / "jump.cfg"
+    cfg_path.write_text(SMALL_CONFIG + "newton.max_iter = 4\n")
+    assert run_cli(["solve", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("solve finished: 28 accepted / 67 total steps")
+    assert first.endswith("; t = 1 reached by endpoint jump from t = 0.99925575")
+
+
+@pytest.mark.parametrize("extra, last_t, rows", [
+    # every corrector diverges, so the jump follows two rejections at t = 0
+    ("newton.divergence_growth = 1e-300\nstepping.dt_min = 0.1\n", 0.0, 4),
+    ("newton.max_iter = 3\nstepping.dt_min = 0.01\n", 0.986328125, 15),
+])
+def test_cli_failed_solve_keeps_partial_outputs(tmp_path, capsys, extra, last_t, rows):
+    cfg_path = tmp_path / "fail.cfg"
+    cfg_path.write_text(SMALL_CONFIG + extra)
+    out_dir = tmp_path / "out"
+    assert run_cli(["solve", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "error: solve failed: homotopy step underflow" in err
+    assert f"partial outputs in {out_dir}" in err
+    history = (out_dir / "param_history.csv").read_text().splitlines()
+    assert history[0] == "it,t,mu" and len(history) == rows
+    assert history[-1].split(",")[1] == "1.0"  # the failed endpoint jump
+    assert (out_dir / f"density_t{last_t:.6f}.vtk").exists()
+    assert not (out_dir / "density_final.vtk").exists()
+
+
+def test_cli_solve_reports_an_unsolved_start(tmp_path, capsys):
+    cfg_path = tmp_path / "tol.cfg"
+    cfg_path.write_text(SMALL_CONFIG + "newton.tol = 1e-22\n")
+    assert run_cli(["solve", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "error: solve failed: x0 does not solve the t=0 problem" in capsys.readouterr().err
 
 
 def test_cli_solve_rejects_bad_config(tmp_path, capsys):
@@ -353,6 +402,10 @@ def test_cli_check_derivatives(tmp_path, capsys):
     cfg_path = tmp_path / "small.cfg"
     cfg_path.write_text(SMALL_CONFIG)
     assert run_cli(["check-derivatives", str(cfg_path), "--points", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "gradient vs FD(L)" in out
-    assert "FAIL" not in out
+    lines = capsys.readouterr().out.splitlines()
+    checks = [("gradient vs FD(L)", "1e-06"), ("hessian vs FD(gradient)", "1e-05"),
+              ("jacobian vs FD(residual)", "1e-05"), ("h_t vs FD in t", "1e-06")]
+    assert len(lines) == len(checks)
+    for line, (name, tol) in zip(lines, checks):
+        assert re.fullmatch(rf"{re.escape(name)}: max relative error \d\.\d{{3}}e[-+]\d\d "
+                            rf"\(tol {tol}\)  PASS", line), line
