@@ -4,7 +4,9 @@ The global homotopy H(x, t) = F(x) - (1 - t) F(x0) connects the trivially
 solved problem at t = 0 with the target F(x) = 0 at t = 1.  The corrector is
 plain full-step Newton (no line search); divergence is a value, not a fault,
 and makes the step controller halve the increment and retry from the last
-accepted point.
+accepted point.  A corrector whose full step raises the residual norm from
+its second iteration on stops there (reason ``"no_decrease"``) instead of
+spending its budget; steps capped by ``step_limit`` are exempt.
 """
 from __future__ import annotations
 
@@ -103,8 +105,14 @@ def newton_corrector(problem: HomotopyProblem, x: np.ndarray, t: float,
                      cfg: NewtonConfig) -> NewtonResult:
     """Full-step Newton on H(., t) = 0 from x.
 
-    Divergence (iteration budget, singular Jacobian, residual growth over the
-    best norm seen, or an invalid iterate) is reported in the result.
+    Divergence is reported in the result's ``reason``: ``"max_iter"``
+    (iteration budget), ``"singular"`` (Jacobian), ``"invalid_iterate"``,
+    ``"residual_growth"`` (norm above ``divergence_growth`` times the best
+    seen) or ``"no_decrease"``: from the second iteration on, a full step
+    (``alpha = 1``: no ``step_limit``, or a cap that did not bind) raised
+    the residual norm, the residual form of Deuflhard's monotonicity test.
+    Capped steps (``alpha < 1``) are exempt, since a damped corrector may
+    climb before it converges.
     """
     x = np.asarray(x, dtype=np.float64).copy()
     r = problem.residual(x, t)
@@ -117,6 +125,7 @@ def newton_corrector(problem: HomotopyProblem, x: np.ndarray, t: float,
             dx = _solve_linear(problem.jacobian_x(x, t), -r)
         except SingularMatrixError:
             return NewtonResult(x, it, False, "singular", norm)
+        alpha = 1.0
         if problem.step_limit is not None:
             alpha = min(1.0, problem.step_limit(x, dx))
             if not np.isfinite(alpha) or alpha <= 0.0:
@@ -126,9 +135,11 @@ def newton_corrector(problem: HomotopyProblem, x: np.ndarray, t: float,
         if problem.iterate_valid is not None and not problem.iterate_valid(x):
             return NewtonResult(x, it + 1, False, "invalid_iterate", norm)
         r = problem.residual(x, t)
-        norm = float(np.linalg.norm(r))
+        norm, previous = float(np.linalg.norm(r)), norm
         if not np.isfinite(norm) or norm > cfg.divergence_growth * best:
             return NewtonResult(x, it + 1, False, "residual_growth", norm)
+        if alpha == 1.0 and it >= 1 and norm > previous:
+            return NewtonResult(x, it + 1, False, "no_decrease", norm)
         best = min(best, norm)
     if norm <= cfg.tol:
         return NewtonResult(x, cfg.max_iter, True, "", norm)
@@ -243,7 +254,9 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
     x = np.asarray(x0, dtype=np.float64).copy()
     r0 = float(np.linalg.norm(problem.residual(x, 0.0)))
     if r0 > cfg.tol:
-        raise ValueError(f"x0 does not solve the t=0 problem (residual {r0:.3e})")
+        raise ValueError(f"x0 does not solve the t=0 problem to the Newton tolerance "
+                         f"{cfg.tol:.3e} (residual {r0:.3e}); if x0 solves it up to "
+                         f"rounding, the tolerance is too small")
     result_trace = SolveTrace()
     t = 0.0
     if on_accept is not None:

@@ -554,6 +554,16 @@ def _cmd_check_derivatives(args) -> int:
     return 0 if all(results) else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homotopt",
@@ -575,7 +585,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                            help="finite-difference verification of all derivative blocks")
     p_chk.add_argument("config", nargs="?", default=None)
     p_chk.add_argument("--config", dest="config_opt", default=None)
-    p_chk.add_argument("--points", type=int, default=3)
+    p_chk.add_argument("--points", type=_positive_int, default=3,
+                       help="number of random points to check (at least 1)")
     p_chk.set_defaults(func=_cmd_check_derivatives)
     return parser
 

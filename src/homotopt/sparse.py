@@ -195,7 +195,9 @@ class BlockSystem:
     :meth:`assemble` sorts the layout into a :class:`SparsityPattern`; later
     calls refill it while the structure stays the same: which blocks are
     set, diagonal or sparse, mirrored or not, and each sparse block's CSR
-    ``indptr`` and ``indices``.  Any change of structure rebuilds it.
+    ``indptr`` and ``indices``, compared by value (a block refilled on its
+    own pattern still arrives with new index array objects).  Any change of
+    structure rebuilds it.
     """
 
     def __init__(self, names: Sequence[str], sizes: Sequence[int]):
@@ -279,7 +281,6 @@ def _csr_index(block) -> tuple:
 
 
 def _same_layout(a, b) -> bool:
-    """Whether two block layouts agree item by item, arrays compared by
-    identity first, then by value."""
+    """Whether two block layouts agree item by item, arrays compared by value."""
     return len(a) == len(b) and all(
-        x is y or np.array_equal(x, y) for ea, eb in zip(a, b) for x, y in zip(ea, eb))
+        np.array_equal(x, y) for ea, eb in zip(a, b) for x, y in zip(ea, eb))

@@ -63,6 +63,61 @@ def test_plain_newton_at_t1_reaches_some_root():
         assert min(abs(result.x[0] - r) for r in roots) < 1e-6
 
 
+def arctan_problem(step_limit=None):
+    # Newton on arctan diverges from |x0| > 1.3917 with a bounded residual, so
+    # only the monotonicity test can end it before the budget
+    return HomotopyProblem(
+        residual=lambda x, t: np.arctan(x),
+        jacobian_x=lambda x, t: np.array([[1.0 / (1.0 + x[0] ** 2)]]),
+        dh_dt=lambda x, t: np.zeros(1),
+        dim=1,
+        step_limit=step_limit,
+    )
+
+
+@pytest.mark.parametrize("step_limit", [None, lambda x, dx: 2.0])
+def test_full_step_that_raises_the_residual_ends_the_attempt(step_limit):
+    # x: 1.5 -> -1.694 -> 2.321; |r| 0.983 -> 1.037 -> 1.164.  The first
+    # rise is allowed, the second ends the attempt; a cap above 1 does not bind
+    result = newton_corrector(arctan_problem(step_limit), np.array([1.5]), 1.0, NewtonConfig())
+    assert (result.converged, result.reason, result.iters) == (False, "no_decrease", 2)
+    assert result.x[0] == pytest.approx(2.32112696, abs=1e-8)
+    assert result.residual_norm == pytest.approx(np.arctan(result.x[0]), rel=1e-15)
+
+
+def test_capped_step_that_raises_the_residual_goes_on():
+    result = newton_corrector(arctan_problem(lambda x, dx: 0.99), np.array([1.5]), 1.0,
+                              NewtonConfig(max_iter=5))
+    assert (result.converged, result.reason, result.iters) == (False, "max_iter", 5)
+    assert result.residual_norm > np.arctan(2.32112696)
+
+
+def test_first_step_that_raises_the_residual_goes_on():
+    # x^2 - 1 from 0.1: the first step lands at 5.05 (|r| 0.99 -> 24.5), then
+    # Newton converges monotonically to 1
+    problem = HomotopyProblem(
+        residual=lambda x, t: x ** 2 - 1.0,
+        jacobian_x=lambda x, t: np.array([[2.0 * x[0]]]),
+        dh_dt=lambda x, t: np.zeros(1),
+        dim=1,
+    )
+    first = newton_corrector(problem, np.array([0.1]), 1.0, NewtonConfig(max_iter=1))
+    assert first.x[0] == pytest.approx(5.05) and first.residual_norm > 0.99
+    result = newton_corrector(problem, np.array([0.1]), 1.0, NewtonConfig(tol=1e-12))
+    assert (result.converged, result.reason, result.iters) == (True, "", 8)
+    assert result.x[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_converging_corrector_matches_plain_newton():
+    x, iters, tol = -0.7, 0, 1e-12
+    while abs(cubic(x)) > tol:
+        x -= cubic(x) / cubic_prime(x)
+        iters += 1
+    result = newton_corrector(cubic_problem(), np.array([-0.7]), 1.0, NewtonConfig(tol=tol))
+    assert (result.converged, result.reason, result.iters) == (True, "", iters)
+    assert result.x[0] == pytest.approx(x, rel=1e-14)
+
+
 def test_tangent_predictor_direction():
     problem = cubic_problem()
     slope = _tangent_direction(problem, np.array([-1.2]), 0.0)[0]

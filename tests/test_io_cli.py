@@ -363,10 +363,14 @@ def test_cli_failed_solve_keeps_partial_outputs(tmp_path, capsys, extra, last_t,
 
 
 def test_cli_solve_reports_an_unsolved_start(tmp_path, capsys):
+    # the 20x8 start solves t = 0 to 8.609e-15; 1e-22 * sqrt(1307) is far below
     cfg_path = tmp_path / "tol.cfg"
     cfg_path.write_text(SMALL_CONFIG + "newton.tol = 1e-22\n")
     assert run_cli(["solve", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
-    assert "error: solve failed: x0 does not solve the t=0 problem" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: solve failed: x0 does not solve the t=0 problem" in err
+    assert "Newton tolerance 3.615e-21 (residual 8.609e-15)" in err
+    assert "the tolerance is too small" in err
 
 
 def test_cli_solve_rejects_bad_config(tmp_path, capsys):
@@ -409,3 +413,11 @@ def test_cli_check_derivatives(tmp_path, capsys):
     for line, (name, tol) in zip(lines, checks):
         assert re.fullmatch(rf"{re.escape(name)}: max relative error \d\.\d{{3}}e[-+]\d\d "
                             rf"\(tol {tol}\)  PASS", line), line
+
+
+@pytest.mark.parametrize("points", ["0", "-2"])
+def test_cli_check_derivatives_rejects_non_positive_points(capsys, points):
+    assert run_cli(["check-derivatives", "--points", points]) == 2
+    captured = capsys.readouterr()
+    assert f"argument --points: must be at least 1, got {points}" in captured.err
+    assert "PASS" not in captured.out

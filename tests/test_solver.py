@@ -322,6 +322,18 @@ def test_large_first_step_forces_rejection_and_halving():
     assert trace.accepted()[-1].t == 1.0
 
 
+def test_fold_run_ends_non_decreasing_correctors_early():
+    # the 40x12 curve folds near t = 0.9995; correctors past it whose full
+    # steps raise the residual stop there instead of spending max_iter
+    point, trace = solver.run(SolverConfig(mesh=MeshConfig(nx=40, ny=12)))
+    assert (trace.n_accepted, trace.n_attempts) == (18, 51)
+    assert sum(r.newton_iters for r in trace.records) == 373
+    assert sum(r.reason == "no_decrease" for r in trace.records) == 18
+    assert [r.endpoint_jump for r in trace.records] == [False] * 50 + [True]
+    system, _ = solver.build_system(SolverConfig(mesh=MeshConfig(nx=40, ny=12)))
+    assert system.lagr.objective(point.rho, point.u) == 8.659454211573301
+
+
 def test_first_order_predictor_completes():
     _, tr = solver.run(small_config(predictor_order=1))
     assert tr.accepted()[-1].t == 1.0
