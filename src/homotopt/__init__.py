@@ -6,11 +6,10 @@ handled by a primal-dual logarithmic barrier; globalization comes from
 tracing the zero curve of a global homotopy with Newton correctors.
 """
 from .barrier import (BarrierSchedule, BoxConstraints, DualPair, ObjectiveOracle,
-                      barrier_value, pd_newton_step_box, pd_residual_box,
-                      run_pd_barrier)
+                      pd_residual_box, run_pd_barrier)
 from .fem import (DofMap, MaterialModel, assemble_gl_operators,
                   assemble_state_operator, assemble_traction_load,
-                  default_material, make_dofmap, solve_state)
+                  default_material, make_dofmap)
 from .homotopy import (HomotopyProblem, NewtonConfig, SolveTrace, StepController,
                        StepUnderflowError, global_homotopy, newton_corrector,
                        trace)
@@ -19,16 +18,16 @@ from .io_cli import (SolverConfig, parse_config, run_cli, write_density_vtk,
 from .lagrangian import Lagrangian, ProblemParams, default_params
 from .mesh import (BoundarySegment, DomainSpec, EdgeTag, TriMesh, bridge_domain,
                    build_structured_mesh, dirichlet_vertex_set)
-from .solver import HomotopyAnchor, KktPoint, KktSystem, build_system, run
+from .solver import KktPoint, KktSystem, build_system, run
 from .sparse import BlockSystem, SingularMatrixError, SparseMatrix, solve_direct
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BarrierSchedule", "BoxConstraints", "DualPair", "ObjectiveOracle",
-    "barrier_value", "pd_newton_step_box", "pd_residual_box", "run_pd_barrier",
+    "pd_residual_box", "run_pd_barrier",
     "DofMap", "MaterialModel", "assemble_gl_operators", "assemble_state_operator",
-    "assemble_traction_load", "default_material", "make_dofmap", "solve_state",
+    "assemble_traction_load", "default_material", "make_dofmap",
     "HomotopyProblem", "NewtonConfig", "SolveTrace", "StepController",
     "StepUnderflowError", "global_homotopy", "newton_corrector", "trace",
     "SolverConfig", "parse_config", "run_cli", "write_density_vtk",
@@ -36,7 +35,7 @@ __all__ = [
     "Lagrangian", "ProblemParams", "default_params",
     "BoundarySegment", "DomainSpec", "EdgeTag", "TriMesh", "bridge_domain",
     "build_structured_mesh", "dirichlet_vertex_set",
-    "HomotopyAnchor", "KktPoint", "KktSystem", "build_system", "run",
+    "KktPoint", "KktSystem", "build_system", "run",
     "BlockSystem", "SingularMatrixError", "SparseMatrix", "solve_direct",
     "__version__",
 ]

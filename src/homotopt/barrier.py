@@ -6,8 +6,7 @@ values is the standalone barrier method; the combined solver reuses the same
 blocks with mu driven by the continuation parameter.
 
 Full Newton steps are taken (no line search).  An iterate leaving the strict
-interior, in x or in the duals, is declared divergent; an optional
-fraction-to-boundary damping is available but off by default.
+interior, in x or in the duals, is declared divergent.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .homotopy import HomotopyProblem, NewtonConfig, SolveTrace, \
     TraceRecord, newton_corrector
-from .sparse import BlockSystem, SparseMatrix, solve_direct
+from .sparse import BlockSystem, solve_direct  # solve_direct unused: perfbench/tracer.py wraps it
 
 __all__ = [
     "BoxConstraints",
@@ -27,9 +26,7 @@ __all__ = [
     "ObjectiveOracle",
     "NonInteriorError",
     "BarrierDivergedError",
-    "barrier_value",
     "pd_residual_box",
-    "pd_newton_step_box",
     "set_box_duals",
     "box_barrier_problem",
     "fraction_to_boundary",
@@ -77,9 +74,6 @@ class BoxConstraints:
     def upper_gap(self, x: np.ndarray) -> np.ndarray:
         return self.b - np.asarray(x, dtype=np.float64)
 
-    def gaps(self, x: np.ndarray) -> np.ndarray:
-        return np.concatenate([self.lower_gap(x), self.upper_gap(x)])
-
     def interior(self, x: np.ndarray) -> bool:
         return bool(np.all(self.lower_gap(x) > 0) and np.all(self.upper_gap(x) > 0))
 
@@ -122,28 +116,10 @@ class BarrierSchedule:
 
 @dataclass(frozen=True)
 class ObjectiveOracle:
-    """Objective bundle: value, gradient and Hessian callables on x."""
+    """Objective bundle: gradient and Hessian callables on x."""
 
-    value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
-
-
-def barrier_value(f, constraints, x, mu: float) -> float:
-    """B(x; mu) = f(x) - mu * sum_i log(c_i(x)).
-
-    ``constraints`` is either a callable returning the constraint values or a
-    :class:`BoxConstraints`.  Raises :class:`NonInteriorError` off the strict
-    interior.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if isinstance(constraints, BoxConstraints):
-        c = constraints.gaps(x)
-    else:
-        c = np.asarray(constraints(x), dtype=np.float64)
-    if np.any(c <= 0):
-        raise NonInteriorError("barrier evaluated at a non-interior point")
-    return float(f(x) - mu * np.log(c).sum())
 
 
 def pd_residual_box(grad: np.ndarray, x: np.ndarray, box: BoxConstraints,
@@ -171,25 +147,6 @@ def set_box_duals(blocks: BlockSystem, primal: str, x, box: BoxConstraints,
     blocks.set("z_b", "z_b", box.upper_gap(x))
 
 
-def _box_newton_matrix(blocks: BlockSystem, hess, x, box: BoxConstraints,
-                       duals: DualPair) -> SparseMatrix:
-    """Newton matrix of the box problem on ``blocks`` (named x, z_a, z_b);
-    a dense ``hess`` is converted by ``blocks.set``."""
-    blocks.set("x", "x", hess)
-    set_box_duals(blocks, "x", x, box, duals)
-    return blocks.assemble()
-
-
-def pd_newton_step_box(hess, grad, x, box: BoxConstraints, duals: DualPair, mu: float):
-    """One full primal-dual Newton step; returns (dx, dz_a, dz_b)."""
-    n = box.n
-    blocks = BlockSystem(("x", "z_a", "z_b"), (n, n, n))
-    matrix = _box_newton_matrix(blocks, hess, x, box, duals)
-    rhs = -pd_residual_box(grad, x, box, duals, mu)
-    d = solve_direct(matrix, rhs)
-    return d[:n], d[n:2 * n], d[2 * n:]
-
-
 def fraction_to_boundary(values, steps, factor: float) -> float:
     """Largest admissible fraction of a step keeping positive quantities positive.
 
@@ -204,14 +161,11 @@ def fraction_to_boundary(values, steps, factor: float) -> float:
     return alpha
 
 
-def box_barrier_problem(oracle: ObjectiveOracle, box: BoxConstraints,
-                        damping: Optional[float] = None) -> HomotopyProblem:
+def box_barrier_problem(oracle: ObjectiveOracle, box: BoxConstraints) -> HomotopyProblem:
     """Primal-dual optimality system of the box problem, parametrized by mu.
 
     The system is shaped like a homotopy problem whose parameter slot carries
     the barrier weight, so the same Newton corrector drives both methods.
-    ``damping`` enables a fraction-to-boundary step cap (plain full steps
-    when None).
     """
     n = box.n
     blocks = BlockSystem(("x", "z_a", "z_b"), (n, n, n))
@@ -225,7 +179,9 @@ def box_barrier_problem(oracle: ObjectiveOracle, box: BoxConstraints,
 
     def jacobian(v, mu):
         x, z_a, z_b = split(v)
-        return _box_newton_matrix(blocks, oracle.hessian(x), x, box, DualPair(z_a, z_b))
+        blocks.set("x", "x", oracle.hessian(x))  # a dense Hessian is converted
+        set_box_duals(blocks, "x", x, box, DualPair(z_a, z_b))
+        return blocks.assemble()
 
     def dh_dmu(v, mu):
         return np.concatenate([np.zeros(n), -np.ones(n), -np.ones(n)])
@@ -234,18 +190,7 @@ def box_barrier_problem(oracle: ObjectiveOracle, box: BoxConstraints,
         x, z_a, z_b = split(v)
         return box.interior(x) and bool(np.all(z_a > 0) and np.all(z_b > 0))
 
-    step_limit = None
-    if damping is not None:
-        def step_limit(v, dv):
-            x, z_a, z_b = split(v)
-            dx, dza, dzb = split(dv)
-            return fraction_to_boundary(
-                (box.lower_gap(x), box.upper_gap(x), z_a, z_b),
-                (dx, -dx, dza, dzb), damping)
-
-    return HomotopyProblem(residual, jacobian, dh_dmu, dim=3 * n,
-                           iterate_valid=valid, mu_of_t=lambda mu: mu,
-                           step_limit=step_limit)
+    return HomotopyProblem(residual, jacobian, dh_dmu, iterate_valid=valid)
 
 
 def geometric_rule(factor: float = 0.5) -> Callable[[float], float]:
@@ -259,7 +204,6 @@ def run_pd_barrier(oracle: ObjectiveOracle, x0: np.ndarray, box: BoxConstraints,
                    mu0: float, mu_inf: float,
                    theta: Optional[Callable[[float], float]] = None,
                    cfg: Optional[NewtonConfig] = None,
-                   damping: Optional[float] = None,
                    on_subproblem: Optional[Callable] = None):
     """Standalone primal-dual barrier method on a box-constrained problem.
 
@@ -276,7 +220,7 @@ def run_pd_barrier(oracle: ObjectiveOracle, x0: np.ndarray, box: BoxConstraints,
         raise NonInteriorError("x0 must be strictly interior")
     n = box.n
     v = np.concatenate([x, mu0 / box.lower_gap(x), mu0 / box.upper_gap(x)])
-    problem = box_barrier_problem(oracle, box, damping=damping)
+    problem = box_barrier_problem(oracle, box)
     trace = SolveTrace()
     mu = float(mu0)
     index = 0

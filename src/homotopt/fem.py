@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import EdgeTag, TriMesh, DomainSpec, dirichlet_vertex_set
+# solve_direct is unused here; perfbench/tracer.py wraps it in this module.
 from .sparse import SparseMatrix, SparsityPattern, solve_direct
 
 __all__ = [
@@ -24,7 +25,6 @@ __all__ = [
     "assemble_state_operator",
     "assemble_traction_load",
     "assemble_gl_operators",
-    "solve_state",
     "QUAD_BARY",
     "QUAD_W",
 ]
@@ -231,9 +231,3 @@ def assemble_gl_operators(mesh: TriMesh, dofmap: DofMap):
     phi_vol = np.zeros(n)
     np.add.at(phi_vol, geo.tri.ravel(), np.repeat(geo.area / 3.0, 3))
     return k_rho, mass, phi_vol
-
-
-def solve_state(mesh: TriMesh, dofmap: DofMap, material: MaterialModel,
-                rho: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Displacement solving K(rho) u = f."""
-    return solve_direct(assemble_state_operator(mesh, dofmap, material, rho), f)

@@ -46,7 +46,6 @@ class HomotopyProblem:
     residual: Callable[[np.ndarray, float], np.ndarray]
     jacobian_x: Callable[[np.ndarray, float], Union[SparseMatrix, np.ndarray]]
     dh_dt: Callable[[np.ndarray, float], np.ndarray]
-    dim: int
     iterate_valid: Optional[Callable[[np.ndarray], bool]] = None
     mu_of_t: Optional[Callable[[float], float]] = None
     # Optional per-step cap on the Newton update, e.g. a fraction-to-boundary
@@ -68,7 +67,7 @@ def global_homotopy(f, jac_f, x0) -> HomotopyProblem:
     def dh_dt(x, t):
         return f0
 
-    return HomotopyProblem(residual, jacobian_x, dh_dt, dim=x0.size)
+    return HomotopyProblem(residual, jacobian_x, dh_dt)
 
 
 @dataclass

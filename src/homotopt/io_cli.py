@@ -41,7 +41,6 @@ __all__ = [
     "config_digest",
     "write_param_history",
     "write_density_vtk",
-    "read_density_vtk",
     "run_cli",
     "main",
 ]
@@ -157,6 +156,7 @@ def _cast(key: str, text: str, where: str):
 
 def parse_config_text(text: str) -> SolverConfig:
     values: dict = {}
+    first_line: dict = {}  # key -> line that set it; a repeated key is an error
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -165,6 +165,8 @@ def parse_config_text(text: str) -> SolverConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: key {key!r} already set on line {first_line[key]}")
         values[key] = _cast(key, value.strip(), f"line {lineno}")
     return _build_config(values, SolverConfig())
 
@@ -268,37 +270,6 @@ def write_density_vtk(mesh: TriMesh, rho: np.ndarray, path, title: str = "densit
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def read_density_vtk(path):
-    """Read back a file written by :func:`write_density_vtk`.
-
-    Returns ``(points, triangles, rho)``; used for round-trip checks.
-    """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    idx = 0
-
-    def expect_prefix(prefix):
-        nonlocal idx
-        while idx < len(lines) and not lines[idx].startswith(prefix):
-            idx += 1
-        if idx == len(lines):
-            raise ValueError(f"missing {prefix!r} section in {path}")
-        return lines[idx]
-
-    header = expect_prefix("POINTS")
-    n_points = int(header.split()[1])
-    points = np.array([[float(v) for v in lines[idx + 1 + i].split()[:2]]
-                       for i in range(n_points)])
-    idx += n_points
-    header = expect_prefix("CELLS")
-    n_cells = int(header.split()[1])
-    tris = np.array([[int(v) for v in lines[idx + 1 + i].split()[1:]]
-                     for i in range(n_cells)], dtype=np.int64)
-    idx += n_cells
-    expect_prefix("LOOKUP_TABLE")
-    rho = np.array([float(lines[idx + 1 + i]) for i in range(n_points)])
-    return points, tris, rho
-
-
 # ---------------------------------------------------------------------------
 # reference scalar problems (used by the `scalar-demos` subcommand)
 
@@ -311,7 +282,6 @@ def quartic_oracle() -> ObjectiveOracle:
     """The quartic x^4 - x^3 - x^2 + x + 1/4; its gradient is the cubic test
     problem 4x^3 - 3x^2 - 2x + 1."""
     return ObjectiveOracle(
-        value=lambda x: float(x[0] ** 4 - x[0] ** 3 - x[0] ** 2 + x[0] + 0.25),
         gradient=lambda x: 4.0 * x ** 3 - 3.0 * x ** 2 - 2.0 * x + 1.0,
         hessian=lambda x: np.diag(12.0 * x ** 2 - 6.0 * x - 2.0),
     )
@@ -383,7 +353,11 @@ def _report(line: str, passed: bool) -> bool:
 
 def _load_config(args, **overrides) -> Optional[SolverConfig]:
     """The config file (or the defaults) with the set command-line overrides
-    applied and validated like file values; None after printing the error."""
+    applied and validated like file values; None after printing the error,
+    also when a config path is given both as the argument and by ``--config``."""
+    if args.config and args.config_opt:
+        _print_err(f"error: two config files given: {args.config} and --config {args.config_opt}")
+        return None
     path = args.config_opt or args.config
     try:
         cfg = parse_config(path) if path else SolverConfig()
@@ -406,9 +380,13 @@ def _cmd_solve(args) -> int:
 
     try:
         msh = build_structured_mesh(bridge_domain(), cfg.mesh.nx, cfg.mesh.ny, cfg.mesh.diagonal)
-    except ValueError as exc:
+        return _solve_and_write(cfg, msh)
+    except (ValueError, OSError) as exc:  # a bad mesh or an unwritable output
         _print_err(f"error: {exc}")
         return 1
+
+
+def _solve_and_write(cfg: SolverConfig, msh: TriMesh) -> int:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = config_digest(cfg)

@@ -56,10 +56,6 @@ class BoundarySegment:
     def horizontal(self) -> bool:
         return abs(self.p1[1] - self.p0[1]) <= GEOM_TOL
 
-    @property
-    def length(self) -> float:
-        return abs(self.p1[0] - self.p0[0]) + abs(self.p1[1] - self.p0[1])
-
     def contains(self, point, tol: float = GEOM_TOL) -> bool:
         x, y = float(point[0]), float(point[1])
         if self.horizontal:

@@ -27,7 +27,7 @@ from .sparse import BlockSystem, SparseMatrix, solve_direct
 if TYPE_CHECKING:  # pragma: no cover
     from .io_cli import SolverConfig
 
-__all__ = ["KktPoint", "HomotopyAnchor", "KktSystem", "build_system", "run"]
+__all__ = ["KktPoint", "KktSystem", "build_system", "run"]
 
 
 @dataclass
@@ -42,22 +42,6 @@ class KktPoint:
 
     def pack(self) -> np.ndarray:
         return np.concatenate([self.rho, self.u, self.p_adj, self.z_a, self.z_b])
-
-
-@dataclass(frozen=True)
-class HomotopyAnchor:
-    """Frozen design-stationarity residual at the initial point.
-
-    The state, adjoint and complementarity components of the anchored
-    residual vanish by construction of the initialization, so only the
-    density block is stored.
-    """
-
-    r_rho: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "r_rho", np.asarray(self.r_rho, dtype=np.float64).copy())
-        self.r_rho.setflags(write=False)
 
 
 class KktSystem:
@@ -87,8 +71,9 @@ class KktSystem:
             z_b=v[2 * n + 2 * l:].copy(),
         )
 
-    def initialize(self, mu0: float, rho0=0.5) -> Tuple[KktPoint, HomotopyAnchor]:
-        """State/adjoint solves at the initial density, duals from mu0 / gaps.
+    def initialize(self, mu0: float, rho0=0.5) -> Tuple[KktPoint, np.ndarray]:
+        """State/adjoint solves at the initial density, duals from mu0 / gaps;
+        returns the point and, as the anchor, its design-row residual, read-only.
 
         For the compliance objective the adjoint solve returns p = -u; that
         identity is checked by the test suite, not assumed here.
@@ -103,7 +88,8 @@ class KktSystem:
         z_b = mu0 / self.box.upper_gap(rho)
         point = KktPoint(rho, u, p, z_a, z_b)
         g = self.lagr.gradient(rho, u, p)
-        anchor = HomotopyAnchor(g.d_rho - z_a + z_b)
+        anchor = g.d_rho - z_a + z_b
+        anchor.setflags(write=False)
         return point, anchor
 
     def f_box(self, point: KktPoint, mu: float) -> np.ndarray:
@@ -112,11 +98,11 @@ class KktSystem:
         r = pd_residual_box(g.d_rho, point.rho, self.box, DualPair(point.z_a, point.z_b), mu)
         return np.concatenate([r[:self.n], g.d_u, g.d_p, r[self.n:]])
 
-    def residual(self, point: KktPoint, anchor: HomotopyAnchor, t: float,
+    def residual(self, point: KktPoint, anchor: np.ndarray, t: float,
                  schedule: BarrierSchedule) -> np.ndarray:
-        """``f_box`` at mu(t), with the design row anchored by ``(1 - t) * r_rho``."""
+        """``f_box`` at mu(t), with the design row anchored by ``(1 - t) * anchor``."""
         r = self.f_box(point, schedule.mu(t))
-        r[:self.n] -= (1.0 - t) * anchor.r_rho
+        r[:self.n] -= (1.0 - t) * anchor
         return r
 
     def jacobian(self, point: KktPoint) -> SparseMatrix:
@@ -137,12 +123,12 @@ class KktSystem:
         set_box_duals(blocks, "rho", point.rho, self.box, DualPair(point.z_a, point.z_b))
         return blocks.assemble()
 
-    def h_t(self, anchor: HomotopyAnchor, t: float, schedule: BarrierSchedule) -> np.ndarray:
+    def h_t(self, anchor: np.ndarray, t: float, schedule: BarrierSchedule) -> np.ndarray:
         """Derivative of the traced map in t: anchor row plus the mu(t) chain rule."""
         dmu = schedule.dmu_dt(t)
         ones = np.ones(self.n)
         return np.concatenate([
-            anchor.r_rho,
+            anchor,
             np.zeros(self.l),
             np.zeros(self.l),
             -dmu * ones,
@@ -153,7 +139,7 @@ class KktSystem:
         return self.box.interior(point.rho) and bool(
             np.all(point.z_a > 0) and np.all(point.z_b > 0))
 
-    def homotopy_problem(self, anchor: HomotopyAnchor, schedule: BarrierSchedule,
+    def homotopy_problem(self, anchor: np.ndarray, schedule: BarrierSchedule,
                          damping: Optional[float] = None) -> HomotopyProblem:
         """Traced map as a generic homotopy problem.
 
@@ -188,7 +174,7 @@ class KktSystem:
                     (self.box.lower_gap(rho), self.box.upper_gap(rho), z),
                     (d_rho, -d_rho, dz), damping)
 
-        return HomotopyProblem(residual, jacobian_x, dh_dt, dim=self.dim,
+        return HomotopyProblem(residual, jacobian_x, dh_dt,
                                iterate_valid=valid, mu_of_t=schedule.mu,
                                step_limit=step_limit)
 

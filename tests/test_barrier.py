@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from homotopt.barrier import (BarrierDivergedError, BarrierSchedule, BoxConstraints,
-                              DualPair, NonInteriorError, ObjectiveOracle,
-                              barrier_value, box_barrier_problem, geometric_rule,
-                              pd_newton_step_box, pd_residual_box, run_pd_barrier)
+from homotopt.barrier import (BarrierSchedule, BoxConstraints, DualPair,
+                              NonInteriorError, ObjectiveOracle, box_barrier_problem,
+                              geometric_rule, pd_residual_box, run_pd_barrier)
 from homotopt.homotopy import NewtonConfig
 from homotopt.io_cli import mu_sequence_rule, quartic_oracle
+from homotopt.sparse import solve_direct
 
 QUARTIC_BOX = BoxConstraints(np.array([-0.5]), np.array([1.0]))
 REFERENCE_MINIMIZERS = {2.9: 0.2008, 1.1: 0.0315, 0.4: -0.2456, 0.1: -0.41}
@@ -75,34 +75,6 @@ def test_box_validation():
     assert not box.interior(np.array([0.0, 0.5]))
 
 
-# --- barrier value ------------------------------------------------------------
-
-def test_barrier_value_quartic_at_zero():
-    val = barrier_value(lambda x: quartic_f(x[0]), QUARTIC_BOX, np.array([0.0]), 1.0)
-    assert val == pytest.approx(0.25 - math.log(0.5), rel=1e-12)
-    assert val == pytest.approx(0.94315, abs=5e-6)
-
-
-def test_barrier_value_mu_zero_is_objective(rng):
-    for _ in range(5):
-        x = rng.uniform(-0.49, 0.99, size=1)
-        val = barrier_value(lambda y: quartic_f(y[0]), QUARTIC_BOX, x, 0.0)
-        assert val == pytest.approx(quartic_f(x[0]))
-
-
-def test_barrier_blows_up_at_boundary():
-    vals = []
-    for gap in (1e-2, 1e-4, 1e-8, 1e-12):
-        x = np.array([-0.5 + gap])
-        vals.append(barrier_value(lambda y: quartic_f(y[0]), QUARTIC_BOX, x, 0.5))
-    assert all(v1 > v0 for v0, v1 in zip(vals, vals[1:]))
-    assert vals[-1] > 1e1
-    with pytest.raises(NonInteriorError):
-        barrier_value(lambda y: quartic_f(y[0]), QUARTIC_BOX, np.array([-0.5]), 0.5)
-    with pytest.raises(NonInteriorError):
-        barrier_value(lambda y: quartic_f(y[0]), QUARTIC_BOX, np.array([1.3]), 0.5)
-
-
 # --- primal-dual residual -----------------------------------------------------
 
 def test_residual_at_analytic_center():
@@ -139,12 +111,22 @@ def test_residual_zero_at_exact_kkt_point():
 
 # --- newton step --------------------------------------------------------------
 
+def newton_step(oracle, x, box, duals, mu):
+    """One full primal-dual Newton step from the box problem's residual and
+    Jacobian, the system ``run_pd_barrier`` corrects with; returns
+    ``(dx, dz_a, dz_b)``."""
+    problem = box_barrier_problem(oracle, box)
+    v = np.concatenate([x, duals.z_a, duals.z_b])
+    d = solve_direct(problem.jacobian_x(v, mu), -problem.residual(v, mu))
+    n = box.n
+    return d[:n], d[n:2 * n], d[2 * n:]
+
+
 def test_newton_step_small_at_reference_minimizer():
     x = np.array([0.2008])
     mu = 2.9
     duals = DualPair(mu / QUARTIC_BOX.lower_gap(x), mu / QUARTIC_BOX.upper_gap(x))
-    hess = np.diag(12.0 * x ** 2 - 6.0 * x - 2.0)
-    dx, dza, dzb = pd_newton_step_box(hess, quartic_fprime(x), x, QUARTIC_BOX, duals, mu)
+    dx, dza, dzb = newton_step(quartic_oracle(), x, QUARTIC_BOX, duals, mu)
     assert np.linalg.norm(np.concatenate([dx, dza, dzb])) < 1e-2
 
 
@@ -156,7 +138,8 @@ def test_newton_step_matches_hand_solve(rng):
     h = 4.2
     grad = np.array([0.37])
     box = BoxConstraints(np.array([-0.5]), np.array([1.0]))
-    dx, dza, dzb = pd_newton_step_box(np.array([[h]]), grad, x, box, DualPair(za, zb), mu)
+    oracle = ObjectiveOracle(gradient=lambda y: grad, hessian=lambda y: np.array([[h]]))
+    dx, dza, dzb = newton_step(oracle, x, box, DualPair(za, zb), mu)
     mat = np.array([[h, -1.0, 1.0],
                     [za[0], x[0] + 0.5, 0.0],
                     [-zb[0], 0.0, 1.0 - x[0]]])
@@ -170,10 +153,9 @@ def test_repeated_steps_converge_on_quadratic():
     mu = 0.05
     x = np.array([0.6])
     duals = DualPair(mu / box.lower_gap(x), mu / box.upper_gap(x))
+    quadratic = ObjectiveOracle(gradient=lambda y: 2.0 * y, hessian=lambda y: np.array([[2.0]]))
     for _ in range(50):
-        hess = np.array([[2.0]])
-        grad = 2.0 * x
-        dx, dza, dzb = pd_newton_step_box(hess, grad, x, box, duals, mu)
+        dx, dza, dzb = newton_step(quadratic, x, box, duals, mu)
         x = x + dx
         duals = DualPair(duals.z_a + dza, duals.z_b + dzb)
     assert x[0] == pytest.approx(0.0, abs=1e-8)
@@ -214,7 +196,6 @@ def test_quartic_continued_to_constrained_minimizer():
 
 def test_linear_objective_pushes_to_lower_bound():
     oracle = ObjectiveOracle(
-        value=lambda x: float(3.0 * x[0]),
         gradient=lambda x: np.array([3.0]),
         hessian=lambda x: np.array([[0.0]]),
     )
@@ -255,17 +236,6 @@ def test_interior_guard_declares_divergence():
     assert not result.converged or result.converged  # smoke: must not raise
     with pytest.raises(NonInteriorError):
         run_pd_barrier(oracle, np.array([2.0]), QUARTIC_BOX, mu0=1.0, mu_inf=0.5)
-
-
-def test_damped_newton_variant_agrees():
-    mus = sorted(REFERENCE_MINIMIZERS, reverse=True)
-    x_plain, _ = run_pd_barrier(quartic_oracle(), QUARTIC_BOX.analytic_center(),
-                                QUARTIC_BOX, mu0=mus[0], mu_inf=0.2,
-                                theta=mu_sequence_rule(mus))
-    x_damped, _ = run_pd_barrier(quartic_oracle(), QUARTIC_BOX.analytic_center(),
-                                 QUARTIC_BOX, mu0=mus[0], mu_inf=0.2,
-                                 theta=mu_sequence_rule(mus), damping=0.995)
-    assert x_plain == pytest.approx(x_damped, abs=1e-8)
 
 
 def test_geometric_rule_validation():

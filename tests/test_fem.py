@@ -7,9 +7,10 @@ import pytest
 from homotopt import fem
 from homotopt.fem import (MaterialModel, assemble_gl_operators,
                           assemble_state_operator, assemble_traction_load,
-                          default_material, make_dofmap, solve_state)
+                          default_material, make_dofmap)
 from homotopt.mesh import (BoundarySegment, DomainSpec, build_structured_mesh,
                            dirichlet_vertex_set)
+from homotopt.sparse import solve_direct
 
 
 # --- independent oracles -----------------------------------------------------
@@ -241,6 +242,11 @@ def test_gl_spd_properties(coarse_mesh, coarse_dofmap, rng):
 
 
 # --- state solve -------------------------------------------------------------
+
+def solve_state(mesh, dofmap, material, rho, f):
+    """Displacement solving K(rho) u = f."""
+    return solve_direct(assemble_state_operator(mesh, dofmap, material, rho), f)
+
 
 def test_solve_state_zero_load(coarse_mesh, coarse_dofmap, material):
     u = solve_state(coarse_mesh, coarse_dofmap, material,

@@ -70,7 +70,6 @@ def arctan_problem(step_limit=None):
         residual=lambda x, t: np.arctan(x),
         jacobian_x=lambda x, t: np.array([[1.0 / (1.0 + x[0] ** 2)]]),
         dh_dt=lambda x, t: np.zeros(1),
-        dim=1,
         step_limit=step_limit,
     )
 
@@ -99,7 +98,6 @@ def test_first_step_that_raises_the_residual_goes_on():
         residual=lambda x, t: x ** 2 - 1.0,
         jacobian_x=lambda x, t: np.array([[2.0 * x[0]]]),
         dh_dt=lambda x, t: np.zeros(1),
-        dim=1,
     )
     first = newton_corrector(problem, np.array([0.1]), 1.0, NewtonConfig(max_iter=1))
     assert first.x[0] == pytest.approx(5.05) and first.residual_norm > 0.99
@@ -132,7 +130,6 @@ def test_tangent_predictor_singular_fallback():
         residual=lambda x, t: x - t,
         jacobian_x=lambda x, t: np.array([[0.0 if t == 0.0 else 1.0]]),
         dh_dt=lambda x, t: np.array([-1.0]),
-        dim=1,
     )
     assert _tangent_direction(problem, np.array([0.0]), 0.0) is None
     controller = StepController(dt_init=0.5, dt_max=0.5)
@@ -253,7 +250,6 @@ def test_step_underflow_raises_with_trace():
         residual=lambda x, t: np.array([1.0]) if t > 0 else np.array([0.0]),
         jacobian_x=lambda x, t: np.array([[1.0]]),
         dh_dt=lambda x, t: np.array([0.0]),
-        dim=1,
     )
     controller = StepController(dt_init=0.25, dt_max=0.25, dt_min=1e-3)
     with pytest.raises(StepUnderflowError) as err:
@@ -276,7 +272,6 @@ def test_repeated_rejected_proposal_is_replayed_not_rerun():
         residual=lambda x, t: np.array([1.0]) if t == 1.0 else x - t,
         jacobian_x=jacobian_x,
         dh_dt=lambda x, t: np.array([-1.0]),
-        dim=1,
     )
     controller = StepController(dt_init=0.5, dt_max=4.0, growth=4.0, dt_min=0.1)
     with pytest.raises(StepUnderflowError) as err:
@@ -304,7 +299,6 @@ def test_endpoint_jump_is_marked_and_accepted():
         residual=lambda x, t: np.array([1.0]) if 0.0 < t < 1.0 else x - t,
         jacobian_x=lambda x, t: np.array([[1.0]]),
         dh_dt=lambda x, t: np.array([-1.0]),
-        dim=1,
         mu_of_t=lambda t: 2.0 - t,
     )
     accepted_at = []

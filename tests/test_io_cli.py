@@ -12,8 +12,8 @@ from homotopt.fem import MaterialModel
 from homotopt.io_cli import (BarrierConfig, ConfigError, MeshConfig,
                              NewtonSettings, SolverConfig, SteppingConfig,
                              config_digest, parse_config, parse_config_text,
-                             read_density_vtk, run_cli, serialize_config,
-                             write_density_vtk, write_param_history)
+                             run_cli, serialize_config, write_density_vtk,
+                             write_param_history)
 from homotopt.lagrangian import ProblemParams
 from homotopt.mesh import DomainSpec, build_structured_mesh
 
@@ -82,6 +82,11 @@ def test_non_positive_divergence_growth_rejected(growth):
 def test_unknown_key_rejected_with_line():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config_text("mesh.nx = 10\nmesh.nz = 3")
+
+
+def test_repeated_key_rejected_with_both_lines():
+    with pytest.raises(ConfigError, match=r"line 3: key 'mesh.nx' already set on line 1"):
+        parse_config_text("mesh.nx = 20\nmesh.ny = 8\nmesh.nx = 40")
 
 
 def test_parse_error_reports_line():
@@ -241,6 +246,34 @@ def test_param_history_full_precision_roundtrip(tmp_path):
 
 # --- VTK ------------------------------------------------------------------------
 
+def _read_density_vtk(path):
+    """Read back a file written by ``write_density_vtk``: ``(points, triangles, rho)``."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    idx = 0
+
+    def expect_prefix(prefix):
+        nonlocal idx
+        while idx < len(lines) and not lines[idx].startswith(prefix):
+            idx += 1
+        if idx == len(lines):
+            raise ValueError(f"missing {prefix!r} section in {path}")
+        return lines[idx]
+
+    header = expect_prefix("POINTS")
+    n_points = int(header.split()[1])
+    points = np.array([[float(v) for v in lines[idx + 1 + i].split()[:2]]
+                       for i in range(n_points)])
+    idx += n_points
+    header = expect_prefix("CELLS")
+    n_cells = int(header.split()[1])
+    tris = np.array([[int(v) for v in lines[idx + 1 + i].split()[1:]]
+                     for i in range(n_cells)], dtype=np.int64)
+    idx += n_cells
+    expect_prefix("LOOKUP_TABLE")
+    rho = np.array([float(lines[idx + 1 + i]) for i in range(n_points)])
+    return points, tris, rho
+
+
 def test_vtk_write_and_roundtrip(tmp_path):
     spec = DomainSpec(1.0, 1.0)
     msh = build_structured_mesh(spec, nx=1, ny=1)
@@ -252,7 +285,7 @@ def test_vtk_write_and_roundtrip(tmp_path):
     assert "CELLS 2 8" in text
     assert text.count("\n5\n") >= 1  # triangle cell type
     assert "SCALARS rho double 1" in text
-    pts, tris, rho_back = read_density_vtk(path)
+    pts, tris, rho_back = _read_density_vtk(path)
     assert np.array_equal(rho_back, rho)
     assert np.array_equal(pts, msh.vertices)
     assert np.array_equal(tris, msh.triangles)
@@ -264,7 +297,7 @@ def test_vtk_exact_roundtrip_of_irrational_values(tmp_path, rng):
     rho = rng.uniform(0.0001, 0.9999, msh.n_vertices)
     path = tmp_path / "field.vtk"
     write_density_vtk(msh, rho, path)
-    _, _, rho_back = read_density_vtk(path)
+    _, _, rho_back = _read_density_vtk(path)
     assert np.array_equal(rho_back, rho)  # bitwise, via repr round-trip
 
 
@@ -400,6 +433,30 @@ def test_cli_solve_rejects_mesh_without_supports(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "clamped" in err and "multiple of 20" in err
     assert not out_dir.exists()
+
+
+def test_cli_solve_rejects_an_unwritable_out_dir(tmp_path, capsys):
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text(SMALL_CONFIG)
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert run_cli(["solve", str(cfg_path), "--out-dir", str(not_a_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(not_a_dir) in captured.err
+    assert captured.out == ""
+    assert not_a_dir.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "check-derivatives"])
+def test_cli_rejects_two_config_paths(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.cfg").write_text(SMALL_CONFIG)
+    (tmp_path / "b.cfg").write_text(SMALL_CONFIG)
+    assert run_cli([command, "a.cfg", "--config", "b.cfg"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: two config files given: a.cfg and --config b.cfg\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.cfg", "b.cfg"]
 
 
 def test_cli_check_derivatives(tmp_path, capsys):

@@ -67,9 +67,20 @@ def test_initialize_duals_and_adjoint(small_system):
     assert np.all(point.z_a == 100.0)
     assert np.all(point.z_b == 100.0)
     assert np.linalg.norm(point.p_adj + point.u) <= 1e-10 * np.linalg.norm(point.u)
-    assert anchor.r_rho.shape == (system.n,)
+    assert anchor.shape == (system.n,)
     with pytest.raises(ValueError):
         system.initialize(50.0, rho0=1.5)
+
+
+def test_anchor_is_read_only(small_system):
+    system, _ = small_system
+    _, anchor = system.initialize(50.0)
+    before = anchor.copy()
+    with pytest.raises(ValueError):
+        anchor[0] = 1.0
+    with pytest.raises(ValueError):
+        anchor += 1.0
+    assert np.array_equal(anchor, before)
 
 
 def test_residual_zero_at_start(small_system):
@@ -100,7 +111,7 @@ def test_residual_is_f_box_minus_anchor_term(small_system, rng):
     n = system.n
     for t in (0.0, 0.5, 1.0):
         r_box = system.f_box(pt, schedule.mu(t))
-        expected = np.concatenate([r_box[:n] - (1.0 - t) * anchor.r_rho, r_box[n:]])
+        expected = np.concatenate([r_box[:n] - (1.0 - t) * anchor, r_box[n:]])
         assert np.array_equal(system.residual(pt, anchor, t, schedule), expected)
 
 
@@ -111,7 +122,7 @@ def test_h_t_values_and_t_independence(small_system):
     ht2 = system.h_t(anchor, 0.7, schedule)
     assert np.array_equal(ht1, ht2)  # affine schedule
     n, l = system.n, system.l
-    assert ht1[:n] == pytest.approx(anchor.r_rho)
+    assert ht1[:n] == pytest.approx(anchor)
     assert np.all(ht1[n:n + 2 * l] == 0.0)
     # d(mu)/dt = mu_inf - mu0 = -49.999, so the complementarity rows carry +49.999
     assert np.all(ht1[n + 2 * l:] == pytest.approx(49.999))
