@@ -15,8 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .homotopy import HomotopyProblem, NewtonConfig, SolveTrace, \
-    TraceRecord, newton_corrector
+from .homotopy import HomotopyProblem, NewtonConfig, newton_corrector
 from .sparse import BlockSystem, solve_direct  # solve_direct unused: perfbench/tracer.py wraps it
 
 __all__ = [
@@ -40,11 +39,7 @@ class NonInteriorError(ValueError):
 
 
 class BarrierDivergedError(RuntimeError):
-    """A barrier subproblem diverged; carries the trace up to that point."""
-
-    def __init__(self, message: str, trace: SolveTrace):
-        super().__init__(message)
-        self.trace = trace
+    """A barrier subproblem diverged."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,23 +88,23 @@ class DualPair:
 class BarrierSchedule:
     """Barrier weight as a function of the continuation parameter t in [0, 1]."""
 
-    mu0: float
-    mu_inf: float
-    kind: str = "linear"
+    mu0: float = 50.0
+    mu_inf: float = 1e-3
+    schedule: str = "linear"  # or "geometric"
 
     def __post_init__(self):
         if not self.mu0 > self.mu_inf > 0:
             raise ValueError("schedule: need mu0 > mu_inf > 0")
-        if self.kind not in ("linear", "geometric"):
-            raise ValueError(f"schedule: unknown kind {self.kind!r}")
+        if self.schedule not in ("linear", "geometric"):
+            raise ValueError(f"schedule: unknown kind {self.schedule!r}")
 
     def mu(self, t: float) -> float:
-        if self.kind == "linear":
+        if self.schedule == "linear":
             return t * self.mu_inf + (1.0 - t) * self.mu0
         return self.mu0 * (self.mu_inf / self.mu0) ** t
 
     def dmu_dt(self, t: float) -> float:
-        if self.kind == "linear":
+        if self.schedule == "linear":
             return self.mu_inf - self.mu0
         return np.log(self.mu_inf / self.mu0) * self.mu(t)
 
@@ -183,14 +178,11 @@ def box_barrier_problem(oracle: ObjectiveOracle, box: BoxConstraints) -> Homotop
         set_box_duals(blocks, "x", x, box, DualPair(z_a, z_b))
         return blocks.assemble()
 
-    def dh_dmu(v, mu):
-        return np.concatenate([np.zeros(n), -np.ones(n), -np.ones(n)])
-
     def valid(v):
         x, z_a, z_b = split(v)
         return box.interior(x) and bool(np.all(z_a > 0) and np.all(z_b > 0))
 
-    return HomotopyProblem(residual, jacobian, dh_dmu, iterate_valid=valid)
+    return HomotopyProblem(residual, jacobian, iterate_valid=valid)
 
 
 def geometric_rule(factor: float = 0.5) -> Callable[[float], float]:
@@ -211,7 +203,7 @@ def run_pd_barrier(oracle: ObjectiveOracle, x0: np.ndarray, box: BoxConstraints,
     barrier weight with ``theta`` (default: halve it) while it stays at or
     above ``mu_inf``, and Newton-solves each subproblem from the previous
     solution.  Returns ``(x, DualPair)``; a diverged subproblem raises
-    :class:`BarrierDivergedError` with the trace collected so far.
+    :class:`BarrierDivergedError` naming its mu and the Newton reason.
     """
     theta = theta if theta is not None else geometric_rule(0.5)
     cfg = cfg if cfg is not None else NewtonConfig()
@@ -221,7 +213,6 @@ def run_pd_barrier(oracle: ObjectiveOracle, x0: np.ndarray, box: BoxConstraints,
     n = box.n
     v = np.concatenate([x, mu0 / box.lower_gap(x), mu0 / box.upper_gap(x)])
     problem = box_barrier_problem(oracle, box)
-    trace = SolveTrace()
     mu = float(mu0)
     index = 0
     while mu >= mu_inf:
@@ -230,12 +221,9 @@ def run_pd_barrier(oracle: ObjectiveOracle, x0: np.ndarray, box: BoxConstraints,
         mu = float(theta(mu))
         result = newton_corrector(problem, v, mu, cfg)
         index += 1
-        trace.records.append(TraceRecord(index, None, mu, result.iters,
-                                         result.residual_norm, result.converged,
-                                         reason=result.reason))
         if not result.converged:
             raise BarrierDivergedError(
-                f"barrier subproblem at mu={mu:.6g} diverged ({result.reason})", trace)
+                f"barrier subproblem at mu={mu:.6g} diverged ({result.reason})")
         v = result.x
         if on_subproblem is not None:
             on_subproblem(mu, v[:n].copy(), DualPair(v[n:2 * n].copy(), v[2 * n:].copy()))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -38,14 +38,15 @@ log = logging.getLogger(__name__)
 class HomotopyProblem:
     """Residual map with its state Jacobian and parameter derivative.
 
-    ``iterate_valid`` lets problems declare Newton iterates inadmissible
-    (e.g. a barrier iterate leaving the strict interior); such an iterate
-    counts as divergence.  ``mu_of_t`` is optional bookkeeping for traces.
+    ``dh_dt`` is needed only by the first-order predictor.  ``iterate_valid``
+    lets problems declare Newton iterates inadmissible (e.g. a barrier
+    iterate leaving the strict interior); such an iterate counts as
+    divergence.  ``mu_of_t`` is optional bookkeeping for traces.
     """
 
     residual: Callable[[np.ndarray, float], np.ndarray]
     jacobian_x: Callable[[np.ndarray, float], Union[SparseMatrix, np.ndarray]]
-    dh_dt: Callable[[np.ndarray, float], np.ndarray]
+    dh_dt: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     iterate_valid: Optional[Callable[[np.ndarray], bool]] = None
     mu_of_t: Optional[Callable[[float], float]] = None
     # Optional per-step cap on the Newton update, e.g. a fraction-to-boundary
@@ -70,7 +71,7 @@ def global_homotopy(f, jac_f, x0) -> HomotopyProblem:
     return HomotopyProblem(residual, jacobian_x, dh_dt)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NewtonConfig:
     tol: float = 1e-8
     max_iter: int = 20
@@ -153,21 +154,17 @@ def _tangent_direction(problem: HomotopyProblem, x: np.ndarray, t: float) -> Opt
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepController:
-    """Adaptive step in t: grow 50% on success (capped), halve on failure.
-
-    ``checkpoints`` are t values the proposal never steps over, so a run can
-    be forced to land on them exactly.
-    """
+    """Adaptive step rule in t: grow by ``growth`` on success (capped at
+    ``dt_max``), multiply by ``shrink`` on failure; below ``dt_min`` the
+    tracer makes its endpoint jump."""
 
     dt_init: float = 0.25
     dt_max: float = 0.25
     growth: float = 1.5
     shrink: float = 0.5
     dt_min: float = 1e-8
-    checkpoints: tuple = ()
-    dt: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.dt_init <= self.dt_max:
@@ -176,23 +173,6 @@ class StepController:
             raise ValueError("controller: need growth >= 1 and 0 < shrink < 1")
         if self.dt_min <= 0:
             raise ValueError("controller: dt_min must be positive")
-        self.checkpoints = tuple(sorted(float(c) for c in self.checkpoints))
-        if any(not 0.0 < c < 1.0 for c in self.checkpoints):
-            raise ValueError("controller: checkpoints must lie strictly inside (0, 1)")
-        self.dt = self.dt_init
-
-    def propose(self, t: float) -> float:
-        t_next = min(t + self.dt, 1.0)
-        for c in self.checkpoints:
-            if t + 1e-12 < c < t_next:
-                return c
-        return t_next
-
-    def accept(self) -> None:
-        self.dt = min(self.dt * self.growth, self.dt_max)
-
-    def reject(self) -> None:
-        self.dt *= self.shrink
 
 
 @dataclass
@@ -234,22 +214,30 @@ class StepUnderflowError(RuntimeError):
 
 def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
           cfg: NewtonConfig, predictor_order: int = 0,
-          on_accept: Optional[Callable[[float, np.ndarray], None]] = None):
+          on_accept: Optional[Callable[[float, np.ndarray], None]] = None,
+          checkpoints: Sequence[float] = ()):
     """Trace the zero curve from (x0, 0) until t = 1 is accepted.
 
     Returns ``(x_final, SolveTrace)``.  Rejected steps are retried from the
-    last accepted point with half the increment.  A proposal that repeats a
-    rejected ``t`` from the same accepted point (the proposal clamps at 1)
-    would rerun the same corrector, so its rejection is recorded again
-    without running it, with ``newton_iters = 0`` and reason ``"repeat"``.
-    Once a rejection takes the increment below ``controller.dt_min``, the
-    next attempt is the endpoint jump: a correction at t = 1 from the last
-    accepted point with five times the Newton budget (past a fold in t the
-    endpoint problem is often the nearest attractor).  Its record has
-    ``endpoint_jump`` set; if it fails, :class:`StepUnderflowError` is raised.
+    last accepted point with a shrunk increment.  ``checkpoints`` are t values
+    in (0, 1) that no proposal steps over, so the trace lands on each.  A
+    proposal that repeats a rejected ``t`` from the same accepted point (the
+    proposal clamps at 1) would rerun the same corrector, so its rejection
+    is recorded again without running it, with ``newton_iters = 0`` and
+    reason ``"repeat"``.  Once a rejection takes the increment below
+    ``controller.dt_min``, the next attempt is the endpoint jump: a
+    correction at t = 1 from the last accepted point with five times the
+    Newton budget (past a fold in t the endpoint problem is often the
+    nearest attractor).  Its record has ``endpoint_jump`` set; if it fails,
+    :class:`StepUnderflowError` is raised.
     """
     if predictor_order not in (0, 1):
         raise ValueError("predictor_order must be 0 or 1")
+    if predictor_order == 1 and problem.dh_dt is None:
+        raise ValueError("predictor_order 1 needs the problem's dh_dt")
+    checkpoints = sorted(float(c) for c in checkpoints)
+    if any(not 0.0 < c < 1.0 for c in checkpoints):
+        raise ValueError("checkpoints must lie strictly inside (0, 1)")
     x = np.asarray(x0, dtype=np.float64).copy()
     r0 = float(np.linalg.norm(problem.residual(x, 0.0)))
     if r0 > cfg.tol:
@@ -258,12 +246,17 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
                          f"rounding, the tolerance is too small")
     result_trace = SolveTrace()
     t = 0.0
+    dt = controller.dt_init
     if on_accept is not None:
         on_accept(0.0, x)
     rejected = {}  # t_try -> record of its rejection since the last accepted step
     jump = False  # whether this attempt is the endpoint jump
     while t < 1.0:
-        t_try = 1.0 if jump else controller.propose(t)
+        if jump:
+            t_try = 1.0
+        else:
+            t_try = min(t + dt, 1.0)
+            t_try = next((c for c in checkpoints if t + 1e-12 < c < t_try), t_try)
         index = len(result_trace.records) + 1
         if not jump and t_try in rejected:
             record = replace(rejected[t_try], index=index, newton_iters=0, reason="repeat")
@@ -284,7 +277,7 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
             rejected.clear()
             x = result.x
             t = t_try
-            controller.accept()
+            dt = min(dt * controller.growth, controller.dt_max)
             log.info("step %d accepted%s: t=%.10g newton=%d res=%.3e", index,
                      " (endpoint jump after underflow)" if jump else "",
                      t, record.newton_iters, record.residual_norm)
@@ -296,8 +289,8 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
                 result_trace)
         else:
             rejected.setdefault(t_try, record)
-            controller.reject()
+            dt *= controller.shrink
             log.info("step %d rejected (%s): t=%.10g res=%.3e dt->%.3e",
-                     index, record.reason, t_try, record.residual_norm, controller.dt)
-            jump = controller.dt < controller.dt_min
+                     index, record.reason, t_try, record.residual_norm, dt)
+            jump = dt < controller.dt_min
     return x, result_trace

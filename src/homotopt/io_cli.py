@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,8 +31,6 @@ from .sparse import SingularMatrixError
 __all__ = [
     "SolverConfig",
     "MeshConfig",
-    "BarrierConfig",
-    "SteppingConfig",
     "NewtonSettings",
     "ConfigError",
     "parse_config",
@@ -61,48 +59,52 @@ class MeshConfig:
     # symmetry of the physical problem; "right" splits every cell the same way.
     diagonal: str = "mirrored"
 
-
-@dataclass(frozen=True)
-class BarrierConfig:
-    mu0: float = 50.0
-    mu_inf: float = 1e-3
-    schedule: str = "linear"
-
-
-@dataclass(frozen=True)
-class SteppingConfig:
-    dt_init: float = 0.25
-    dt_max: float = 0.25
-    growth: float = 1.5
-    shrink: float = 0.5
-    dt_min: float = 1e-8
+    def __post_init__(self):
+        if self.nx < 1 or self.ny < 1:
+            raise ValueError("mesh.nx and mesh.ny must be at least 1")
+        if self.diagonal not in ("right", "mirrored"):
+            raise ValueError(f"mesh.diagonal must be 'right' or 'mirrored', got {self.diagonal!r}")
 
 
 @dataclass(frozen=True)
-class NewtonSettings:
-    tol: float = 1e-8
-    max_iter: int = 20
-    divergence_growth: float = 1e3
+class NewtonSettings(NewtonConfig):
     # Fraction-to-boundary step cap for the combined solver's corrector;
     # 0 disables it (plain full Newton steps).  Kept on by default: the
     # discrete optimality system loses its intermediate-design branch at a
     # mesh-dependent barrier weight, and plain steps cannot cross over.
     damping: float = 0.995
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not 0.0 <= self.damping < 1.0:
+            raise ValueError("newton.damping must lie in [0, 1); 0 disables it")
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Full run configuration; the defaults reproduce the reference setup."""
+    """Full run configuration; the defaults reproduce the reference setup.
+
+    Each section is the object its layer runs with, and checks its own
+    fields when built: ``barrier`` is the solver's ``BarrierSchedule``,
+    ``stepping`` the tracer's ``StepController`` and ``newton`` the
+    corrector's ``NewtonConfig`` plus the step ``damping``.
+    """
 
     mesh: MeshConfig = field(default_factory=MeshConfig)
     material: MaterialModel = field(default_factory=default_material)
     params: ProblemParams = field(default_factory=default_params)
-    barrier: BarrierConfig = field(default_factory=BarrierConfig)
-    stepping: SteppingConfig = field(default_factory=SteppingConfig)
+    barrier: BarrierSchedule = field(default_factory=BarrierSchedule)
+    stepping: StepController = field(default_factory=StepController)
     newton: NewtonSettings = field(default_factory=NewtonSettings)
     predictor_order: int = 0
     out_dir: str = "out"
     snapshots: tuple = DEFAULT_SNAPSHOTS
+
+    def __post_init__(self):
+        if self.predictor_order not in (0, 1):
+            raise ValueError("predictor_order must be 0 or 1")
+        if any(not 0.0 <= s <= 1.0 for s in self.snapshots):
+            raise ValueError("snapshots must lie in [0, 1]")
 
 
 def _finite_float(text: str) -> float:
@@ -172,11 +174,16 @@ def parse_config_text(text: str) -> SolverConfig:
 
 
 def parse_config(path) -> SolverConfig:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    return parse_config_text(text)
 
 
 def _build_config(values: dict, base: SolverConfig) -> SolverConfig:
-    """``base`` with ``values`` (dotted key -> cast value) applied, validated."""
+    """``base`` with ``values`` (dotted key -> cast value) applied; each
+    rebuilt section checks itself."""
     changes: dict = {}
     for key, value in values.items():
         section, name, _ = _TABLE[key]
@@ -186,32 +193,9 @@ def _build_config(values: dict, base: SolverConfig) -> SolverConfig:
         for section, section_changes in changes.items():
             top[section] = replace(getattr(base, section), **section_changes)
         cfg = replace(base, **top)
-        _validate_config(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return cfg
-
-
-def _validate_config(cfg: SolverConfig) -> None:
-    """Raise ValueError for a configuration the solver cannot run.
-
-    ``MaterialModel`` and ``ProblemParams`` check themselves when built; the
-    barrier, stepping and Newton sections are checked by building the solver
-    objects made from them.
-    """
-    if cfg.mesh.nx < 1 or cfg.mesh.ny < 1:
-        raise ValueError("mesh.nx and mesh.ny must be at least 1")
-    if cfg.mesh.diagonal not in ("right", "mirrored"):
-        raise ValueError(f"mesh.diagonal must be 'right' or 'mirrored', got {cfg.mesh.diagonal!r}")
-    BarrierSchedule(cfg.barrier.mu0, cfg.barrier.mu_inf, kind=cfg.barrier.schedule)
-    StepController(**asdict(cfg.stepping))
-    NewtonConfig(cfg.newton.tol, cfg.newton.max_iter, cfg.newton.divergence_growth)
-    if not 0.0 <= cfg.newton.damping < 1.0:
-        raise ValueError("newton.damping must lie in [0, 1); 0 disables it")
-    if cfg.predictor_order not in (0, 1):
-        raise ValueError("predictor_order must be 0 or 1")
-    if any(not 0.0 <= s <= 1.0 for s in cfg.snapshots):
-        raise ValueError("snapshots must lie in [0, 1]")
 
 
 def serialize_config(cfg: SolverConfig) -> str:
@@ -296,7 +280,7 @@ def run_cubic_demo():
     targets = tuple(sorted(CUBIC_PATH_POINTS))
     cubic = quartic_oracle()
     problem = global_homotopy(cubic.gradient, cubic.hessian, np.array([-1.2]))
-    controller = StepController(dt_init=0.25, dt_max=0.25, checkpoints=targets)
+    controller = StepController(dt_init=0.25, dt_max=0.25)
     captured = {}
 
     def on_accept(t, x):
@@ -304,7 +288,8 @@ def run_cubic_demo():
             if abs(t - target) < 1e-12:
                 captured[target] = float(x[0])
 
-    x, _ = trace(problem, np.array([-1.2]), controller, NewtonConfig(), on_accept=on_accept)
+    x, _ = trace(problem, np.array([-1.2]), controller, NewtonConfig(), on_accept=on_accept,
+                 checkpoints=targets)
     return captured, float(x[0])
 
 

@@ -11,7 +11,7 @@ initialization zeroes them by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import fem, homotopy
 from .barrier import (BarrierSchedule, BoxConstraints, DualPair, fraction_to_boundary,
                       pd_residual_box, set_box_duals)
-from .homotopy import HomotopyProblem, NewtonConfig, SolveTrace, StepController
+from .homotopy import HomotopyProblem, SolveTrace
 from .lagrangian import Lagrangian
 from .mesh import bridge_domain, build_structured_mesh
 from .sparse import BlockSystem, SparseMatrix, solve_direct
@@ -140,11 +140,11 @@ class KktSystem:
             np.all(point.z_a > 0) and np.all(point.z_b > 0))
 
     def homotopy_problem(self, anchor: np.ndarray, schedule: BarrierSchedule,
-                         damping: Optional[float] = None) -> HomotopyProblem:
+                         damping: float = 0.0) -> HomotopyProblem:
         """Traced map as a generic homotopy problem.
 
-        ``damping`` enables the fraction-to-boundary step cap on the density
-        gaps and duals.  Plain full Newton steps (None) cannot pass the
+        A positive ``damping`` enables the fraction-to-boundary step cap on
+        the density gaps and duals.  Plain full Newton steps (0) cannot pass the
         fold the discretized optimality system develops at a mesh-dependent
         barrier weight; the cap lets the corrector land on the post-fold
         branch instead of leaving the interior.
@@ -164,7 +164,7 @@ class KktSystem:
             return self.is_interior(self.unpack(v))
 
         step_limit = None
-        if damping is not None:
+        if damping > 0:
             def step_limit(v, dv):
                 rho = v[:n]
                 z = v[n + 2 * l:]
@@ -188,9 +188,7 @@ def build_system(config: "SolverConfig") -> Tuple[KktSystem, BarrierSchedule]:
     load = fem.assemble_traction_load(msh, dofmap, domain)
     lagr = Lagrangian(msh, dofmap, config.material, config.params, load)
     box = BoxConstraints(np.zeros(dofmap.n_density), np.ones(dofmap.n_density))
-    schedule = BarrierSchedule(config.barrier.mu0, config.barrier.mu_inf,
-                               kind=config.barrier.schedule)
-    return KktSystem(lagr, box), schedule
+    return KktSystem(lagr, box), config.barrier
 
 
 def run(config: "SolverConfig",
@@ -202,21 +200,15 @@ def run(config: "SolverConfig",
     accepted step.  Returns the final point and the per-attempt trace.
     """
     system, schedule = build_system(config)
-    point0, anchor = system.initialize(config.barrier.mu0)
-    damping = config.newton.damping if config.newton.damping > 0 else None
-    problem = system.homotopy_problem(anchor, schedule, damping=damping)
-    controller = StepController(**asdict(config.stepping))
+    point0, anchor = system.initialize(schedule.mu0)
+    problem = system.homotopy_problem(anchor, schedule, damping=config.newton.damping)
     # Dimension-independent stopping: scale the residual tolerance with the
     # square root of the system size.
-    cfg = NewtonConfig(
-        tol=config.newton.tol * math.sqrt(system.dim),
-        max_iter=config.newton.max_iter,
-        divergence_growth=config.newton.divergence_growth,
-    )
+    cfg = replace(config.newton, tol=config.newton.tol * math.sqrt(system.dim))
     callback = None
     if on_accept is not None:
         callback = lambda t, v: on_accept(t, system.unpack(v))
-    x, trace = homotopy.trace(problem, point0.pack(), controller, cfg,
+    x, trace = homotopy.trace(problem, point0.pack(), config.stepping, cfg,
                               predictor_order=config.predictor_order,
                               on_accept=callback)
     return system.unpack(x), trace

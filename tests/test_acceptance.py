@@ -12,11 +12,10 @@ import pytest
 from test_barrier import golden_section_min, quartic_barrier
 
 from homotopt import solver
-from homotopt.barrier import BoxConstraints, run_pd_barrier
+from homotopt.barrier import BarrierSchedule, BoxConstraints, run_pd_barrier
 from homotopt.homotopy import NewtonConfig, StepController, global_homotopy, trace
-from homotopt.io_cli import (BarrierConfig, MeshConfig, NewtonSettings,
-                             SolverConfig, SteppingConfig, mu_sequence_rule,
-                             quartic_oracle, write_density_vtk,
+from homotopt.io_cli import (MeshConfig, NewtonSettings, SolverConfig,
+                             mu_sequence_rule, quartic_oracle, write_density_vtk,
                              write_param_history)
 
 CUBIC_ROOT = (-1.0 - math.sqrt(17.0)) / 8.0
@@ -56,9 +55,10 @@ def test_criterion_1_scalar_homotopy_oracle():
 
     problem = global_homotopy(cubic, cubic_jac, np.array([-1.2]))
     landed = {}
-    controller = StepController(dt_init=0.25, dt_max=0.25, checkpoints=(0.4, 0.65, 0.9))
+    controller = StepController(dt_init=0.25, dt_max=0.25)
     x, _ = trace(problem, np.array([-1.2]), controller, NewtonConfig(),
-                 on_accept=lambda t, xx: landed.__setitem__(round(t, 12), float(xx[0])))
+                 on_accept=lambda t, xx: landed.__setitem__(round(t, 12), float(xx[0])),
+                 checkpoints=(0.4, 0.65, 0.9))
     elapsed = time.perf_counter() - start
     ok = (abs(landed[0.4] - (-1.0420)) < 1e-3
           and abs(landed[0.65] - (-0.9147)) < 1e-3
@@ -201,8 +201,8 @@ def test_criterion_5_end_to_end_solve(default_run_first):
 
 def test_criterion_6_interior_violation_handling():
     cfg = SolverConfig(mesh=MeshConfig(nx=20, ny=8),
-                       stepping=SteppingConfig(dt_init=0.9, dt_max=0.9),
-                       barrier=BarrierConfig(mu0=50.0, mu_inf=0.05),
+                       stepping=StepController(dt_init=0.9, dt_max=0.9),
+                       barrier=BarrierSchedule(mu0=50.0, mu_inf=0.05),
                        newton=NewtonSettings(damping=0.0))
     _, tr = solver.run(cfg)
     rejected = [r for r in tr.records if not r.accepted]

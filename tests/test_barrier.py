@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from homotopt.barrier import (BarrierSchedule, BoxConstraints, DualPair,
-                              NonInteriorError, ObjectiveOracle, box_barrier_problem,
+from homotopt.barrier import (BarrierDivergedError, BarrierSchedule, BoxConstraints,
+                              DualPair, NonInteriorError, ObjectiveOracle, box_barrier_problem,
                               geometric_rule, pd_residual_box, run_pd_barrier)
 from homotopt.homotopy import NewtonConfig
 from homotopt.io_cli import mu_sequence_rule, quartic_oracle
@@ -57,13 +58,13 @@ def test_schedule_endpoints_and_monotonicity():
     mus = [s.mu(t) for t in ts]
     assert all(m1 < m0 for m0, m1 in zip(mus, mus[1:]))
     assert s.dmu_dt(0.3) == pytest.approx(1e-3 - 50.0)
-    g = BarrierSchedule(50.0, 1e-3, kind="geometric")
+    g = BarrierSchedule(50.0, 1e-3, schedule="geometric")
     assert g.mu(0.0) == pytest.approx(50.0)
     assert g.mu(1.0) == pytest.approx(1e-3)
     with pytest.raises(ValueError):
         BarrierSchedule(1e-3, 50.0)
     with pytest.raises(ValueError):
-        BarrierSchedule(50.0, 1e-3, kind="cubic")
+        BarrierSchedule(50.0, 1e-3, schedule="cubic")
 
 
 def test_box_validation():
@@ -236,6 +237,15 @@ def test_interior_guard_declares_divergence():
     assert not result.converged or result.converged  # smoke: must not raise
     with pytest.raises(NonInteriorError):
         run_pd_barrier(oracle, np.array([2.0]), QUARTIC_BOX, mu0=1.0, mu_inf=0.5)
+
+
+def test_diverged_subproblem_names_mu_and_reason():
+    # one Newton step from the duals of mu = 2.9 straight to mu = 1e-6 leaves the interior
+    with pytest.raises(BarrierDivergedError,
+                       match=re.escape("barrier subproblem at mu=1e-06 diverged (invalid_iterate)")):
+        run_pd_barrier(quartic_oracle(), QUARTIC_BOX.analytic_center(), QUARTIC_BOX,
+                       mu0=2.9, mu_inf=1e-6, theta=lambda mu: 1e-6,
+                       cfg=NewtonConfig(max_iter=1))
 
 
 def test_geometric_rule_validation():

@@ -154,13 +154,14 @@ def test_linear_problem_predictor_exact():
 def test_trace_cubic_hits_reference_path_points():
     problem = cubic_problem()
     targets = (0.4, 0.65, 0.9)
-    controller = StepController(dt_init=0.25, dt_max=0.25, checkpoints=targets)
+    controller = StepController(dt_init=0.25, dt_max=0.25)
     seen = {}
 
     def on_accept(t, x):
         seen[round(t, 12)] = float(x[0])
 
-    x, tr = trace(problem, np.array([-1.2]), controller, NewtonConfig(), on_accept=on_accept)
+    x, tr = trace(problem, np.array([-1.2]), controller, NewtonConfig(), on_accept=on_accept,
+                  checkpoints=targets)
     # frozen reference path values, 4 decimals
     assert seen[0.4] == pytest.approx(-1.0420, abs=1e-3)
     assert seen[0.65] == pytest.approx(-0.9147, abs=1e-3)
@@ -241,7 +242,6 @@ def test_dt_never_exceeds_dt_max():
         assert rec.t - base_t <= 0.3 + 1e-12
         if rec.accepted:
             base_t = rec.t
-    assert controller.dt <= 0.3
 
 
 def test_step_underflow_raises_with_trace():
@@ -328,13 +328,27 @@ def test_trace_rejects_bad_start():
         trace(problem, np.array([0.5]), StepController(), NewtonConfig())
 
 
+def test_first_order_predictor_needs_dh_dt():
+    f = cubic_problem()
+    problem = HomotopyProblem(f.residual, f.jacobian_x)
+    calls = []
+    with pytest.raises(ValueError, match="dh_dt"):
+        trace(problem, np.array([-1.2]), StepController(), NewtonConfig(), predictor_order=1,
+              on_accept=lambda t, x: calls.append(t))
+    assert calls == []
+    # the zero-order predictor never reads it
+    x, _ = trace(problem, np.array([-1.2]), StepController(), NewtonConfig())
+    assert x[0] == pytest.approx(ROOT, abs=1e-6)
+
+
 def test_controller_validation():
     with pytest.raises(ValueError):
         StepController(dt_init=0.5, dt_max=0.25)
     with pytest.raises(ValueError):
         StepController(shrink=1.5)
     with pytest.raises(ValueError):
-        StepController(checkpoints=(0.0,))
+        trace(cubic_problem(), np.array([-1.2]), StepController(), NewtonConfig(),
+              checkpoints=(0.0,))
 
 
 def test_newton_config_validation():

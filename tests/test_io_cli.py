@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from homotopt import io_cli, solver
 from homotopt.homotopy import SolveTrace, TraceRecord
+from homotopt.barrier import BarrierSchedule
 from homotopt.fem import MaterialModel
-from homotopt.io_cli import (BarrierConfig, ConfigError, MeshConfig,
-                             NewtonSettings, SolverConfig, SteppingConfig,
+from homotopt.homotopy import StepController
+from homotopt.io_cli import (ConfigError, MeshConfig, NewtonSettings, SolverConfig,
                              config_digest, parse_config, parse_config_text,
                              run_cli, serialize_config, write_density_vtk,
                              write_param_history)
@@ -77,6 +78,24 @@ def test_increasing_schedule_rejected():
 def test_non_positive_divergence_growth_rejected(growth):
     with pytest.raises(ConfigError, match="divergence_growth must be positive"):
         parse_config_text(f"newton.divergence_growth = {growth}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("mesh.ny = 0", "mesh.nx and mesh.ny must be at least 1"),
+    ("mesh.diagonal = left", "mesh.diagonal must be 'right' or 'mirrored', got 'left'"),
+    ("barrier.schedule = cubic", "schedule: unknown kind 'cubic'"),
+    ("stepping.dt_init = 0.5", "controller: need 0 < dt_init <= dt_max"),
+    ("stepping.shrink = 1.0", "controller: need growth >= 1 and 0 < shrink < 1"),
+    ("stepping.dt_min = 0", "controller: dt_min must be positive"),
+    ("newton.tol = 0", "newton: tol must be positive"),
+    ("newton.max_iter = 0", "newton: max_iter must be at least 1"),
+    ("newton.damping = 1.0", "newton.damping must lie in [0, 1); 0 disables it"),
+    ("predictor_order = 2", "predictor_order must be 0 or 1"),
+    ("snapshots = 0.5,1.5", "snapshots must lie in [0, 1]"),
+])
+def test_each_section_checks_its_own_fields(text, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config_text(text)
 
 
 def test_unknown_key_rejected_with_line():
@@ -171,9 +190,9 @@ def valid_configs(draw):
         material=MaterialModel(lam0, lam0 * draw(ratio), mu0, mu0 * draw(ratio),
                                draw(st.floats(min_value=1.0, max_value=10.0))),
         params=ProblemParams(draw(POSITIVE), draw(POSITIVE), draw(POSITIVE)),
-        barrier=BarrierConfig(mu_inf * draw(ratio), mu_inf,
-                              draw(st.sampled_from(["linear", "geometric"]))),
-        stepping=SteppingConfig(dt_init, dt_init * draw(st.floats(1.0, 10.0)),
+        barrier=BarrierSchedule(mu_inf * draw(ratio), mu_inf,
+                                draw(st.sampled_from(["linear", "geometric"]))),
+        stepping=StepController(dt_init, dt_init * draw(st.floats(1.0, 10.0)),
                                 draw(st.floats(1.0, 10.0)),
                                 draw(st.floats(1e-3, 0.999)), draw(POSITIVE)),
         newton=NewtonSettings(draw(POSITIVE), draw(st.integers(1, 1000)), draw(POSITIVE),
@@ -421,6 +440,24 @@ def test_cli_solve_rejects_bad_snapshots_override(tmp_path, capsys, snapshots):
     argv = ["solve", str(cfg_path), "--out-dir", str(out_dir), "--snapshots", snapshots]
     assert run_cli(argv) == 1
     assert "snapshots" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_config_file_not_utf8_rejected(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"mesh.nx = 20\xff\n")
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}: not valid UTF-8 at byte 12"):
+        parse_config(path)
+
+
+def test_cli_solve_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_bytes(b"mesh.nx = 20\xff\n")
+    out_dir = tmp_path / "out"
+    assert run_cli(["solve", str(cfg_path), "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cfg_path}: not valid UTF-8 at byte 12\n"
+    assert captured.out == ""
     assert not out_dir.exists()
 
 

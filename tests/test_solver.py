@@ -4,8 +4,8 @@ import scipy.sparse as sp
 
 from homotopt import solver, sparse
 from homotopt.barrier import BarrierSchedule
-from homotopt.io_cli import (BarrierConfig, MeshConfig, NewtonSettings,
-                             SolverConfig, SteppingConfig)
+from homotopt.homotopy import StepController
+from homotopt.io_cli import MeshConfig, NewtonSettings, SolverConfig
 from homotopt.solver import KktPoint
 
 
@@ -307,8 +307,8 @@ def test_run_density_symmetric(small_run, small_system):
 def test_large_first_step_forces_rejection_and_halving():
     # plain full-step corrector (no step damping); mu_inf is kept above the
     # branch fold so the run can finish on the principal branch
-    cfg = small_config(stepping=SteppingConfig(dt_init=0.9, dt_max=0.9),
-                       barrier=BarrierConfig(mu0=50.0, mu_inf=0.05),
+    cfg = small_config(stepping=StepController(dt_init=0.9, dt_max=0.9),
+                       barrier=BarrierSchedule(mu0=50.0, mu_inf=0.05),
                        newton=NewtonSettings(damping=0.0))
     point, trace = solver.run(cfg)
     rejected = [r for r in trace.records if not r.accepted]
@@ -345,13 +345,23 @@ def test_fold_run_ends_non_decreasing_correctors_early():
     assert system.lagr.objective(point.rho, point.u) == 8.659454211573301
 
 
+def test_one_config_runs_twice_to_the_same_trace():
+    # the config's step controller is shared by both runs and carries no
+    # state; these settings make the step both grow and shrink within a run
+    cfg = small_config(stepping=StepController(dt_init=0.1, dt_max=0.5))
+    _, first = solver.run(cfg)
+    _, second = solver.run(cfg)
+    assert first.records == second.records
+    assert any(not r.accepted for r in first.records)
+
+
 def test_first_order_predictor_completes():
     _, tr = solver.run(small_config(predictor_order=1))
     assert tr.accepted()[-1].t == 1.0
 
 
 def test_geometric_schedule_completes():
-    cfg = small_config(barrier=BarrierConfig(schedule="geometric"))
+    cfg = small_config(barrier=BarrierSchedule(schedule="geometric"))
     point, tr = solver.run(cfg)
     assert tr.accepted()[-1].t == 1.0
     assert np.all(point.rho > 0) and np.all(point.rho < 1)
