@@ -166,7 +166,7 @@ def box_barrier_problem(oracle: ObjectiveOracle, box: BoxConstraints) -> Homotop
     blocks = BlockSystem(("x", "z_a", "z_b"), (n, n, n))
 
     def split(v):
-        return v[:n], v[n:2 * n], v[2 * n:]
+        return np.split(v, (n, 2 * n))
 
     def residual(v, mu):
         x, z_a, z_b = split(v)
@@ -226,5 +226,7 @@ def run_pd_barrier(oracle: ObjectiveOracle, x0: np.ndarray, box: BoxConstraints,
                 f"barrier subproblem at mu={mu:.6g} diverged ({result.reason})")
         v = result.x
         if on_subproblem is not None:
-            on_subproblem(mu, v[:n].copy(), DualPair(v[n:2 * n].copy(), v[2 * n:].copy()))
-    return v[:n], DualPair(v[n:2 * n], v[2 * n:])
+            x, z_a, z_b = (w.copy() for w in np.split(v, (n, 2 * n)))
+            on_subproblem(mu, x, DualPair(z_a, z_b))
+    x, z_a, z_b = np.split(v, (n, 2 * n))
+    return x, DualPair(z_a, z_b)

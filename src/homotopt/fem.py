@@ -7,7 +7,6 @@ used by the phase-field regularization.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ __all__ = [
     "DofMap",
     "default_material",
     "make_dofmap",
-    "element_geometry",
+    "element_pattern",
     "assemble_state_operator",
     "assemble_traction_load",
     "assemble_gl_operators",
@@ -77,22 +76,43 @@ def default_material() -> MaterialModel:
 
 
 @dataclass(frozen=True, eq=False)
+class _ElementTables:
+    tri: np.ndarray    # (E, 3)
+    area: np.ndarray   # (E,)
+    grads: np.ndarray  # (E, 3, 2) hat-function gradients
+    div6: np.ndarray   # (E, 6) divergence of the six local displacement modes
+    dmat6: np.ndarray  # (E, 6, 6) div outer div
+    gmat6: np.ndarray  # (E, 6, 6) 2 E(psi_a):E(psi_b)
+    pattern: SparsityPattern  # density-space layout of the (E, 3, 3) element blocks
+
+
+@dataclass(frozen=True, eq=False)
 class DofMap:
-    """Vertex density DOFs plus reduced displacement DOFs.
+    """Vertex density DOFs plus reduced displacement DOFs, with the element
+    layouts they fix.
 
     Clamped vertices carry no displacement index (entry -1); the remaining
-    vertices get two consecutive indices in vertex order.
+    vertices get two consecutive indices in vertex order.  ``element_dofs``
+    lists each element's six local displacement modes in that numbering, and
+    ``state_pattern`` is the layout of K(rho) from its (E, 6, 6) element
+    blocks.
     """
 
     n_density: int
     disp_index: np.ndarray  # (n_v, 2), -1 on clamped vertices
     n_disp: int
+    geometry: _ElementTables
+    element_dofs: np.ndarray  # (E, 6), -1 on clamped modes
+    state_pattern: SparsityPattern
 
     def __post_init__(self):
         self.disp_index.setflags(write=False)
+        self.element_dofs.setflags(write=False)
 
 
 def make_dofmap(mesh: TriMesh) -> DofMap:
+    """Number the free displacement DOFs and derive the element layouts of
+    ``mesh`` once; every assembly on this map reads them."""
     fixed = dirichlet_vertex_set(mesh)
     disp = np.full((mesh.n_vertices, 2), -1, dtype=np.int64)
     k = 0
@@ -101,28 +121,27 @@ def make_dofmap(mesh: TriMesh) -> DofMap:
             disp[v, 0] = k
             disp[v, 1] = k + 1
             k += 2
-    return DofMap(n_density=mesh.n_vertices, disp_index=disp, n_disp=k)
+    geo = _element_tables(mesh)
+    gdof = disp[geo.tri].reshape(-1, 6)
+    return DofMap(n_density=mesh.n_vertices, disp_index=disp, n_disp=k, geometry=geo,
+                  element_dofs=gdof, state_pattern=element_pattern(k, k, gdof, gdof))
 
 
-@dataclass(frozen=True, eq=False)
-class _ElementTables:
-    tri: np.ndarray    # (E, 3)
-    area: np.ndarray   # (E,)
-    grads: np.ndarray  # (E, 3, 2) hat-function gradients
-    div6: np.ndarray   # (E, 6) divergence of the six local displacement modes
-    dmat6: np.ndarray  # (E, 6, 6) div outer div
-    gmat6: np.ndarray  # (E, 6, 6) 2 E(psi_a):E(psi_b)
-    pattern: SparsityPattern  # density-space layout of the (E, 3, 3) element triplets
+def element_pattern(nrows: int, ncols: int, row_dofs: np.ndarray,
+                    col_dofs: np.ndarray) -> SparsityPattern:
+    """Layout of (E, a, b) element blocks: entry (e, i, j) goes to
+    ``(row_dofs[e, i], col_dofs[e, j])``, and entries with a negative
+    (clamped) index are dropped.  Duplicates sum in (element, row, column)
+    order, so a refill is bit-identical to assembling the same triplets."""
+    shape = (row_dofs.shape[0], row_dofs.shape[1], col_dofs.shape[1])
+    rows = np.broadcast_to(row_dofs[:, :, None], shape)
+    cols = np.broadcast_to(col_dofs[:, None, :], shape)
+    keep = (rows >= 0) & (cols >= 0)
+    return SparsityPattern(nrows, ncols, rows[keep], cols[keep], source=np.flatnonzero(keep))
 
 
-_GEOMETRY_CACHE: "weakref.WeakKeyDictionary[TriMesh, _ElementTables]" = weakref.WeakKeyDictionary()
-
-
-def element_geometry(mesh: TriMesh) -> _ElementTables:
-    """Per-element geometry tables, cached per mesh."""
-    tables = _GEOMETRY_CACHE.get(mesh)
-    if tables is not None:
-        return tables
+def _element_tables(mesh: TriMesh) -> _ElementTables:
+    """Per-element geometry of ``mesh`` and its density-space pattern."""
     tri = np.asarray(mesh.triangles, dtype=np.int64)
     v0 = mesh.vertices[tri[:, 0]]
     v1 = mesh.vertices[tri[:, 1]]
@@ -147,20 +166,16 @@ def element_geometry(mesh: TriMesh) -> _ElementTables:
     gmat6[:, 0::2, 0::2] = gg
     gmat6[:, 1::2, 1::2] = gg
     gmat6 += np.einsum("eib,eja->eiajb", grads, grads).reshape(ne, 6, 6)
-    n_v = mesh.n_vertices
-    pattern = SparsityPattern(n_v, n_v, np.broadcast_to(tri[:, :, None], (ne, 3, 3)),
-                              np.broadcast_to(tri[:, None, :], (ne, 3, 3)))
-    tables = _ElementTables(tri, area, grads, div6, dmat6, gmat6, pattern)
-    _GEOMETRY_CACHE[mesh] = tables
-    return tables
+    pattern = element_pattern(mesh.n_vertices, mesh.n_vertices, tri, tri)
+    return _ElementTables(tri, area, grads, div6, dmat6, gmat6, pattern)
 
 
-def local_displacements(dofmap: DofMap, tri: np.ndarray, vec: np.ndarray) -> np.ndarray:
+def local_displacements(dofmap: DofMap, vec: np.ndarray) -> np.ndarray:
     """Gather a reduced displacement vector to (E, 6) local values, zero where clamped."""
-    idx = dofmap.disp_index[tri]  # (E, 3, 2)
+    idx = dofmap.element_dofs
     out = vec[np.maximum(idx, 0)]
     out[idx < 0] = 0.0
-    return out.reshape(tri.shape[0], 6)
+    return out
 
 
 def _effective_weights(geo: _ElementTables, material: MaterialModel, rho: np.ndarray):
@@ -172,33 +187,14 @@ def _effective_weights(geo: _ElementTables, material: MaterialModel, rho: np.nda
     return lam_w, mu_w
 
 
-def assemble_state_operator(mesh: TriMesh, dofmap: DofMap, material: MaterialModel,
+def assemble_state_operator(dofmap: DofMap, material: MaterialModel,
                             rho: np.ndarray) -> SparseMatrix:
     """Reduced elasticity stiffness K(rho) on the free displacement DOFs."""
-    geo = element_geometry(mesh)
+    geo = dofmap.geometry
     rho = np.asarray(rho, dtype=np.float64)
     lam_w, mu_w = _effective_weights(geo, material, rho)
     ke = lam_w[:, None, None] * geo.dmat6 + mu_w[:, None, None] * geo.gmat6
-    return _state_pattern(mesh, dofmap).fill(ke)
-
-
-_STATE_PATTERNS: "weakref.WeakKeyDictionary[DofMap, tuple]" = weakref.WeakKeyDictionary()
-
-
-def _state_pattern(mesh: TriMesh, dofmap: DofMap) -> SparsityPattern:
-    """Layout of K(rho) from the (E, 6, 6) element blocks, cached per DOF map."""
-    mesh_and_pattern = _STATE_PATTERNS.get(dofmap)
-    if mesh_and_pattern is not None and mesh_and_pattern[0] is mesh:
-        return mesh_and_pattern[1]
-    gdof = dofmap.disp_index[element_geometry(mesh).tri].reshape(-1, 6)
-    shape = (gdof.shape[0], 6, 6)
-    rows = np.broadcast_to(gdof[:, :, None], shape)
-    cols = np.broadcast_to(gdof[:, None, :], shape)
-    keep = (rows >= 0) & (cols >= 0)
-    pattern = SparsityPattern(dofmap.n_disp, dofmap.n_disp, rows[keep], cols[keep],
-                              source=np.flatnonzero(keep))
-    _STATE_PATTERNS[dofmap] = (mesh, pattern)
-    return pattern
+    return dofmap.state_pattern.fill(ke)
 
 
 def assemble_traction_load(mesh: TriMesh, dofmap: DofMap, spec: DomainSpec) -> np.ndarray:
@@ -217,13 +213,13 @@ def assemble_traction_load(mesh: TriMesh, dofmap: DofMap, spec: DomainSpec) -> n
     return f
 
 
-def assemble_gl_operators(mesh: TriMesh, dofmap: DofMap):
+def assemble_gl_operators(dofmap: DofMap):
     """Density-space stiffness, mass, and hat-function volume vector.
 
     Returns ``(k_rho, mass, phi_vol)`` with ``phi_vol[i]`` the integral of the
     i-th hat function; entries sum to the domain area.
     """
-    geo = element_geometry(mesh)
+    geo = dofmap.geometry
     n = dofmap.n_density
     gg = np.einsum("eik,ejk->eij", geo.grads, geo.grads)
     k_rho = geo.pattern.fill(geo.area[:, None, None] * gg)

@@ -105,6 +105,8 @@ class SolverConfig:
             raise ValueError("predictor_order must be 0 or 1")
         if any(not 0.0 <= s <= 1.0 for s in self.snapshots):
             raise ValueError("snapshots must lie in [0, 1]")
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
 
 
 def _finite_float(text: str) -> float:
@@ -347,7 +349,7 @@ def _load_config(args, **overrides) -> Optional[SolverConfig]:
     try:
         cfg = parse_config(path) if path else SolverConfig()
         values = {key: _cast(key, str(text), "command line")
-                  for key, text in overrides.items() if text not in (None, "")}
+                  for key, text in overrides.items() if text is not None}
         return _build_config(values, cfg)
     except (ConfigError, OSError) as exc:
         _print_err(f"error: {exc}")

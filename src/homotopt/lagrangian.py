@@ -21,7 +21,7 @@ import numpy as np
 from . import fem
 from .fem import DofMap, MaterialModel, local_displacements
 from .mesh import TriMesh
-from .sparse import SparseMatrix, SparsityPattern
+from .sparse import SparseMatrix
 
 __all__ = [
     "ProblemParams",
@@ -91,8 +91,7 @@ class Lagrangian:
         self.load = np.asarray(load, dtype=np.float64)
         if self.load.shape != (dofmap.n_disp,):
             raise ValueError("load vector does not match the displacement DOF count")
-        self.k_rho, self.mass, self.phi_vol = fem.assemble_gl_operators(mesh, dofmap)
-        self._geo = fem.element_geometry(mesh)
+        self.k_rho, self.mass, self.phi_vol = fem.assemble_gl_operators(dofmap)
         self._k_cache = (None, None)
         # beta*eps*K_rho - (beta/eps)*M on the element pattern, the constant
         # part of the density Hessian (same operation order as the sparse sum)
@@ -112,7 +111,7 @@ class Lagrangian:
         cached_rho, cached_k = self._k_cache
         if cached_rho is not None and np.array_equal(cached_rho, rho):
             return cached_k
-        k = fem.assemble_state_operator(self.mesh, self.dofmap, self.material, rho)
+        k = fem.assemble_state_operator(self.dofmap, self.material, rho)
         self._k_cache = (np.array(rho, copy=True), k)
         return k
 
@@ -129,7 +128,7 @@ class Lagrangian:
 
     def value(self, rho: np.ndarray, u: np.ndarray, p_adj: np.ndarray) -> float:
         """Full Lagrangian; element-wise evaluation, cheap enough for FD oracles."""
-        geo = self._geo
+        geo = self.dofmap.geometry
         rho = np.asarray(rho, float)
         lam_w, mu_w = fem._effective_weights(geo, self.material, rho)
         u_loc, p_loc, div_u, div_p, _, _ = self._element_fields(rho, u, p_adj)
@@ -152,7 +151,7 @@ class Lagrangian:
 
     def hessian(self, rho: np.ndarray, u: np.ndarray, p_adj: np.ndarray) -> HessianBlocks:
         rho = np.asarray(rho, dtype=np.float64)
-        geo = self._geo
+        geo = self.dofmap.geometry
         pe = self.material.exponent
         dlam = self.material.lambda1 - self.material.lambda0
         dmu = self.material.mu1 - self.material.mu0
@@ -176,9 +175,9 @@ class Lagrangian:
     def _element_fields(self, rho, u, p_adj):
         """Per element: local u and p, their divergences, rho at the
         quadrature points and int_T rho^(p-1) phi_i."""
-        geo = self._geo
-        u_loc = local_displacements(self.dofmap, geo.tri, np.asarray(u, dtype=np.float64))
-        p_loc = local_displacements(self.dofmap, geo.tri, np.asarray(p_adj, dtype=np.float64))
+        geo = self.dofmap.geometry
+        u_loc = local_displacements(self.dofmap, np.asarray(u, dtype=np.float64))
+        p_loc = local_displacements(self.dofmap, np.asarray(p_adj, dtype=np.float64))
         div_u = np.einsum("ea,ea->e", geo.div6, u_loc)
         div_p = np.einsum("ea,ea->e", geo.div6, p_loc)
         rho_q = rho[geo.tri] @ fem.QUAD_BARY.T
@@ -187,7 +186,7 @@ class Lagrangian:
         return u_loc, p_loc, div_u, div_p, rho_q, m_phi
 
     def _coupling_gradient(self, rho, u, p_adj) -> np.ndarray:
-        geo = self._geo
+        geo = self.dofmap.geometry
         pe = self.material.exponent
         dlam = self.material.lambda1 - self.material.lambda0
         dmu = self.material.mu1 - self.material.mu0
@@ -204,11 +203,6 @@ class Lagrangian:
         bracket = dlam * geo.div6 * div_other[:, None] + dmu * g_other  # (E, 6)
         vals = pe * m_phi[:, :, None] * bracket[:, None, :]             # (E, 3, 6)
         if self._cross_pattern is None:
-            gdof = self.dofmap.disp_index[geo.tri].reshape(-1, 6)
-            rows = np.broadcast_to(geo.tri[:, :, None], vals.shape)
-            cols = np.broadcast_to(gdof[:, None, :], vals.shape)
-            keep = cols >= 0
-            self._cross_pattern = SparsityPattern(
-                self.n_density, self.n_disp, rows[keep], cols[keep],
-                source=np.flatnonzero(keep))
+            self._cross_pattern = fem.element_pattern(
+                self.n_density, self.n_disp, geo.tri, self.dofmap.element_dofs)
         return self._cross_pattern.fill(vals)

@@ -57,31 +57,23 @@ class KktSystem:
         self.n = lagr.n_density
         self.l = lagr.n_disp
         self.sizes = (self.n, self.l, self.l, self.n, self.n)
-        self.dim = 3 * self.n + 2 * self.l
+        self.dim = sum(self.sizes)
+        self._splits = np.cumsum(self.sizes)[:-1]
         self._blocks = BlockSystem(self.BLOCK_NAMES, self.sizes)
 
     def unpack(self, v: np.ndarray) -> KktPoint:
-        n, l = self.n, self.l
-        v = np.asarray(v, dtype=np.float64)
-        return KktPoint(
-            rho=v[:n].copy(),
-            u=v[n:n + l].copy(),
-            p_adj=v[n + l:n + 2 * l].copy(),
-            z_a=v[n + 2 * l:2 * n + 2 * l].copy(),
-            z_b=v[2 * n + 2 * l:].copy(),
-        )
+        """The blocks of ``v`` as a point; its arrays are views into ``v``."""
+        return KktPoint(*np.split(np.asarray(v, dtype=np.float64), self._splits))
 
-    def initialize(self, mu0: float, rho0=0.5) -> Tuple[KktPoint, np.ndarray]:
-        """State/adjoint solves at the initial density, duals from mu0 / gaps;
-        returns the point and, as the anchor, its design-row residual, read-only.
+    def initialize(self, mu0: float) -> Tuple[KktPoint, np.ndarray]:
+        """State/adjoint solves at the uniform density 0.5, duals from
+        mu0 / gaps; returns the point and, as the anchor, its design-row
+        residual, read-only.
 
         For the compliance objective the adjoint solve returns p = -u; that
         identity is checked by the test suite, not assumed here.
         """
-        rho = np.full(self.n, float(rho0)) if np.isscalar(rho0) \
-            else np.asarray(rho0, dtype=np.float64).copy()
-        if not self.box.interior(rho):
-            raise ValueError("initial density must be strictly interior to the box")
+        rho = np.full(self.n, 0.5)
         k = self.lagr.state_matrix(rho)
         u, p = solve_direct(k, np.column_stack([self.lagr.load, -self.lagr.load])).T.copy()
         z_a = mu0 / self.box.lower_gap(rho)
@@ -96,13 +88,14 @@ class KktSystem:
         """Unanchored optimality residual at barrier weight mu."""
         g = self.lagr.gradient(point.rho, point.u, point.p_adj)
         r = pd_residual_box(g.d_rho, point.rho, self.box, DualPair(point.z_a, point.z_b), mu)
-        return np.concatenate([r[:self.n], g.d_u, g.d_p, r[self.n:]])
+        r_stat, r_low, r_up = np.split(r, 3)
+        return KktPoint(r_stat, g.d_u, g.d_p, r_low, r_up).pack()
 
     def residual(self, point: KktPoint, anchor: np.ndarray, t: float,
                  schedule: BarrierSchedule) -> np.ndarray:
         """``f_box`` at mu(t), with the design row anchored by ``(1 - t) * anchor``."""
         r = self.f_box(point, schedule.mu(t))
-        r[:self.n] -= (1.0 - t) * anchor
+        self.unpack(r).rho -= (1.0 - t) * anchor
         return r
 
     def jacobian(self, point: KktPoint) -> SparseMatrix:
@@ -125,15 +118,9 @@ class KktSystem:
 
     def h_t(self, anchor: np.ndarray, t: float, schedule: BarrierSchedule) -> np.ndarray:
         """Derivative of the traced map in t: anchor row plus the mu(t) chain rule."""
-        dmu = schedule.dmu_dt(t)
-        ones = np.ones(self.n)
-        return np.concatenate([
-            anchor,
-            np.zeros(self.l),
-            np.zeros(self.l),
-            -dmu * ones,
-            -dmu * ones,
-        ])
+        dz = np.full(self.n, -schedule.dmu_dt(t))
+        zeros = np.zeros(self.l)
+        return KktPoint(anchor, zeros, zeros, dz, dz).pack()
 
     def is_interior(self, point: KktPoint) -> bool:
         return self.box.interior(point.rho) and bool(
@@ -149,8 +136,6 @@ class KktSystem:
         barrier weight; the cap lets the corrector land on the post-fold
         branch instead of leaving the interior.
         """
-        n, l = self.n, self.l
-
         def residual(v, t):
             return self.residual(self.unpack(v), anchor, t, schedule)
 
@@ -166,13 +151,10 @@ class KktSystem:
         step_limit = None
         if damping > 0:
             def step_limit(v, dv):
-                rho = v[:n]
-                z = v[n + 2 * l:]
-                d_rho = dv[:n]
-                dz = dv[n + 2 * l:]
+                x, dx = self.unpack(v), self.unpack(dv)
                 return fraction_to_boundary(
-                    (self.box.lower_gap(rho), self.box.upper_gap(rho), z),
-                    (d_rho, -d_rho, dz), damping)
+                    (self.box.lower_gap(x.rho), self.box.upper_gap(x.rho), x.z_a, x.z_b),
+                    (dx.rho, -dx.rho, dx.z_a, dx.z_b), damping)
 
         return HomotopyProblem(residual, jacobian_x, dh_dt,
                                iterate_valid=valid, mu_of_t=schedule.mu,

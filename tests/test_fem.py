@@ -123,14 +123,13 @@ def test_stiffness_matches_independent_oracle(material, rng):
     msh = build_structured_mesh(spec, nx=3, ny=2)
     dofmap = make_dofmap(msh)
     for rho in (np.ones(msh.n_vertices), rng.uniform(0.05, 0.95, msh.n_vertices)):
-        k = assemble_state_operator(msh, dofmap, material, rho).toarray()
+        k = assemble_state_operator(dofmap, material, rho).toarray()
         k_ref = oracle_global_stiffness(msh, dofmap, material, rho)
         assert np.max(np.abs(k - k_ref)) <= 1e-12 * np.max(np.abs(k_ref))
 
 
 def test_stiffness_endpoints_and_coercivity(coarse_mesh, coarse_dofmap, material, rng):
-    k1 = assemble_state_operator(coarse_mesh, coarse_dofmap, material,
-                                 np.ones(coarse_mesh.n_vertices))
+    k1 = assemble_state_operator(coarse_dofmap, material, np.ones(coarse_mesh.n_vertices))
     for _ in range(3):
         u = rng.standard_normal(coarse_dofmap.n_disp)
         assert u @ k1.matvec(u) > 0
@@ -142,8 +141,8 @@ def test_stiffness_ratio_between_phases(material):
     msh = build_structured_mesh(spec, nx=4, ny=4)
     dofmap = make_dofmap(msh)
     n = msh.n_vertices
-    k1 = assemble_state_operator(msh, dofmap, material, np.ones(n)).toarray()
-    k0 = assemble_state_operator(msh, dofmap, material, np.zeros(n)).toarray()
+    k1 = assemble_state_operator(dofmap, material, np.ones(n)).toarray()
+    k0 = assemble_state_operator(dofmap, material, np.zeros(n)).toarray()
     mask = np.abs(k0) > 1e-12 * np.max(np.abs(k0))
     ratios = k1[mask] / k0[mask]
     lam_ratio = material.lambda1 / material.lambda0  # about 1.0003e4
@@ -164,14 +163,14 @@ def test_rigid_rotation_in_kernel(material):
         x, y = msh.vertices[vert]
         v[dofmap.disp_index[vert, 0]] = -y
         v[dofmap.disp_index[vert, 1]] = x
-    k = assemble_state_operator(msh, dofmap, material, np.full(msh.n_vertices, 0.7))
+    k = assemble_state_operator(dofmap, material, np.full(msh.n_vertices, 0.7))
     scale = np.max(np.abs(k.toarray())) * np.max(np.abs(v))
     assert np.max(np.abs(k.matvec(v))) <= 1e-10 * scale
 
 
 def test_stiffness_symmetry(coarse_mesh, coarse_dofmap, material, rng):
     rho = rng.uniform(0.1, 0.9, coarse_mesh.n_vertices)
-    k = assemble_state_operator(coarse_mesh, coarse_dofmap, material, rho).toarray()
+    k = assemble_state_operator(coarse_dofmap, material, rho).toarray()
     assert np.max(np.abs(k - k.T)) <= 1e-12 * np.max(np.abs(k))
 
 
@@ -221,7 +220,7 @@ def test_load_supported_only_on_traction_vertices(bridge, coarse_mesh, coarse_do
 # --- phase-field operators ---------------------------------------------------
 
 def test_gl_operators(coarse_mesh, coarse_dofmap):
-    k_rho, mass, phi_vol = assemble_gl_operators(coarse_mesh, coarse_dofmap)
+    k_rho, mass, phi_vol = assemble_gl_operators(coarse_dofmap)
     area = 2.4 * 0.8
     assert phi_vol.sum() == pytest.approx(area, rel=1e-12)
     const = np.ones(coarse_mesh.n_vertices)
@@ -232,7 +231,7 @@ def test_gl_operators(coarse_mesh, coarse_dofmap):
 
 
 def test_gl_spd_properties(coarse_mesh, coarse_dofmap, rng):
-    k_rho, mass, _ = assemble_gl_operators(coarse_mesh, coarse_dofmap)
+    k_rho, mass, _ = assemble_gl_operators(coarse_dofmap)
     for _ in range(3):
         v = rng.standard_normal(coarse_mesh.n_vertices)
         assert v @ mass.matvec(v) > 0
@@ -245,7 +244,7 @@ def test_gl_spd_properties(coarse_mesh, coarse_dofmap, rng):
 
 def solve_state(mesh, dofmap, material, rho, f):
     """Displacement solving K(rho) u = f."""
-    return solve_direct(assemble_state_operator(mesh, dofmap, material, rho), f)
+    return solve_direct(assemble_state_operator(dofmap, material, rho), f)
 
 
 def test_solve_state_zero_load(coarse_mesh, coarse_dofmap, material):

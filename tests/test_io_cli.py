@@ -432,6 +432,24 @@ def test_cli_solve_rejects_bad_config(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config_text, extra_args", [
+    (SMALL_CONFIG + "out_dir =\n", []),
+    (SMALL_CONFIG, ["--out-dir", ""]),
+], ids=["config-file", "command-line"])
+def test_cli_solve_rejects_an_empty_out_dir(tmp_path, monkeypatch, capsys, config_text,
+                                            extra_args):
+    # an empty out_dir would write every output into the working directory
+    monkeypatch.chdir(tmp_path)
+    Path("small.cfg").write_text(config_text)
+    assert run_cli(["solve", "small.cfg", *extra_args]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: out_dir must not be empty\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.cfg"]
+    with pytest.raises(ConfigError, match="^out_dir must not be empty$"):
+        SolverConfig(out_dir="")
+
+
 @pytest.mark.parametrize("snapshots", ["abc", "1.5,-3"])
 def test_cli_solve_rejects_bad_snapshots_override(tmp_path, capsys, snapshots):
     cfg_path = tmp_path / "small.cfg"

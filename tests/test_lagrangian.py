@@ -165,7 +165,7 @@ def test_up_block_is_state_matrix(coarse_lagrangian, rng):
     lagr = coarse_lagrangian
     rho, u, p = random_point(lagr, rng)
     h = lagr.hessian(rho, u, p)
-    k = fem.assemble_state_operator(lagr.mesh, lagr.dofmap, lagr.material, rho)
+    k = fem.assemble_state_operator(lagr.dofmap, lagr.material, rho)
     assert np.max(np.abs(h.up.toarray() - k.toarray())) == 0.0
 
 

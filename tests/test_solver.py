@@ -68,8 +68,6 @@ def test_initialize_duals_and_adjoint(small_system):
     assert np.all(point.z_b == 100.0)
     assert np.linalg.norm(point.p_adj + point.u) <= 1e-10 * np.linalg.norm(point.u)
     assert anchor.shape == (system.n,)
-    with pytest.raises(ValueError):
-        system.initialize(50.0, rho0=1.5)
 
 
 def test_anchor_is_read_only(small_system):
@@ -215,15 +213,15 @@ def test_jacobian_bit_identical_to_block_assembly(small_system, rng):
 
 
 def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
-    # every Jacobian after the first refills the KKT pattern built at the first
+    # one solve sorts four layouts, each once: density, K(rho), coupling and
+    # KKT; every later assembly refills them
     system, _ = solver.build_system(small_config())
-    kkt_patterns = []
+    patterns = []
+    init = sparse.SparsityPattern.__init__
 
-    class CountingPattern(sparse.SparsityPattern):
-        def __init__(self, nrows, ncols, *args, **kwargs):
-            super().__init__(nrows, ncols, *args, **kwargs)
-            if (nrows, ncols) == (system.dim, system.dim):
-                kkt_patterns.append(self)
+    def counted_init(self, nrows, ncols, *args, **kwargs):
+        init(self, nrows, ncols, *args, **kwargs)
+        patterns.append((nrows, ncols))
 
     jacobians = []
     jacobian = solver.KktSystem.jacobian
@@ -232,18 +230,22 @@ def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
         jacobians.append(point)
         return jacobian(self, point)
 
-    monkeypatch.setattr(sparse, "SparsityPattern", CountingPattern)
+    monkeypatch.setattr(sparse.SparsityPattern, "__init__", counted_init)
     monkeypatch.setattr(solver.KktSystem, "jacobian", counted_jacobian)
     _, trace = solver.run(small_config())
     assert trace.accepted()[-1].t == 1.0
     assert len(jacobians) >= 10
-    assert len(kkt_patterns) == 1
+    n, l = system.n, system.l
+    assert sorted(patterns) == sorted([(n, n), (l, l), (n, l), (system.dim, system.dim)])
 
 
 def test_pack_unpack_roundtrip(small_system, rng):
     system, _ = small_system
     v = rng.standard_normal(system.dim)
-    assert np.array_equal(system.unpack(v).pack(), v)
+    point = system.unpack(v)
+    assert np.array_equal(point.pack(), v)
+    for block in (point.rho, point.u, point.p_adj, point.z_a, point.z_b):
+        assert np.shares_memory(block, v)
 
 
 # --- end-to-end on the small mesh ----------------------------------------------
