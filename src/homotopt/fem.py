@@ -88,8 +88,8 @@ class _ElementTables:
 
 @dataclass(frozen=True, eq=False)
 class DofMap:
-    """Vertex density DOFs plus reduced displacement DOFs, with the element
-    layouts they fix.
+    """Vertex density DOFs plus reduced displacement DOFs on ``mesh``, with
+    the element layouts they fix.
 
     Clamped vertices carry no displacement index (entry -1); the remaining
     vertices get two consecutive indices in vertex order.  ``element_dofs``
@@ -98,6 +98,7 @@ class DofMap:
     blocks.
     """
 
+    mesh: TriMesh
     n_density: int
     disp_index: np.ndarray  # (n_v, 2), -1 on clamped vertices
     n_disp: int
@@ -123,7 +124,7 @@ def make_dofmap(mesh: TriMesh) -> DofMap:
             k += 2
     geo = _element_tables(mesh)
     gdof = disp[geo.tri].reshape(-1, 6)
-    return DofMap(n_density=mesh.n_vertices, disp_index=disp, n_disp=k, geometry=geo,
+    return DofMap(mesh=mesh, n_density=mesh.n_vertices, disp_index=disp, n_disp=k, geometry=geo,
                   element_dofs=gdof, state_pattern=element_pattern(k, k, gdof, gdof))
 
 
@@ -197,8 +198,10 @@ def assemble_state_operator(dofmap: DofMap, material: MaterialModel,
     return dofmap.state_pattern.fill(ke)
 
 
-def assemble_traction_load(mesh: TriMesh, dofmap: DofMap, spec: DomainSpec) -> np.ndarray:
-    """Edge-wise P1 trace integral of the traction over the loaded boundary."""
+def assemble_traction_load(dofmap: DofMap, spec: DomainSpec) -> np.ndarray:
+    """Edge-wise P1 trace integral of the traction over the loaded boundary
+    of the dofmap's mesh."""
+    mesh = dofmap.mesh
     f = np.zeros(dofmap.n_disp)
     g = np.asarray(spec.traction, dtype=np.float64)
     for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):

@@ -82,9 +82,7 @@ class Lagrangian:
     density-displacement pattern built at the first Hessian.
     """
 
-    def __init__(self, mesh: TriMesh, dofmap: DofMap, material: MaterialModel,
-                 params, load: np.ndarray):
-        self.mesh = mesh
+    def __init__(self, dofmap: DofMap, material: MaterialModel, params, load: np.ndarray):
         self.dofmap = dofmap
         self.material = material
         self.params = params
@@ -98,6 +96,10 @@ class Lagrangian:
         self._rr_const = (params.beta * params.epsilon) * self.k_rho.csr.data \
             - (params.beta / params.epsilon) * self.mass.csr.data
         self._cross_pattern = None
+
+    @property
+    def mesh(self) -> TriMesh:
+        return self.dofmap.mesh
 
     @property
     def n_density(self) -> int:

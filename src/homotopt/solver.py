@@ -127,7 +127,7 @@ class KktSystem:
             np.all(point.z_a > 0) and np.all(point.z_b > 0))
 
     def homotopy_problem(self, anchor: np.ndarray, schedule: BarrierSchedule,
-                         damping: float = 0.0) -> HomotopyProblem:
+                         damping: float) -> HomotopyProblem:
         """Traced map as a generic homotopy problem.
 
         A positive ``damping`` enables the fraction-to-boundary step cap on
@@ -167,8 +167,8 @@ def build_system(config: "SolverConfig") -> Tuple[KktSystem, BarrierSchedule]:
     msh = build_structured_mesh(domain, config.mesh.nx, config.mesh.ny,
                                 diagonal=config.mesh.diagonal)
     dofmap = fem.make_dofmap(msh)
-    load = fem.assemble_traction_load(msh, dofmap, domain)
-    lagr = Lagrangian(msh, dofmap, config.material, config.params, load)
+    load = fem.assemble_traction_load(dofmap, domain)
+    lagr = Lagrangian(dofmap, config.material, config.params, load)
     box = BoxConstraints(np.zeros(dofmap.n_density), np.ones(dofmap.n_density))
     return KktSystem(lagr, box), config.barrier
 

@@ -62,7 +62,10 @@ class SparseMatrix:
         array = np.asarray(array, dtype=np.float64)
         if array.ndim != 2:
             raise ValueError("expected a 2-D array")
-        return cls(sp.csr_matrix(array))
+        # every entry is stored, zeros included: the layout is the shape alone
+        m, n = array.shape
+        return cls(sp.csr_matrix((array.ravel(), np.tile(np.arange(n), m), np.arange(m + 1) * n),
+                                 shape=array.shape))
 
     @property
     def csr(self) -> sp.csr_matrix:
@@ -92,9 +95,6 @@ class SparseMatrix:
 
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self._csr.T.tocsr())
-
-    def toarray(self) -> np.ndarray:
-        return self._csr.toarray()
 
     def __repr__(self) -> str:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
@@ -192,12 +192,12 @@ class BlockSystem:
     Entries are :class:`SparseMatrix` blocks or 1-D vectors standing for
     diagonal blocks.  Unset blocks are zero; a mirrored block also places
     its transpose, and blocks placed at the same position sum.  The first
-    :meth:`assemble` sorts the layout into a :class:`SparsityPattern`; later
-    calls refill it while the structure stays the same: which blocks are
-    set, diagonal or sparse, mirrored or not, and each sparse block's CSR
-    ``indptr`` and ``indices``, compared by value (a block refilled on its
-    own pattern still arrives with new index array objects).  Any change of
-    structure rebuilds it.
+    :meth:`assemble` fixes the layout and sorts it into a
+    :class:`SparsityPattern`; later calls only refill it.  Each block must
+    then keep its position, mirror flag, kind (sparse or diagonal) and entry
+    count, or :meth:`assemble` raises ``ValueError``; a sparse block must also
+    keep its entries' places, which callers ensure by refilling a fixed
+    :class:`SparsityPattern` or passing dense blocks.
     """
 
     def __init__(self, names: Sequence[str], sizes: Sequence[int]):
@@ -213,7 +213,7 @@ class BlockSystem:
         self.sizes = sizes
         self.offsets = tuple(int(o) for o in np.concatenate([[0], np.cumsum(sizes)]))
         self._blocks: dict = {}  # (i, j) -> (block, mirror)
-        self._layout = None  # structure the pattern was built for
+        self._layout = None  # per block: position, mirror flag, kind, entry count
         self._pattern = None
 
     @property
@@ -245,12 +245,15 @@ class BlockSystem:
 
     def assemble(self) -> SparseMatrix:
         entries = [(key, *self._blocks[key]) for key in sorted(self._blocks)]
-        layout = [(key, mirror, *_csr_index(block)) for key, block, mirror in entries]
-        if self._pattern is None or not _same_layout(layout, self._layout):
-            self._pattern = self._build_pattern(entries)
-            self._layout = layout
         values = [block.csr.data if isinstance(block, SparseMatrix) else block
                   for _, block, _ in entries]
+        layout = [(key, mirror, isinstance(block, SparseMatrix), v.size)
+                  for (key, block, mirror), v in zip(entries, values)]
+        if self._pattern is None:
+            self._pattern = self._build_pattern(entries)
+            self._layout = layout
+        elif layout != self._layout:
+            raise ValueError("block layout differs from the first assembly")
         return self._pattern.fill(np.concatenate([np.zeros(0)] + values))
 
     def _build_pattern(self, entries) -> SparsityPattern:
@@ -273,14 +276,3 @@ class BlockSystem:
         return SparsityPattern(self.dim, self.dim, np.concatenate(rows), np.concatenate(cols),
                                source=np.concatenate(source))
 
-
-def _csr_index(block) -> tuple:
-    if isinstance(block, SparseMatrix):
-        return block.csr.indptr, block.csr.indices
-    return None, None
-
-
-def _same_layout(a, b) -> bool:
-    """Whether two block layouts agree item by item, arrays compared by value."""
-    return len(a) == len(b) and all(
-        np.array_equal(x, y) for ea, eb in zip(a, b) for x, y in zip(ea, eb))

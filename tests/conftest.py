@@ -31,13 +31,13 @@ def params():
 
 
 @pytest.fixture(scope="session")
-def coarse_load(coarse_mesh, coarse_dofmap, bridge):
-    return fem.assemble_traction_load(coarse_mesh, coarse_dofmap, bridge)
+def coarse_load(coarse_dofmap, bridge):
+    return fem.assemble_traction_load(coarse_dofmap, bridge)
 
 
 @pytest.fixture(scope="session")
-def coarse_lagrangian(coarse_mesh, coarse_dofmap, material, params, coarse_load):
-    return lagrangian.Lagrangian(coarse_mesh, coarse_dofmap, material, params, coarse_load)
+def coarse_lagrangian(coarse_dofmap, material, params, coarse_load):
+    return lagrangian.Lagrangian(coarse_dofmap, material, params, coarse_load)
 
 
 @pytest.fixture

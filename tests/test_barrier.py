@@ -149,6 +149,26 @@ def test_newton_step_matches_hand_solve(rng):
     assert np.concatenate([dx, dza, dzb]) == pytest.approx(ref, abs=1e-12)
 
 
+def test_dense_hessian_through_exact_zero_keeps_one_layout():
+    # the Hessian is 0 at the first point and nonzero at the second: its
+    # zero entries stay in the Jacobian, which keeps one layout and values
+    box = BoxConstraints(np.full(2, -1.0), np.full(2, 1.0))
+    oracle = ObjectiveOracle(gradient=lambda y: y ** 3, hessian=lambda y: np.outer(y, y))
+    problem = box_barrier_problem(oracle, box)
+    za, zb = np.array([0.3, 0.4]), np.array([0.2, 0.6])
+    eye, zero = np.eye(2), np.zeros((2, 2))
+    jacs = []
+    for x in (np.zeros(2), np.array([0.5, -0.25])):
+        jac = problem.jacobian_x(np.concatenate([x, za, zb]), 0.1).csr
+        want = np.block([[np.outer(x, x), -eye, eye],
+                         [np.diag(za), np.diag(x + 1.0), zero],
+                         [-np.diag(zb), zero, np.diag(1.0 - x)]])
+        assert np.array_equal(jac.toarray(), want)
+        jacs.append(jac)
+    assert np.array_equal(jacs[0].indptr, jacs[1].indptr)
+    assert np.array_equal(jacs[0].indices, jacs[1].indices)
+
+
 def test_repeated_steps_converge_on_quadratic():
     box = BoxConstraints(np.array([-1.0]), np.array([1.0]))
     mu = 0.05

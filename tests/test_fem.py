@@ -93,6 +93,13 @@ def test_dofmap_excludes_dirichlet(coarse_mesh, coarse_dofmap):
         assert np.all(coarse_dofmap.disp_index[v] == -1)
 
 
+def test_dofmap_carries_its_mesh(coarse_mesh, coarse_dofmap, coarse_lagrangian):
+    # the load and the Lagrangian read the mesh from the DofMap, so no
+    # mismatched mesh can be passed next to it
+    assert coarse_dofmap.mesh is coarse_mesh
+    assert coarse_lagrangian.mesh is coarse_mesh
+
+
 # --- state operator ----------------------------------------------------------
 
 def test_quadrature_matches_exact_integrals_single_element(rng):
@@ -123,7 +130,7 @@ def test_stiffness_matches_independent_oracle(material, rng):
     msh = build_structured_mesh(spec, nx=3, ny=2)
     dofmap = make_dofmap(msh)
     for rho in (np.ones(msh.n_vertices), rng.uniform(0.05, 0.95, msh.n_vertices)):
-        k = assemble_state_operator(dofmap, material, rho).toarray()
+        k = assemble_state_operator(dofmap, material, rho).csr.toarray()
         k_ref = oracle_global_stiffness(msh, dofmap, material, rho)
         assert np.max(np.abs(k - k_ref)) <= 1e-12 * np.max(np.abs(k_ref))
 
@@ -141,8 +148,8 @@ def test_stiffness_ratio_between_phases(material):
     msh = build_structured_mesh(spec, nx=4, ny=4)
     dofmap = make_dofmap(msh)
     n = msh.n_vertices
-    k1 = assemble_state_operator(dofmap, material, np.ones(n)).toarray()
-    k0 = assemble_state_operator(dofmap, material, np.zeros(n)).toarray()
+    k1 = assemble_state_operator(dofmap, material, np.ones(n)).csr.toarray()
+    k0 = assemble_state_operator(dofmap, material, np.zeros(n)).csr.toarray()
     mask = np.abs(k0) > 1e-12 * np.max(np.abs(k0))
     ratios = k1[mask] / k0[mask]
     lam_ratio = material.lambda1 / material.lambda0  # about 1.0003e4
@@ -164,20 +171,20 @@ def test_rigid_rotation_in_kernel(material):
         v[dofmap.disp_index[vert, 0]] = -y
         v[dofmap.disp_index[vert, 1]] = x
     k = assemble_state_operator(dofmap, material, np.full(msh.n_vertices, 0.7))
-    scale = np.max(np.abs(k.toarray())) * np.max(np.abs(v))
+    scale = np.max(np.abs(k.csr.toarray())) * np.max(np.abs(v))
     assert np.max(np.abs(k.matvec(v))) <= 1e-10 * scale
 
 
 def test_stiffness_symmetry(coarse_mesh, coarse_dofmap, material, rng):
     rho = rng.uniform(0.1, 0.9, coarse_mesh.n_vertices)
-    k = assemble_state_operator(coarse_dofmap, material, rho).toarray()
+    k = assemble_state_operator(coarse_dofmap, material, rho).csr.toarray()
     assert np.max(np.abs(k - k.T)) <= 1e-12 * np.max(np.abs(k))
 
 
 # --- traction load -----------------------------------------------------------
 
 def test_traction_load_total(bridge, coarse_mesh, coarse_dofmap):
-    f = assemble_traction_load(coarse_mesh, coarse_dofmap, bridge)
+    f = assemble_traction_load(coarse_dofmap, bridge)
     y_sum = f[coarse_dofmap.disp_index[:, 1][coarse_dofmap.disp_index[:, 1] >= 0]].sum()
     assert abs(y_sum - (-0.24)) <= 1e-12
     x_ids = coarse_dofmap.disp_index[:, 0][coarse_dofmap.disp_index[:, 0] >= 0]
@@ -186,7 +193,7 @@ def test_traction_load_total(bridge, coarse_mesh, coarse_dofmap):
 
 def test_zero_traction_gives_zero_vector(coarse_mesh, coarse_dofmap):
     spec = DomainSpec(2.4, 0.8, traction=(0.0, 0.0))
-    f = assemble_traction_load(coarse_mesh, coarse_dofmap, spec)
+    f = assemble_traction_load(coarse_dofmap, spec)
     assert np.all(f == 0.0)
 
 
@@ -196,7 +203,7 @@ def test_single_edge_endpoint_loads():
                       traction=(0.0, -1.0))
     msh = build_structured_mesh(spec, nx=2, ny=1)
     dofmap = make_dofmap(msh)
-    f = assemble_traction_load(msh, dofmap, spec)
+    f = assemble_traction_load(dofmap, spec)
     h = 0.5
     loaded = {v for v, (x, y) in enumerate(msh.vertices) if abs(y) < 1e-12 and x <= 0.5 + 1e-12}
     for v in range(msh.n_vertices):
@@ -208,7 +215,7 @@ def test_single_edge_endpoint_loads():
 
 
 def test_load_supported_only_on_traction_vertices(bridge, coarse_mesh, coarse_dofmap):
-    f = assemble_traction_load(coarse_mesh, coarse_dofmap, bridge)
+    f = assemble_traction_load(coarse_dofmap, bridge)
     seg = bridge.neumann_traction_segments[0]
     for v in range(coarse_mesh.n_vertices):
         for d in range(2):

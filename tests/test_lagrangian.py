@@ -104,11 +104,11 @@ def test_hessian_at_zero_fields(coarse_lagrangian, params, rng):
     rho = rng.uniform(0.2, 0.8, lagr.n_density)
     zero = np.zeros(lagr.n_disp)
     h = lagr.hessian(rho, zero, zero)
-    assert h.ru.nnz == 0 or np.max(np.abs(h.ru.toarray())) == 0.0
-    assert h.rp.nnz == 0 or np.max(np.abs(h.rp.toarray())) == 0.0
-    expected_rr = params.beta * params.epsilon * lagr.k_rho.toarray() \
-        - params.beta / params.epsilon * lagr.mass.toarray()
-    assert np.max(np.abs(h.rr.toarray() - expected_rr)) <= 1e-12 * np.max(np.abs(expected_rr))
+    assert h.ru.nnz == 0 or np.max(np.abs(h.ru.csr.toarray())) == 0.0
+    assert h.rp.nnz == 0 or np.max(np.abs(h.rp.csr.toarray())) == 0.0
+    expected_rr = params.beta * params.epsilon * lagr.k_rho.csr.toarray() \
+        - params.beta / params.epsilon * lagr.mass.csr.toarray()
+    assert np.max(np.abs(h.rr.csr.toarray() - expected_rr)) <= 1e-12 * np.max(np.abs(expected_rr))
 
 
 def test_hessian_matches_fd_of_gradient(coarse_lagrangian, rng):
@@ -151,13 +151,13 @@ def test_hessian_superblock_symmetry(coarse_lagrangian, rng):
     h = lagr.hessian(rho, u, p)
     n, l = lagr.n_density, lagr.n_disp
     full = np.zeros((n + 2 * l, n + 2 * l))
-    full[:n, :n] = h.rr.toarray()
-    full[:n, n:n + l] = h.ru.toarray()
-    full[:n, n + l:] = h.rp.toarray()
-    full[n:n + l, :n] = h.ru.toarray().T
-    full[n:n + l, n + l:] = h.up.toarray()
-    full[n + l:, :n] = h.rp.toarray().T
-    full[n + l:, n:n + l] = h.up.toarray().T
+    full[:n, :n] = h.rr.csr.toarray()
+    full[:n, n:n + l] = h.ru.csr.toarray()
+    full[:n, n + l:] = h.rp.csr.toarray()
+    full[n:n + l, :n] = h.ru.csr.toarray().T
+    full[n:n + l, n + l:] = h.up.csr.toarray()
+    full[n + l:, :n] = h.rp.csr.toarray().T
+    full[n + l:, n:n + l] = h.up.csr.toarray().T
     assert np.max(np.abs(full - full.T)) <= 1e-11 * np.max(np.abs(full))
 
 
@@ -166,7 +166,7 @@ def test_up_block_is_state_matrix(coarse_lagrangian, rng):
     rho, u, p = random_point(lagr, rng)
     h = lagr.hessian(rho, u, p)
     k = fem.assemble_state_operator(lagr.dofmap, lagr.material, rho)
-    assert np.max(np.abs(h.up.toarray() - k.toarray())) == 0.0
+    assert np.max(np.abs(h.up.csr.toarray() - k.csr.toarray())) == 0.0
 
 
 def test_compliance_self_adjointness(coarse_lagrangian, rng):

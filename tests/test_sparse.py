@@ -13,7 +13,7 @@ def identity(n):
 
 def test_finalize_sums_duplicates():
     m = SparseMatrix.from_triplets(1, 1, [0, 0], [0, 0], [1.0, 2.0])
-    assert m.toarray() == pytest.approx(np.array([[3.0]]))
+    assert m.csr.toarray() == pytest.approx(np.array([[3.0]]))
     assert m.nnz == 1
 
 
@@ -51,7 +51,7 @@ def test_matvec_matches_triplet_accumulation(rng):
         m = SparseMatrix.from_triplets(nr, nc, rows, cols, vals)
         v = rng.standard_normal(nc)
         assert m.matvec(v) == pytest.approx(dense @ v, abs=1e-12)
-        assert m.toarray() == pytest.approx(dense, abs=1e-12)
+        assert m.csr.toarray() == pytest.approx(dense, abs=1e-12)
 
 
 def one_shot_compression(nrows, rows, cols, values):
@@ -108,7 +108,7 @@ def test_pattern_validation():
 
 def test_transpose():
     m = SparseMatrix.from_triplets(2, 3, [0, 1], [1, 2], [2.0, -1.0])
-    assert m.transpose().toarray() == pytest.approx(m.toarray().T)
+    assert m.transpose().csr.toarray() == pytest.approx(m.csr.toarray().T)
 
 
 def test_solve_identity(rng):
@@ -182,14 +182,14 @@ def test_block_diagonal_layout():
     blocks = BlockSystem(("p", "q"), (1, 1))
     blocks.set("p", "p", SparseMatrix.from_dense([[3.0]]))
     blocks.set("q", "q", SparseMatrix.from_dense([[7.0]]))
-    assert blocks.assemble().toarray() == pytest.approx(np.array([[3.0, 0.0], [0.0, 7.0]]))
+    assert blocks.assemble().csr.toarray() == pytest.approx(np.array([[3.0, 0.0], [0.0, 7.0]]))
 
 
 def test_block_identity_blocks_give_global_identity():
     blocks = BlockSystem(("a", "b"), (2, 3))
     blocks.set("a", "a", identity(2))
     blocks.set("b", "b", identity(3))
-    assert blocks.assemble().toarray() == pytest.approx(np.eye(5))
+    assert blocks.assemble().csr.toarray() == pytest.approx(np.eye(5))
 
 
 def test_block_scalar_box_matches_hand_assembly():
@@ -204,7 +204,7 @@ def test_block_scalar_box_matches_hand_assembly():
     blocks.set("zb", "x", np.array([-zb]))
     blocks.set("zb", "zb", np.array([cb]))
     expected = np.array([[h, -1.0, 1.0], [za, ca, 0.0], [-zb, 0.0, cb]])
-    assert blocks.assemble().toarray() == pytest.approx(expected)
+    assert blocks.assemble().csr.toarray() == pytest.approx(expected)
 
 
 def test_block_roundtrip_every_block(rng):
@@ -219,7 +219,7 @@ def test_block_roundtrip_every_block(rng):
             dense = rng.standard_normal((sizes[i], sizes[j]))
             blocks.set(names[i], names[j], SparseMatrix.from_dense(dense))
             stored[(i, j)] = dense
-    full = blocks.assemble().toarray()
+    full = blocks.assemble().csr.toarray()
     for (i, j), dense in stored.items():
         sub = full[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]
         assert sub == pytest.approx(dense, abs=1e-15)
@@ -237,39 +237,43 @@ def test_block_size_validation():
         blocks.set("a", "c", np.ones(2))  # unknown block name
 
 
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_block_refill_bit_identical_to_fresh_assembly(data):
-    # rounds of new values on the same layout or on a changed one (sparse,
-    # diagonal and mirrored blocks); each assembly must equal a fresh system's
-    # and the dense sum of its blocks, and the pattern must be rebuilt exactly
-    # when the structure changed
+    # rounds of new values on one layout of sparse, dense (with exact zeros)
+    # and diagonal blocks, mirrored or not: each assembly must be bit-identical
+    # to a fresh system's and equal the dense sum of its blocks; then a changed
+    # position, mirror flag or entry count must raise
     names = ("a", "b", "c")
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    keys = data.draw(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                             min_size=1, max_size=4))
+    layout = {}  # (i, j) -> (kind, pattern or None, mirror)
+    for i, j in sorted(keys):
+        kinds = ["sparse", "dense"] + (["diagonal"] if sizes[i] == sizes[j] else [])
+        kind = data.draw(st.sampled_from(kinds))
+        mask = rng.random((sizes[i], sizes[j])) < 0.6
+        pattern = SparsityPattern(sizes[i], sizes[j], *np.nonzero(mask))
+        layout[(i, j)] = (kind, pattern, data.draw(st.booleans()))
+
+    def new_block(kind, pattern, shape):
+        if kind == "diagonal":
+            values = rng.standard_normal(shape[0])
+            return values, np.diag(values)
+        if kind == "dense":
+            values = rng.standard_normal(shape) * (rng.random(shape) < 0.7)
+            return values, values
+        block = pattern.fill(rng.standard_normal(pattern.order.size))
+        return block, block.csr.toarray()
+
     blocks = BlockSystem(names, sizes)
-    layout = {}  # (i, j) -> (nonzero mask, None for a diagonal block; mirror)
-    pattern, structure = None, None
-    for _ in range(data.draw(st.integers(1, 5))):
-        if not layout or data.draw(st.booleans()):
-            keys = data.draw(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)),
-                                     min_size=1, max_size=4))
-            for i, j in sorted(keys):
-                diagonal = sizes[i] == sizes[j] and data.draw(st.booleans())
-                mask = None if diagonal else rng.random((sizes[i], sizes[j])) < 0.6
-                layout[(i, j)] = (mask, data.draw(st.booleans()))
+    for _ in range(data.draw(st.integers(1, 4))):
         fresh = BlockSystem(names, sizes)
         reference = np.zeros((offsets[-1], offsets[-1]))
-        for (i, j), (mask, mirror) in layout.items():  # new values for every block
-            if mask is None:
-                block = rng.standard_normal(sizes[i])
-                dense = np.diag(block)
-            else:
-                block = SparseMatrix.from_dense(rng.standard_normal(mask.shape) * mask)
-                dense = block.toarray()
+        for (i, j), (kind, pattern, mirror) in layout.items():
+            block, dense = new_block(kind, pattern, (sizes[i], sizes[j]))
             blocks.set(names[i], names[j], block, mirror=mirror)
             fresh.set(names[i], names[j], block, mirror=mirror)
             reference[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] += dense
@@ -278,8 +282,24 @@ def test_block_refill_bit_identical_to_fresh_assembly(data):
         got = blocks.assemble()
         want = fresh.assemble().csr
         assert_same_csr(got, want.data, want.indices, want.indptr)
-        assert np.array_equal(got.toarray(), reference)
-        new_structure = sorted((key, None if mask is None else mask.tobytes(), mirror)
-                               for key, (mask, mirror) in layout.items())
-        assert (blocks._pattern is not pattern) == (new_structure != structure)
-        pattern, structure = blocks._pattern, new_structure
+        assert np.array_equal(got.csr.toarray(), reference)
+
+    free = [(i, j) for i in range(3) for j in range(3) if (i, j) not in layout]
+    change = data.draw(st.sampled_from(["mirror", "count"] + (["position"] if free else [])))
+    if change == "position":
+        i, j = data.draw(st.sampled_from(free))
+        blocks.set(names[i], names[j], np.zeros((sizes[i], sizes[j])))
+    else:
+        (i, j), (kind, pattern, mirror) = data.draw(st.sampled_from(sorted(layout.items())))
+        block, _ = new_block(kind, pattern, (sizes[i], sizes[j]))
+        if change == "count":
+            # a sparse block with one entry fewer or one more than before
+            n = block.size if isinstance(block, np.ndarray) else block.nnz
+            rows, cols = np.divmod(np.arange(sizes[i] * sizes[j]), sizes[j])
+            k = n - 1 if n > 0 else 1
+            block = SparseMatrix.from_triplets(sizes[i], sizes[j], rows[:k], cols[:k], np.ones(k))
+        else:
+            mirror = not mirror
+        blocks.set(names[i], names[j], block, mirror=mirror)
+    with pytest.raises(ValueError):
+        blocks.assemble()
