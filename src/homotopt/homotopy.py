@@ -6,7 +6,10 @@ plain full-step Newton (no line search); divergence is a value, not a fault,
 and makes the step controller halve the increment and retry from the last
 accepted point.  A corrector whose full step raises the residual norm from
 its second iteration on stops there (reason ``"no_decrease"``) instead of
-spending its budget; steps capped by ``step_limit`` are exempt.
+spending its budget; steps capped by ``step_limit`` are exempt.  Newton and
+tangent systems go through :meth:`HomotopyProblem.solve`, which a problem
+may give its own linear solve (the KKT system solves a condensed matrix);
+otherwise its ``jacobian_x`` is factored by sparse LU.
 """
 from __future__ import annotations
 
@@ -38,20 +41,34 @@ log = logging.getLogger(__name__)
 class HomotopyProblem:
     """Residual map with its state Jacobian and parameter derivative.
 
-    ``dh_dt`` is needed only by the first-order predictor.  ``iterate_valid``
-    lets problems declare Newton iterates inadmissible (e.g. a barrier
-    iterate leaving the strict interior); such an iterate counts as
-    divergence.  ``mu_of_t`` is optional bookkeeping for traces.
+    The corrector and the tangent predictor solve ``H_x(x, t) dx = rhs``
+    through :meth:`solve`: by ``solve_x(x, t, rhs)`` if the problem gives
+    one, else by factoring ``jacobian_x(x, t)``.  ``dh_dt`` is needed only
+    by the first-order predictor.  ``iterate_valid`` lets problems declare
+    Newton iterates inadmissible (e.g. a barrier iterate leaving the strict
+    interior); such an iterate counts as divergence.  ``mu_of_t`` is
+    optional bookkeeping for traces.
     """
 
     residual: Callable[[np.ndarray, float], np.ndarray]
-    jacobian_x: Callable[[np.ndarray, float], Union[SparseMatrix, np.ndarray]]
+    jacobian_x: Optional[Callable[[np.ndarray, float], Union[SparseMatrix, np.ndarray]]] = None
     dh_dt: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     iterate_valid: Optional[Callable[[np.ndarray], bool]] = None
     mu_of_t: Optional[Callable[[float], float]] = None
     # Optional per-step cap on the Newton update, e.g. a fraction-to-boundary
     # rule; maps (x, dx) to the admitted fraction of dx (capped at 1).
     step_limit: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+    solve_x: Optional[Callable[[np.ndarray, float, np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.jacobian_x is None and self.solve_x is None:
+            raise ValueError("a homotopy problem needs jacobian_x or solve_x")
+
+    def solve(self, x: np.ndarray, t: float, rhs: np.ndarray) -> np.ndarray:
+        """``dx`` with ``H_x(x, t) dx = rhs``; raises :class:`SingularMatrixError`."""
+        if self.solve_x is not None:
+            return self.solve_x(x, t, rhs)
+        return _solve_linear(self.jacobian_x(x, t), rhs)
 
 
 def global_homotopy(f, jac_f, x0) -> HomotopyProblem:
@@ -96,6 +113,7 @@ class NewtonResult:
 
 
 def _solve_linear(jac, rhs: np.ndarray) -> np.ndarray:
+    """Factor ``jac`` (sparse or dense) and solve for ``rhs``."""
     if not isinstance(jac, SparseMatrix):
         jac = SparseMatrix.from_dense(np.atleast_2d(np.asarray(jac, dtype=np.float64)))
     return solve_direct(jac, rhs)
@@ -122,7 +140,7 @@ def newton_corrector(problem: HomotopyProblem, x: np.ndarray, t: float,
         if norm <= cfg.tol:
             return NewtonResult(x, it, True, "", norm)
         try:
-            dx = _solve_linear(problem.jacobian_x(x, t), -r)
+            dx = problem.solve(x, t, -r)
         except SingularMatrixError:
             return NewtonResult(x, it, False, "singular", norm)
         alpha = 1.0
@@ -149,7 +167,7 @@ def newton_corrector(problem: HomotopyProblem, x: np.ndarray, t: float,
 def _tangent_direction(problem: HomotopyProblem, x: np.ndarray, t: float) -> Optional[np.ndarray]:
     """Tangent x'(t) of the zero curve from H_x x' = -H_t; None if H_x is singular."""
     try:
-        return _solve_linear(problem.jacobian_x(x, t), -np.asarray(problem.dh_dt(x, t), float))
+        return problem.solve(x, t, -np.asarray(problem.dh_dt(x, t), float))
     except SingularMatrixError:
         return None
 

@@ -7,6 +7,13 @@ design-stationarity row at the initial point, weighted by (1 - t), while the
 barrier weight follows the continuation parameter through the schedule; the
 state, adjoint and complementarity rows need no anchor because the
 initialization zeroes them by construction.
+
+The compliance objective is self-adjoint: the initial point has p = -u
+bitwise, and then the adjoint rows of the residual are minus the state rows,
+bitwise.  So every Newton and tangent step has dp = -du, and is found from
+the condensed system in (rho, u, z_a, z_b), which drops the state rows and
+folds the p column into the u column; every iterate keeps p = -u bitwise.
+Points, residuals and the step checks keep all five blocks.
 """
 from __future__ import annotations
 
@@ -45,9 +52,10 @@ class KktPoint:
 
 
 class KktSystem:
-    """Residual and Jacobian of the 5-block perturbed optimality system."""
+    """Residual of the 5-block perturbed optimality system and the condensed
+    4-block Jacobian its Newton steps are solved with."""
 
-    BLOCK_NAMES = ("rho", "u", "p", "z_a", "z_b")
+    CONDENSED_NAMES = ("rho", "u", "z_a", "z_b")
 
     def __init__(self, lagr: Lagrangian, box: BoxConstraints):
         if box.n != lagr.n_density:
@@ -56,30 +64,30 @@ class KktSystem:
         self.box = box
         self.n = lagr.n_density
         self.l = lagr.n_disp
-        self.sizes = (self.n, self.l, self.l, self.n, self.n)
-        self.dim = sum(self.sizes)
-        self._splits = np.cumsum(self.sizes)[:-1]
-        self._blocks = BlockSystem(self.BLOCK_NAMES, self.sizes)
+        sizes = (self.n, self.l, self.l, self.n, self.n)
+        self.dim = sum(sizes)
+        self._splits = np.cumsum(sizes)[:-1]
+        self._blocks = BlockSystem(self.CONDENSED_NAMES, (self.n, self.l, self.n, self.n))
 
     def unpack(self, v: np.ndarray) -> KktPoint:
         """The blocks of ``v`` as a point; its arrays are views into ``v``."""
         return KktPoint(*np.split(np.asarray(v, dtype=np.float64), self._splits))
 
     def initialize(self, mu0: float) -> Tuple[KktPoint, np.ndarray]:
-        """State/adjoint solves at the uniform density 0.5, duals from
-        mu0 / gaps; returns the point and, as the anchor, its design-row
-        residual, read-only.
+        """State solve at the uniform density 0.5, adjoint p = -u, duals
+        from mu0 / gaps; returns the point and, as the anchor, its
+        design-row residual, read-only.
 
-        For the compliance objective the adjoint solve returns p = -u; that
-        identity is checked by the test suite, not assumed here.
+        The compliance objective is self-adjoint, so p = -u solves the
+        adjoint equation K p = -load exactly.  It is set bitwise, since the
+        condensed Newton step (:meth:`jacobian`) relies on it.
         """
         rho = np.full(self.n, 0.5)
-        k = self.lagr.state_matrix(rho)
-        u, p = solve_direct(k, np.column_stack([self.lagr.load, -self.lagr.load])).T.copy()
+        u = solve_direct(self.lagr.state_matrix(rho), self.lagr.load)
         z_a = mu0 / self.box.lower_gap(rho)
         z_b = mu0 / self.box.upper_gap(rho)
-        point = KktPoint(rho, u, p, z_a, z_b)
-        g = self.lagr.gradient(rho, u, p)
+        point = KktPoint(rho, u, -u, z_a, z_b)
+        g = self.lagr.gradient(rho, u, point.p_adj)
         anchor = g.d_rho - z_a + z_b
         anchor.setflags(write=False)
         return point, anchor
@@ -99,22 +107,38 @@ class KktSystem:
         return r
 
     def jacobian(self, point: KktPoint) -> SparseMatrix:
-        """Assembled 5x5 block Jacobian, blocks ordered as ``BLOCK_NAMES``;
-        independent of t, which only shifts the residual.
+        """Condensed Jacobian, blocks ordered as ``CONDENSED_NAMES``: the
+        5-block Jacobian restricted to steps with dp = -du, on its rho, u and
+        z rows.  It is independent of t, which only shifts the residual.
 
-        Row blocks: [rr, ru, rp, -I, I], [ru^T, 0, up, 0, 0],
-        [rp^T, up, 0, 0, 0], [diag z_a, 0, 0, diag gap_a, 0] and
-        [-diag z_b, 0, 0, 0, diag gap_b] (``up`` = K(rho) is symmetric).
-        The layout is fixed, so the block system sorts it once.
+        Row blocks: [rr, ru - rp, -I, I], [ru^T, -up, 0, 0],
+        [diag z_a, 0, diag gap_a, 0] and [-diag z_b, 0, 0, diag gap_b]
+        (``up`` = K(rho)).  ``jacobian(x) @ y == condense(J5(x) @ expand(y))``
+        for any x, p independent of u included.  Where p = -u, the dropped
+        state rows equal the kept u rows negated, so a condensed Newton step
+        expanded is the 5-block one; the 5-block matrix itself is never
+        built.  The layout is fixed, so the block system sorts it at the first
+        call and refills it after that.
         """
         h = self.lagr.hessian(point.rho, point.u, point.p_adj)
         blocks = self._blocks
         blocks.set("rho", "rho", h.rr)
-        blocks.set("rho", "u", h.ru, mirror=True)
-        blocks.set("rho", "p", h.rp, mirror=True)
-        blocks.set("u", "p", h.up, mirror=True)
+        # ru and rp share the Lagrangian's coupling pattern
+        blocks.set("rho", "u", h.ru.with_data(h.ru.csr.data - h.rp.csr.data))
+        blocks.set("u", "rho", h.ru.transpose())
+        blocks.set("u", "u", h.up.with_data(-h.up.csr.data))
         set_box_duals(blocks, "rho", point.rho, self.box, DualPair(point.z_a, point.z_b))
         return blocks.assemble()
+
+    def condense(self, r: np.ndarray) -> np.ndarray:
+        """The rho, u and z rows of a 5-block vector, for the condensed system."""
+        x = self.unpack(r)
+        return np.concatenate([x.rho, x.u, x.z_a, x.z_b])
+
+    def expand(self, y: np.ndarray) -> np.ndarray:
+        """The 5-block step of a condensed one, with dp = -du."""
+        d_rho, d_u, d_za, d_zb = np.split(y, self._blocks.offsets[1:-1])
+        return KktPoint(d_rho, d_u, -d_u, d_za, d_zb).pack()
 
     def h_t(self, anchor: np.ndarray, t: float, schedule: BarrierSchedule) -> np.ndarray:
         """Derivative of the traced map in t: anchor row plus the mu(t) chain rule."""
@@ -139,8 +163,10 @@ class KktSystem:
         def residual(v, t):
             return self.residual(self.unpack(v), anchor, t, schedule)
 
-        def jacobian_x(v, t):
-            return self.jacobian(self.unpack(v))
+        def solve_x(v, t, rhs):
+            # factored by homotopy's own helper, like any problem's jacobian_x
+            jac = self.jacobian(self.unpack(v))
+            return self.expand(homotopy._solve_linear(jac, self.condense(rhs)))
 
         def dh_dt(v, t):
             return self.h_t(anchor, t, schedule)
@@ -156,9 +182,9 @@ class KktSystem:
                     (self.box.lower_gap(x.rho), self.box.upper_gap(x.rho), x.z_a, x.z_b),
                     (dx.rho, -dx.rho, dx.z_a, dx.z_b), damping)
 
-        return HomotopyProblem(residual, jacobian_x, dh_dt,
-                               iterate_valid=valid, mu_of_t=schedule.mu,
-                               step_limit=step_limit)
+        return HomotopyProblem(residual, dh_dt=dh_dt, iterate_valid=valid,
+                               mu_of_t=schedule.mu, step_limit=step_limit,
+                               solve_x=solve_x)
 
 
 def build_system(config: "SolverConfig") -> Tuple[KktSystem, BarrierSchedule]:

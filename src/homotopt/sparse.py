@@ -96,6 +96,10 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self._csr.T.tocsr())
 
+    def with_data(self, data) -> "SparseMatrix":
+        """The matrix with this layout and the given CSR data."""
+        return _csr_matrix(data, self._csr.indices, self._csr.indptr, self.shape)
+
     def __repr__(self) -> str:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
@@ -147,12 +151,17 @@ class SparsityPattern:
 
     def matrix(self, data: np.ndarray) -> "SparseMatrix":
         """The matrix with this pattern and the given CSR data."""
-        csr = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-        csr.has_sorted_indices = True
-        return SparseMatrix(csr)
+        return _csr_matrix(data, self.indices, self.indptr, self.shape)
 
     def fill(self, values) -> "SparseMatrix":
         return self.matrix(self.reduce(values))
+
+
+def _csr_matrix(data, indices, indptr, shape) -> SparseMatrix:
+    """A matrix on sorted CSR index arrays, which it shares."""
+    csr = sp.csr_matrix((np.asarray(data, dtype=np.float64), indices, indptr), shape=shape)
+    csr.has_sorted_indices = True
+    return SparseMatrix(csr)
 
 
 def solve_direct(a: SparseMatrix, b: np.ndarray) -> np.ndarray:

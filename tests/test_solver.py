@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from homotopt import solver, sparse
 from homotopt.barrier import BarrierSchedule
@@ -29,9 +30,10 @@ def random_point(system, rng):
 
 
 def kkt_block(system, jac, row, col):
-    """Block (row, col) of the assembled KKT matrix, as a dense array."""
-    offsets = np.concatenate([[0], np.cumsum(system.sizes)])
-    i, j = system.BLOCK_NAMES.index(row), system.BLOCK_NAMES.index(col)
+    """Block (row, col) of the condensed KKT matrix, as a dense array."""
+    sizes = {"rho": system.n, "u": system.l, "z_a": system.n, "z_b": system.n}
+    offsets = np.concatenate([[0], np.cumsum([sizes[name] for name in system.CONDENSED_NAMES])])
+    i, j = system.CONDENSED_NAMES.index(row), system.CONDENSED_NAMES.index(col)
     return jac.csr[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]].toarray()
 
 
@@ -67,6 +69,7 @@ def test_initialize_duals_and_adjoint(small_system):
     assert np.all(point.z_a == 100.0)
     assert np.all(point.z_b == 100.0)
     assert np.linalg.norm(point.p_adj + point.u) <= 1e-10 * np.linalg.norm(point.u)
+    assert np.array_equal(point.p_adj, -point.u)
     assert anchor.shape == (system.n,)
 
 
@@ -142,6 +145,9 @@ def test_h_t_matches_fd_in_t(small_system, rng):
 
 
 def test_jacobian_matches_fd_of_residual(small_system, rng):
+    # the condensed Jacobian along a direction is the residual's derivative
+    # along the expanded direction (dp = -du) on the rho, u and z rows, at
+    # any point: p here is independent of u
     system, schedule = small_system
     point, anchor = system.initialize(50.0)
     pt = KktPoint(rho=rng.uniform(0.3, 0.7, system.n),
@@ -150,15 +156,17 @@ def test_jacobian_matches_fd_of_residual(small_system, rng):
                   z_a=rng.uniform(0.5, 2.0, system.n),
                   z_b=rng.uniform(0.5, 2.0, system.n))
     jac = system.jacobian(pt)
+    assert jac.shape == (system.dim - system.l,) * 2
     v = pt.pack()
     h = 1e-6
     t = 0.6
     for _ in range(5):
-        direction = rng.standard_normal(v.size)
+        direction = rng.standard_normal(jac.ncols)
         direction /= np.linalg.norm(direction)
-        rp = system.residual(system.unpack(v + h * direction), anchor, t, schedule)
-        rm = system.residual(system.unpack(v - h * direction), anchor, t, schedule)
-        assert rel_err((rp - rm) / (2 * h), jac.matvec(direction)) <= 1e-5
+        step = h * system.expand(direction)
+        rp = system.residual(system.unpack(v + step), anchor, t, schedule)
+        rm = system.residual(system.unpack(v - step), anchor, t, schedule)
+        assert rel_err(system.condense(rp - rm) / (2 * h), jac.matvec(direction)) <= 1e-5
 
 
 def test_jacobian_coupling_blocks_vanish_at_zero_fields(small_system):
@@ -170,7 +178,7 @@ def test_jacobian_coupling_blocks_vanish_at_zero_fields(small_system):
                   z_b=np.ones(system.n))
     jac = system.jacobian(pt)
     assert np.max(np.abs(kkt_block(system, jac, "rho", "u"))) == 0.0
-    assert np.max(np.abs(kkt_block(system, jac, "rho", "p"))) == 0.0
+    assert np.max(np.abs(kkt_block(system, jac, "u", "rho"))) == 0.0
 
 
 def test_jacobian_barrier_rows(small_system):
@@ -190,7 +198,7 @@ def test_jacobian_barrier_rows(small_system):
 
 
 def test_jacobian_bit_identical_to_block_assembly(small_system, rng):
-    # independent reference: scipy's bmat of the 13 blocks
+    # independent reference: scipy's bmat of the 10 condensed blocks
     system, _ = small_system
     eye = sp.identity(system.n, format="csr")
     for _ in range(3):
@@ -198,11 +206,10 @@ def test_jacobian_bit_identical_to_block_assembly(small_system, rng):
         h = system.lagr.hessian(pt.rho, pt.u, pt.p_adj)
         rr, ru, rp, up = h.rr.csr, h.ru.csr, h.rp.csr, h.up.csr
         want = sp.bmat([
-            [rr, ru, rp, -eye, eye],
-            [ru.T, None, up, None, None],
-            [rp.T, up, None, None, None],
-            [sp.diags(pt.z_a), None, None, sp.diags(system.box.lower_gap(pt.rho)), None],
-            [sp.diags(-pt.z_b), None, None, None, sp.diags(system.box.upper_gap(pt.rho))],
+            [rr, ru - rp, -eye, eye],
+            [ru.T, -up, None, None],
+            [sp.diags(pt.z_a), None, sp.diags(system.box.lower_gap(pt.rho)), None],
+            [sp.diags(-pt.z_b), None, None, sp.diags(system.box.upper_gap(pt.rho))],
         ], format="csr")
         want.sort_indices()
         got = system.jacobian(pt).csr
@@ -236,7 +243,8 @@ def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
     assert trace.accepted()[-1].t == 1.0
     assert len(jacobians) >= 10
     n, l = system.n, system.l
-    assert sorted(patterns) == sorted([(n, n), (l, l), (n, l), (system.dim, system.dim)])
+    condensed = system.dim - l
+    assert sorted(patterns) == sorted([(n, n), (l, l), (n, l), (condensed, condensed)])
 
 
 def test_pack_unpack_roundtrip(small_system, rng):
@@ -284,6 +292,42 @@ def test_run_adjoint_consistency_along_path(small_run):
     for t, point in accepted:
         scale = max(1.0, np.linalg.norm(point.u))
         assert np.linalg.norm(point.p_adj + point.u) <= 1e-6 * scale
+
+
+def test_run_keeps_adjoint_bitwise_minus_state(small_run):
+    # the condensed Newton step relies on p == -u; every accepted point keeps it
+    _, _, accepted = small_run
+    assert len(accepted) == 5
+    for _, point in accepted:
+        assert np.array_equal(point.p_adj, -point.u)
+
+
+def test_condensed_step_equals_full_kkt_solve(small_run, small_system):
+    # at accepted points, the condensed solve expanded to five blocks is the
+    # solution of the 5-block KKT system (scipy bmat and spsolve)
+    _, _, accepted = small_run
+    system, schedule = small_system
+    _, anchor = system.initialize(schedule.mu0)
+    problem = system.homotopy_problem(anchor, schedule, damping=0.995)
+    eye = sp.identity(system.n, format="csr")
+    for t, point in accepted:
+        h = system.lagr.hessian(point.rho, point.u, point.p_adj)
+        rr, ru, rp, up = h.rr.csr, h.ru.csr, h.rp.csr, h.up.csr
+        full = sp.bmat([
+            [rr, ru, rp, -eye, eye],
+            [ru.T, None, up, None, None],
+            [rp.T, up, None, None, None],
+            [sp.diags(point.z_a), None, None, sp.diags(system.box.lower_gap(point.rho)), None],
+            [sp.diags(-point.z_b), None, None, None, sp.diags(system.box.upper_gap(point.rho))],
+        ], format="csc")
+        v = point.pack()
+        t_next = min(t + 0.25, 1.0)
+        for rhs in (-system.residual(point, anchor, t_next, schedule),
+                    -system.h_t(anchor, t, schedule)):
+            step = problem.solve(v, t_next, rhs)
+            assert rel_err(step, spla.spsolve(full, rhs)) <= 1e-10
+            d = system.unpack(step)
+            assert np.array_equal(d.p_adj, -d.u)
 
 
 def test_run_objective_decreases(small_run, small_system):
@@ -343,8 +387,9 @@ def test_fold_run_ends_non_decreasing_correctors_early():
     assert sum(r.newton_iters for r in trace.records) == 373
     assert sum(r.reason == "no_decrease" for r in trace.records) == 18
     assert [r.endpoint_jump for r in trace.records] == [False] * 50 + [True]
+    assert np.array_equal(point.p_adj, -point.u)
     system, _ = solver.build_system(SolverConfig(mesh=MeshConfig(nx=40, ny=12)))
-    assert system.lagr.objective(point.rho, point.u) == 8.659454211573301
+    assert system.lagr.objective(point.rho, point.u) == 8.659454211573383
 
 
 def test_one_config_runs_twice_to_the_same_trace():
