@@ -291,13 +291,14 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
             record = TraceRecord(index, t_try, mu, result.iters, result.residual_norm,
                                  result.converged, fallback, result.reason, jump)
         result_trace.records.append(record)
+        fallback_mark = " (predictor fallback)" if record.predictor_fallback else ""
         if record.accepted:
             rejected.clear()
             x = result.x
             t = t_try
             dt = min(dt * controller.growth, controller.dt_max)
-            log.info("step %d accepted%s: t=%.10g newton=%d res=%.3e", index,
-                     " (endpoint jump after underflow)" if jump else "",
+            log.info("step %d accepted%s%s: t=%.10g newton=%d res=%.3e", index,
+                     " (endpoint jump after underflow)" if jump else "", fallback_mark,
                      t, record.newton_iters, record.residual_norm)
             if on_accept is not None:
                 on_accept(t, x)
@@ -308,7 +309,7 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
         else:
             rejected.setdefault(t_try, record)
             dt *= controller.shrink
-            log.info("step %d rejected (%s): t=%.10g res=%.3e dt->%.3e",
-                     index, record.reason, t_try, record.residual_norm, dt)
+            log.info("step %d rejected (%s)%s: t=%.10g res=%.3e dt->%.3e",
+                     index, record.reason, fallback_mark, t_try, record.residual_norm, dt)
             jump = dt < controller.dt_min
     return x, result_trace

@@ -125,7 +125,7 @@ class KktSystem:
         blocks.set("rho", "rho", h.rr)
         # ru and rp share the Lagrangian's coupling pattern
         blocks.set("rho", "u", h.ru.with_data(h.ru.csr.data - h.rp.csr.data))
-        blocks.set("u", "rho", h.ru.transpose())
+        blocks.set("u", "rho", h.ru, transpose=True)
         blocks.set("u", "u", h.up.with_data(-h.up.csr.data))
         set_box_duals(blocks, "rho", point.rho, self.box, DualPair(point.z_a, point.z_b))
         return blocks.assemble()

@@ -165,22 +165,20 @@ def _csr_matrix(data, indices, indptr, shape) -> SparseMatrix:
 
 
 def solve_direct(a: SparseMatrix, b: np.ndarray) -> np.ndarray:
-    """Solve ``a x = b`` by sparse LU with partial pivoting.
+    """Solve ``a x = b`` for one right-hand side by sparse LU with partial
+    pivoting.
 
-    ``b`` is a vector or an ``(m, k)`` array of ``k`` right-hand sides, all
-    solved with one factorization.  Raises ``ValueError`` on shape mismatch
-    and :class:`SingularMatrixError` when the factorization is exactly or
-    numerically singular.
+    Raises ``ValueError`` on shape mismatch and :class:`SingularMatrixError`
+    when the factorization is exactly or numerically singular.
     """
     if a.nrows != a.ncols:
         raise ValueError(f"matrix must be square, got {a.nrows}x{a.ncols}")
     b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 2:
-        b = b.ravel()
-    if b.shape[0] != a.nrows:
-        raise ValueError(f"right-hand side with {a.nrows} rows expected, got shape {b.shape}")
+    if b.ndim > 1 or b.size != a.nrows:
+        raise ValueError(f"right-hand side of length {a.nrows} expected, got shape {b.shape}")
+    b = b.ravel()
     if a.nrows == 0:
-        return np.zeros(b.shape)
+        return np.zeros(0)
     try:
         lu = spla.splu(a.csr.tocsc())
     except RuntimeError as exc:  # SuperLU reports exact singularity this way
@@ -199,14 +197,14 @@ class BlockSystem:
     """Square block layout with named blocks, assembled on a cached pattern.
 
     Entries are :class:`SparseMatrix` blocks or 1-D vectors standing for
-    diagonal blocks.  Unset blocks are zero; a mirrored block also places
-    its transpose, and blocks placed at the same position sum.  The first
-    :meth:`assemble` fixes the layout and sorts it into a
-    :class:`SparsityPattern`; later calls only refill it.  Each block must
-    then keep its position, mirror flag, kind (sparse or diagonal) and entry
-    count, or :meth:`assemble` raises ``ValueError``; a sparse block must also
-    keep its entries' places, which callers ensure by refilling a fixed
-    :class:`SparsityPattern` or passing dense blocks.
+    diagonal blocks.  Unset blocks are zero; a transposed block is placed as
+    its transpose, read from its own values, and blocks placed at the same
+    position sum.  The first :meth:`assemble` fixes the layout and sorts it
+    into a :class:`SparsityPattern`; later calls only refill it.  Each block
+    must then keep its position, transpose flag, kind (sparse or diagonal)
+    and entry count, or :meth:`assemble` raises ``ValueError``; a sparse
+    block must also keep its entries' places, which callers ensure by
+    refilling a fixed :class:`SparsityPattern` or passing dense blocks.
     """
 
     def __init__(self, names: Sequence[str], sizes: Sequence[int]):
@@ -221,8 +219,8 @@ class BlockSystem:
         self.names = names
         self.sizes = sizes
         self.offsets = tuple(int(o) for o in np.concatenate([[0], np.cumsum(sizes)]))
-        self._blocks: dict = {}  # (i, j) -> (block, mirror)
-        self._layout = None  # per block: position, mirror flag, kind, entry count
+        self._blocks: dict = {}  # (i, j) -> (block, transpose)
+        self._layout = None  # per block: position, transpose flag, kind, entry count
         self._pattern = None
 
     @property
@@ -234,30 +232,32 @@ class BlockSystem:
             raise KeyError(f"unknown block name {name!r}")
         return self.names.index(name)
 
-    def set(self, row, col, block: Union[SparseMatrix, np.ndarray], mirror: bool = False) -> None:
-        """Place ``block`` at (row, col); ``mirror`` also places its transpose
-        at (col, row), read from the same values."""
+    def set(self, row, col, block: Union[SparseMatrix, np.ndarray],
+            transpose: bool = False) -> None:
+        """Place ``block``, or with ``transpose`` its transpose, at (row, col)."""
         i, j = self._index(row), self._index(col)
         nr, nc = self.sizes[i], self.sizes[j]
         if isinstance(block, np.ndarray) and block.ndim == 2:
             block = SparseMatrix.from_dense(block)
         if isinstance(block, SparseMatrix):
-            if block.shape != (nr, nc):
-                raise ValueError(f"block ({row},{col}) must be {nr}x{nc}, got {block.shape}")
+            shape = (nc, nr) if transpose else (nr, nc)
+            if block.shape != shape:
+                raise ValueError(f"block ({row},{col}) needs a {shape[0]}x{shape[1]} matrix, "
+                                 f"got {block.shape}")
         else:
             block = np.asarray(block, dtype=np.float64).ravel()
             if nr != nc:
                 raise ValueError(f"diagonal shorthand needs a square block, ({row},{col}) is {nr}x{nc}")
             if block.size != nr:
                 raise ValueError(f"diagonal for block ({row},{col}) must have length {nr}")
-        self._blocks[(i, j)] = (block, bool(mirror))
+        self._blocks[(i, j)] = (block, bool(transpose))
 
     def assemble(self) -> SparseMatrix:
         entries = [(key, *self._blocks[key]) for key in sorted(self._blocks)]
         values = [block.csr.data if isinstance(block, SparseMatrix) else block
                   for _, block, _ in entries]
-        layout = [(key, mirror, isinstance(block, SparseMatrix), v.size)
-                  for (key, block, mirror), v in zip(entries, values)]
+        layout = [(key, transpose, isinstance(block, SparseMatrix), v.size)
+                  for (key, block, transpose), v in zip(entries, values)]
         if self._pattern is None:
             self._pattern = self._build_pattern(entries)
             self._layout = layout
@@ -266,22 +266,17 @@ class BlockSystem:
         return self._pattern.fill(np.concatenate([np.zeros(0)] + values))
 
     def _build_pattern(self, entries) -> SparsityPattern:
-        """Triplets of every placement, each taking its value from the
-        concatenated block values that :meth:`assemble` fills with."""
-        rows, cols, source = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
-        start = 0
-        for (i, j), block, mirror in entries:
+        """Triplets of every placement, in the order of the concatenated block
+        values that :meth:`assemble` fills with."""
+        rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for (i, j), block, transpose in entries:
             if isinstance(block, SparseMatrix):
                 r = np.repeat(np.arange(block.nrows), np.diff(block.csr.indptr))
                 c = block.csr.indices
             else:
                 r = c = np.arange(block.size)
-            at = np.arange(start, start + r.size)
-            start += r.size
-            for bi, bj, br, bc in [(i, j, r, c)] + ([(j, i, c, r)] if mirror else []):
-                rows.append(br + self.offsets[bi])
-                cols.append(bc + self.offsets[bj])
-                source.append(at)
-        return SparsityPattern(self.dim, self.dim, np.concatenate(rows), np.concatenate(cols),
-                               source=np.concatenate(source))
-
+            if transpose:
+                r, c = c, r
+            rows.append(r + self.offsets[i])
+            cols.append(c + self.offsets[j])
+        return SparsityPattern(self.dim, self.dim, np.concatenate(rows), np.concatenate(cols))

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -123,9 +124,10 @@ def test_tangent_predictor_direction():
     assert slope == pytest.approx(0.34840, abs=5e-6)
 
 
-def test_tangent_predictor_singular_fallback():
+def test_tangent_predictor_singular_fallback(caplog):
     # x = t is the zero curve; H_x is singular only at t = 0, so the first
-    # predictor falls back to x while every corrector converges
+    # predictor falls back to x while every corrector converges; the log
+    # marks the step that fell back
     problem = HomotopyProblem(
         residual=lambda x, t: x - t,
         jacobian_x=lambda x, t: np.array([[0.0 if t == 0.0 else 1.0]]),
@@ -133,9 +135,14 @@ def test_tangent_predictor_singular_fallback():
     )
     assert _tangent_direction(problem, np.array([0.0]), 0.0) is None
     controller = StepController(dt_init=0.5, dt_max=0.5)
+    caplog.set_level(logging.INFO, logger="homotopt.homotopy")
     x, tr = trace(problem, np.array([0.0]), controller, NewtonConfig(), predictor_order=1)
     assert [r.t for r in tr.records] == [0.5, 1.0]
     assert [r.predictor_fallback for r in tr.records] == [True, False]
+    steps = [m for m in caplog.messages if m.startswith("step ")]
+    assert len(steps) == 2
+    assert steps[0].startswith("step 1 accepted (predictor fallback): t=0.5 ")
+    assert steps[1].startswith("step 2 accepted: t=1 ")
     assert all(r.accepted for r in tr.records)
     assert x == pytest.approx([1.0], abs=1e-12)
 

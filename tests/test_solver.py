@@ -247,6 +247,21 @@ def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
     assert sorted(patterns) == sorted([(n, n), (l, l), (n, l), (condensed, condensed)])
 
 
+def test_one_solve_transposes_no_matrix(monkeypatch):
+    # the KKT block system places ru^T from ru's own values
+    calls = []
+    transpose = sparse.SparseMatrix.transpose
+
+    def counted_transpose(self):
+        calls.append(self.shape)
+        return transpose(self)
+
+    monkeypatch.setattr(sparse.SparseMatrix, "transpose", counted_transpose)
+    _, trace = solver.run(small_config())
+    assert trace.accepted()[-1].t == 1.0
+    assert calls == []
+
+
 def test_pack_unpack_roundtrip(small_system, rng):
     system, _ = small_system
     v = rng.standard_normal(system.dim)
@@ -394,12 +409,28 @@ def test_fold_run_ends_non_decreasing_correctors_early():
 
 def test_one_config_runs_twice_to_the_same_trace():
     # the config's step controller is shared by both runs and carries no
-    # state; these settings make the step both grow and shrink within a run
-    cfg = small_config(stepping=StepController(dt_init=0.1, dt_max=0.5))
-    _, first = solver.run(cfg)
-    _, second = solver.run(cfg)
-    assert first.records == second.records
-    assert any(not r.accepted for r in first.records)
+    # state; these settings make the step both grow and shrink within a run.
+    # Both hit the 20x8 fold: dt_max = 0.5 traces through it to t = 1,
+    # dt_max = 0.25 reaches t = 1 by the endpoint jump.
+    # dt_max: accepted, attempts, Newton iterations, t the jump starts from, objective
+    rungs = {0.5: (11, 23, 214, None, 9.82535599),
+             0.25: (20, 53, 262, 0.99925574, 9.53772755)}
+    for dt_max, (accepted, attempts, iters, jump_from, objective) in rungs.items():
+        cfg = small_config(stepping=StepController(dt_init=0.1, dt_max=dt_max))
+        point, first = solver.run(cfg)
+        _, second = solver.run(cfg)
+        assert first.records == second.records
+        assert any(not r.accepted for r in first.records)
+        assert (first.n_accepted, first.n_attempts) == (accepted, attempts)
+        assert sum(r.newton_iters for r in first.records) == iters
+        last = first.records[-1]
+        assert last.accepted and last.t == 1.0
+        assert last.endpoint_jump == (jump_from is not None)
+        if jump_from is not None:
+            traced = [r.t for r in first.records[:-1] if r.accepted]
+            assert traced[-1] == pytest.approx(jump_from, abs=1e-8)
+        system, _ = solver.build_system(cfg)
+        assert system.lagr.objective(point.rho, point.u) == pytest.approx(objective, abs=1e-8)
 
 
 def test_first_order_predictor_completes():
