@@ -7,9 +7,8 @@ and makes the step controller halve the increment and retry from the last
 accepted point.  A corrector whose full step raises the residual norm from
 its second iteration on stops there (reason ``"no_decrease"``) instead of
 spending its budget; steps capped by ``step_limit`` are exempt.  Newton and
-tangent systems go through :meth:`HomotopyProblem.solve`, which a problem
-may give its own linear solve (the KKT system solves a condensed matrix);
-otherwise its ``jacobian_x`` is factored by sparse LU.
+tangent systems go through :meth:`HomotopyProblem.solve`, which factors the
+problem's ``jacobian_x`` by sparse LU.
 """
 from __future__ import annotations
 
@@ -42,33 +41,31 @@ class HomotopyProblem:
     """Residual map with its state Jacobian and parameter derivative.
 
     The corrector and the tangent predictor solve ``H_x(x, t) dx = rhs``
-    through :meth:`solve`: by ``solve_x(x, t, rhs)`` if the problem gives
-    one, else by factoring ``jacobian_x(x, t)``.  ``dh_dt`` is needed only
-    by the first-order predictor.  ``iterate_valid`` lets problems declare
-    Newton iterates inadmissible (e.g. a barrier iterate leaving the strict
-    interior); such an iterate counts as divergence.  ``mu_of_t`` is
-    optional bookkeeping for traces.
+    through :meth:`solve`, which factors the square ``jacobian_x(x, t)``.
+    The residual may be longer than ``x``: the Jacobian covers its leading
+    ``len(x)`` rows, and the rows past them count only in the residual norm,
+    so they must follow from the leading rows (be zero wherever those are).
+    ``dh_dt`` is needed only by the first-order predictor.  ``iterate_valid``
+    lets problems declare Newton iterates inadmissible (e.g. a barrier
+    iterate leaving the strict interior); such an iterate counts as
+    divergence.  ``mu_of_t`` is optional bookkeeping for traces.
     """
 
     residual: Callable[[np.ndarray, float], np.ndarray]
-    jacobian_x: Optional[Callable[[np.ndarray, float], Union[SparseMatrix, np.ndarray]]] = None
+    jacobian_x: Callable[[np.ndarray, float], Union[SparseMatrix, np.ndarray]]
     dh_dt: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     iterate_valid: Optional[Callable[[np.ndarray], bool]] = None
     mu_of_t: Optional[Callable[[float], float]] = None
     # Optional per-step cap on the Newton update, e.g. a fraction-to-boundary
     # rule; maps (x, dx) to the admitted fraction of dx (capped at 1).
     step_limit: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-    solve_x: Optional[Callable[[np.ndarray, float, np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.jacobian_x is None and self.solve_x is None:
-            raise ValueError("a homotopy problem needs jacobian_x or solve_x")
 
     def solve(self, x: np.ndarray, t: float, rhs: np.ndarray) -> np.ndarray:
-        """``dx`` with ``H_x(x, t) dx = rhs``; raises :class:`SingularMatrixError`."""
-        if self.solve_x is not None:
-            return self.solve_x(x, t, rhs)
-        return _solve_linear(self.jacobian_x(x, t), rhs)
+        """``dx`` with ``H_x(x, t) dx = rhs[:len(x)]``; raises :class:`SingularMatrixError`."""
+        jac = self.jacobian_x(x, t)
+        if not isinstance(jac, SparseMatrix):
+            jac = SparseMatrix.from_dense(np.atleast_2d(np.asarray(jac, dtype=np.float64)))
+        return solve_direct(jac, rhs[:np.size(x)])
 
 
 def global_homotopy(f, jac_f, x0) -> HomotopyProblem:
@@ -112,13 +109,6 @@ class NewtonResult:
     residual_norm: float = np.inf
 
 
-def _solve_linear(jac, rhs: np.ndarray) -> np.ndarray:
-    """Factor ``jac`` (sparse or dense) and solve for ``rhs``."""
-    if not isinstance(jac, SparseMatrix):
-        jac = SparseMatrix.from_dense(np.atleast_2d(np.asarray(jac, dtype=np.float64)))
-    return solve_direct(jac, rhs)
-
-
 def newton_corrector(problem: HomotopyProblem, x: np.ndarray, t: float,
                      cfg: NewtonConfig) -> NewtonResult:
     """Full-step Newton on H(., t) = 0 from x.
@@ -145,9 +135,10 @@ def newton_corrector(problem: HomotopyProblem, x: np.ndarray, t: float,
             return NewtonResult(x, it, False, "singular", norm)
         alpha = 1.0
         if problem.step_limit is not None:
-            alpha = min(1.0, problem.step_limit(x, dx))
-            if not np.isfinite(alpha) or alpha <= 0.0:
+            alpha = problem.step_limit(x, dx)
+            if not alpha > 0.0:  # NaN included
                 return NewtonResult(x, it, False, "invalid_iterate", norm)
+            alpha = min(1.0, alpha)
             dx = alpha * dx
         x = x + dx
         if problem.iterate_valid is not None and not problem.iterate_valid(x):

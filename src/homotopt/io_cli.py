@@ -483,19 +483,22 @@ def _fd_errors(system, schedule, anchor, rng, h: float = 1e-6):
                    _rel_err((gp.d_rho - gm.d_rho) / (2 * h), hess.ru.matvec(d_u)),
                    _rel_err((gp.d_p - gm.d_p) / (2 * h), hess.up.matvec(d_u)))
 
-    # condensed Jacobian along a direction vs the residual's central
-    # difference along its expansion (dp = -du), on the rho, u and z rows,
-    # and the t-derivative of the traced map
+    # Jacobian along a direction vs the residual's central difference along
+    # the unpacked direction (dp = -du), on the rows the Jacobian covers, and
+    # the t-derivative of the traced map
     point = solver.KktPoint(rho, u, p, rng.uniform(0.5, 2.0, size=n),
                             rng.uniform(0.5, 2.0, size=n))
     t = 0.5
-    v = point.pack()
     jac = system.jacobian(point)
     d = unit(jac.ncols)
-    step = h * system.expand(d)
-    rp = system.residual(system.unpack(v + step), anchor, t, schedule)
-    rm = system.residual(system.unpack(v - step), anchor, t, schedule)
-    err_jac = _rel_err(system.condense(rp - rm) / (2 * h), jac.matvec(d))
+    blocks = list(zip(vars(point).values(), vars(system.unpack(d)).values()))
+
+    def moved(step):
+        return solver.KktPoint(*(x + step * dx for x, dx in blocks))
+
+    rp = system.residual(moved(h), anchor, t, schedule)
+    rm = system.residual(moved(-h), anchor, t, schedule)
+    err_jac = _rel_err((rp - rm)[:jac.nrows] / (2 * h), jac.matvec(d))
     fd_t = (system.residual(point, anchor, t + h, schedule)
             - system.residual(point, anchor, t - h, schedule)) / (2 * h)
     err_ht = _rel_err(fd_t, system.h_t(anchor, t, schedule))

@@ -1,19 +1,19 @@
 """Combined barrier-homotopy driver for the discretized compliance problem.
 
-The unknown is the stacked tuple (rho, u, p, z_a, z_b).  The target problem
-is the primal-dual optimality system of the box-constrained design problem
-with the state and adjoint rows inlined.  The traced map anchors the
-design-stationarity row at the initial point, weighted by (1 - t), while the
-barrier weight follows the continuation parameter through the schedule; the
-state, adjoint and complementarity rows need no anchor because the
-initialization zeroes them by construction.
+The target problem is the primal-dual optimality system of the
+box-constrained design problem with the state and adjoint rows inlined.  The
+traced map anchors the design-stationarity row at the initial point, weighted
+by (1 - t), while the barrier weight follows the continuation parameter
+through the schedule; the state, adjoint and complementarity rows need no
+anchor because the initialization zeroes them by construction.
 
-The compliance objective is self-adjoint: the initial point has p = -u
-bitwise, and then the adjoint rows of the residual are minus the state rows,
-bitwise.  So every Newton and tangent step has dp = -du, and is found from
-the condensed system in (rho, u, z_a, z_b), which drops the state rows and
-folds the p column into the u column; every iterate keeps p = -u bitwise.
-Points, residuals and the step checks keep all five blocks.
+The compliance objective is self-adjoint, so the adjoint p = -u solves the
+adjoint equation wherever u solves the state equation.  The traced unknown is
+therefore (rho, u, z_a, z_b), and a point unpacked from it has p = -u.  The
+residual stacks the rho, adjoint (u), z_a and z_b rows first and the state
+rows last; with p = -u the state rows are the adjoint rows negated, bitwise,
+so every Newton and tangent system is the leading square block of the
+residual's Jacobian.
 """
 from __future__ import annotations
 
@@ -39,7 +39,8 @@ __all__ = ["KktPoint", "KktSystem", "build_system", "run"]
 
 @dataclass
 class KktPoint:
-    """Full unknown of the barrier-homotopy system."""
+    """A point of the barrier-homotopy system; the traced unknown leaves out
+    ``p_adj``."""
 
     rho: np.ndarray
     u: np.ndarray
@@ -48,12 +49,12 @@ class KktPoint:
     z_b: np.ndarray
 
     def pack(self) -> np.ndarray:
-        return np.concatenate([self.rho, self.u, self.p_adj, self.z_a, self.z_b])
+        return np.concatenate([self.rho, self.u, self.z_a, self.z_b])
 
 
 class KktSystem:
-    """Residual of the 5-block perturbed optimality system and the condensed
-    4-block Jacobian its Newton steps are solved with."""
+    """Perturbed optimality system in the unknown (rho, u, z_a, z_b): its
+    residual, with the state rows last, and the Jacobian of the other rows."""
 
     CONDENSED_NAMES = ("rho", "u", "z_a", "z_b")
 
@@ -64,24 +65,19 @@ class KktSystem:
         self.box = box
         self.n = lagr.n_density
         self.l = lagr.n_disp
-        sizes = (self.n, self.l, self.l, self.n, self.n)
-        self.dim = sum(sizes)
-        self._splits = np.cumsum(sizes)[:-1]
+        self.dim = 3 * self.n + 2 * self.l  # residual length
         self._blocks = BlockSystem(self.CONDENSED_NAMES, (self.n, self.l, self.n, self.n))
 
     def unpack(self, v: np.ndarray) -> KktPoint:
-        """The blocks of ``v`` as a point; its arrays are views into ``v``."""
-        return KktPoint(*np.split(np.asarray(v, dtype=np.float64), self._splits))
+        """The point of ``v`` = (rho, u, z_a, z_b): views into ``v``, and
+        ``p_adj = -u``."""
+        rho, u, z_a, z_b = np.split(np.asarray(v, dtype=np.float64), self._blocks.offsets[1:-1])
+        return KktPoint(rho, u, -u, z_a, z_b)
 
     def initialize(self, mu0: float) -> Tuple[KktPoint, np.ndarray]:
         """State solve at the uniform density 0.5, adjoint p = -u, duals
         from mu0 / gaps; returns the point and, as the anchor, its
-        design-row residual, read-only.
-
-        The compliance objective is self-adjoint, so p = -u solves the
-        adjoint equation K p = -load exactly.  It is set bitwise, since the
-        condensed Newton step (:meth:`jacobian`) relies on it.
-        """
+        design-row residual, read-only."""
         rho = np.full(self.n, 0.5)
         u = solve_direct(self.lagr.state_matrix(rho), self.lagr.load)
         z_a = mu0 / self.box.lower_gap(rho)
@@ -93,32 +89,29 @@ class KktSystem:
         return point, anchor
 
     def f_box(self, point: KktPoint, mu: float) -> np.ndarray:
-        """Unanchored optimality residual at barrier weight mu."""
+        """Unanchored optimality residual at barrier weight mu: the rho,
+        adjoint (u), z_a, z_b and state rows."""
         g = self.lagr.gradient(point.rho, point.u, point.p_adj)
         r = pd_residual_box(g.d_rho, point.rho, self.box, DualPair(point.z_a, point.z_b), mu)
-        r_stat, r_low, r_up = np.split(r, 3)
-        return KktPoint(r_stat, g.d_u, g.d_p, r_low, r_up).pack()
+        return np.concatenate([r[:self.n], g.d_u, r[self.n:], g.d_p])
 
     def residual(self, point: KktPoint, anchor: np.ndarray, t: float,
                  schedule: BarrierSchedule) -> np.ndarray:
         """``f_box`` at mu(t), with the design row anchored by ``(1 - t) * anchor``."""
         r = self.f_box(point, schedule.mu(t))
-        self.unpack(r).rho -= (1.0 - t) * anchor
+        r[:self.n] -= (1.0 - t) * anchor
         return r
 
     def jacobian(self, point: KktPoint) -> SparseMatrix:
-        """Condensed Jacobian, blocks ordered as ``CONDENSED_NAMES``: the
-        5-block Jacobian restricted to steps with dp = -du, on its rho, u and
-        z rows.  It is independent of t, which only shifts the residual.
+        """Jacobian of the residual's leading rows (rho, u, z_a, z_b) along
+        steps with dp = -du, blocks ordered as ``CONDENSED_NAMES``.  It is
+        independent of t, which only shifts the residual.
 
         Row blocks: [rr, ru - rp, -I, I], [ru^T, -up, 0, 0],
         [diag z_a, 0, diag gap_a, 0] and [-diag z_b, 0, 0, diag gap_b]
-        (``up`` = K(rho)).  ``jacobian(x) @ y == condense(J5(x) @ expand(y))``
-        for any x, p independent of u included.  Where p = -u, the dropped
-        state rows equal the kept u rows negated, so a condensed Newton step
-        expanded is the 5-block one; the 5-block matrix itself is never
-        built.  The layout is fixed, so the block system sorts it at the first
-        call and refills it after that.
+        (``up`` = K(rho)).  It holds at any ``point``, p independent of u
+        included.  The layout is fixed, so the block system sorts it at the
+        first call and refills it after that.
         """
         h = self.lagr.hessian(point.rho, point.u, point.p_adj)
         blocks = self._blocks
@@ -130,21 +123,11 @@ class KktSystem:
         set_box_duals(blocks, "rho", point.rho, self.box, DualPair(point.z_a, point.z_b))
         return blocks.assemble()
 
-    def condense(self, r: np.ndarray) -> np.ndarray:
-        """The rho, u and z rows of a 5-block vector, for the condensed system."""
-        x = self.unpack(r)
-        return np.concatenate([x.rho, x.u, x.z_a, x.z_b])
-
-    def expand(self, y: np.ndarray) -> np.ndarray:
-        """The 5-block step of a condensed one, with dp = -du."""
-        d_rho, d_u, d_za, d_zb = np.split(y, self._blocks.offsets[1:-1])
-        return KktPoint(d_rho, d_u, -d_u, d_za, d_zb).pack()
-
     def h_t(self, anchor: np.ndarray, t: float, schedule: BarrierSchedule) -> np.ndarray:
         """Derivative of the traced map in t: anchor row plus the mu(t) chain rule."""
         dz = np.full(self.n, -schedule.dmu_dt(t))
         zeros = np.zeros(self.l)
-        return KktPoint(anchor, zeros, zeros, dz, dz).pack()
+        return np.concatenate([anchor, zeros, dz, dz, zeros])
 
     def is_interior(self, point: KktPoint) -> bool:
         return self.box.interior(point.rho) and bool(
@@ -163,10 +146,8 @@ class KktSystem:
         def residual(v, t):
             return self.residual(self.unpack(v), anchor, t, schedule)
 
-        def solve_x(v, t, rhs):
-            # factored by homotopy's own helper, like any problem's jacobian_x
-            jac = self.jacobian(self.unpack(v))
-            return self.expand(homotopy._solve_linear(jac, self.condense(rhs)))
+        def jacobian_x(v, t):
+            return self.jacobian(self.unpack(v))
 
         def dh_dt(v, t):
             return self.h_t(anchor, t, schedule)
@@ -182,9 +163,8 @@ class KktSystem:
                     (self.box.lower_gap(x.rho), self.box.upper_gap(x.rho), x.z_a, x.z_b),
                     (dx.rho, -dx.rho, dx.z_a, dx.z_b), damping)
 
-        return HomotopyProblem(residual, dh_dt=dh_dt, iterate_valid=valid,
-                               mu_of_t=schedule.mu, step_limit=step_limit,
-                               solve_x=solve_x)
+        return HomotopyProblem(residual, jacobian_x, dh_dt, iterate_valid=valid,
+                               mu_of_t=schedule.mu, step_limit=step_limit)
 
 
 def build_system(config: "SolverConfig") -> Tuple[KktSystem, BarrierSchedule]:

@@ -198,9 +198,10 @@ class BlockSystem:
 
     Entries are :class:`SparseMatrix` blocks or 1-D vectors standing for
     diagonal blocks.  Unset blocks are zero; a transposed block is placed as
-    its transpose, read from its own values, and blocks placed at the same
-    position sum.  The first :meth:`assemble` fixes the layout and sorts it
-    into a :class:`SparsityPattern`; later calls only refill it.  Each block
+    its transpose, read from its own values.  A second :meth:`set` at a
+    position replaces the block there; nothing sums.  The first
+    :meth:`assemble` fixes the layout and sorts it into a
+    :class:`SparsityPattern`; later calls only refill it.  Each block
     must then keep its position, transpose flag, kind (sparse or diagonal)
     and entry count, or :meth:`assemble` raises ``ValueError``; a sparse
     block must also keep its entries' places, which callers ensure by

@@ -107,6 +107,47 @@ def test_first_step_that_raises_the_residual_goes_on():
     assert result.x[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def line_problem(jacobian=1.0, residual=lambda x, t: x - 1.0, step_limit=None):
+    return HomotopyProblem(residual, lambda x, t: np.array([[jacobian]]),
+                           step_limit=step_limit)
+
+
+@pytest.mark.parametrize("problem, reason, iters", [
+    (line_problem(jacobian=0.0), "singular", 0),
+    # x: 0 -> -1e4, |r|: 1 -> 10001, above divergence_growth times the best
+    (line_problem(jacobian=-1e-4), "residual_growth", 1),
+    (line_problem(residual=lambda x, t: x - 1.0 if x[0] == 0.0 else np.array([np.inf])),
+     "residual_growth", 1),
+    (line_problem(step_limit=lambda x, dx: 0.0), "invalid_iterate", 0),
+    (line_problem(step_limit=lambda x, dx: math.nan), "invalid_iterate", 0),
+], ids=["zero-jacobian", "growth", "non-finite", "zero-step-limit", "nan-step-limit"])
+def test_corrector_stop_reasons(problem, reason, iters):
+    result = newton_corrector(problem, np.zeros(1), 1.0, NewtonConfig())
+    assert (result.converged, result.reason, result.iters) == (False, reason, iters)
+    if iters == 0:
+        assert result.x[0] == 0.0 and result.residual_norm == 1.0
+
+
+def test_trailing_residual_rows_count_in_the_norm_only():
+    # the second row is the first negated, as the KKT system's state rows
+    # are its adjoint rows: the Jacobian covers the first row, the norm both
+    def residual(x, t):
+        r = x ** 2 - (1.0 + 3.0 * t)
+        return np.concatenate([r, -r])
+
+    problem = HomotopyProblem(residual, lambda x, t: np.array([[2.0 * x[0]]]),
+                              dh_dt=lambda x, t: np.array([-3.0, 3.0]))
+    # x: 1 -> 2.5, r = 2.25 in each row
+    one = newton_corrector(problem, np.array([1.0]), 1.0, NewtonConfig(max_iter=1))
+    assert one.x[0] == 2.5
+    assert one.residual_norm == pytest.approx(2.25 * math.sqrt(2.0), rel=1e-15)
+    for order in (0, 1):
+        x, tr = trace(problem, np.array([1.0]), StepController(), NewtonConfig(tol=1e-12),
+                      predictor_order=order)
+        assert tr.accepted()[-1].t == 1.0
+        assert x == pytest.approx([2.0], abs=1e-12)
+
+
 def test_converging_corrector_matches_plain_newton():
     x, iters, tol = -0.7, 0, 1e-12
     while abs(cubic(x)) > tol:

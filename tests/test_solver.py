@@ -123,10 +123,13 @@ def test_h_t_values_and_t_independence(small_system):
     ht2 = system.h_t(anchor, 0.7, schedule)
     assert np.array_equal(ht1, ht2)  # affine schedule
     n, l = system.n, system.l
+    # rows: rho, adjoint (u), z_a, z_b, state
+    assert ht1.shape == (system.dim,)
     assert ht1[:n] == pytest.approx(anchor)
-    assert np.all(ht1[n:n + 2 * l] == 0.0)
+    assert np.all(ht1[n:n + l] == 0.0)
     # d(mu)/dt = mu_inf - mu0 = -49.999, so the complementarity rows carry +49.999
-    assert np.all(ht1[n + 2 * l:] == pytest.approx(49.999))
+    assert np.all(ht1[n + l:3 * n + l] == pytest.approx(49.999))
+    assert np.all(ht1[3 * n + l:] == 0.0)
 
 
 def test_h_t_matches_fd_in_t(small_system, rng):
@@ -145,9 +148,9 @@ def test_h_t_matches_fd_in_t(small_system, rng):
 
 
 def test_jacobian_matches_fd_of_residual(small_system, rng):
-    # the condensed Jacobian along a direction is the residual's derivative
-    # along the expanded direction (dp = -du) on the rho, u and z rows, at
-    # any point: p here is independent of u
+    # the Jacobian along a direction is the residual's derivative along the
+    # unpacked direction (dp = -du) on the leading rho, u and z rows, at any
+    # point: p here is independent of u
     system, schedule = small_system
     point, anchor = system.initialize(50.0)
     pt = KktPoint(rho=rng.uniform(0.3, 0.7, system.n),
@@ -157,16 +160,17 @@ def test_jacobian_matches_fd_of_residual(small_system, rng):
                   z_b=rng.uniform(0.5, 2.0, system.n))
     jac = system.jacobian(pt)
     assert jac.shape == (system.dim - system.l,) * 2
-    v = pt.pack()
+    fields = ("rho", "u", "p_adj", "z_a", "z_b")
     h = 1e-6
     t = 0.6
     for _ in range(5):
         direction = rng.standard_normal(jac.ncols)
         direction /= np.linalg.norm(direction)
-        step = h * system.expand(direction)
-        rp = system.residual(system.unpack(v + step), anchor, t, schedule)
-        rm = system.residual(system.unpack(v - step), anchor, t, schedule)
-        assert rel_err(system.condense(rp - rm) / (2 * h), jac.matvec(direction)) <= 1e-5
+        d = system.unpack(direction)
+        assert np.array_equal(d.p_adj, -d.u)
+        rp, rm = (system.residual(KktPoint(*(getattr(pt, f) + s * getattr(d, f) for f in fields)),
+                                  anchor, t, schedule) for s in (h, -h))
+        assert rel_err((rp - rm)[:jac.nrows] / (2 * h), jac.matvec(direction)) <= 1e-5
 
 
 def test_jacobian_coupling_blocks_vanish_at_zero_fields(small_system):
@@ -264,11 +268,13 @@ def test_one_solve_transposes_no_matrix(monkeypatch):
 
 def test_pack_unpack_roundtrip(small_system, rng):
     system, _ = small_system
-    v = rng.standard_normal(system.dim)
+    v = rng.standard_normal(system.dim - system.l)
     point = system.unpack(v)
     assert np.array_equal(point.pack(), v)
-    for block in (point.rho, point.u, point.p_adj, point.z_a, point.z_b):
+    for block in (point.rho, point.u, point.z_a, point.z_b):
         assert np.shares_memory(block, v)
+    assert np.array_equal(point.p_adj, -point.u)
+    assert not np.shares_memory(point.p_adj, v)
 
 
 # --- end-to-end on the small mesh ----------------------------------------------
@@ -318,8 +324,9 @@ def test_run_keeps_adjoint_bitwise_minus_state(small_run):
 
 
 def test_condensed_step_equals_full_kkt_solve(small_run, small_system):
-    # at accepted points, the condensed solve expanded to five blocks is the
-    # solution of the 5-block KKT system (scipy bmat and spsolve)
+    # at accepted points, the Newton and tangent steps are the (rho, u, z_a,
+    # z_b) blocks of the 5-block KKT solution (scipy bmat and spsolve), rows
+    # and columns in the residual's order, and its p block is -du
     _, _, accepted = small_run
     system, schedule = small_system
     _, anchor = system.initialize(schedule.mu0)
@@ -329,20 +336,21 @@ def test_condensed_step_equals_full_kkt_solve(small_run, small_system):
         h = system.lagr.hessian(point.rho, point.u, point.p_adj)
         rr, ru, rp, up = h.rr.csr, h.ru.csr, h.rp.csr, h.up.csr
         full = sp.bmat([
-            [rr, ru, rp, -eye, eye],
-            [ru.T, None, up, None, None],
+            [rr, ru, -eye, eye, rp],
+            [ru.T, None, None, None, up],
+            [sp.diags(point.z_a), None, sp.diags(system.box.lower_gap(point.rho)), None, None],
+            [sp.diags(-point.z_b), None, None, sp.diags(system.box.upper_gap(point.rho)), None],
             [rp.T, up, None, None, None],
-            [sp.diags(point.z_a), None, None, sp.diags(system.box.lower_gap(point.rho)), None],
-            [sp.diags(-point.z_b), None, None, None, sp.diags(system.box.upper_gap(point.rho))],
         ], format="csc")
         v = point.pack()
+        m = system.dim - system.l
         t_next = min(t + 0.25, 1.0)
         for rhs in (-system.residual(point, anchor, t_next, schedule),
                     -system.h_t(anchor, t, schedule)):
             step = problem.solve(v, t_next, rhs)
-            assert rel_err(step, spla.spsolve(full, rhs)) <= 1e-10
-            d = system.unpack(step)
-            assert np.array_equal(d.p_adj, -d.u)
+            reference = spla.spsolve(full, rhs)
+            assert rel_err(step, reference[:m]) <= 1e-10
+            assert rel_err(reference[m:], -system.unpack(step).u) <= 1e-10
 
 
 def test_run_objective_decreases(small_run, small_system):

@@ -211,6 +211,14 @@ def test_block_roundtrip_every_block(rng):
         assert sub == pytest.approx(dense, abs=1e-15)
 
 
+def test_block_set_again_replaces():
+    # a second set at one position replaces the first block; nothing sums
+    blocks = BlockSystem(("a",), (2,))
+    blocks.set("a", "a", np.array([1.0, 2.0]))
+    blocks.set("a", "a", np.array([10.0, 20.0]))
+    assert np.array_equal(blocks.assemble().csr.toarray(), np.diag([10.0, 20.0]))
+
+
 def test_block_size_validation():
     blocks = BlockSystem(("a", "b"), (2, 3))
     with pytest.raises(ValueError):

@@ -1,0 +1,68 @@
+#!/usr/bin/env bash
+# Check that this checkout's src/ gives the same outputs as revision REV's.
+#
+# Usage: tools/same_outputs.sh REV [--full]
+#
+# Exports REV's src/ with `git archive`, then runs both trees, OpenBLAS on one
+# thread: `homotopt solve` on the 20x8 and 40x12 bridges (and the default
+# 60x20 with --full), `scalar-demos` and `check-derivatives`.  It diffs each
+# solve's output directory and the text each command prints, less the
+# `outputs in DIR` line, plus the exit status.  Exits 1 on any difference.
+set -euo pipefail
+
+usage="usage: tools/same_outputs.sh REV [--full]"
+rev=${1:?$usage}
+cases="20x8 40x12"
+case ${2:-} in
+    "") ;;
+    --full) cases="$cases 60x20" ;;
+    *) echo "$usage" >&2; exit 2 ;;
+esac
+
+root=$(git rev-parse --show-toplevel)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/rev"
+git -C "$root" archive "$rev" src | tar -x -C "$work/rev"
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+
+# run SIDE NAME ARGS...: `python -m homotopt ARGS` from SIDE's tree (rev or
+# head); the printed text and the exit status go to $work/SIDE-NAME.txt
+run() {
+    local side=$1 name=$2 src=$root/src
+    shift 2
+    [ "$side" = rev ] && src=$work/rev/src
+    (cd "$work" && PYTHONPATH=$src python -m homotopt "$@" 2>&1; echo "exit $?") \
+        | grep -v "outputs in " > "$work/$side-$name.txt" || true
+}
+
+status=0
+compare() {
+    if diff "$@" > "$work/diff.txt"; then
+        echo "same: ${*: -1}"
+    else
+        echo "DIFFERENT: ${*: -1}"
+        head -n 20 "$work/diff.txt"
+        status=1
+    fi
+}
+
+for mesh in $cases; do
+    printf 'mesh.nx = %s\nmesh.ny = %s\n' "${mesh%x*}" "${mesh#*x}" > "$work/$mesh.cfg"
+done
+for side in rev head; do
+    for mesh in $cases; do
+        run $side "solve-$mesh" solve "$work/$mesh.cfg" --out-dir "$work/$side-out-$mesh"
+    done
+    run $side scalar-demos scalar-demos
+    run $side check-derivatives check-derivatives --points 3
+done
+
+cd "$work"
+for mesh in $cases; do
+    compare -r "rev-out-$mesh" "head-out-$mesh"
+done
+for name in $(ls head-*.txt | sed 's/^head-//'); do
+    compare "rev-$name" "head-$name"
+done
+exit $status
