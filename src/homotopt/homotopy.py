@@ -7,8 +7,10 @@ and makes the step controller halve the increment and retry from the last
 accepted point.  A corrector whose full step raises the residual norm from
 its second iteration on stops there (reason ``"no_decrease"``) instead of
 spending its budget; steps capped by ``step_limit`` are exempt.  Newton and
-tangent systems go through :meth:`HomotopyProblem.solve`, which factors the
-problem's ``jacobian_x`` by sparse LU.
+tangent systems go through :meth:`HomotopyProblem.solve`: through the
+problem's own ``factor`` if it has one (the KKT problem factors a smaller
+symmetric matrix), else by a sparse LU with partial pivoting of its
+``jacobian_x``.
 """
 from __future__ import annotations
 
@@ -41,7 +43,9 @@ class HomotopyProblem:
     """Residual map with its state Jacobian and parameter derivative.
 
     The corrector and the tangent predictor solve ``H_x(x, t) dx = rhs``
-    through :meth:`solve`, which factors the square ``jacobian_x(x, t)``.
+    through :meth:`solve`, which calls ``factor(x, t)`` when given and uses
+    the solve it returns once; otherwise it factors the square
+    ``jacobian_x(x, t)`` by pivoted LU.
     The residual may be longer than ``x``: the Jacobian covers its leading
     ``len(x)`` rows, and the rows past them count only in the residual norm,
     so they must follow from the leading rows (be zero wherever those are).
@@ -59,9 +63,15 @@ class HomotopyProblem:
     # Optional per-step cap on the Newton update, e.g. a fraction-to-boundary
     # rule; maps (x, dx) to the admitted fraction of dx (capped at 1).
     step_limit: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+    # Optional problem-specific factorization of H_x(x, t): returns the solve
+    # of H_x dx = b, called once for one b of length len(x).
+    factor: Optional[Callable[[np.ndarray, float],
+                              Callable[[np.ndarray], np.ndarray]]] = None
 
     def solve(self, x: np.ndarray, t: float, rhs: np.ndarray) -> np.ndarray:
         """``dx`` with ``H_x(x, t) dx = rhs[:len(x)]``; raises :class:`SingularMatrixError`."""
+        if self.factor is not None:
+            return self.factor(x, t)(rhs[:np.size(x)])
         jac = self.jacobian_x(x, t)
         if not isinstance(jac, SparseMatrix):
             jac = SparseMatrix.from_dense(np.atleast_2d(np.asarray(jac, dtype=np.float64)))

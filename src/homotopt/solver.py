@@ -14,9 +14,19 @@ residual stacks the rho, adjoint (u), z_a and z_b rows first and the state
 rows last; with p = -u the state rows are the adjoint rows negated, bitwise,
 so every Newton and tangent system is the leading square block of the
 residual's Jacobian.
+
+That block is not factored as it stands.  With p = -u its (rho, u) block is
+``ru - rp = 2 ru``; eliminating z_a and z_b and taking w = 2 du as the
+unknown leaves the symmetric quasi-definite matrix
+``M = [[rr + Sigma, ru], [ru^T, -K/2]]`` of dimension n + l, with
+``Sigma = z_a / gap_a + z_b / gap_b``.  Every step factors M by diagonal
+pivoting on one fill-reducing order for the run, and recovers dz_a and dz_b
+from drho by two diagonal scalings.  M's inertia is that of the reduced
+Hessian ``rr + Sigma + 2 ru K^-1 ru^T`` plus l negative eigenvalues.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
@@ -29,12 +39,14 @@ from .barrier import (BarrierSchedule, BoxConstraints, DualPair, fraction_to_bou
 from .homotopy import HomotopyProblem, SolveTrace
 from .lagrangian import Lagrangian
 from .mesh import bridge_domain, build_structured_mesh
-from .sparse import BlockSystem, SparseMatrix, solve_direct
+from .sparse import BlockSystem, SingularMatrixError, SparseMatrix, SymmetricOrder, solve_direct
 
 if TYPE_CHECKING:  # pragma: no cover
     from .io_cli import SolverConfig
 
 __all__ = ["KktPoint", "KktSystem", "build_system", "run"]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -54,7 +66,8 @@ class KktPoint:
 
 class KktSystem:
     """Perturbed optimality system in the unknown (rho, u, z_a, z_b): its
-    residual, with the state rows last, and the Jacobian of the other rows."""
+    residual, with the state rows last, the Jacobian of the other rows, and
+    their solve through the reduced symmetric matrix."""
 
     CONDENSED_NAMES = ("rho", "u", "z_a", "z_b")
 
@@ -67,11 +80,22 @@ class KktSystem:
         self.l = lagr.n_disp
         self.dim = 3 * self.n + 2 * self.l  # residual length
         self._blocks = BlockSystem(self.CONDENSED_NAMES, (self.n, self.l, self.n, self.n))
+        self._reduced = BlockSystem(("rho", "u"), (self.n, self.l))
+        self._rr_diagonal = None  # positions of rr's diagonal in its CSR data
+        self._symmetric = SymmetricOrder()
+
+    def _split(self, v: np.ndarray):
+        """Views of ``v``'s rho, u, z_a and z_b blocks; ``v`` has dim - l entries."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != (self.dim - self.l,):
+            raise ValueError(f"vector of length {self.dim - self.l} (rho, u, z_a, z_b) "
+                             f"expected, got shape {v.shape}")
+        return np.split(v, self._blocks.offsets[1:-1])
 
     def unpack(self, v: np.ndarray) -> KktPoint:
         """The point of ``v`` = (rho, u, z_a, z_b): views into ``v``, and
         ``p_adj = -u``."""
-        rho, u, z_a, z_b = np.split(np.asarray(v, dtype=np.float64), self._blocks.offsets[1:-1])
+        rho, u, z_a, z_b = self._split(v)
         return KktPoint(rho, u, -u, z_a, z_b)
 
     def initialize(self, mu0: float) -> Tuple[KktPoint, np.ndarray]:
@@ -123,6 +147,60 @@ class KktSystem:
         set_box_duals(blocks, "rho", point.rho, self.box, DualPair(point.z_a, point.z_b))
         return blocks.assemble()
 
+    def reduced_matrix(self, point: KktPoint) -> SparseMatrix:
+        """``M = [[rr + Sigma, ru], [ru^T, -K/2]]`` in (drho, w = 2 du), with
+        ``Sigma = z_a / gap_a + z_b / gap_b``; symmetric once p = -u.  Sigma
+        is added to rr's diagonal values, at positions found at the first
+        call; the layout is fixed like the Jacobian's."""
+        h = self.lagr.hessian(point.rho, point.u, point.p_adj)
+        rr = h.rr.csr
+        if self._rr_diagonal is None:
+            rows = np.repeat(np.arange(self.n), np.diff(rr.indptr))
+            self._rr_diagonal = np.flatnonzero(rr.indices == rows)
+            if self._rr_diagonal.size != self.n:
+                raise ValueError("the density Hessian's pattern lacks diagonal entries")
+        sigma = point.z_a / self.box.lower_gap(point.rho) + point.z_b / self.box.upper_gap(point.rho)
+        data = rr.data.copy()
+        data[self._rr_diagonal] += sigma
+        blocks = self._reduced
+        blocks.set("rho", "rho", h.rr.with_data(data))
+        blocks.set("rho", "u", h.ru)
+        blocks.set("u", "rho", h.ru, transpose=True)
+        blocks.set("u", "u", h.up.with_data(-0.5 * h.up.csr.data))
+        return blocks.assemble()
+
+    def factor(self, point: KktPoint) -> Callable[[np.ndarray], np.ndarray]:
+        """The solve of ``jacobian(point) d = b`` for ``b`` of length dim - l.
+
+        Factors :meth:`reduced_matrix` on the run's symmetric order and solves
+        ``M (drho, w) = (b_rho + b_a / gap_a - b_b / gap_b, b_u)``; then
+        ``du = w / 2``, ``dz_a = (b_a - z_a drho) / gap_a`` and
+        ``dz_b = (b_b + z_b drho) / gap_b``.  One step of iterative
+        refinement on M brings the error of the diagonal pivots past the
+        fold, where ``rr + Sigma`` is indefinite, back to that of a pivoted
+        LU.  If the symmetric factorization is refused, the step falls back
+        to the pivoted LU of the 4-block Jacobian, and the log says so.
+        """
+        gap_a, gap_b = self.box.lower_gap(point.rho), self.box.upper_gap(point.rho)
+        try:
+            m = self.reduced_matrix(point)
+            lu = self._symmetric.factor(m)
+        except SingularMatrixError as exc:
+            log.info("symmetric factorization refused (%s): 4-block LU fallback", exc)
+            jac = self.jacobian(point)
+            return lambda b: solve_direct(jac, b)
+
+        def solve(b):
+            b_rho, b_u, b_a, b_b = self._split(b)
+            rhs = np.concatenate([b_rho + b_a / gap_a - b_b / gap_b, b_u])
+            y = lu.solve(rhs)
+            y = y + lu.solve(rhs - m.matvec(y))  # one step of iterative refinement
+            d_rho, w = y[:self.n], y[self.n:]
+            return np.concatenate([d_rho, 0.5 * w, (b_a - point.z_a * d_rho) / gap_a,
+                                   (b_b + point.z_b * d_rho) / gap_b])
+
+        return solve
+
     def h_t(self, anchor: np.ndarray, t: float, schedule: BarrierSchedule) -> np.ndarray:
         """Derivative of the traced map in t: anchor row plus the mu(t) chain rule."""
         dz = np.full(self.n, -schedule.dmu_dt(t))
@@ -149,6 +227,9 @@ class KktSystem:
         def jacobian_x(v, t):
             return self.jacobian(self.unpack(v))
 
+        def factor(v, t):
+            return self.factor(self.unpack(v))
+
         def dh_dt(v, t):
             return self.h_t(anchor, t, schedule)
 
@@ -164,7 +245,7 @@ class KktSystem:
                     (dx.rho, -dx.rho, dx.z_a, dx.z_b), damping)
 
         return HomotopyProblem(residual, jacobian_x, dh_dt, iterate_valid=valid,
-                               mu_of_t=schedule.mu, step_limit=step_limit)
+                               mu_of_t=schedule.mu, step_limit=step_limit, factor=factor)
 
 
 def build_system(config: "SolverConfig") -> Tuple[KktSystem, BarrierSchedule]:

@@ -1,11 +1,16 @@
 """Sparse storage, deterministic triplet assembly, and direct linear solves.
 
 Every assembled operator in the package (elasticity stiffness, density mass
-and stiffness, KKT blocks) is a :class:`SparseMatrix`.  Linear systems go
-through a sparse LU factorization with partial pivoting; a factorization
-whose smallest pivot falls below ``PIVOT_RATIO`` times the largest raises
-:class:`SingularMatrixError`, which callers treat as "the Newton system
-degenerated", distinct from a shape error.
+and stiffness, KKT blocks) is a :class:`SparseMatrix`.  General systems go
+through :func:`solve_direct`, a sparse LU with partial pivoting.  Symmetric
+matrices of one fixed layout, such as the reduced KKT matrix of a run, go
+through :class:`SymmetricOrder`: a diagonal-pivoting factorization
+``P A P^T = L D L^T`` on a fill-reducing order computed once, which also
+counts the negative pivots (the inertia).  A factorization whose smallest
+pivot falls below ``PIVOT_RATIO`` times the largest, or whose solution is not
+finite, raises :class:`SingularMatrixError`, which callers treat as "the
+Newton system degenerated", distinct from a shape error; the symmetric
+factorization raises it too when SuperLU left the diagonal.
 """
 from __future__ import annotations
 
@@ -20,6 +25,8 @@ __all__ = [
     "SparsityPattern",
     "BlockSystem",
     "SingularMatrixError",
+    "SymmetricFactor",
+    "SymmetricOrder",
     "solve_direct",
 ]
 
@@ -164,6 +171,29 @@ def _csr_matrix(data, indices, indptr, shape) -> SparseMatrix:
     return SparseMatrix(csr)
 
 
+def _splu(csc: sp.csc_matrix, **options):
+    # spla is looked up at call time, so a wrapper put on it sees every call
+    try:
+        return spla.splu(csc, **options)
+    except RuntimeError as exc:  # SuperLU reports exact singularity this way
+        raise SingularMatrixError(str(exc)) from None
+
+
+def _check_pivots(pivots: np.ndarray) -> None:
+    """Raise :class:`SingularMatrixError` unless every pivot's magnitude is at
+    least ``PIVOT_RATIO`` times the largest."""
+    pivots = np.abs(pivots)
+    pmax = pivots.max() if pivots.size else 0.0
+    if pmax == 0.0 or pivots.min() < PIVOT_RATIO * pmax:
+        raise SingularMatrixError("pivot below singularity threshold")
+
+
+def _check_finite(x: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise SingularMatrixError("non-finite solution from factorization")
+    return x
+
+
 def solve_direct(a: SparseMatrix, b: np.ndarray) -> np.ndarray:
     """Solve ``a x = b`` for one right-hand side by sparse LU with partial
     pivoting.
@@ -179,18 +209,85 @@ def solve_direct(a: SparseMatrix, b: np.ndarray) -> np.ndarray:
     b = b.ravel()
     if a.nrows == 0:
         return np.zeros(0)
-    try:
-        lu = spla.splu(a.csr.tocsc())
-    except RuntimeError as exc:  # SuperLU reports exact singularity this way
-        raise SingularMatrixError(str(exc)) from None
-    pivots = np.abs(lu.U.diagonal())
-    pmax = pivots.max() if pivots.size else 0.0
-    if pmax == 0.0 or pivots.min() < PIVOT_RATIO * pmax:
-        raise SingularMatrixError("pivot below singularity threshold")
-    x = lu.solve(b)
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrixError("non-finite solution from factorization")
-    return x
+    lu = _splu(a.csr.tocsc())
+    _check_pivots(lu.U.diagonal())
+    return _check_finite(lu.solve(b))
+
+
+class SymmetricFactor:
+    """``P A P^T = L D L^T`` of a symmetric matrix, from SuperLU with diagonal
+    pivots; ``order`` maps each position of the permuted matrix to its index
+    in ``A`` (None: SuperLU permuted ``A`` itself).
+
+    ``negative_pivots`` counts D's negative entries, which by Sylvester's law
+    of inertia is the number of negative eigenvalues of ``A``.
+    """
+
+    __slots__ = ("_lu", "_order", "negative_pivots")
+
+    def __init__(self, lu, order):
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise SingularMatrixError("a pivot left the diagonal")
+        pivots = lu.U.diagonal()
+        _check_pivots(pivots)
+        self._lu = lu
+        self._order = order
+        self.negative_pivots = int(np.count_nonzero(pivots < 0.0))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``x`` with ``A x = b`` for one right-hand side."""
+        b = np.asarray(b, dtype=np.float64)
+        n = self._lu.shape[0]
+        if b.shape != (n,):
+            raise ValueError(f"right-hand side of length {n} expected, got shape {b.shape}")
+        if self._order is None:
+            return _check_finite(self._lu.solve(b))
+        x = np.empty(n)
+        x[self._order] = self._lu.solve(b[self._order])
+        return _check_finite(x)
+
+
+# SuperLU settings for a symmetric matrix: order A + A^T's pattern and take
+# each diagonal entry as the pivot unless it is exactly zero
+_DIAGONAL_PIVOTS = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+class SymmetricOrder:
+    """Factors symmetric matrices of one fixed CSR layout on one
+    fill-reducing order.
+
+    The first :meth:`factor` lets SuperLU order the matrix
+    (``MMD_AT_PLUS_A``) and keeps that order, with a map gathering CSR data
+    into the CSC data of the symmetrically permuted matrix; its
+    factorization serves as the first one.  Every later call permutes by
+    that gather and factors with the ``NATURAL`` order.  Pivots stay on the
+    diagonal (threshold 0), which is stable for symmetric quasi-definite
+    matrices; a factorization that needed an off-diagonal pivot, or fails
+    the pivot test, raises :class:`SingularMatrixError`.
+    """
+
+    def __init__(self):
+        self._order = None  # position in the permuted matrix -> index
+        self._csc = None  # (gather, indices, indptr) of the permuted matrix
+
+    def factor(self, a: SparseMatrix) -> SymmetricFactor:
+        if a.nrows != a.ncols:
+            raise ValueError(f"matrix must be square, got {a.nrows}x{a.ncols}")
+        if self._order is None:
+            lu = _splu(a.csr.tocsc(), permc_spec="MMD_AT_PLUS_A", **_DIAGONAL_PIVOTS)
+            order = np.argsort(lu.perm_c)
+            # entry k of the CSR data is marked k + 1, so the permuted matrix
+            # keeps every entry and its data names the source
+            mark = _csr_matrix(np.arange(1, a.nnz + 1), a.csr.indices, a.csr.indptr, a.shape)
+            permuted = mark.csr[order][:, order].tocsc()
+            self._csc = (permuted.data.astype(np.int64) - 1, permuted.indices, permuted.indptr)
+            self._order = order
+            return SymmetricFactor(lu, None)
+        gather, indices, indptr = self._csc
+        if a.nnz != gather.size:
+            raise ValueError("matrix layout differs from the first factorization")
+        csc = sp.csc_matrix((a.csr.data[gather], indices, indptr), shape=a.shape)
+        return SymmetricFactor(_splu(csc, permc_spec="NATURAL", **_DIAGONAL_PIVOTS), self._order)
 
 
 class BlockSystem:

@@ -148,6 +148,28 @@ def test_trailing_residual_rows_count_in_the_norm_only():
         assert x == pytest.approx([2.0], abs=1e-12)
 
 
+def test_factor_hook_replaces_the_jacobian_solve():
+    # the problem's own factorization serves each system once, with the
+    # leading rows of the right-hand side; jacobian_x is not factored
+    calls = []
+
+    def factor(x, t):
+        calls.append((x.copy(), t))
+        return lambda b: b / cubic_prime(x)
+
+    def unused(x, t):
+        raise AssertionError("jacobian_x factored despite the factor hook")
+
+    base = cubic_problem()
+    problem = HomotopyProblem(base.residual, unused, base.dh_dt, factor=factor)
+    assert problem.solve(np.array([-0.7]), 0.5, np.array([3.0, 9.0])) == \
+        pytest.approx([3.0 / cubic_prime(-0.7)])
+    x, tr = trace(problem, np.array([-1.2]), StepController(), NewtonConfig(tol=1e-12),
+                  predictor_order=1)
+    assert x == pytest.approx([ROOT], abs=1e-10)
+    assert len(calls) == 1 + sum(r.newton_iters for r in tr.records) + tr.n_attempts
+
+
 def test_converging_corrector_matches_plain_newton():
     x, iters, tol = -0.7, 0, 1e-12
     while abs(cubic(x)) > tol:

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -225,7 +227,7 @@ def test_jacobian_bit_identical_to_block_assembly(small_system, rng):
 
 def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
     # one solve sorts four layouts, each once: density, K(rho), coupling and
-    # KKT; every later assembly refills them
+    # the reduced (rho, u) matrix; every later assembly refills them
     system, _ = solver.build_system(small_config())
     patterns = []
     init = sparse.SparsityPattern.__init__
@@ -234,21 +236,20 @@ def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
         init(self, nrows, ncols, *args, **kwargs)
         patterns.append((nrows, ncols))
 
-    jacobians = []
-    jacobian = solver.KktSystem.jacobian
+    matrices = []
+    reduced_matrix = solver.KktSystem.reduced_matrix
 
-    def counted_jacobian(self, point):
-        jacobians.append(point)
-        return jacobian(self, point)
+    def counted_reduced_matrix(self, point):
+        matrices.append(point)
+        return reduced_matrix(self, point)
 
     monkeypatch.setattr(sparse.SparsityPattern, "__init__", counted_init)
-    monkeypatch.setattr(solver.KktSystem, "jacobian", counted_jacobian)
+    monkeypatch.setattr(solver.KktSystem, "reduced_matrix", counted_reduced_matrix)
     _, trace = solver.run(small_config())
     assert trace.accepted()[-1].t == 1.0
-    assert len(jacobians) >= 10
+    assert len(matrices) >= 10
     n, l = system.n, system.l
-    condensed = system.dim - l
-    assert sorted(patterns) == sorted([(n, n), (l, l), (n, l), (condensed, condensed)])
+    assert sorted(patterns) == sorted([(n, n), (l, l), (n, l), (n + l, n + l)])
 
 
 def test_one_solve_transposes_no_matrix(monkeypatch):
@@ -275,6 +276,17 @@ def test_pack_unpack_roundtrip(small_system, rng):
         assert np.shares_memory(block, v)
     assert np.array_equal(point.p_adj, -point.u)
     assert not np.shares_memory(point.p_adj, v)
+
+
+def test_residual_length_vector_is_not_a_point(small_system, small_run):
+    # the traced unknown has dim - l entries, the residual dim
+    system, _ = small_system
+    expected = f"length {system.dim - system.l}"
+    with pytest.raises(ValueError, match=expected):
+        system.unpack(np.ones(system.dim))
+    solve = system.factor(small_run[0])
+    with pytest.raises(ValueError, match=expected):
+        solve(np.ones(system.dim))
 
 
 # --- end-to-end on the small mesh ----------------------------------------------
@@ -353,6 +365,67 @@ def test_condensed_step_equals_full_kkt_solve(small_run, small_system):
             assert rel_err(reference[m:], -system.unpack(step).u) <= 1e-10
 
 
+def test_negative_pivots_count_the_reduced_hessian_inertia(small_run, small_system):
+    # M's inertia is the reduced Hessian's plus l negative eigenvalues: S > 0
+    # on the traced points before t = 1, 16 negatives at the final saddle
+    _, _, accepted = small_run
+    system, _ = small_system
+    order = sparse.SymmetricOrder()  # ordered at t = 0, reused after it
+    counts = []
+    for t, point in accepted:
+        m = system.reduced_matrix(point)
+        dense = m.csr.toarray()
+        assert np.abs(dense - dense.T).max() <= 1e-14 * np.abs(dense).max()
+        negative = int(np.count_nonzero(np.linalg.eigvalsh(dense) < 0.0))
+        pivots = order.factor(m).negative_pivots
+        assert pivots == negative
+        counts.append((t, pivots - system.l))
+    assert counts == [(0.0, 0), (0.25, 0), (0.5, 0), (0.75, 0), (1.0, 16)]
+
+
+def test_refused_symmetric_factorization_falls_back_to_the_4_block_lu(
+        small_run, small_system, monkeypatch, caplog):
+    _, _, accepted = small_run
+    system, schedule = small_system
+    _, anchor = system.initialize(schedule.mu0)
+    problem = system.homotopy_problem(anchor, schedule, damping=0.995)
+    t, point = accepted[2]
+    rhs = -system.residual(point, anchor, t + 0.25, schedule)
+    reduced = problem.solve(point.pack(), t + 0.25, rhs)
+
+    def refuse(self, a):
+        raise sparse.SingularMatrixError("a pivot left the diagonal")
+
+    monkeypatch.setattr(sparse.SymmetricOrder, "factor", refuse)
+    with caplog.at_level(logging.INFO, logger="homotopt.solver"):
+        step = problem.solve(point.pack(), t + 0.25, rhs)
+    assert "4-block LU fallback" in caplog.text
+    m = system.dim - system.l
+    assert np.array_equal(step, sparse.solve_direct(system.jacobian(point), rhs[:m]))
+    assert rel_err(step, reduced) <= 1e-10
+
+
+def test_run_orders_the_reduced_matrix_once(monkeypatch):
+    # the first factorization orders M (MMD on A^T + A); every later one
+    # reuses that order, permuted, with the NATURAL column order
+    specs = []
+    splu = sparse.spla.splu
+
+    def recorded_splu(a, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(sparse, "spla", type("spla", (), {"splu": staticmethod(recorded_splu)}))
+    records = []
+    monkeypatch.setattr(solver.log, "info", lambda *args: records.append(args))
+    _, trace = solver.run(small_config())
+    assert trace.accepted()[-1].t == 1.0
+    assert specs[0] is None  # the state solve of the initial point
+    assert specs[1:] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(specs) - 2)
+    assert len(specs) == 1 + sum(r.newton_iters for r in trace.records)
+    assert records == []  # no fallback
+
+
 def test_run_objective_decreases(small_run, small_system):
     point, _, accepted = small_run
     system, _ = small_system
@@ -412,7 +485,7 @@ def test_fold_run_ends_non_decreasing_correctors_early():
     assert [r.endpoint_jump for r in trace.records] == [False] * 50 + [True]
     assert np.array_equal(point.p_adj, -point.u)
     system, _ = solver.build_system(SolverConfig(mesh=MeshConfig(nx=40, ny=12)))
-    assert system.lagr.objective(point.rho, point.u) == 8.659454211573383
+    assert system.lagr.objective(point.rho, point.u) == 8.65945421157337
 
 
 def test_one_config_runs_twice_to_the_same_trace():

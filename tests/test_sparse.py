@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homotopt.sparse import (BlockSystem, SingularMatrixError, SparseMatrix,
-                             SparsityPattern, solve_direct)
+                             SparsityPattern, SymmetricOrder, solve_direct)
 
 
 def identity(n):
@@ -162,6 +162,48 @@ def test_singularity_reported_distinctly():
         solve_direct(identity(2), np.ones(3))
     with pytest.raises(ValueError):  # one right-hand side per solve
         solve_direct(identity(2), np.ones((2, 1)))
+
+
+def quasi_definite(rng, n, m):
+    """Random sparse [[A, B], [B^T, -C]] with A symmetric (indefinite) and C SPD."""
+    a = np.zeros((n, n))
+    for _ in range(3 * n):
+        i, j = rng.integers(0, n, size=2)
+        a[i, j] = a[j, i] = rng.standard_normal()
+    a += np.diag(rng.uniform(2.0, 4.0, n) * rng.choice([-1.0, 1.0], n))
+    b = np.where(rng.random((n, m)) < 0.2, rng.standard_normal((n, m)), 0.0)
+    c = rng.standard_normal((m, m))
+    return np.block([[a, b], [b.T, -(c @ c.T + m * np.eye(m))]])
+
+
+def test_symmetric_factor_solves_and_counts_negative_eigenvalues(rng):
+    # one order serves every matrix of the layout: the first factorization
+    # computes it, the later ones permute by it
+    order = SymmetricOrder()
+    dense = quasi_definite(rng, 30, 12)
+    layout = SparseMatrix.from_dense(dense)
+    for k in range(3):
+        values = dense + np.diag(np.full(42, 0.5 * k))
+        factor = order.factor(layout.with_data(values.ravel()))
+        b = rng.standard_normal(42)
+        x = factor.solve(b)
+        assert np.linalg.norm(x - np.linalg.solve(values, b)) <= 1e-10 * np.linalg.norm(x)
+        assert factor.negative_pivots == np.count_nonzero(np.linalg.eigvalsh(values) < 0)
+    with pytest.raises(ValueError):
+        factor.solve(np.ones(41))
+    with pytest.raises(ValueError):
+        order.factor(SparseMatrix.from_triplets(42, 42, range(42), range(42), np.ones(42)))
+
+
+def test_symmetric_factor_refusals():
+    # a zero diagonal needs an off-diagonal pivot
+    with pytest.raises(SingularMatrixError, match="diagonal"):
+        SymmetricOrder().factor(SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]]))
+    near_singular = SparseMatrix.from_triplets(2, 2, [0, 1], [0, 1], [1.0, -1e-16])
+    with pytest.raises(SingularMatrixError, match="threshold"):
+        SymmetricOrder().factor(near_singular)
+    with pytest.raises(ValueError):
+        SymmetricOrder().factor(SparseMatrix.from_triplets(2, 3, [], [], []))
 
 
 def test_block_diagonal_layout():
