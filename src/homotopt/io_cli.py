@@ -176,8 +176,8 @@ def parse_config_text(text: str) -> SolverConfig:
 
 
 def parse_config(path) -> SolverConfig:
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
+    try:  # one leading byte-order mark is dropped after decoding, so offsets count it
+        text = Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
     return parse_config_text(text)
@@ -470,12 +470,13 @@ def _fd_errors(system, schedule, anchor, rng, h: float = 1e-6):
 
     # hessian blocks vs directional central differences of the gradient
     hess = lagr.hessian(rho, u, p)
+    hess_rp = lagr.hessian(rho, p, u).ru  # d2L/drho dp: ru at swapped fields
     d_rho = unit(n)
     gp = lagr.gradient(rho + h * d_rho, u, p)
     gm = lagr.gradient(rho - h * d_rho, u, p)
     err_hess = max(_rel_err((gp.d_rho - gm.d_rho) / (2 * h), hess.rr.matvec(d_rho)),
                    _rel_err((gp.d_u - gm.d_u) / (2 * h), hess.ru.transpose().matvec(d_rho)),
-                   _rel_err((gp.d_p - gm.d_p) / (2 * h), hess.rp.transpose().matvec(d_rho)))
+                   _rel_err((gp.d_p - gm.d_p) / (2 * h), hess_rp.transpose().matvec(d_rho)))
     d_u = unit(l)
     gp = lagr.gradient(rho, u + h * d_u, p)
     gm = lagr.gradient(rho, u - h * d_u, p)

@@ -3,8 +3,9 @@
 Objective: traction compliance plus a weighted volume term plus a phase-field
 regularization (gradient energy and double-well, weights beta and 1/epsilon).
 The Lagrangian adds the state equation paired with the adjoint variable.
-This module evaluates L and every first and second derivative block the KKT
-Newton system needs.
+This module evaluates L and its first and second derivative blocks.  The
+objective is linear in u and K(rho) is symmetric, so d2L/drho dp at (rho, u,
+p) is d2L/drho du at (rho, p, u), bitwise: only the latter, ``ru``, is built.
 
 The derivative formulas are validated against finite-difference oracles in
 the test suite; they are not trusted by derivation alone.  Note the
@@ -62,12 +63,12 @@ class GradientBlocks:
 
 @dataclass
 class HessianBlocks:
-    """Second-derivative blocks; the u-u block vanishes for compliance and is
-    not stored."""
+    """Second-derivative blocks.  The u-u block vanishes for compliance.  The
+    rho-p block is ``hessian(rho, p, u).ru``, since the objective is linear in
+    u and K(rho) is symmetric.  Neither is stored."""
 
     rr: SparseMatrix  # n x n
     ru: SparseMatrix  # n x l
-    rp: SparseMatrix  # n x l
     up: SparseMatrix  # l x l, equals K(rho)
 
 
@@ -75,11 +76,9 @@ class Lagrangian:
     """Evaluates L(rho, u, p) = J(rho, u) + p . (K(rho) u - f) and its blocks.
 
     Density-independent operators (density stiffness/mass, hat volumes) are
-    assembled once.  The state matrix K(rho) is cached for the last density
-    seen, since residual and Jacobian evaluations share it.  The Hessian
-    blocks are refilled on sparsity patterns fixed by the mesh: ``rr`` on the
-    element pattern of ``k_rho`` and ``mass``, ``ru`` and ``rp`` on one
-    density-displacement pattern built at the first Hessian.
+    assembled once; the state matrix K(rho) is cached for the last density,
+    which residual and Jacobian share.  ``rr`` is refilled on the element
+    pattern of ``k_rho`` and ``mass``, ``ru`` on one built at the first Hessian.
     """
 
     def __init__(self, dofmap: DofMap, material: MaterialModel, params, load: np.ndarray):
@@ -159,7 +158,6 @@ class Lagrangian:
         dmu = self.material.mu1 - self.material.mu0
 
         u_loc, p_loc, div_u, div_p, rho_q, m_phi = self._element_fields(rho, u, p_adj)
-        g_u = np.einsum("eab,eb->ea", geo.gmat6, u_loc)
         g_p = np.einsum("eab,eb->ea", geo.gmat6, p_loc)
         w = dlam * div_u * div_p + dmu * np.einsum("ea,ea->e", u_loc, g_p)
 
@@ -171,8 +169,7 @@ class Lagrangian:
         rr = geo.pattern.matrix(self._rr_const + geo.pattern.reduce(s_vals))
 
         ru = self._coupling_cross(geo, pe, m_phi, dlam, dmu, div_p, g_p)
-        rp = self._coupling_cross(geo, pe, m_phi, dlam, dmu, div_u, g_u)
-        return HessianBlocks(rr=rr, ru=ru, rp=rp, up=self.state_matrix(rho))
+        return HessianBlocks(rr=rr, ru=ru, up=self.state_matrix(rho))
 
     def _element_fields(self, rho, u, p_adj):
         """Per element: local u and p, their divergences, rho at the
@@ -199,11 +196,11 @@ class Lagrangian:
         np.add.at(out, geo.tri.ravel(), (pe * m_phi * w[:, None]).ravel())
         return out
 
-    def _coupling_cross(self, geo, pe, m_phi, dlam, dmu, div_other, g_other) -> SparseMatrix:
-        """Mixed density-displacement block: rows are density DOFs, columns the
-        displacement modes, with the other adjoint/state field held fixed."""
-        bracket = dlam * geo.div6 * div_other[:, None] + dmu * g_other  # (E, 6)
-        vals = pe * m_phi[:, :, None] * bracket[:, None, :]             # (E, 3, 6)
+    def _coupling_cross(self, geo, pe, m_phi, dlam, dmu, div_p, g_p) -> SparseMatrix:
+        """Mixed density-displacement block ``ru``: rows are density DOFs,
+        columns the displacement modes, with the adjoint field held fixed."""
+        bracket = dlam * geo.div6 * div_p[:, None] + dmu * g_p  # (E, 6)
+        vals = pe * m_phi[:, :, None] * bracket[:, None, :]  # (E, 3, 6)
         if self._cross_pattern is None:
             self._cross_pattern = fem.element_pattern(
                 self.n_density, self.n_disp, geo.tri, self.dofmap.element_dofs)

@@ -133,15 +133,15 @@ class KktSystem:
 
         Row blocks: [rr, ru - rp, -I, I], [ru^T, -up, 0, 0],
         [diag z_a, 0, diag gap_a, 0] and [-diag z_b, 0, 0, diag gap_b]
-        (``up`` = K(rho)).  It holds at any ``point``, p independent of u
-        included.  The layout is fixed, so the block system sorts it at the
-        first call and refills it after that.
+        (``up`` = K(rho), ``rp`` = the Hessian's ``ru`` at u and p swapped),
+        at any ``point``, p independent of u included.  The layout is fixed,
+        so the block system sorts it at the first call and refills it after.
         """
         h = self.lagr.hessian(point.rho, point.u, point.p_adj)
+        rp = self.lagr.hessian(point.rho, point.p_adj, point.u).ru  # ru's pattern
         blocks = self._blocks
         blocks.set("rho", "rho", h.rr)
-        # ru and rp share the Lagrangian's coupling pattern
-        blocks.set("rho", "u", h.ru.with_data(h.ru.csr.data - h.rp.csr.data))
+        blocks.set("rho", "u", h.ru.with_data(h.ru.csr.data - rp.csr.data))
         blocks.set("u", "rho", h.ru, transpose=True)
         blocks.set("u", "u", h.up.with_data(-h.up.csr.data))
         set_box_duals(blocks, "rho", point.rho, self.box, DualPair(point.z_a, point.z_b))

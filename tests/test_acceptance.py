@@ -124,13 +124,14 @@ def test_criterion_3_derivative_consistency():
 
         # hessian blocks probed by directional differences of the gradient
         blocks = lagr.hessian(rho, u, p)
+        rp = lagr.hessian(rho, p, u).ru  # d2L/drho dp: ru at swapped fields
         for _k in range(3):
             d_r = rng.standard_normal(n); d_r /= np.linalg.norm(d_r)
             gp = lagr.gradient(rho + h * d_r, u, p)
             gm = lagr.gradient(rho - h * d_r, u, p)
             for fd_blk, action in (((gp.d_rho - gm.d_rho) / (2 * h), blocks.rr.matvec(d_r)),
                                    ((gp.d_u - gm.d_u) / (2 * h), blocks.ru.transpose().matvec(d_r)),
-                                   ((gp.d_p - gm.d_p) / (2 * h), blocks.rp.transpose().matvec(d_r))):
+                                   ((gp.d_p - gm.d_p) / (2 * h), rp.transpose().matvec(d_r))):
                 worst_hess = max(worst_hess, np.linalg.norm(fd_blk - action)
                                  / max(np.linalg.norm(action), 1.0))
             d_u = rng.standard_normal(l); d_u /= np.linalg.norm(d_u)
@@ -143,7 +144,7 @@ def test_criterion_3_derivative_consistency():
             d_p = rng.standard_normal(l); d_p /= np.linalg.norm(d_p)
             gp = lagr.gradient(rho, u, p + h * d_p)
             gm = lagr.gradient(rho, u, p - h * d_p)
-            for fd_blk, action in (((gp.d_rho - gm.d_rho) / (2 * h), blocks.rp.matvec(d_p)),
+            for fd_blk, action in (((gp.d_rho - gm.d_rho) / (2 * h), rp.matvec(d_p)),
                                    ((gp.d_u - gm.d_u) / (2 * h), blocks.up.matvec(d_p))):
                 worst_hess = max(worst_hess, np.linalg.norm(fd_blk - action)
                                  / max(np.linalg.norm(action), 1.0))

@@ -468,6 +468,23 @@ def test_config_file_not_utf8_rejected(tmp_path):
         parse_config(path)
 
 
+def test_config_file_with_byte_order_mark_parses(tmp_path):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    text = "mesh.nx = 20\nmesh.ny = 8\nnewton.tol = 1e-9\n"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_config(marked) == parse_config(plain)
+    assert parse_config(marked).mesh.nx == 20
+
+
+def test_config_file_with_byte_order_mark_reports_the_file_offset(tmp_path):
+    # the bad byte is at offset 15 of the file: 3 bytes of mark, then 12
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xef\xbb\xbfmesh.nx = 20\xff\n")
+    with pytest.raises(ConfigError, match=rf"{re.escape(str(path))}: not valid UTF-8 at byte 15"):
+        parse_config(path)
+
+
 def test_cli_solve_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_bytes(b"mesh.nx = 20\xff\n")

@@ -104,8 +104,9 @@ def test_hessian_at_zero_fields(coarse_lagrangian, params, rng):
     rho = rng.uniform(0.2, 0.8, lagr.n_density)
     zero = np.zeros(lagr.n_disp)
     h = lagr.hessian(rho, zero, zero)
+    rp = lagr.hessian(rho, zero, zero).ru  # d2L/drho dp: ru at u and p swapped
     assert h.ru.nnz == 0 or np.max(np.abs(h.ru.csr.toarray())) == 0.0
-    assert h.rp.nnz == 0 or np.max(np.abs(h.rp.csr.toarray())) == 0.0
+    assert rp.nnz == 0 or np.max(np.abs(rp.csr.toarray())) == 0.0
     expected_rr = params.beta * params.epsilon * lagr.k_rho.csr.toarray() \
         - params.beta / params.epsilon * lagr.mass.csr.toarray()
     assert np.max(np.abs(h.rr.csr.toarray() - expected_rr)) <= 1e-12 * np.max(np.abs(expected_rr))
@@ -118,6 +119,7 @@ def test_hessian_matches_fd_of_gradient(coarse_lagrangian, rng):
     for _ in range(3):
         rho, u, p = random_point(lagr, rng)
         blocks = lagr.hessian(rho, u, p)
+        rp = lagr.hessian(rho, p, u).ru  # d2L/drho dp: ru at swapped fields
         for _k in range(3):
             d_rho = rng.standard_normal(n)
             d_rho /= np.linalg.norm(d_rho)
@@ -127,7 +129,7 @@ def test_hessian_matches_fd_of_gradient(coarse_lagrangian, rng):
             assert rel_err((gp.d_u - gm.d_u) / (2 * h),
                            blocks.ru.transpose().matvec(d_rho)) <= 1e-5
             assert rel_err((gp.d_p - gm.d_p) / (2 * h),
-                           blocks.rp.transpose().matvec(d_rho)) <= 1e-5
+                           rp.transpose().matvec(d_rho)) <= 1e-5
             d_u = rng.standard_normal(l)
             d_u /= np.linalg.norm(d_u)
             gp = lagr.gradient(rho, u + h * d_u, p)
@@ -140,7 +142,7 @@ def test_hessian_matches_fd_of_gradient(coarse_lagrangian, rng):
             d_p /= np.linalg.norm(d_p)
             gp = lagr.gradient(rho, u, p + h * d_p)
             gm = lagr.gradient(rho, u, p - h * d_p)
-            assert rel_err((gp.d_rho - gm.d_rho) / (2 * h), blocks.rp.matvec(d_p)) <= 1e-5
+            assert rel_err((gp.d_rho - gm.d_rho) / (2 * h), rp.matvec(d_p)) <= 1e-5
             assert rel_err((gp.d_u - gm.d_u) / (2 * h), blocks.up.matvec(d_p)) <= 1e-5
             assert np.max(np.abs((gp.d_p - gm.d_p) / (2 * h))) <= 1e-7
 
@@ -149,14 +151,15 @@ def test_hessian_superblock_symmetry(coarse_lagrangian, rng):
     lagr = coarse_lagrangian
     rho, u, p = random_point(lagr, rng)
     h = lagr.hessian(rho, u, p)
+    rp = lagr.hessian(rho, p, u).ru.csr.toarray()  # d2L/drho dp
     n, l = lagr.n_density, lagr.n_disp
     full = np.zeros((n + 2 * l, n + 2 * l))
     full[:n, :n] = h.rr.csr.toarray()
     full[:n, n:n + l] = h.ru.csr.toarray()
-    full[:n, n + l:] = h.rp.csr.toarray()
+    full[:n, n + l:] = rp
     full[n:n + l, :n] = h.ru.csr.toarray().T
     full[n:n + l, n + l:] = h.up.csr.toarray()
-    full[n + l:, :n] = h.rp.csr.toarray().T
+    full[n + l:, :n] = rp.T
     full[n + l:, n:n + l] = h.up.csr.toarray().T
     assert np.max(np.abs(full - full.T)) <= 1e-11 * np.max(np.abs(full))
 

@@ -210,7 +210,8 @@ def test_jacobian_bit_identical_to_block_assembly(small_system, rng):
     for _ in range(3):
         pt = random_point(system, rng)
         h = system.lagr.hessian(pt.rho, pt.u, pt.p_adj)
-        rr, ru, rp, up = h.rr.csr, h.ru.csr, h.rp.csr, h.up.csr
+        rp = system.lagr.hessian(pt.rho, pt.p_adj, pt.u).ru.csr  # d2L/drho dp
+        rr, ru, up = h.rr.csr, h.ru.csr, h.up.csr
         want = sp.bmat([
             [rr, ru - rp, -eye, eye],
             [ru.T, -up, None, None],
@@ -265,6 +266,28 @@ def test_one_solve_transposes_no_matrix(monkeypatch):
     _, trace = solver.run(small_config())
     assert trace.accepted()[-1].t == 1.0
     assert calls == []
+
+
+def test_one_hessian_builds_one_coupling_block(monkeypatch):
+    # the rho-p block is ru at swapped fields, so a Hessian builds ru only
+    calls = {"hessian": 0, "coupling": 0}
+    hessian = solver.Lagrangian.hessian
+    coupling = solver.Lagrangian._coupling_cross
+
+    def counted_hessian(self, *args):
+        calls["hessian"] += 1
+        return hessian(self, *args)
+
+    def counted_coupling(self, *args):
+        calls["coupling"] += 1
+        return coupling(self, *args)
+
+    monkeypatch.setattr(solver.Lagrangian, "hessian", counted_hessian)
+    monkeypatch.setattr(solver.Lagrangian, "_coupling_cross", counted_coupling)
+    _, trace = solver.run(small_config())
+    assert trace.accepted()[-1].t == 1.0
+    assert calls["hessian"] > 0
+    assert calls["coupling"] == calls["hessian"]
 
 
 def test_pack_unpack_roundtrip(small_system, rng):
@@ -346,7 +369,8 @@ def test_condensed_step_equals_full_kkt_solve(small_run, small_system):
     eye = sp.identity(system.n, format="csr")
     for t, point in accepted:
         h = system.lagr.hessian(point.rho, point.u, point.p_adj)
-        rr, ru, rp, up = h.rr.csr, h.ru.csr, h.rp.csr, h.up.csr
+        rp = system.lagr.hessian(point.rho, point.p_adj, point.u).ru.csr  # d2L/drho dp
+        rr, ru, up = h.rr.csr, h.ru.csr, h.up.csr
         full = sp.bmat([
             [rr, ru, -eye, eye, rp],
             [ru.T, None, None, None, up],

@@ -5,8 +5,9 @@
 #
 # Exports REV's src/ with `git archive`, then runs both trees, OpenBLAS on one
 # thread: `homotopt solve` on the 20x8 and 40x12 bridges (and the default
-# 60x20 with --full), `scalar-demos` and `check-derivatives`.  It diffs each
-# solve's output directory and the text each command prints, less the
+# 60x20 with --full), `solve --predictor 1` on 20x8 (its tangent solves go
+# through the Hessian too), `scalar-demos` and `check-derivatives`.  It diffs
+# each solve's output directory and the text each command prints, less the
 # `outputs in DIR` line, plus the exit status.  Exits 1 on any difference.
 set -euo pipefail
 
@@ -54,12 +55,14 @@ for side in rev head; do
     for mesh in $cases; do
         run $side "solve-$mesh" solve "$work/$mesh.cfg" --out-dir "$work/$side-out-$mesh"
     done
+    run $side solve-20x8-predictor1 solve "$work/20x8.cfg" --predictor 1 \
+        --out-dir "$work/$side-out-20x8-predictor1"
     run $side scalar-demos scalar-demos
     run $side check-derivatives check-derivatives --points 3
 done
 
 cd "$work"
-for mesh in $cases; do
+for mesh in $cases 20x8-predictor1; do
     compare -r "rev-out-$mesh" "head-out-$mesh"
 done
 for name in $(ls head-*.txt | sed 's/^head-//'); do
