@@ -22,7 +22,9 @@ unknown leaves the symmetric quasi-definite matrix
 ``Sigma = z_a / gap_a + z_b / gap_b``.  Every step factors M by diagonal
 pivoting on one fill-reducing order for the run, and recovers dz_a and dz_b
 from drho by two diagonal scalings.  M's inertia is that of the reduced
-Hessian ``rr + Sigma + 2 ru K^-1 ru^T`` plus l negative eigenvalues.
+Hessian ``rr + Sigma + 2 ru K^-1 ru^T`` plus l negative eigenvalues, so each
+factorization also reports the reduced Hessian's negative count, which the
+corrector reads to notice that it left the minimizer branch.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ import numpy as np
 from . import fem, homotopy
 from .barrier import (BarrierSchedule, BoxConstraints, DualPair, fraction_to_boundary,
                       pd_residual_box, set_box_duals)
-from .homotopy import HomotopyProblem, SolveTrace
+from .homotopy import Factor, HomotopyProblem, SolveTrace
 from .lagrangian import Lagrangian
 from .mesh import bridge_domain, build_structured_mesh
 from .sparse import BlockSystem, SingularMatrixError, SparseMatrix, SymmetricOrder, solve_direct
@@ -169,8 +171,11 @@ class KktSystem:
         blocks.set("u", "u", h.up.with_data(-0.5 * h.up.csr.data))
         return blocks.assemble()
 
-    def factor(self, point: KktPoint) -> Callable[[np.ndarray], np.ndarray]:
-        """The solve of ``jacobian(point) d = b`` for ``b`` of length dim - l.
+    def factor(self, point: KktPoint) -> Factor:
+        """``jacobian(point)`` factored: the solve of ``jacobian(point) d = b``
+        for ``b`` of length dim - l, and the number of negative eigenvalues
+        of the reduced Hessian ``rr + Sigma + 2 ru K^-1 ru^T`` (M's negative
+        pivots less l).
 
         Factors :meth:`reduced_matrix` on the run's symmetric order and solves
         ``M (drho, w) = (b_rho + b_a / gap_a - b_b / gap_b, b_u)``; then
@@ -179,7 +184,8 @@ class KktSystem:
         refinement on M brings the error of the diagonal pivots past the
         fold, where ``rr + Sigma`` is indefinite, back to that of a pivoted
         LU.  If the symmetric factorization is refused, the step falls back
-        to the pivoted LU of the 4-block Jacobian, and the log says so.
+        to the pivoted LU of the 4-block Jacobian, which reports no inertia,
+        and the log says so.
         """
         gap_a, gap_b = self.box.lower_gap(point.rho), self.box.upper_gap(point.rho)
         try:
@@ -188,7 +194,7 @@ class KktSystem:
         except SingularMatrixError as exc:
             log.info("symmetric factorization refused (%s): 4-block LU fallback", exc)
             jac = self.jacobian(point)
-            return lambda b: solve_direct(jac, b)
+            return Factor(lambda b: solve_direct(jac, b))
 
         def solve(b):
             b_rho, b_u, b_a, b_b = self._split(b)
@@ -199,7 +205,7 @@ class KktSystem:
             return np.concatenate([d_rho, 0.5 * w, (b_a - point.z_a * d_rho) / gap_a,
                                    (b_b + point.z_b * d_rho) / gap_b])
 
-        return solve
+        return Factor(solve, lu.negative_pivots - self.l)
 
     def h_t(self, anchor: np.ndarray, t: float, schedule: BarrierSchedule) -> np.ndarray:
         """Derivative of the traced map in t: anchor row plus the mu(t) chain rule."""

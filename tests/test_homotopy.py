@@ -1,13 +1,16 @@
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from homotopt.homotopy import (NewtonConfig, StepController, StepUnderflowError,
+from homotopt.barrier import BoxConstraints, box_barrier_problem, run_pd_barrier
+from homotopt.homotopy import (Factor, NewtonConfig, StepController, StepUnderflowError,
                                HomotopyProblem, _tangent_direction, global_homotopy,
                                newton_corrector, trace)
+from homotopt.io_cli import quartic_oracle
 
 ROOT = (-1.0 - math.sqrt(17.0)) / 8.0  # root of 4x^2 + x - 1 reached by the path
 
@@ -155,7 +158,7 @@ def test_factor_hook_replaces_the_jacobian_solve():
 
     def factor(x, t):
         calls.append((x.copy(), t))
-        return lambda b: b / cubic_prime(x)
+        return Factor(lambda b: b / cubic_prime(x))
 
     def unused(x, t):
         raise AssertionError("jacobian_x factored despite the factor hook")
@@ -168,6 +171,75 @@ def test_factor_hook_replaces_the_jacobian_solve():
                   predictor_order=1)
     assert x == pytest.approx([ROOT], abs=1e-10)
     assert len(calls) == 1 + sum(r.newton_iters for r in tr.records) + tr.n_attempts
+
+
+def scripted_inertia_problem(negatives):
+    """x - 1 = 0 corrected by half Newton steps (|r| halves, never reaching
+    the default tolerance in 20 steps); the k-th factorization reports
+    ``negatives[k]`` negative eigenvalues of the reduced Hessian."""
+    calls = iter(negatives)
+    return HomotopyProblem(lambda x, t: x - 1.0, None,
+                           factor=lambda x, t: Factor(lambda b: 0.5 * b, next(calls)))
+
+
+@pytest.mark.parametrize("negatives, iters", [
+    ([0, 3, 2], 2),
+    # an isolated indefinite iterate, then a run of two
+    ([0, 1, 0, 2, 3, 0], 4),
+], ids=["second-and-third", "isolated-then-run"])
+def test_corrector_below_t1_stops_at_the_second_indefinite_iterate(negatives, iters):
+    result = newton_corrector(scripted_inertia_problem(negatives), np.zeros(1), 0.5,
+                              NewtonConfig())
+    assert (result.converged, result.reason, result.iters) == (False, "left_branch", iters)
+    # stopped before the last factorization's solve: iters half steps taken
+    assert result.x[0] == 1.0 - 0.5 ** iters
+    assert result.residual_norm == 0.5 ** iters
+
+
+@pytest.mark.parametrize("negatives", [[1, 0] * 10, [1, None] * 10],
+                         ids=["alternating", "no-inertia-resets"])
+def test_isolated_indefinite_iterates_do_not_stop_the_corrector(negatives):
+    # an iterate whose factor reports no inertia (the KKT problem's 4-block
+    # LU fallback) ends the run of indefinite iterates as a definite one does
+    result = newton_corrector(scripted_inertia_problem(negatives), np.zeros(1), 0.5,
+                              NewtonConfig())
+    assert (result.converged, result.reason, result.iters) == (False, "max_iter", 20)
+
+
+def test_corrector_at_t1_runs_on_through_indefinite_iterates():
+    result = newton_corrector(scripted_inertia_problem([5] * 20), np.zeros(1), 1.0,
+                              NewtonConfig())
+    assert (result.converged, result.reason, result.iters) == (False, "max_iter", 20)
+
+
+def test_problems_without_a_factor_report_no_inertia():
+    # the pivoted LU of jacobian_x: half Newton steps run to the budget at t < 1
+    line = HomotopyProblem(lambda x, t: x - 1.0, lambda x, t: np.array([[2.0]]))
+    assert line.factorization(np.zeros(1), 0.5).negative is None
+    result = newton_corrector(line, np.zeros(1), 0.5, NewtonConfig())
+    assert (result.reason, result.iters) == ("max_iter", 20)
+    # run_pd_barrier passes mu in the t slot; its problem reports no inertia
+    # even where the quartic's Hessian is negative (-2.75 at x = 0.25)
+    box = BoxConstraints(np.array([-0.5]), np.array([1.0]))
+    barrier = box_barrier_problem(quartic_oracle(), box)
+    assert barrier.factorization(np.array([0.25, 1.0, 1.0]), 0.5).negative is None
+    x, _ = run_pd_barrier(quartic_oracle(), box.analytic_center(), box, mu0=2.9, mu_inf=1e-6)
+    assert x[0] == pytest.approx(-0.5, abs=1e-3)
+
+
+def test_corrector_frees_each_factorization_before_the_next():
+    # two live factorizations of a large KKT matrix raise a run's peak memory
+    previous = []
+
+    def factor(x, t):
+        assert all(ref() is None for ref in previous)
+        result = Factor(lambda b: 0.5 * b, 1)
+        previous.append(weakref.ref(result))
+        return result
+
+    problem = HomotopyProblem(lambda x, t: x - 1.0, None, factor=factor)
+    result = newton_corrector(problem, np.zeros(1), 1.0, NewtonConfig(max_iter=5))
+    assert (result.reason, len(previous)) == ("max_iter", 5)
 
 
 def test_converging_corrector_matches_plain_newton():

@@ -307,9 +307,9 @@ def test_residual_length_vector_is_not_a_point(small_system, small_run):
     expected = f"length {system.dim - system.l}"
     with pytest.raises(ValueError, match=expected):
         system.unpack(np.ones(system.dim))
-    solve = system.factor(small_run[0])
+    factor = system.factor(small_run[0])
     with pytest.raises(ValueError, match=expected):
-        solve(np.ones(system.dim))
+        factor.solve(np.ones(system.dim))
 
 
 # --- end-to-end on the small mesh ----------------------------------------------
@@ -403,6 +403,7 @@ def test_negative_pivots_count_the_reduced_hessian_inertia(small_run, small_syst
         negative = int(np.count_nonzero(np.linalg.eigvalsh(dense) < 0.0))
         pivots = order.factor(m).negative_pivots
         assert pivots == negative
+        assert system.factor(point).negative == pivots - system.l
         counts.append((t, pivots - system.l))
     assert counts == [(0.0, 0), (0.25, 0), (0.5, 0), (0.75, 0), (1.0, 16)]
 
@@ -424,6 +425,7 @@ def test_refused_symmetric_factorization_falls_back_to_the_4_block_lu(
     with caplog.at_level(logging.INFO, logger="homotopt.solver"):
         step = problem.solve(point.pack(), t + 0.25, rhs)
     assert "4-block LU fallback" in caplog.text
+    assert system.factor(point).negative is None  # no inertia from the LU
     m = system.dim - system.l
     assert np.array_equal(step, sparse.solve_direct(system.jacobian(point), rhs[:m]))
     assert rel_err(step, reduced) <= 1e-10
@@ -500,26 +502,40 @@ def test_large_first_step_forces_rejection_and_halving():
 
 
 def test_fold_run_ends_non_decreasing_correctors_early():
-    # the 40x12 curve folds near t = 0.9995; correctors past it whose full
-    # steps raise the residual stop there instead of spending max_iter
+    # the 40x12 curve folds near t = 0.9995; correctors past it stop where
+    # the reduced Hessian turns indefinite (left_branch) or a full step
+    # raises the residual, instead of spending max_iter
     point, trace = solver.run(SolverConfig(mesh=MeshConfig(nx=40, ny=12)))
     assert (trace.n_accepted, trace.n_attempts) == (18, 51)
-    assert sum(r.newton_iters for r in trace.records) == 373
-    assert sum(r.reason == "no_decrease" for r in trace.records) == 18
+    assert sum(r.newton_iters for r in trace.records) == 261
+    reasons = [r.reason for r in trace.records]
+    assert (reasons.count("left_branch"), reasons.count("no_decrease"),
+            reasons.count("max_iter")) == (15, 8, 7)
     assert [r.endpoint_jump for r in trace.records] == [False] * 50 + [True]
     assert np.array_equal(point.p_adj, -point.u)
     system, _ = solver.build_system(SolverConfig(mesh=MeshConfig(nx=40, ny=12)))
     assert system.lagr.objective(point.rho, point.u) == 8.65945421157337
 
 
+def test_smooth_run_keeps_its_indefinite_step_at_t1(small_run):
+    # the step from t = 0.75 to 1 ends on a saddle (16 negative eigenvalues
+    # of the reduced Hessian); correctors at t = 1 are exempt from the
+    # left-branch stop, so the run does not fold
+    _, trace, _ = small_run
+    assert [(r.t, r.accepted, r.reason) for r in trace.records] == [
+        (0.25, True, ""), (0.5, True, ""), (0.75, True, ""), (1.0, True, "")]
+    assert sum(r.newton_iters for r in trace.records) == 25
+
+
 def test_one_config_runs_twice_to_the_same_trace():
     # the config's step controller is shared by both runs and carries no
     # state; these settings make the step both grow and shrink within a run.
-    # Both hit the 20x8 fold: dt_max = 0.5 traces through it to t = 1,
-    # dt_max = 0.25 reaches t = 1 by the endpoint jump.
+    # Both hit the 20x8 fold and reach t = 1 by the endpoint jump; dt_max =
+    # 0.5 no longer accepts the saddle at t = 0.99862289 its corrector
+    # reached with an indefinite reduced Hessian.
     # dt_max: accepted, attempts, Newton iterations, t the jump starts from, objective
-    rungs = {0.5: (11, 23, 214, None, 9.82535599),
-             0.25: (20, 53, 262, 0.99925574, 9.53772755)}
+    rungs = {0.5: (20, 55, 247, 0.99925574, 9.53772755),
+             0.25: (20, 53, 197, 0.99925574, 9.53772755)}
     for dt_max, (accepted, attempts, iters, jump_from, objective) in rungs.items():
         cfg = small_config(stepping=StepController(dt_init=0.1, dt_max=dt_max))
         point, first = solver.run(cfg)
@@ -529,11 +545,9 @@ def test_one_config_runs_twice_to_the_same_trace():
         assert (first.n_accepted, first.n_attempts) == (accepted, attempts)
         assert sum(r.newton_iters for r in first.records) == iters
         last = first.records[-1]
-        assert last.accepted and last.t == 1.0
-        assert last.endpoint_jump == (jump_from is not None)
-        if jump_from is not None:
-            traced = [r.t for r in first.records[:-1] if r.accepted]
-            assert traced[-1] == pytest.approx(jump_from, abs=1e-8)
+        assert last.accepted and last.t == 1.0 and last.endpoint_jump
+        traced = [r.t for r in first.records[:-1] if r.accepted]
+        assert traced[-1] == pytest.approx(jump_from, abs=1e-8)
         system, _ = solver.build_system(cfg)
         assert system.lagr.objective(point.rho, point.u) == pytest.approx(objective, abs=1e-8)
 

@@ -6,7 +6,9 @@
 # Exports REV's src/ with `git archive`, then runs both trees, OpenBLAS on one
 # thread: `homotopt solve` on the 20x8 and 40x12 bridges (and the default
 # 60x20 with --full), `solve --predictor 1` on 20x8 (its tangent solves go
-# through the Hessian too), `scalar-demos` and `check-derivatives`.  It diffs
+# through the Hessian too), `solve` on 20x8 with `stepping.dt_init = 0.1` and
+# `stepping.dt_max = 0.25` (a folding run in which correctors stop on leaving
+# the minimizer branch), `scalar-demos` and `check-derivatives`.  It diffs
 # each solve's output directory and the text each command prints, less the
 # `outputs in DIR` line, plus the exit status.  Exits 1 on any difference.
 set -euo pipefail
@@ -51,18 +53,21 @@ compare() {
 for mesh in $cases; do
     printf 'mesh.nx = %s\nmesh.ny = %s\n' "${mesh%x*}" "${mesh#*x}" > "$work/$mesh.cfg"
 done
+printf 'stepping.dt_init = 0.1\nstepping.dt_max = 0.25\n' | cat "$work/20x8.cfg" - \
+    > "$work/20x8-dt.cfg"
 for side in rev head; do
     for mesh in $cases; do
         run $side "solve-$mesh" solve "$work/$mesh.cfg" --out-dir "$work/$side-out-$mesh"
     done
     run $side solve-20x8-predictor1 solve "$work/20x8.cfg" --predictor 1 \
         --out-dir "$work/$side-out-20x8-predictor1"
+    run $side solve-20x8-dt solve "$work/20x8-dt.cfg" --out-dir "$work/$side-out-20x8-dt"
     run $side scalar-demos scalar-demos
     run $side check-derivatives check-derivatives --points 3
 done
 
 cd "$work"
-for mesh in $cases 20x8-predictor1; do
+for mesh in $cases 20x8-predictor1 20x8-dt; do
     compare -r "rev-out-$mesh" "head-out-$mesh"
 done
 for name in $(ls head-*.txt | sed 's/^head-//'); do
