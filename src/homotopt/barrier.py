@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .homotopy import HomotopyProblem, NewtonConfig, newton_corrector
+from .homotopy import HomotopyProblem, NewtonConfig, newton_corrector, pivoted_lu
 from .sparse import BlockSystem, solve_direct  # solve_direct unused: perfbench/tracer.py wraps it
 
 __all__ = [
@@ -172,17 +172,17 @@ def box_barrier_problem(oracle: ObjectiveOracle, box: BoxConstraints) -> Homotop
         x, z_a, z_b = split(v)
         return pd_residual_box(oracle.gradient(x), x, box, DualPair(z_a, z_b), mu)
 
-    def jacobian(v, mu):
+    def factor(v, mu):
         x, z_a, z_b = split(v)
         blocks.set("x", "x", oracle.hessian(x))  # a dense Hessian is converted
         set_box_duals(blocks, "x", x, box, DualPair(z_a, z_b))
-        return blocks.assemble()
+        return pivoted_lu(blocks.assemble())
 
     def valid(v):
         x, z_a, z_b = split(v)
         return box.interior(x) and bool(np.all(z_a > 0) and np.all(z_b > 0))
 
-    return HomotopyProblem(residual, jacobian, iterate_valid=valid)
+    return HomotopyProblem(residual, factor, iterate_valid=valid)
 
 
 def geometric_rule(factor: float = 0.5) -> Callable[[float], float]:

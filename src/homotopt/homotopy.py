@@ -7,10 +7,9 @@ and makes the step controller halve the increment and retry from the last
 accepted point.  A corrector whose full step raises the residual norm from
 its second iteration on stops there (reason ``"no_decrease"``) instead of
 spending its budget; steps capped by ``step_limit`` are exempt.  Newton and
-tangent systems go through :meth:`HomotopyProblem.factorization`: the
-problem's own ``factor`` if it has one (the KKT problem factors a smaller
-symmetric matrix), else a sparse LU with partial pivoting of its
-``jacobian_x``.  A problem's factor may report the number of negative
+tangent systems both solve through the problem's ``factor`` (the KKT problem
+factors a smaller symmetric matrix; :func:`pivoted_lu` serves a problem that
+has its Jacobian).  A problem's factor may report the number of negative
 eigenvalues of its reduced Hessian.  A change of that index along the curve
 marks a change of branch (Allgower & Georg, *Introduction to Numerical
 Continuation Methods*, ch. 8-9), so a corrector at t < 1 whose factor shows
@@ -38,6 +37,7 @@ __all__ = [
     "StepUnderflowError",
     "global_homotopy",
     "newton_corrector",
+    "pivoted_lu",
     "trace",
 ]
 
@@ -59,14 +59,25 @@ class Factor:
     negative: Optional[int] = None
 
 
+def pivoted_lu(jac: Union[SparseMatrix, np.ndarray]) -> Factor:
+    """The square ``jac``, sparse or dense, factored by sparse LU with partial
+    pivoting; reports no inertia.  Its solve raises
+    :class:`SingularMatrixError`."""
+    if not isinstance(jac, SparseMatrix):
+        jac = SparseMatrix.from_dense(np.atleast_2d(np.asarray(jac, dtype=np.float64)))
+    return Factor(lambda b: solve_direct(jac, b))
+
+
 @dataclass
 class HomotopyProblem:
-    """Residual map with its state Jacobian and parameter derivative.
+    """Residual map with the factorization of its state Jacobian.
 
     The corrector and the tangent predictor solve ``H_x(x, t) dx = rhs``
-    through :meth:`factorization`, which calls ``factor(x, t)`` when given;
-    otherwise it factors the square ``jacobian_x(x, t)`` by pivoted LU,
-    which reports no inertia.
+    through ``factor(x, t)``, which returns ``H_x`` factored as a
+    :class:`Factor` (e.g. :func:`pivoted_lu` of the Jacobian) and raises
+    :class:`SingularMatrixError` here or in its solve.  Its ``negative``
+    (the reduced Hessian's negative eigenvalues, or None) feeds the
+    corrector's left-branch test.
     The residual may be longer than ``x``: the Jacobian covers its leading
     ``len(x)`` rows, and the rows past them count only in the residual norm,
     so they must follow from the leading rows (be zero wherever those are).
@@ -77,31 +88,13 @@ class HomotopyProblem:
     """
 
     residual: Callable[[np.ndarray, float], np.ndarray]
-    jacobian_x: Callable[[np.ndarray, float], Union[SparseMatrix, np.ndarray]]
+    factor: Callable[[np.ndarray, float], Factor]
     dh_dt: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     iterate_valid: Optional[Callable[[np.ndarray], bool]] = None
     mu_of_t: Optional[Callable[[float], float]] = None
     # Optional per-step cap on the Newton update, e.g. a fraction-to-boundary
     # rule; maps (x, dx) to the admitted fraction of dx (capped at 1).
     step_limit: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-    # Optional problem-specific factorization of H_x(x, t), returned as a
-    # Factor; its ``negative`` (the reduced Hessian's negative eigenvalues,
-    # or None) feeds the corrector's left-branch test.
-    factor: Optional[Callable[[np.ndarray, float], Factor]] = None
-
-    def factorization(self, x: np.ndarray, t: float) -> Factor:
-        """``H_x(x, t)`` factored; raises :class:`SingularMatrixError` here or
-        in its solve."""
-        if self.factor is not None:
-            return self.factor(x, t)
-        jac = self.jacobian_x(x, t)
-        if not isinstance(jac, SparseMatrix):
-            jac = SparseMatrix.from_dense(np.atleast_2d(np.asarray(jac, dtype=np.float64)))
-        return Factor(lambda b: solve_direct(jac, b))
-
-    def solve(self, x: np.ndarray, t: float, rhs: np.ndarray) -> np.ndarray:
-        """``dx`` with ``H_x(x, t) dx = rhs[:len(x)]``; raises :class:`SingularMatrixError`."""
-        return self.factorization(x, t).solve(rhs[:np.size(x)])
 
 
 def global_homotopy(f, jac_f, x0) -> HomotopyProblem:
@@ -112,13 +105,13 @@ def global_homotopy(f, jac_f, x0) -> HomotopyProblem:
     def residual(x, t):
         return np.asarray(f(x), dtype=np.float64) - (1.0 - t) * f0
 
-    def jacobian_x(x, t):
-        return jac_f(x)
+    def factor(x, t):
+        return pivoted_lu(jac_f(x))
 
     def dh_dt(x, t):
         return f0
 
-    return HomotopyProblem(residual, jacobian_x, dh_dt)
+    return HomotopyProblem(residual, factor, dh_dt)
 
 
 @dataclass(frozen=True)
@@ -175,7 +168,7 @@ def newton_corrector(problem: HomotopyProblem, x: np.ndarray, t: float,
         if norm <= cfg.tol:
             return NewtonResult(x, it, True, "", norm)
         try:
-            factor = problem.factorization(x, t)
+            factor = problem.factor(x, t)
             indefinite = indefinite + 1 if factor.negative else 0
             if t < 1.0 and indefinite >= LEFT_BRANCH_ITERATES:
                 return NewtonResult(x, it, False, "left_branch", norm)
@@ -210,7 +203,7 @@ def newton_corrector(problem: HomotopyProblem, x: np.ndarray, t: float,
 def _tangent_direction(problem: HomotopyProblem, x: np.ndarray, t: float) -> Optional[np.ndarray]:
     """Tangent x'(t) of the zero curve from H_x x' = -H_t; None if H_x is singular."""
     try:
-        return problem.solve(x, t, -np.asarray(problem.dh_dt(x, t), float))
+        return problem.factor(x, t).solve(-np.asarray(problem.dh_dt(x, t), float)[:x.size])
     except SingularMatrixError:
         return None
 

@@ -24,7 +24,8 @@ pivoting on one fill-reducing order for the run, and recovers dz_a and dz_b
 from drho by two diagonal scalings.  M's inertia is that of the reduced
 Hessian ``rr + Sigma + 2 ru K^-1 ru^T`` plus l negative eigenvalues, so each
 factorization also reports the reduced Hessian's negative count, which the
-corrector reads to notice that it left the minimizer branch.
+corrector reads to notice that it left the minimizer branch.  The 4-block
+Jacobian is built only as the checked reference and for the LU fallback.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ import numpy as np
 from . import fem, homotopy
 from .barrier import (BarrierSchedule, BoxConstraints, DualPair, fraction_to_boundary,
                       pd_residual_box, set_box_duals)
-from .homotopy import Factor, HomotopyProblem, SolveTrace
+from .homotopy import Factor, HomotopyProblem, SolveTrace, pivoted_lu
 from .lagrangian import Lagrangian
 from .mesh import bridge_domain, build_structured_mesh
 from .sparse import BlockSystem, SingularMatrixError, SparseMatrix, SymmetricOrder, solve_direct
@@ -184,8 +185,9 @@ class KktSystem:
         refinement on M brings the error of the diagonal pivots past the
         fold, where ``rr + Sigma`` is indefinite, back to that of a pivoted
         LU.  If the symmetric factorization is refused, the step falls back
-        to the pivoted LU of the 4-block Jacobian, which reports no inertia,
-        and the log says so.
+        to :func:`~homotopt.homotopy.pivoted_lu` of the 4-block Jacobian,
+        which reports no inertia, and the log says so.  The traced problem
+        of :meth:`homotopy_problem` solves only through this method.
         """
         gap_a, gap_b = self.box.lower_gap(point.rho), self.box.upper_gap(point.rho)
         try:
@@ -193,8 +195,7 @@ class KktSystem:
             lu = self._symmetric.factor(m)
         except SingularMatrixError as exc:
             log.info("symmetric factorization refused (%s): 4-block LU fallback", exc)
-            jac = self.jacobian(point)
-            return Factor(lambda b: solve_direct(jac, b))
+            return pivoted_lu(self.jacobian(point))
 
         def solve(b):
             b_rho, b_u, b_a, b_b = self._split(b)
@@ -230,9 +231,6 @@ class KktSystem:
         def residual(v, t):
             return self.residual(self.unpack(v), anchor, t, schedule)
 
-        def jacobian_x(v, t):
-            return self.jacobian(self.unpack(v))
-
         def factor(v, t):
             return self.factor(self.unpack(v))
 
@@ -250,8 +248,8 @@ class KktSystem:
                     (self.box.lower_gap(x.rho), self.box.upper_gap(x.rho), x.z_a, x.z_b),
                     (dx.rho, -dx.rho, dx.z_a, dx.z_b), damping)
 
-        return HomotopyProblem(residual, jacobian_x, dh_dt, iterate_valid=valid,
-                               mu_of_t=schedule.mu, step_limit=step_limit, factor=factor)
+        return HomotopyProblem(residual, factor, dh_dt, iterate_valid=valid,
+                               mu_of_t=schedule.mu, step_limit=step_limit)
 
 
 def build_system(config: "SolverConfig") -> Tuple[KktSystem, BarrierSchedule]:

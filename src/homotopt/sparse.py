@@ -260,14 +260,17 @@ class SymmetricOrder:
     (``MMD_AT_PLUS_A``) and keeps that order, with a map gathering CSR data
     into the CSC data of the symmetrically permuted matrix; its
     factorization serves as the first one.  Every later call permutes by
-    that gather and factors with the ``NATURAL`` order.  Pivots stay on the
-    diagonal (threshold 0), which is stable for symmetric quasi-definite
-    matrices; a factorization that needed an off-diagonal pivot, or fails
-    the pivot test, raises :class:`SingularMatrixError`.
+    that gather and factors with the ``NATURAL`` order; a matrix whose CSR
+    ``indptr`` or ``indices`` differ from the first one's raises
+    ``ValueError``.  Pivots stay on the diagonal (threshold 0), which is
+    stable for symmetric quasi-definite matrices; a factorization that
+    needed an off-diagonal pivot, or fails the pivot test, raises
+    :class:`SingularMatrixError`.
     """
 
     def __init__(self):
         self._order = None  # position in the permuted matrix -> index
+        self._layout = None  # (indptr, indices) of the first matrix's CSR
         self._csc = None  # (gather, indices, indptr) of the permuted matrix
 
     def factor(self, a: SparseMatrix) -> SymmetricFactor:
@@ -281,11 +284,12 @@ class SymmetricOrder:
             mark = _csr_matrix(np.arange(1, a.nnz + 1), a.csr.indices, a.csr.indptr, a.shape)
             permuted = mark.csr[order][:, order].tocsc()
             self._csc = (permuted.data.astype(np.int64) - 1, permuted.indices, permuted.indptr)
+            self._layout = (a.csr.indptr, a.csr.indices)
             self._order = order
             return SymmetricFactor(lu, None)
-        gather, indices, indptr = self._csc
-        if a.nnz != gather.size:
+        if not all(map(np.array_equal, (a.csr.indptr, a.csr.indices), self._layout)):
             raise ValueError("matrix layout differs from the first factorization")
+        gather, indices, indptr = self._csc
         csc = sp.csc_matrix((a.csr.data[gather], indices, indptr), shape=a.shape)
         return SymmetricFactor(_splu(csc, permc_spec="NATURAL", **_DIAGONAL_PIVOTS), self._order)
 

@@ -9,7 +9,6 @@ from homotopt.barrier import (BarrierDivergedError, BarrierSchedule, BoxConstrai
                               geometric_rule, pd_residual_box, run_pd_barrier)
 from homotopt.homotopy import NewtonConfig
 from homotopt.io_cli import mu_sequence_rule, quartic_oracle
-from homotopt.sparse import solve_direct
 
 QUARTIC_BOX = BoxConstraints(np.array([-0.5]), np.array([1.0]))
 REFERENCE_MINIMIZERS = {2.9: 0.2008, 1.1: 0.0315, 0.4: -0.2456, 0.1: -0.41}
@@ -118,7 +117,7 @@ def newton_step(oracle, x, box, duals, mu):
     ``(dx, dz_a, dz_b)``."""
     problem = box_barrier_problem(oracle, box)
     v = np.concatenate([x, duals.z_a, duals.z_b])
-    d = solve_direct(problem.jacobian_x(v, mu), -problem.residual(v, mu))
+    d = problem.factor(v, mu).solve(-problem.residual(v, mu))
     n = box.n
     return d[:n], d[n:2 * n], d[2 * n:]
 
@@ -151,22 +150,20 @@ def test_newton_step_matches_hand_solve(rng):
 
 def test_dense_hessian_through_exact_zero_keeps_one_layout():
     # the Hessian is 0 at the first point and nonzero at the second: its
-    # zero entries stay in the Jacobian, which keeps one layout and values
+    # zero entries stay in the Newton matrix, whose second assembly would
+    # raise ValueError on a changed layout; each solve is the dense one
     box = BoxConstraints(np.full(2, -1.0), np.full(2, 1.0))
     oracle = ObjectiveOracle(gradient=lambda y: y ** 3, hessian=lambda y: np.outer(y, y))
     problem = box_barrier_problem(oracle, box)
     za, zb = np.array([0.3, 0.4]), np.array([0.2, 0.6])
     eye, zero = np.eye(2), np.zeros((2, 2))
-    jacs = []
+    rhs = np.array([1.0, -2.0, 0.5, 0.25, -1.5, 3.0])
     for x in (np.zeros(2), np.array([0.5, -0.25])):
-        jac = problem.jacobian_x(np.concatenate([x, za, zb]), 0.1).csr
+        step = problem.factor(np.concatenate([x, za, zb]), 0.1).solve(rhs)
         want = np.block([[np.outer(x, x), -eye, eye],
                          [np.diag(za), np.diag(x + 1.0), zero],
                          [-np.diag(zb), zero, np.diag(1.0 - x)]])
-        assert np.array_equal(jac.toarray(), want)
-        jacs.append(jac)
-    assert np.array_equal(jacs[0].indptr, jacs[1].indptr)
-    assert np.array_equal(jacs[0].indices, jacs[1].indices)
+        assert step == pytest.approx(np.linalg.solve(want, rhs), abs=1e-12)
 
 
 def test_repeated_steps_converge_on_quadratic():

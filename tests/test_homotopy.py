@@ -9,8 +9,9 @@ from scipy.optimize import brentq
 from homotopt.barrier import BoxConstraints, box_barrier_problem, run_pd_barrier
 from homotopt.homotopy import (Factor, NewtonConfig, StepController, StepUnderflowError,
                                HomotopyProblem, _tangent_direction, global_homotopy,
-                               newton_corrector, trace)
+                               newton_corrector, pivoted_lu, trace)
 from homotopt.io_cli import quartic_oracle
+from homotopt.sparse import SingularMatrixError, SparseMatrix
 
 ROOT = (-1.0 - math.sqrt(17.0)) / 8.0  # root of 4x^2 + x - 1 reached by the path
 
@@ -21,6 +22,11 @@ def cubic(x):
 
 def cubic_prime(x):
     return 12.0 * x ** 2 - 6.0 * x - 2.0
+
+
+def lu_of(jacobian):
+    """A problem's ``factor``: the pivoted LU of ``jacobian(x, t)``."""
+    return lambda x, t: pivoted_lu(jacobian(x, t))
 
 
 def cubic_problem():
@@ -72,7 +78,7 @@ def arctan_problem(step_limit=None):
     # only the monotonicity test can end it before the budget
     return HomotopyProblem(
         residual=lambda x, t: np.arctan(x),
-        jacobian_x=lambda x, t: np.array([[1.0 / (1.0 + x[0] ** 2)]]),
+        factor=lu_of(lambda x, t: np.array([[1.0 / (1.0 + x[0] ** 2)]])),
         dh_dt=lambda x, t: np.zeros(1),
         step_limit=step_limit,
     )
@@ -100,7 +106,7 @@ def test_first_step_that_raises_the_residual_goes_on():
     # Newton converges monotonically to 1
     problem = HomotopyProblem(
         residual=lambda x, t: x ** 2 - 1.0,
-        jacobian_x=lambda x, t: np.array([[2.0 * x[0]]]),
+        factor=lu_of(lambda x, t: np.array([[2.0 * x[0]]])),
         dh_dt=lambda x, t: np.zeros(1),
     )
     first = newton_corrector(problem, np.array([0.1]), 1.0, NewtonConfig(max_iter=1))
@@ -111,7 +117,7 @@ def test_first_step_that_raises_the_residual_goes_on():
 
 
 def line_problem(jacobian=1.0, residual=lambda x, t: x - 1.0, step_limit=None):
-    return HomotopyProblem(residual, lambda x, t: np.array([[jacobian]]),
+    return HomotopyProblem(residual, lu_of(lambda x, t: np.array([[jacobian]])),
                            step_limit=step_limit)
 
 
@@ -138,7 +144,7 @@ def test_trailing_residual_rows_count_in_the_norm_only():
         r = x ** 2 - (1.0 + 3.0 * t)
         return np.concatenate([r, -r])
 
-    problem = HomotopyProblem(residual, lambda x, t: np.array([[2.0 * x[0]]]),
+    problem = HomotopyProblem(residual, lu_of(lambda x, t: np.array([[2.0 * x[0]]])),
                               dh_dt=lambda x, t: np.array([-3.0, 3.0]))
     # x: 1 -> 2.5, r = 2.25 in each row
     one = newton_corrector(problem, np.array([1.0]), 1.0, NewtonConfig(max_iter=1))
@@ -151,22 +157,25 @@ def test_trailing_residual_rows_count_in_the_norm_only():
         assert x == pytest.approx([2.0], abs=1e-12)
 
 
-def test_factor_hook_replaces_the_jacobian_solve():
-    # the problem's own factorization serves each system once, with the
-    # leading rows of the right-hand side; jacobian_x is not factored
+def test_tangent_and_corrector_solve_through_the_factor():
+    # each tangent and Newton system factors once and solves with the
+    # leading rows of its right-hand side; the trailing copy of each row
+    # counts only in the norm
     calls = []
+    base = cubic_problem()
 
     def factor(x, t):
         calls.append((x.copy(), t))
-        return Factor(lambda b: b / cubic_prime(x))
 
-    def unused(x, t):
-        raise AssertionError("jacobian_x factored despite the factor hook")
+        def solve(b):
+            assert b.shape == x.shape
+            return b / cubic_prime(x)
+        return Factor(solve)
 
-    base = cubic_problem()
-    problem = HomotopyProblem(base.residual, unused, base.dh_dt, factor=factor)
-    assert problem.solve(np.array([-0.7]), 0.5, np.array([3.0, 9.0])) == \
-        pytest.approx([3.0 / cubic_prime(-0.7)])
+    problem = HomotopyProblem(lambda x, t: np.tile(base.residual(x, t), 2), factor,
+                              lambda x, t: np.tile(base.dh_dt(x, t), 2))
+    assert _tangent_direction(problem, np.array([-0.7]), 0.5) == \
+        pytest.approx([-cubic(-1.2) / cubic_prime(-0.7)])
     x, tr = trace(problem, np.array([-1.2]), StepController(), NewtonConfig(tol=1e-12),
                   predictor_order=1)
     assert x == pytest.approx([ROOT], abs=1e-10)
@@ -178,8 +187,8 @@ def scripted_inertia_problem(negatives):
     the default tolerance in 20 steps); the k-th factorization reports
     ``negatives[k]`` negative eigenvalues of the reduced Hessian."""
     calls = iter(negatives)
-    return HomotopyProblem(lambda x, t: x - 1.0, None,
-                           factor=lambda x, t: Factor(lambda b: 0.5 * b, next(calls)))
+    return HomotopyProblem(lambda x, t: x - 1.0,
+                           lambda x, t: Factor(lambda b: 0.5 * b, next(calls)))
 
 
 @pytest.mark.parametrize("negatives, iters", [
@@ -212,17 +221,17 @@ def test_corrector_at_t1_runs_on_through_indefinite_iterates():
     assert (result.converged, result.reason, result.iters) == (False, "max_iter", 20)
 
 
-def test_problems_without_a_factor_report_no_inertia():
-    # the pivoted LU of jacobian_x: half Newton steps run to the budget at t < 1
-    line = HomotopyProblem(lambda x, t: x - 1.0, lambda x, t: np.array([[2.0]]))
-    assert line.factorization(np.zeros(1), 0.5).negative is None
+def test_pivoted_lu_problems_report_no_inertia():
+    # half Newton steps run to the budget at t < 1
+    line = HomotopyProblem(lambda x, t: x - 1.0, lu_of(lambda x, t: np.array([[2.0]])))
+    assert line.factor(np.zeros(1), 0.5).negative is None
     result = newton_corrector(line, np.zeros(1), 0.5, NewtonConfig())
     assert (result.reason, result.iters) == ("max_iter", 20)
     # run_pd_barrier passes mu in the t slot; its problem reports no inertia
     # even where the quartic's Hessian is negative (-2.75 at x = 0.25)
     box = BoxConstraints(np.array([-0.5]), np.array([1.0]))
     barrier = box_barrier_problem(quartic_oracle(), box)
-    assert barrier.factorization(np.array([0.25, 1.0, 1.0]), 0.5).negative is None
+    assert barrier.factor(np.array([0.25, 1.0, 1.0]), 0.5).negative is None
     x, _ = run_pd_barrier(quartic_oracle(), box.analytic_center(), box, mu0=2.9, mu_inf=1e-6)
     assert x[0] == pytest.approx(-0.5, abs=1e-3)
 
@@ -237,7 +246,7 @@ def test_corrector_frees_each_factorization_before_the_next():
         previous.append(weakref.ref(result))
         return result
 
-    problem = HomotopyProblem(lambda x, t: x - 1.0, None, factor=factor)
+    problem = HomotopyProblem(lambda x, t: x - 1.0, factor)
     result = newton_corrector(problem, np.zeros(1), 1.0, NewtonConfig(max_iter=5))
     assert (result.reason, len(previous)) == ("max_iter", 5)
 
@@ -265,7 +274,7 @@ def test_tangent_predictor_singular_fallback(caplog):
     # marks the step that fell back
     problem = HomotopyProblem(
         residual=lambda x, t: x - t,
-        jacobian_x=lambda x, t: np.array([[0.0 if t == 0.0 else 1.0]]),
+        factor=lu_of(lambda x, t: np.array([[0.0 if t == 0.0 else 1.0]])),
         dh_dt=lambda x, t: np.array([-1.0]),
     )
     assert _tangent_direction(problem, np.array([0.0]), 0.0) is None
@@ -390,7 +399,7 @@ def test_step_underflow_raises_with_trace():
     # corrector can never converge: residual is constantly 1
     problem = HomotopyProblem(
         residual=lambda x, t: np.array([1.0]) if t > 0 else np.array([0.0]),
-        jacobian_x=lambda x, t: np.array([[1.0]]),
+        factor=lu_of(lambda x, t: np.array([[1.0]])),
         dh_dt=lambda x, t: np.array([0.0]),
     )
     controller = StepController(dt_init=0.25, dt_max=0.25, dt_min=1e-3)
@@ -404,15 +413,15 @@ def test_repeated_rejected_proposal_is_replayed_not_rerun():
     # x = t solves every t < 1 in one Newton step; t = 1 has no root, so each
     # corrector there spends its whole budget.  Proposals clamped to 1 repeat
     # from the same accepted point until a shorter step is accepted.
-    jacobian_ts = []
+    factor_ts = []
 
-    def jacobian_x(x, t):
-        jacobian_ts.append(t)
-        return np.array([[1.0]])
+    def factor(x, t):
+        factor_ts.append(t)
+        return pivoted_lu(np.array([[1.0]]))
 
     problem = HomotopyProblem(
         residual=lambda x, t: np.array([1.0]) if t == 1.0 else x - t,
-        jacobian_x=jacobian_x,
+        factor=factor,
         dh_dt=lambda x, t: np.array([-1.0]),
     )
     controller = StepController(dt_init=0.5, dt_max=4.0, growth=4.0, dt_min=0.1)
@@ -429,17 +438,17 @@ def test_repeated_rejected_proposal_is_replayed_not_rerun():
         if rec.reason == "repeat":
             assert not rec.accepted
             assert rec.residual_norm == records[i - 1].residual_norm
-    # three correctors at t = 1 run (3 Jacobians each) plus the endpoint jump
-    # (15); the six repeats add none
-    assert jacobian_ts.count(1.0) == 3 * 3 + 15
-    assert len(jacobian_ts) == 3 + 3 * 3 + 15
+    # three correctors at t = 1 run (3 factorizations each) plus the endpoint
+    # jump (15); the six repeats add none
+    assert factor_ts.count(1.0) == 3 * 3 + 15
+    assert len(factor_ts) == 3 + 3 * 3 + 15
 
 
 def test_endpoint_jump_is_marked_and_accepted():
     # every corrector for 0 < t < 1 fails; the problem at t = 1 is x = 1
     problem = HomotopyProblem(
         residual=lambda x, t: np.array([1.0]) if 0.0 < t < 1.0 else x - t,
-        jacobian_x=lambda x, t: np.array([[1.0]]),
+        factor=lu_of(lambda x, t: np.array([[1.0]])),
         dh_dt=lambda x, t: np.array([-1.0]),
         mu_of_t=lambda t: 2.0 - t,
     )
@@ -472,7 +481,7 @@ def test_trace_rejects_bad_start():
 
 def test_first_order_predictor_needs_dh_dt():
     f = cubic_problem()
-    problem = HomotopyProblem(f.residual, f.jacobian_x)
+    problem = HomotopyProblem(f.residual, f.factor)
     calls = []
     with pytest.raises(ValueError, match="dh_dt"):
         trace(problem, np.array([-1.2]), StepController(), NewtonConfig(), predictor_order=1,
@@ -500,3 +509,18 @@ def test_newton_config_validation():
     # at or below 1 every iterate must shrink the best residual so far: strict, but legal
     for growth in (0.5, 1.0):
         assert NewtonConfig(divergence_growth=growth).divergence_growth == growth
+
+
+def test_pivoted_lu_solves_dense_and_sparse_alike():
+    dense = np.array([[4.0, 1.0, 0.0],
+                      [2.0, 0.0, 3.0],
+                      [0.0, 5.0, 1.0]])  # a zero diagonal entry needs a row swap
+    b = np.array([1.0, -2.0, 0.5])
+    sparse = SparseMatrix.from_triplets(3, 3, *np.nonzero(dense), dense[np.nonzero(dense)])
+    solves = [pivoted_lu(jac) for jac in (dense, sparse)]
+    assert [f.negative for f in solves] == [None, None]
+    x = np.linalg.solve(dense, b)
+    for f in solves:
+        assert f.solve(b) == pytest.approx(x, rel=1e-14, abs=1e-14)
+    with pytest.raises(SingularMatrixError):
+        pivoted_lu(np.array([[1.0, 2.0], [2.0, 4.0]])).solve(np.ones(2))

@@ -383,7 +383,7 @@ def test_condensed_step_equals_full_kkt_solve(small_run, small_system):
         t_next = min(t + 0.25, 1.0)
         for rhs in (-system.residual(point, anchor, t_next, schedule),
                     -system.h_t(anchor, t, schedule)):
-            step = problem.solve(v, t_next, rhs)
+            step = problem.factor(v, t_next).solve(rhs[:m])
             reference = spla.spsolve(full, rhs)
             assert rel_err(step, reference[:m]) <= 1e-10
             assert rel_err(reference[m:], -system.unpack(step).u) <= 1e-10
@@ -415,25 +415,26 @@ def test_refused_symmetric_factorization_falls_back_to_the_4_block_lu(
     _, anchor = system.initialize(schedule.mu0)
     problem = system.homotopy_problem(anchor, schedule, damping=0.995)
     t, point = accepted[2]
-    rhs = -system.residual(point, anchor, t + 0.25, schedule)
-    reduced = problem.solve(point.pack(), t + 0.25, rhs)
+    m = system.dim - system.l
+    rhs = -system.residual(point, anchor, t + 0.25, schedule)[:m]
+    reduced = problem.factor(point.pack(), t + 0.25).solve(rhs)
 
     def refuse(self, a):
         raise sparse.SingularMatrixError("a pivot left the diagonal")
 
     monkeypatch.setattr(sparse.SymmetricOrder, "factor", refuse)
     with caplog.at_level(logging.INFO, logger="homotopt.solver"):
-        step = problem.solve(point.pack(), t + 0.25, rhs)
+        step = problem.factor(point.pack(), t + 0.25).solve(rhs)
     assert "4-block LU fallback" in caplog.text
     assert system.factor(point).negative is None  # no inertia from the LU
-    m = system.dim - system.l
-    assert np.array_equal(step, sparse.solve_direct(system.jacobian(point), rhs[:m]))
+    assert np.array_equal(step, sparse.solve_direct(system.jacobian(point), rhs))
     assert rel_err(step, reduced) <= 1e-10
 
 
 def test_run_orders_the_reduced_matrix_once(monkeypatch):
     # the first factorization orders M (MMD on A^T + A); every later one
-    # reuses that order, permuted, with the NATURAL column order
+    # reuses that order, permuted, with the NATURAL column order; the
+    # 4-block Jacobian is never built
     specs = []
     splu = sparse.spla.splu
 
@@ -444,6 +445,11 @@ def test_run_orders_the_reduced_matrix_once(monkeypatch):
     monkeypatch.setattr(sparse, "spla", type("spla", (), {"splu": staticmethod(recorded_splu)}))
     records = []
     monkeypatch.setattr(solver.log, "info", lambda *args: records.append(args))
+
+    def unbuilt(self, point):
+        raise AssertionError("KktSystem.jacobian called on the default path")
+
+    monkeypatch.setattr(solver.KktSystem, "jacobian", unbuilt)
     _, trace = solver.run(small_config())
     assert trace.accepted()[-1].t == 1.0
     assert specs[0] is None  # the state solve of the initial point

@@ -193,6 +193,14 @@ def test_symmetric_factor_solves_and_counts_negative_eigenvalues(rng):
         factor.solve(np.ones(41))
     with pytest.raises(ValueError):
         order.factor(SparseMatrix.from_triplets(42, 42, range(42), range(42), np.ones(42)))
+    # a layout with the first one's entry count but other places is refused
+    first, second = np.diag(np.full(4, 4.0)), np.diag(np.full(4, 4.0))
+    first[0, 1] = first[1, 0] = second[0, 3] = second[3, 0] = 1.0
+    order = SymmetricOrder()
+    order.factor(SparseMatrix.from_triplets(4, 4, *np.nonzero(first), first[np.nonzero(first)]))
+    with pytest.raises(ValueError, match="layout differs"):
+        order.factor(SparseMatrix.from_triplets(4, 4, *np.nonzero(second),
+                                                second[np.nonzero(second)]))
 
 
 def test_symmetric_factor_refusals():

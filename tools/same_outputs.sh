@@ -8,9 +8,13 @@
 # 60x20 with --full), `solve --predictor 1` on 20x8 (its tangent solves go
 # through the Hessian too), `solve` on 20x8 with `stepping.dt_init = 0.1` and
 # `stepping.dt_max = 0.25` (a folding run in which correctors stop on leaving
-# the minimizer branch), `scalar-demos` and `check-derivatives`.  It diffs
-# each solve's output directory and the text each command prints, less the
-# `outputs in DIR` line, plus the exit status.  Exits 1 on any difference.
+# the minimizer branch), `solve` on acceptance criterion 6's 20x8 config
+# (`stepping.dt_init = stepping.dt_max = 0.9`, `barrier.mu_inf = 0.05`,
+# `newton.damping = 0.0`: full Newton steps with no `step_limit`, whose
+# correctors end `invalid_iterate`), `scalar-demos` and `check-derivatives`.
+# It diffs each solve's output directory and the text each command prints,
+# less the `outputs in DIR` line, plus the exit status.  Exits 1 on any
+# difference.
 set -euo pipefail
 
 usage="usage: tools/same_outputs.sh REV [--full]"
@@ -55,6 +59,8 @@ for mesh in $cases; do
 done
 printf 'stepping.dt_init = 0.1\nstepping.dt_max = 0.25\n' | cat "$work/20x8.cfg" - \
     > "$work/20x8-dt.cfg"
+printf 'stepping.dt_init = 0.9\nstepping.dt_max = 0.9\nbarrier.mu_inf = 0.05\nnewton.damping = 0.0\n' \
+    | cat "$work/20x8.cfg" - > "$work/20x8-criterion6.cfg"
 for side in rev head; do
     for mesh in $cases; do
         run $side "solve-$mesh" solve "$work/$mesh.cfg" --out-dir "$work/$side-out-$mesh"
@@ -62,12 +68,14 @@ for side in rev head; do
     run $side solve-20x8-predictor1 solve "$work/20x8.cfg" --predictor 1 \
         --out-dir "$work/$side-out-20x8-predictor1"
     run $side solve-20x8-dt solve "$work/20x8-dt.cfg" --out-dir "$work/$side-out-20x8-dt"
+    run $side solve-20x8-criterion6 solve "$work/20x8-criterion6.cfg" \
+        --out-dir "$work/$side-out-20x8-criterion6"
     run $side scalar-demos scalar-demos
     run $side check-derivatives check-derivatives --points 3
 done
 
 cd "$work"
-for mesh in $cases 20x8-predictor1 20x8-dt; do
+for mesh in $cases 20x8-predictor1 20x8-dt 20x8-criterion6; do
     compare -r "rev-out-$mesh" "head-out-$mesh"
 done
 for name in $(ls head-*.txt | sed 's/^head-//'); do
