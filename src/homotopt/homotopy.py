@@ -81,10 +81,10 @@ class HomotopyProblem:
     The residual may be longer than ``x``: the Jacobian covers its leading
     ``len(x)`` rows, and the rows past them count only in the residual norm,
     so they must follow from the leading rows (be zero wherever those are).
-    ``dh_dt`` is needed only by the first-order predictor.  ``iterate_valid``
-    lets problems declare Newton iterates inadmissible (e.g. a barrier
-    iterate leaving the strict interior); such an iterate counts as
-    divergence.  ``mu_of_t`` is optional bookkeeping for traces.
+    ``dh_dt`` gives the tracer its tangent predictor on steps below the cap.
+    ``iterate_valid`` lets problems declare Newton iterates inadmissible
+    (e.g. a barrier iterate leaving the strict interior); such an iterate
+    counts as divergence.  ``mu_of_t`` is optional bookkeeping for traces.
     """
 
     residual: Callable[[np.ndarray, float], np.ndarray]
@@ -267,13 +267,16 @@ class StepUnderflowError(RuntimeError):
 
 
 def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
-          cfg: NewtonConfig, predictor_order: int = 0,
-          on_accept: Optional[Callable[[float, np.ndarray], None]] = None,
+          cfg: NewtonConfig, on_accept: Optional[Callable[[float, np.ndarray], None]] = None,
           checkpoints: Sequence[float] = ()):
     """Trace the zero curve from (x0, 0) until t = 1 is accepted.
 
     Returns ``(x_final, SolveTrace)``.  Rejected steps are retried from the
-    last accepted point with a shrunk increment.  ``checkpoints`` are t values
+    last accepted point with a shrunk increment.  A proposal with ``dt`` below
+    ``controller.dt_max`` starts its corrector from the tangent prediction
+    ``x + (t_try - t) x'(t)`` if the problem has ``dh_dt`` (from ``x`` if
+    the tangent system is singular: ``predictor_fallback``); one at the cap
+    and the endpoint jump start from ``x``.  ``checkpoints`` are t values
     in (0, 1) that no proposal steps over, so the trace lands on each.  A
     proposal that repeats a rejected ``t`` from the same accepted point (the
     proposal clamps at 1) would rerun the same corrector, so its rejection
@@ -285,10 +288,6 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
     nearest attractor).  Its record has ``endpoint_jump`` set; if it fails,
     :class:`StepUnderflowError` is raised.
     """
-    if predictor_order not in (0, 1):
-        raise ValueError("predictor_order must be 0 or 1")
-    if predictor_order == 1 and problem.dh_dt is None:
-        raise ValueError("predictor_order 1 needs the problem's dh_dt")
     checkpoints = sorted(float(c) for c in checkpoints)
     if any(not 0.0 < c < 1.0 for c in checkpoints):
         raise ValueError("checkpoints must lie strictly inside (0, 1)")
@@ -316,7 +315,7 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
             record = replace(rejected[t_try], index=index, newton_iters=0, reason="repeat")
         else:
             fallback, x_pred = False, x
-            if predictor_order == 1 and not jump:
+            if dt < controller.dt_max and problem.dh_dt is not None and not jump:
                 direction = _tangent_direction(problem, x, t)
                 fallback = direction is None
                 x_pred = x if fallback else x + (t_try - t) * direction

@@ -96,13 +96,10 @@ class SolverConfig:
     barrier: BarrierSchedule = field(default_factory=BarrierSchedule)
     stepping: StepController = field(default_factory=StepController)
     newton: NewtonSettings = field(default_factory=NewtonSettings)
-    predictor_order: int = 0
     out_dir: str = "out"
     snapshots: tuple = DEFAULT_SNAPSHOTS
 
     def __post_init__(self):
-        if self.predictor_order not in (0, 1):
-            raise ValueError("predictor_order must be 0 or 1")
         if any(not 0.0 <= s <= 1.0 for s in self.snapshots):
             raise ValueError("snapshots must lie in [0, 1]")
         if not self.out_dir:
@@ -357,8 +354,7 @@ def _load_config(args, **overrides) -> Optional[SolverConfig]:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load_config(args, out_dir=args.out_dir, snapshots=args.snapshots,
-                       predictor_order=args.predictor)
+    cfg = _load_config(args, out_dir=args.out_dir, snapshots=args.snapshots)
     if cfg is None:
         return 1
     if args.verbose:
@@ -549,7 +545,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out-dir", default=None)
     p_solve.add_argument("--snapshots", default=None,
                          help="comma-separated t values for density snapshots")
-    p_solve.add_argument("--predictor", type=int, choices=(0, 1), default=None)
     p_solve.add_argument("--verbose", action="store_true")
     p_solve.set_defaults(func=_cmd_solve)
     sub.add_parser("scalar-demos", help="run the scalar reference problems").set_defaults(

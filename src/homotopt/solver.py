@@ -281,7 +281,5 @@ def run(config: "SolverConfig",
     callback = None
     if on_accept is not None:
         callback = lambda t, v: on_accept(t, system.unpack(v))
-    x, trace = homotopy.trace(problem, point0.pack(), config.stepping, cfg,
-                              predictor_order=config.predictor_order,
-                              on_accept=callback)
+    x, trace = homotopy.trace(problem, point0.pack(), config.stepping, cfg, on_accept=callback)
     return system.unpack(x), trace

@@ -214,6 +214,31 @@ def test_single_edge_endpoint_loads():
             assert fy == 0.0
 
 
+def test_cantilever_on_vertical_segments():
+    # clamped along x = 0 and loaded on part of x = 2: every segment vertical
+    clamp = BoundarySegment((0.0, 0.0), (0.0, 1.0))
+    spec = DomainSpec(2.0, 1.0, dirichlet_segments=(clamp,),
+                      neumann_traction_segments=(BoundarySegment((2.0, 0.25), (2.0, 0.75)),),
+                      traction=(0.0, -1.0))
+    msh = build_structured_mesh(spec, nx=4, ny=4)
+    fixed = dirichlet_vertex_set(msh)
+    assert sorted(msh.vertices[v][1] for v in fixed) == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert all(msh.vertices[v][0] == 0.0 for v in fixed)
+    dofmap = make_dofmap(msh)
+    f = assemble_traction_load(dofmap, spec)
+    assert f[dofmap.disp_index[:, 1][dofmap.disp_index[:, 1] >= 0]].sum() == \
+        pytest.approx(-0.5, abs=1e-14)
+    x_ids = dofmap.disp_index[:, 0][dofmap.disp_index[:, 0] >= 0]
+    assert np.all(f[x_ids] == 0.0)
+    with pytest.raises(ValueError, match="overlapping"):
+        DomainSpec(2.0, 1.0, dirichlet_segments=(
+            clamp, BoundarySegment((0.0, 0.5), (0.0, 0.75))))
+    for off in (BoundarySegment((1.0, 0.0), (1.0, 1.0)),   # interior
+                BoundarySegment((2.0, 0.5), (2.0, 1.5))):  # overhangs the top
+        with pytest.raises(ValueError, match="does not lie on the domain boundary"):
+            DomainSpec(2.0, 1.0, neumann_traction_segments=(off,))
+
+
 def test_load_supported_only_on_traction_vertices(bridge, coarse_mesh, coarse_dofmap):
     f = assemble_traction_load(coarse_dofmap, bridge)
     seg = bridge.neumann_traction_segments[0]

@@ -150,9 +150,9 @@ def test_trailing_residual_rows_count_in_the_norm_only():
     one = newton_corrector(problem, np.array([1.0]), 1.0, NewtonConfig(max_iter=1))
     assert one.x[0] == 2.5
     assert one.residual_norm == pytest.approx(2.25 * math.sqrt(2.0), rel=1e-15)
-    for order in (0, 1):
-        x, tr = trace(problem, np.array([1.0]), StepController(), NewtonConfig(tol=1e-12),
-                      predictor_order=order)
+    # from x at the cap; from the tangent while dt grows from 0.1 to it
+    for controller in (StepController(), StepController(dt_init=0.1)):
+        x, tr = trace(problem, np.array([1.0]), controller, NewtonConfig(tol=1e-12))
         assert tr.accepted()[-1].t == 1.0
         assert x == pytest.approx([2.0], abs=1e-12)
 
@@ -176,8 +176,9 @@ def test_tangent_and_corrector_solve_through_the_factor():
                               lambda x, t: np.tile(base.dh_dt(x, t), 2))
     assert _tangent_direction(problem, np.array([-0.7]), 0.5) == \
         pytest.approx([-cubic(-1.2) / cubic_prime(-0.7)])
-    x, tr = trace(problem, np.array([-1.2]), StepController(), NewtonConfig(tol=1e-12),
-                  predictor_order=1)
+    # growth 1 keeps every step below the cap: each attempt solves a tangent
+    controller = StepController(dt_init=0.2, dt_max=0.25, growth=1.0)
+    x, tr = trace(problem, np.array([-1.2]), controller, NewtonConfig(tol=1e-12))
     assert x == pytest.approx([ROOT], abs=1e-10)
     assert len(calls) == 1 + sum(r.newton_iters for r in tr.records) + tr.n_attempts
 
@@ -278,9 +279,9 @@ def test_tangent_predictor_singular_fallback(caplog):
         dh_dt=lambda x, t: np.array([-1.0]),
     )
     assert _tangent_direction(problem, np.array([0.0]), 0.0) is None
-    controller = StepController(dt_init=0.5, dt_max=0.5)
+    controller = StepController(dt_init=0.5, dt_max=1.0)
     caplog.set_level(logging.INFO, logger="homotopt.homotopy")
-    x, tr = trace(problem, np.array([0.0]), controller, NewtonConfig(), predictor_order=1)
+    x, tr = trace(problem, np.array([0.0]), controller, NewtonConfig())
     assert [r.t for r in tr.records] == [0.5, 1.0]
     assert [r.predictor_fallback for r in tr.records] == [True, False]
     steps = [m for m in caplog.messages if m.startswith("step ")]
@@ -295,8 +296,8 @@ def test_linear_problem_predictor_exact():
     a = np.array([0.3, -1.7])
     problem = global_homotopy(lambda x: x - a, lambda x: np.eye(2), np.zeros(2))
     assert _tangent_direction(problem, np.zeros(2), 0.0) == pytest.approx(a, abs=1e-12)
-    controller = StepController(dt_init=1.0, dt_max=1.0)
-    x, tr = trace(problem, np.zeros(2), controller, NewtonConfig(), predictor_order=1)
+    controller = StepController(dt_init=1.0, dt_max=2.0)
+    x, tr = trace(problem, np.zeros(2), controller, NewtonConfig())
     assert x == pytest.approx(a, abs=1e-10)
     assert tr.n_attempts == 1
     assert tr.records[0].newton_iters <= 1
@@ -351,12 +352,12 @@ def test_trace_trivial_when_target_already_solved():
 
 
 def test_predictor_orders_agree_on_final_point():
+    # the same steps of 0.25, every one at the cap (from x) or below it
+    # (from the tangent)
     results = []
-    for order in (0, 1):
-        problem = cubic_problem()
-        controller = StepController(dt_init=0.25, dt_max=0.25)
-        x, _ = trace(problem, np.array([-1.2]), controller, NewtonConfig(),
-                     predictor_order=order)
+    for dt_max in (0.25, 0.5):
+        controller = StepController(dt_init=0.25, dt_max=dt_max, growth=1.0)
+        x, _ = trace(cubic_problem(), np.array([-1.2]), controller, NewtonConfig())
         results.append(x[0])
     assert abs(results[0] - results[1]) <= 1e-8
 
@@ -432,16 +433,18 @@ def test_repeated_rejected_proposal_is_replayed_not_rerun():
                                       0.875, 1.0, 1.0, 1.0, 1.0]
     assert [r.reason for r in records] == ["", "max_iter", "repeat", "repeat"] * 3 \
         + ["max_iter"]
-    assert [r.newton_iters for r in records] == [1, 3, 0, 0] * 3 + [15]
+    # every step is below the cap, and the tangent of x = t is exact
+    assert [r.newton_iters for r in records] == [0, 3, 0, 0] * 3 + [15]
     assert [r.endpoint_jump for r in records] == [False] * 12 + [True]
     for i, rec in enumerate(records):
         if rec.reason == "repeat":
             assert not rec.accepted
             assert rec.residual_norm == records[i - 1].residual_norm
     # three correctors at t = 1 run (3 factorizations each) plus the endpoint
-    # jump (15); the six repeats add none
+    # jump (15); the six repeats add none, and each of the six correctors
+    # run before the jump factors once for its tangent
     assert factor_ts.count(1.0) == 3 * 3 + 15
-    assert len(factor_ts) == 3 + 3 * 3 + 15
+    assert [t for t in factor_ts if t < 1.0] == [0.0, 0.5, 0.5, 0.75, 0.75, 0.875]
 
 
 def test_endpoint_jump_is_marked_and_accepted():
@@ -479,17 +482,45 @@ def test_trace_rejects_bad_start():
         trace(problem, np.array([0.5]), StepController(), NewtonConfig())
 
 
-def test_first_order_predictor_needs_dh_dt():
+def test_problem_without_dh_dt_starts_from_x_below_the_cap():
     f = cubic_problem()
-    problem = HomotopyProblem(f.residual, f.factor)
-    calls = []
-    with pytest.raises(ValueError, match="dh_dt"):
-        trace(problem, np.array([-1.2]), StepController(), NewtonConfig(), predictor_order=1,
-              on_accept=lambda t, x: calls.append(t))
-    assert calls == []
-    # the zero-order predictor never reads it
-    x, _ = trace(problem, np.array([-1.2]), StepController(), NewtonConfig())
+    controller = StepController(dt_init=0.1)
+    x, tr = trace(HomotopyProblem(f.residual, f.factor), np.array([-1.2]), controller,
+                  NewtonConfig())
     assert x[0] == pytest.approx(ROOT, abs=1e-6)
+    assert not any(r.predictor_fallback for r in tr.records)
+    # the first step, below the cap, corrects from x itself
+    first = newton_corrector(f, np.array([-1.2]), 0.1, NewtonConfig())
+    assert tr.records[0].newton_iters == first.iters
+
+
+def test_step_size_picks_the_predictor():
+    # x = t solves every t < 1 and t = 1 has no root.  The tangent is read
+    # once per corrector run below the cap (at t = 0, 0.75 and 0.875), never
+    # at the cap (0.75 from 0.25, the first 1.0), by a repeat or by the jump.
+    dh_dt_ts = []
+
+    def dh_dt(x, t):
+        dh_dt_ts.append(t)
+        return np.array([-1.0])
+
+    problem = HomotopyProblem(
+        residual=lambda x, t: np.array([1.0]) if t == 1.0 else x - t,
+        factor=lu_of(lambda x, t: np.array([[1.0]])),
+        dh_dt=dh_dt,
+    )
+    controller = StepController(dt_init=0.25, dt_max=0.5, growth=2.0, dt_min=0.1)
+    with pytest.raises(StepUnderflowError) as err:
+        trace(problem, np.array([0.0]), controller, NewtonConfig(max_iter=3))
+    records = err.value.trace.records
+    assert [r.t for r in records] == [0.25, 0.75, 1.0, 1.0, 0.875, 1.0, 1.0, 1.0]
+    assert [r.reason for r in records] == ["", "", "max_iter", "repeat", "",
+                                           "max_iter", "repeat", "max_iter"]
+    assert records[-1].endpoint_jump
+    assert dh_dt_ts == [0.0, 0.75, 0.875]
+    # the exact tangent lands on the curve; x at the cap needs one step
+    assert [r.newton_iters for r in records[:2]] == [0, 1]
+    assert records[4].newton_iters == 0
 
 
 def test_controller_validation():

@@ -49,7 +49,6 @@ def test_default_configuration_values():
     assert cfg.stepping.dt_max == 0.25
     assert cfg.stepping.growth == 1.5
     assert cfg.stepping.shrink == 0.5
-    assert cfg.predictor_order == 0
 
 
 def test_overrides_and_comments():
@@ -90,7 +89,6 @@ def test_non_positive_divergence_growth_rejected(growth):
     ("newton.tol = 0", "newton: tol must be positive"),
     ("newton.max_iter = 0", "newton: max_iter must be at least 1"),
     ("newton.damping = 1.0", "newton.damping must lie in [0, 1); 0 disables it"),
-    ("predictor_order = 2", "predictor_order must be 0 or 1"),
     ("snapshots = 0.5,1.5", "snapshots must lie in [0, 1]"),
 ])
 def test_each_section_checks_its_own_fields(text, message):
@@ -164,7 +162,6 @@ newton.tol = 1e-08
 newton.max_iter = 20
 newton.divergence_growth = 1000.0
 newton.damping = 0.995
-predictor_order = 0
 out_dir = out
 snapshots = 0.0,0.5,0.9375,0.999931,0.999946,0.999956,0.999974,0.999988,1.0
 """
@@ -173,8 +170,8 @@ snapshots = 0.0,0.5,0.9375,0.999931,0.999946,0.999956,0.999974,0.999988,1.0
 def test_serialization_and_digest_pinned():
     # The digest goes into every VTK title, so this text must not drift.
     assert serialize_config(SolverConfig()) == DEFAULT_TEXT
-    assert config_digest(SolverConfig()) == "ffdc917cbf6e"
-    assert config_digest(parse_config_text(SMALL_CONFIG)) == "a65c93cd40de"
+    assert config_digest(SolverConfig()) == "6e7392c7702b"
+    assert config_digest(parse_config_text(SMALL_CONFIG)) == "f97d9f13acfd"
 
 
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
@@ -197,7 +194,6 @@ def valid_configs(draw):
                                 draw(st.floats(1e-3, 0.999)), draw(POSITIVE)),
         newton=NewtonSettings(draw(POSITIVE), draw(st.integers(1, 1000)), draw(POSITIVE),
                               draw(st.floats(0.0, 0.999))),
-        predictor_order=draw(st.sampled_from([0, 1])),
         out_dir=draw(st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True)),
         snapshots=tuple(draw(st.lists(st.floats(0.0, 1.0), max_size=10))),
     )
@@ -390,8 +386,8 @@ def test_cli_closing_line_names_the_endpoint_jump(tmp_path, capsys):
     cfg_path.write_text(SMALL_CONFIG + "newton.max_iter = 4\n")
     assert run_cli(["solve", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
     first = capsys.readouterr().out.splitlines()[0]
-    assert first.startswith("solve finished: 28 accepted / 67 total steps")
-    assert first.endswith("; t = 1 reached by endpoint jump from t = 0.99925575")
+    assert first.startswith("solve finished: 22 accepted / 58 total steps")
+    assert first.endswith("; t = 1 reached by endpoint jump from t = 0.99925574")
 
 
 @pytest.mark.parametrize("extra, last_t, rows", [

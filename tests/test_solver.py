@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ def test_h_t_values_and_t_independence(small_system):
 
 
 def test_h_t_matches_fd_in_t(small_system, rng):
-    system, schedule = small_system
+    system, linear = small_system
     point, anchor = system.initialize(50.0)
     pt = KktPoint(rho=rng.uniform(0.2, 0.8, system.n),
                   u=rng.standard_normal(system.l),
@@ -143,10 +144,12 @@ def test_h_t_matches_fd_in_t(small_system, rng):
                   z_a=rng.uniform(0.5, 2.0, system.n),
                   z_b=rng.uniform(0.5, 2.0, system.n))
     h = 1e-6
-    for t in (0.25, 0.8):
-        fd = (system.residual(pt, anchor, t + h, schedule)
-              - system.residual(pt, anchor, t - h, schedule)) / (2 * h)
-        assert rel_err(fd, system.h_t(anchor, t, schedule)) <= 1e-8
+    # the geometric schedule's dmu_dt is read by the tangent of a geometric run
+    for schedule in (linear, replace(linear, schedule="geometric")):
+        for t in (0.25, 0.8):
+            fd = (system.residual(pt, anchor, t + h, schedule)
+                  - system.residual(pt, anchor, t - h, schedule)) / (2 * h)
+            assert rel_err(fd, system.h_t(anchor, t, schedule)) <= 1e-8
 
 
 def test_jacobian_matches_fd_of_residual(small_system, rng):
@@ -510,17 +513,18 @@ def test_large_first_step_forces_rejection_and_halving():
 def test_fold_run_ends_non_decreasing_correctors_early():
     # the 40x12 curve folds near t = 0.9995; correctors past it stop where
     # the reduced Hessian turns indefinite (left_branch) or a full step
-    # raises the residual, instead of spending max_iter
+    # raises the residual, instead of spending max_iter; the shrunk steps
+    # start from the tangent prediction
     point, trace = solver.run(SolverConfig(mesh=MeshConfig(nx=40, ny=12)))
     assert (trace.n_accepted, trace.n_attempts) == (18, 51)
-    assert sum(r.newton_iters for r in trace.records) == 261
+    assert sum(r.newton_iters for r in trace.records) == 118
     reasons = [r.reason for r in trace.records]
     assert (reasons.count("left_branch"), reasons.count("no_decrease"),
-            reasons.count("max_iter")) == (15, 8, 7)
+            reasons.count("max_iter")) == (15, 5, 1)
     assert [r.endpoint_jump for r in trace.records] == [False] * 50 + [True]
     assert np.array_equal(point.p_adj, -point.u)
     system, _ = solver.build_system(SolverConfig(mesh=MeshConfig(nx=40, ny=12)))
-    assert system.lagr.objective(point.rho, point.u) == 8.65945421157337
+    assert system.lagr.objective(point.rho, point.u) == 8.659454175066632
 
 
 def test_smooth_run_keeps_its_indefinite_step_at_t1(small_run):
@@ -540,8 +544,8 @@ def test_one_config_runs_twice_to_the_same_trace():
     # 0.5 no longer accepts the saddle at t = 0.99862289 its corrector
     # reached with an indefinite reduced Hessian.
     # dt_max: accepted, attempts, Newton iterations, t the jump starts from, objective
-    rungs = {0.5: (20, 55, 247, 0.99925574, 9.53772755),
-             0.25: (20, 53, 197, 0.99925574, 9.53772755)}
+    rungs = {0.5: (19, 53, 131, 0.99925575, 9.53772751),
+             0.25: (20, 53, 132, 0.99925574, 9.53772755)}
     for dt_max, (accepted, attempts, iters, jump_from, objective) in rungs.items():
         cfg = small_config(stepping=StepController(dt_init=0.1, dt_max=dt_max))
         point, first = solver.run(cfg)
@@ -559,7 +563,8 @@ def test_one_config_runs_twice_to_the_same_trace():
 
 
 def test_first_order_predictor_completes():
-    _, tr = solver.run(small_config(predictor_order=1))
+    # dt_init below dt_max: the first steps start from the tangent
+    _, tr = solver.run(small_config(stepping=StepController(dt_init=0.1)))
     assert tr.accepted()[-1].t == 1.0
 
 
