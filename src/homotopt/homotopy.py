@@ -82,6 +82,9 @@ class HomotopyProblem:
     ``len(x)`` rows, and the rows past them count only in the residual norm,
     so they must follow from the leading rows (be zero wherever those are).
     ``dh_dt`` gives the tracer its tangent predictor on steps below the cap.
+    The tracer solves the tangent once per accepted point and reuses it on
+    every retry from there, so ``factor`` and ``dh_dt`` must depend only on
+    ``(x, t)``.
     ``iterate_valid`` lets problems declare Newton iterates inadmissible
     (e.g. a barrier iterate leaving the strict interior); such an iterate
     counts as divergence.  ``mu_of_t`` is optional bookkeeping for traces.
@@ -276,7 +279,11 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
     ``controller.dt_max`` starts its corrector from the tangent prediction
     ``x + (t_try - t) x'(t)`` if the problem has ``dh_dt`` (from ``x`` if
     the tangent system is singular: ``predictor_fallback``); one at the cap
-    and the endpoint jump start from ``x``.  ``checkpoints`` are t values
+    and the endpoint jump start from ``x``.  The tangent is solved on the
+    first such proposal from an accepted point, and every retry from that
+    point reuses it, or its singularity, without calling ``factor`` or
+    ``dh_dt`` again; the problem's maps must therefore depend only on
+    ``(x, t)``.  ``checkpoints`` are t values
     in (0, 1) that no proposal steps over, so the trace lands on each.  A
     proposal that repeats a rejected ``t`` from the same accepted point (the
     proposal clamps at 1) would rerun the same corrector, so its rejection
@@ -303,6 +310,7 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
     if on_accept is not None:
         on_accept(0.0, x)
     rejected = {}  # t_try -> record of its rejection since the last accepted step
+    tangent = None  # (x'(t),) once solved at the accepted point; x'(t) None if singular
     jump = False  # whether this attempt is the endpoint jump
     while t < 1.0:
         if jump:
@@ -316,7 +324,9 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
         else:
             fallback, x_pred = False, x
             if dt < controller.dt_max and problem.dh_dt is not None and not jump:
-                direction = _tangent_direction(problem, x, t)
+                if tangent is None:
+                    tangent = (_tangent_direction(problem, x, t),)
+                direction, = tangent
                 fallback = direction is None
                 x_pred = x if fallback else x + (t_try - t) * direction
             # a distinct settings object marks the jump's corrector call
@@ -329,6 +339,7 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
         fallback_mark = " (predictor fallback)" if record.predictor_fallback else ""
         if record.accepted:
             rejected.clear()
+            tangent = None
             x = result.x
             t = t_try
             dt = min(dt * controller.growth, controller.dt_max)

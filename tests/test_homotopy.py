@@ -292,6 +292,41 @@ def test_tangent_predictor_singular_fallback(caplog):
     assert x == pytest.approx([1.0], abs=1e-12)
 
 
+def test_tangent_is_solved_once_per_accepted_point():
+    # x = t is the zero curve, but the correctors at t = 0.5, 0.25 and 0.625
+    # fail.  H_x is singular only at t = 0: its tangent is factored once and
+    # all three attempts from t = 0 fall back to x.  The tangent at 0.125 is
+    # solved afresh there and is exact, so the retry at 0.375 takes no
+    # Newton step; the step at the cap to 1.0 reads no tangent.
+    factor_ts, dh_dt_ts = [], []
+
+    def factor(x, t):
+        factor_ts.append(t)
+        return pivoted_lu(np.array([[0.0 if t == 0.0 else 1.0]]))
+
+    def dh_dt(x, t):
+        dh_dt_ts.append(t)
+        return np.array([-1.0])
+
+    problem = HomotopyProblem(
+        residual=lambda x, t: np.array([1.0]) if t in (0.5, 0.25, 0.625) else x - t,
+        factor=factor,
+        dh_dt=dh_dt,
+    )
+    controller = StepController(dt_init=0.5, dt_max=1.0, growth=4.0)
+    x, tr = trace(problem, np.array([0.0]), controller, NewtonConfig(max_iter=3))
+    assert [r.t for r in tr.records] == [0.5, 0.25, 0.125, 0.625, 0.375, 1.0]
+    assert [r.accepted for r in tr.records] == [False, False, True, False, True, True]
+    assert [r.predictor_fallback for r in tr.records] == [True] * 3 + [False] * 3
+    assert [r.newton_iters for r in tr.records] == [3, 3, 1, 3, 0, 1]
+    assert dh_dt_ts == [0.0, 0.125]
+    # the tangent factorizations are the first 0.0 and the second 0.125;
+    # the rest are the correctors' own
+    assert factor_ts == [0.0] + [0.5] * 3 + [0.25] * 3 + [0.125, 0.125] \
+        + [0.625] * 3 + [1.0]
+    assert x == pytest.approx([1.0], abs=1e-12)
+
+
 def test_linear_problem_predictor_exact():
     a = np.array([0.3, -1.7])
     problem = global_homotopy(lambda x: x - a, lambda x: np.eye(2), np.zeros(2))
@@ -441,10 +476,10 @@ def test_repeated_rejected_proposal_is_replayed_not_rerun():
             assert not rec.accepted
             assert rec.residual_norm == records[i - 1].residual_norm
     # three correctors at t = 1 run (3 factorizations each) plus the endpoint
-    # jump (15); the six repeats add none, and each of the six correctors
-    # run before the jump factors once for its tangent
+    # jump (15); the six repeats add none, and each of the four accepted
+    # points factors once for its tangent, which every corrector from it reuses
     assert factor_ts.count(1.0) == 3 * 3 + 15
-    assert [t for t in factor_ts if t < 1.0] == [0.0, 0.5, 0.5, 0.75, 0.75, 0.875]
+    assert [t for t in factor_ts if t < 1.0] == [0.0, 0.5, 0.75, 0.875]
 
 
 def test_endpoint_jump_is_marked_and_accepted():
@@ -496,8 +531,9 @@ def test_problem_without_dh_dt_starts_from_x_below_the_cap():
 
 def test_step_size_picks_the_predictor():
     # x = t solves every t < 1 and t = 1 has no root.  The tangent is read
-    # once per corrector run below the cap (at t = 0, 0.75 and 0.875), never
-    # at the cap (0.75 from 0.25, the first 1.0), by a repeat or by the jump.
+    # once per accepted point that proposes a step below the cap (at t = 0,
+    # 0.75 and 0.875), never at the cap (0.75 from 0.25, the first 1.0), by
+    # a repeat or by the jump.
     dh_dt_ts = []
 
     def dh_dt(x, t):

@@ -562,6 +562,33 @@ def test_one_config_runs_twice_to_the_same_trace():
         assert system.lagr.objective(point.rho, point.u) == pytest.approx(objective, abs=1e-8)
 
 
+def test_fold_run_solves_one_tangent_per_accepted_point(monkeypatch):
+    # the 20x8 run with shrunk steps folds near t = 0.999 and retries many
+    # steps from the same accepted point; each such point's tangent is
+    # solved once, on its first proposal below the cap, and reused after
+    calls = []
+    factor, h_t = solver.KktSystem.factor, solver.KktSystem.h_t
+
+    def recorded_factor(self, point):
+        calls.append(point.pack().tobytes())
+        return factor(self, point)
+
+    def recorded_h_t(self, anchor, t, schedule):
+        calls.append("h_t")
+        return h_t(self, anchor, t, schedule)
+
+    monkeypatch.setattr(solver.KktSystem, "factor", recorded_factor)
+    monkeypatch.setattr(solver.KktSystem, "h_t", recorded_h_t)
+    accepted = []
+    cfg = small_config(stepping=StepController(dt_init=0.1, dt_max=0.25))
+    _, trace = solver.run(cfg, on_accept=lambda t, point: accepted.append(point.pack().tobytes()))
+    assert (trace.n_accepted, trace.n_attempts) == (20, 53)
+    # the tangent factors at x, then reads H_t
+    tangent_xs = [calls[i - 1] for i, call in enumerate(calls) if call == "h_t"]
+    assert len(tangent_xs) == len(set(tangent_xs)) == 18
+    assert set(tangent_xs) <= set(accepted)
+
+
 def test_first_order_predictor_completes():
     # dt_init below dt_max: the first steps start from the tangent
     _, tr = solver.run(small_config(stepping=StepController(dt_init=0.1)))
