@@ -2,8 +2,10 @@
 
 The perturbed optimality system couples stationarity with the complementarity
 rows z .* c(x) = mu.  Solving it by Newton for a decreasing sequence of mu
-values is the standalone barrier method; the combined solver reuses the same
-blocks with mu driven by the continuation parameter.
+values is the standalone barrier method, which builds each Newton matrix
+``[[H, -I, I], [Z_a, G_a, 0], [-Z_b, 0, G_b]]`` with ``scipy.sparse.bmat`` and
+factors it by pivoted LU; the combined solver reuses the residual rows
+(:func:`pd_residual_box`) with mu driven by the continuation parameter.
 
 Full Newton steps are taken (no line search).  An iterate leaving the strict
 interior, in x or in the duals, is declared divergent.
@@ -14,9 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .homotopy import HomotopyProblem, NewtonConfig, newton_corrector, pivoted_lu
-from .sparse import BlockSystem, solve_direct  # solve_direct unused: perfbench/tracer.py wraps it
+from .sparse import SparseMatrix, solve_direct  # solve_direct unused: perfbench/tracer.py wraps it
 
 __all__ = [
     "BoxConstraints",
@@ -26,7 +29,6 @@ __all__ = [
     "NonInteriorError",
     "BarrierDivergedError",
     "pd_residual_box",
-    "set_box_duals",
     "box_barrier_problem",
     "fraction_to_boundary",
     "geometric_rule",
@@ -128,20 +130,6 @@ def pd_residual_box(grad: np.ndarray, x: np.ndarray, box: BoxConstraints,
     return np.concatenate([r_stat, r_low, r_up])
 
 
-def set_box_duals(blocks: BlockSystem, primal: str, x, box: BoxConstraints,
-                  duals: DualPair) -> None:
-    """Set the six box-dual blocks of the primal-dual Newton matrix around
-    the primal block ``primal``: ``[., -I, I; Z_a, G_a, 0; -Z_b, 0, G_b]``,
-    with the dual blocks named ``z_a`` and ``z_b``."""
-    n = box.n
-    blocks.set(primal, "z_a", -np.ones(n))
-    blocks.set(primal, "z_b", np.ones(n))
-    blocks.set("z_a", primal, np.asarray(duals.z_a, dtype=np.float64))
-    blocks.set("z_a", "z_a", box.lower_gap(x))
-    blocks.set("z_b", primal, -np.asarray(duals.z_b, dtype=np.float64))
-    blocks.set("z_b", "z_b", box.upper_gap(x))
-
-
 def fraction_to_boundary(values, steps, factor: float) -> float:
     """Largest admissible fraction of a step keeping positive quantities positive.
 
@@ -163,7 +151,7 @@ def box_barrier_problem(oracle: ObjectiveOracle, box: BoxConstraints) -> Homotop
     the barrier weight, so the same Newton corrector drives both methods.
     """
     n = box.n
-    blocks = BlockSystem(("x", "z_a", "z_b"), (n, n, n))
+    eye = sp.identity(n, format="csr")
 
     def split(v):
         return np.split(v, (n, 2 * n))
@@ -174,9 +162,11 @@ def box_barrier_problem(oracle: ObjectiveOracle, box: BoxConstraints) -> Homotop
 
     def factor(v, mu):
         x, z_a, z_b = split(v)
-        blocks.set("x", "x", oracle.hessian(x))  # a dense Hessian is converted
-        set_box_duals(blocks, "x", x, box, DualPair(z_a, z_b))
-        return pivoted_lu(blocks.assemble())
+        return pivoted_lu(SparseMatrix(sp.bmat([
+            [oracle.hessian(x), -eye, eye],
+            [sp.diags(z_a), sp.diags(box.lower_gap(x)), None],
+            [sp.diags(-z_b), None, sp.diags(box.upper_gap(x))],
+        ], format="csr")))
 
     def valid(v):
         x, z_a, z_b = split(v)

@@ -283,17 +283,17 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
     first such proposal from an accepted point, and every retry from that
     point reuses it, or its singularity, without calling ``factor`` or
     ``dh_dt`` again; the problem's maps must therefore depend only on
-    ``(x, t)``.  ``checkpoints`` are t values
-    in (0, 1) that no proposal steps over, so the trace lands on each.  A
-    proposal that repeats a rejected ``t`` from the same accepted point (the
-    proposal clamps at 1) would rerun the same corrector, so its rejection
-    is recorded again without running it, with ``newton_iters = 0`` and
-    reason ``"repeat"``.  Once a rejection takes the increment below
-    ``controller.dt_min``, the next attempt is the endpoint jump: a
-    correction at t = 1 from the last accepted point with five times the
-    Newton budget (past a fold in t the endpoint problem is often the
-    nearest attractor).  Its record has ``endpoint_jump`` set; if it fails,
-    :class:`StepUnderflowError` is raised.
+    ``(x, t)``.  ``checkpoints`` are t values in (0, 1) that no proposal
+    steps over, so the trace lands on each.  A proposal that repeats a
+    rejected ``t`` and start (``x`` or the tangent prediction) from the same
+    accepted point (the proposal clamps at 1) would rerun the same
+    corrector, so its rejection is recorded again without running it, with
+    ``newton_iters = 0`` and reason ``"repeat"``.  Once a rejection takes
+    the increment below ``controller.dt_min``, the next attempt is the
+    endpoint jump: a correction at t = 1 from the last accepted point with
+    five times the Newton budget (past a fold in t the endpoint problem is
+    often the nearest attractor).  Its record has ``endpoint_jump`` set; if
+    it fails, :class:`StepUnderflowError` is raised.
     """
     checkpoints = sorted(float(c) for c in checkpoints)
     if any(not 0.0 < c < 1.0 for c in checkpoints):
@@ -309,7 +309,7 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
     dt = controller.dt_init
     if on_accept is not None:
         on_accept(0.0, x)
-    rejected = {}  # t_try -> record of its rejection since the last accepted step
+    rejected = {}  # (t_try, from_tangent) -> its rejection since the last accepted step
     tangent = None  # (x'(t),) once solved at the accepted point; x'(t) None if singular
     jump = False  # whether this attempt is the endpoint jump
     while t < 1.0:
@@ -319,11 +319,13 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
             t_try = min(t + dt, 1.0)
             t_try = next((c for c in checkpoints if t + 1e-12 < c < t_try), t_try)
         index = len(result_trace.records) + 1
-        if not jump and t_try in rejected:
-            record = replace(rejected[t_try], index=index, newton_iters=0, reason="repeat")
+        from_tangent = dt < controller.dt_max and problem.dh_dt is not None and not jump
+        if not jump and (t_try, from_tangent) in rejected:
+            record = replace(rejected[t_try, from_tangent], index=index, newton_iters=0,
+                             reason="repeat")
         else:
             fallback, x_pred = False, x
-            if dt < controller.dt_max and problem.dh_dt is not None and not jump:
+            if from_tangent:
                 if tangent is None:
                     tangent = (_tangent_direction(problem, x, t),)
                 direction, = tangent
@@ -353,7 +355,7 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
                 f"homotopy step underflow below {controller.dt_min:g} at t={t:.8g}",
                 result_trace)
         else:
-            rejected.setdefault(t_try, record)
+            rejected.setdefault((t_try, from_tangent), record)
             dt *= controller.shrink
             log.info("step %d rejected (%s)%s: t=%.10g res=%.3e dt->%.3e",
                      index, record.reason, fallback_mark, t_try, record.residual_norm, dt)

@@ -24,8 +24,9 @@ pivoting on one fill-reducing order for the run, and recovers dz_a and dz_b
 from drho by two diagonal scalings.  M's inertia is that of the reduced
 Hessian ``rr + Sigma + 2 ru K^-1 ru^T`` plus l negative eigenvalues, so each
 factorization also reports the reduced Hessian's negative count, which the
-corrector reads to notice that it left the minimizer branch.  The 4-block
-Jacobian is built only as the checked reference and for the LU fallback.
+corrector reads to notice that it left the minimizer branch.  Only M is
+refilled on a fixed block layout; the 4-block Jacobian, built only as the
+checked reference and for the LU fallback, comes from ``scipy.sparse.bmat``.
 """
 from __future__ import annotations
 
@@ -35,10 +36,11 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem, homotopy
 from .barrier import (BarrierSchedule, BoxConstraints, DualPair, fraction_to_boundary,
-                      pd_residual_box, set_box_duals)
+                      pd_residual_box)
 from .homotopy import Factor, HomotopyProblem, SolveTrace, pivoted_lu
 from .lagrangian import Lagrangian
 from .mesh import bridge_domain, build_structured_mesh
@@ -72,8 +74,6 @@ class KktSystem:
     residual, with the state rows last, the Jacobian of the other rows, and
     their solve through the reduced symmetric matrix."""
 
-    CONDENSED_NAMES = ("rho", "u", "z_a", "z_b")
-
     def __init__(self, lagr: Lagrangian, box: BoxConstraints):
         if box.n != lagr.n_density:
             raise ValueError("box constraint dimension must match the density DOFs")
@@ -82,7 +82,6 @@ class KktSystem:
         self.n = lagr.n_density
         self.l = lagr.n_disp
         self.dim = 3 * self.n + 2 * self.l  # residual length
-        self._blocks = BlockSystem(self.CONDENSED_NAMES, (self.n, self.l, self.n, self.n))
         self._reduced = BlockSystem(("rho", "u"), (self.n, self.l))
         self._rr_diagonal = None  # positions of rr's diagonal in its CSR data
         self._symmetric = SymmetricOrder()
@@ -93,7 +92,7 @@ class KktSystem:
         if v.shape != (self.dim - self.l,):
             raise ValueError(f"vector of length {self.dim - self.l} (rho, u, z_a, z_b) "
                              f"expected, got shape {v.shape}")
-        return np.split(v, self._blocks.offsets[1:-1])
+        return np.split(v, (self.n, self.n + self.l, 2 * self.n + self.l))
 
     def unpack(self, v: np.ndarray) -> KktPoint:
         """The point of ``v`` = (rho, u, z_a, z_b): views into ``v``, and
@@ -131,30 +130,30 @@ class KktSystem:
 
     def jacobian(self, point: KktPoint) -> SparseMatrix:
         """Jacobian of the residual's leading rows (rho, u, z_a, z_b) along
-        steps with dp = -du, blocks ordered as ``CONDENSED_NAMES``.  It is
-        independent of t, which only shifts the residual.
+        steps with dp = -du, in that block order.  It is independent of t,
+        which only shifts the residual.
 
         Row blocks: [rr, ru - rp, -I, I], [ru^T, -up, 0, 0],
         [diag z_a, 0, diag gap_a, 0] and [-diag z_b, 0, 0, diag gap_b]
         (``up`` = K(rho), ``rp`` = the Hessian's ``ru`` at u and p swapped),
-        at any ``point``, p independent of u included.  The layout is fixed,
-        so the block system sorts it at the first call and refills it after.
+        at any ``point``, p independent of u included; built afresh by
+        ``scipy.sparse.bmat``, as no run takes it but the LU fallback.
         """
         h = self.lagr.hessian(point.rho, point.u, point.p_adj)
         rp = self.lagr.hessian(point.rho, point.p_adj, point.u).ru  # ru's pattern
-        blocks = self._blocks
-        blocks.set("rho", "rho", h.rr)
-        blocks.set("rho", "u", h.ru.with_data(h.ru.csr.data - rp.csr.data))
-        blocks.set("u", "rho", h.ru, transpose=True)
-        blocks.set("u", "u", h.up.with_data(-h.up.csr.data))
-        set_box_duals(blocks, "rho", point.rho, self.box, DualPair(point.z_a, point.z_b))
-        return blocks.assemble()
+        eye = sp.identity(self.n, format="csr")
+        return SparseMatrix(sp.bmat([
+            [h.rr.csr, h.ru.csr - rp.csr, -eye, eye],
+            [h.ru.csr.T, -h.up.csr, None, None],
+            [sp.diags(point.z_a), None, sp.diags(self.box.lower_gap(point.rho)), None],
+            [sp.diags(-point.z_b), None, None, sp.diags(self.box.upper_gap(point.rho))],
+        ], format="csr"))
 
     def reduced_matrix(self, point: KktPoint) -> SparseMatrix:
         """``M = [[rr + Sigma, ru], [ru^T, -K/2]]`` in (drho, w = 2 du), with
         ``Sigma = z_a / gap_a + z_b / gap_b``; symmetric once p = -u.  Sigma
         is added to rr's diagonal values, at positions found at the first
-        call; the layout is fixed like the Jacobian's."""
+        call; the block system sorts M's layout once and refills it."""
         h = self.lagr.hessian(point.rho, point.u, point.p_adj)
         rr = h.rr.csr
         if self._rr_diagonal is None:

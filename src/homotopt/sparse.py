@@ -14,7 +14,7 @@ factorization raises it too when SuperLU left the diagonal.
 """
 from __future__ import annotations
 
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -297,16 +297,14 @@ class SymmetricOrder:
 class BlockSystem:
     """Square block layout with named blocks, assembled on a cached pattern.
 
-    Entries are :class:`SparseMatrix` blocks or 1-D vectors standing for
-    diagonal blocks.  Unset blocks are zero; a transposed block is placed as
-    its transpose, read from its own values.  A second :meth:`set` at a
-    position replaces the block there; nothing sums.  The first
-    :meth:`assemble` fixes the layout and sorts it into a
-    :class:`SparsityPattern`; later calls only refill it.  Each block
-    must then keep its position, transpose flag, kind (sparse or diagonal)
-    and entry count, or :meth:`assemble` raises ``ValueError``; a sparse
-    block must also keep its entries' places, which callers ensure by
-    refilling a fixed :class:`SparsityPattern` or passing dense blocks.
+    Entries are :class:`SparseMatrix` blocks; unset blocks are zero, and a
+    transposed block is placed as its transpose, read from its own values.
+    A second :meth:`set` at a position replaces the block there; nothing
+    sums.  The first :meth:`assemble` fixes the layout and sorts it into a
+    :class:`SparsityPattern`; later calls only refill it.  Each block must
+    then keep its position, transpose flag and entry count, or
+    :meth:`assemble` raises ``ValueError``, and its entries' places, which
+    callers ensure by refilling a fixed :class:`SparsityPattern`.
     """
 
     def __init__(self, names: Sequence[str], sizes: Sequence[int]):
@@ -321,64 +319,48 @@ class BlockSystem:
         self.names = names
         self.sizes = sizes
         self.offsets = tuple(int(o) for o in np.concatenate([[0], np.cumsum(sizes)]))
-        self._blocks: dict = {}  # (i, j) -> (block, transpose)
-        self._layout = None  # per block: position, transpose flag, kind, entry count
+        self._entries: dict = {}  # (i, j) -> (block, transpose)
+        self._layout = None  # per block: position, transpose flag, entry count
         self._pattern = None
-
-    @property
-    def dim(self) -> int:
-        return self.offsets[-1]
 
     def _index(self, name: str) -> int:
         if name not in self.names:
             raise KeyError(f"unknown block name {name!r}")
         return self.names.index(name)
 
-    def set(self, row, col, block: Union[SparseMatrix, np.ndarray],
-            transpose: bool = False) -> None:
+    def set(self, row, col, block: SparseMatrix, transpose: bool = False) -> None:
         """Place ``block``, or with ``transpose`` its transpose, at (row, col)."""
         i, j = self._index(row), self._index(col)
+        if not isinstance(block, SparseMatrix):
+            raise TypeError(f"block ({row},{col}) must be a SparseMatrix")
         nr, nc = self.sizes[i], self.sizes[j]
-        if isinstance(block, np.ndarray) and block.ndim == 2:
-            block = SparseMatrix.from_dense(block)
-        if isinstance(block, SparseMatrix):
-            shape = (nc, nr) if transpose else (nr, nc)
-            if block.shape != shape:
-                raise ValueError(f"block ({row},{col}) needs a {shape[0]}x{shape[1]} matrix, "
-                                 f"got {block.shape}")
-        else:
-            block = np.asarray(block, dtype=np.float64).ravel()
-            if nr != nc:
-                raise ValueError(f"diagonal shorthand needs a square block, ({row},{col}) is {nr}x{nc}")
-            if block.size != nr:
-                raise ValueError(f"diagonal for block ({row},{col}) must have length {nr}")
-        self._blocks[(i, j)] = (block, bool(transpose))
+        shape = (nc, nr) if transpose else (nr, nc)
+        if block.shape != shape:
+            raise ValueError(f"block ({row},{col}) needs a {shape[0]}x{shape[1]} matrix, "
+                             f"got {block.shape}")
+        self._entries[(i, j)] = (block, bool(transpose))
 
     def assemble(self) -> SparseMatrix:
-        entries = [(key, *self._blocks[key]) for key in sorted(self._blocks)]
-        values = [block.csr.data if isinstance(block, SparseMatrix) else block
-                  for _, block, _ in entries]
-        layout = [(key, transpose, isinstance(block, SparseMatrix), v.size)
-                  for (key, block, transpose), v in zip(entries, values)]
+        entries = [(key, *self._entries[key]) for key in sorted(self._entries)]
+        layout = [(key, transpose, block.nnz) for key, block, transpose in entries]
         if self._pattern is None:
             self._pattern = self._build_pattern(entries)
             self._layout = layout
         elif layout != self._layout:
             raise ValueError("block layout differs from the first assembly")
-        return self._pattern.fill(np.concatenate([np.zeros(0)] + values))
+        return self._pattern.fill(np.concatenate([np.zeros(0)] +
+                                                 [block.csr.data for _, block, _ in entries]))
 
     def _build_pattern(self, entries) -> SparsityPattern:
         """Triplets of every placement, in the order of the concatenated block
         values that :meth:`assemble` fills with."""
         rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         for (i, j), block, transpose in entries:
-            if isinstance(block, SparseMatrix):
-                r = np.repeat(np.arange(block.nrows), np.diff(block.csr.indptr))
-                c = block.csr.indices
-            else:
-                r = c = np.arange(block.size)
+            r = np.repeat(np.arange(block.nrows), np.diff(block.csr.indptr))
+            c = block.csr.indices
             if transpose:
                 r, c = c, r
             rows.append(r + self.offsets[i])
             cols.append(c + self.offsets[j])
-        return SparsityPattern(self.dim, self.dim, np.concatenate(rows), np.concatenate(cols))
+        dim = self.offsets[-1]
+        return SparsityPattern(dim, dim, np.concatenate(rows), np.concatenate(cols))

@@ -148,10 +148,10 @@ def test_newton_step_matches_hand_solve(rng):
     assert np.concatenate([dx, dza, dzb]) == pytest.approx(ref, abs=1e-12)
 
 
-def test_dense_hessian_through_exact_zero_keeps_one_layout():
-    # the Hessian is 0 at the first point and nonzero at the second: its
-    # zero entries stay in the Newton matrix, whose second assembly would
-    # raise ValueError on a changed layout; each solve is the dense one
+def test_dense_hessian_through_exact_zero_solves_like_dense():
+    # the Hessian is 0 at the first point and nonzero at the second, so the
+    # Newton matrix changes its layout between the two factorizations; each
+    # solve is the dense one
     box = BoxConstraints(np.full(2, -1.0), np.full(2, 1.0))
     oracle = ObjectiveOracle(gradient=lambda y: y ** 3, hessian=lambda y: np.outer(y, y))
     problem = box_barrier_problem(oracle, box)

@@ -533,7 +533,9 @@ def test_step_size_picks_the_predictor():
     # x = t solves every t < 1 and t = 1 has no root.  The tangent is read
     # once per accepted point that proposes a step below the cap (at t = 0,
     # 0.75 and 0.875), never at the cap (0.75 from 0.25, the first 1.0), by
-    # a repeat or by the jump.
+    # a repeat or by the jump.  The second 1.0 from 0.75 starts from the
+    # tangent, not from x as the rejected first did, so it runs its corrector;
+    # the second 1.0 from 0.875 starts where the first did and is a repeat.
     dh_dt_ts = []
 
     def dh_dt(x, t):
@@ -550,12 +552,13 @@ def test_step_size_picks_the_predictor():
         trace(problem, np.array([0.0]), controller, NewtonConfig(max_iter=3))
     records = err.value.trace.records
     assert [r.t for r in records] == [0.25, 0.75, 1.0, 1.0, 0.875, 1.0, 1.0, 1.0]
-    assert [r.reason for r in records] == ["", "", "max_iter", "repeat", "",
+    assert [r.reason for r in records] == ["", "", "max_iter", "max_iter", "",
                                            "max_iter", "repeat", "max_iter"]
     assert records[-1].endpoint_jump
     assert dh_dt_ts == [0.0, 0.75, 0.875]
     # the exact tangent lands on the curve; x at the cap needs one step
     assert [r.newton_iters for r in records[:2]] == [0, 1]
+    assert records[3].newton_iters == 3
     assert records[4].newton_iters == 0
 
 

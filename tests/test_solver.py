@@ -34,9 +34,9 @@ def random_point(system, rng):
 
 def kkt_block(system, jac, row, col):
     """Block (row, col) of the condensed KKT matrix, as a dense array."""
-    sizes = {"rho": system.n, "u": system.l, "z_a": system.n, "z_b": system.n}
-    offsets = np.concatenate([[0], np.cumsum([sizes[name] for name in system.CONDENSED_NAMES])])
-    i, j = system.CONDENSED_NAMES.index(row), system.CONDENSED_NAMES.index(col)
+    names = ("rho", "u", "z_a", "z_b")
+    offsets = np.cumsum([0, system.n, system.l, system.n, system.n])
+    i, j = names.index(row), names.index(col)
     return jac.csr[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]].toarray()
 
 
@@ -206,24 +206,20 @@ def test_jacobian_barrier_rows(small_system):
     assert np.all(kkt_diagonal(system, jac, "rho", "z_b") == 1.0)
 
 
-def test_jacobian_bit_identical_to_block_assembly(small_system, rng):
-    # independent reference: scipy's bmat of the 10 condensed blocks
+def test_reduced_matrix_bit_identical_to_bmat(small_system, rng):
+    # M is refilled on the layout its first call fixed; scipy's bmat of its
+    # four blocks, built afresh, is the independent reference
     system, _ = small_system
-    eye = sp.identity(system.n, format="csr")
     for _ in range(3):
         pt = random_point(system, rng)
+        pt.p_adj = -pt.u
         h = system.lagr.hessian(pt.rho, pt.u, pt.p_adj)
-        rp = system.lagr.hessian(pt.rho, pt.p_adj, pt.u).ru.csr  # d2L/drho dp
         rr, ru, up = h.rr.csr, h.ru.csr, h.up.csr
-        want = sp.bmat([
-            [rr, ru - rp, -eye, eye],
-            [ru.T, -up, None, None],
-            [sp.diags(pt.z_a), None, sp.diags(system.box.lower_gap(pt.rho)), None],
-            [sp.diags(-pt.z_b), None, None, sp.diags(system.box.upper_gap(pt.rho))],
-        ], format="csr")
+        sigma = pt.z_a / system.box.lower_gap(pt.rho) + pt.z_b / system.box.upper_gap(pt.rho)
+        want = sp.bmat([[rr + sp.diags(sigma), ru], [ru.T, -up / 2]], format="csr")
         want.sort_indices()
-        got = system.jacobian(pt).csr
-        assert got.shape == want.shape
+        got = system.reduced_matrix(pt).csr
+        assert got.shape == want.shape == (system.n + system.l,) * 2
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert got.data.tobytes() == want.data.tobytes()
@@ -544,8 +540,8 @@ def test_one_config_runs_twice_to_the_same_trace():
     # 0.5 no longer accepts the saddle at t = 0.99862289 its corrector
     # reached with an indefinite reduced Hessian.
     # dt_max: accepted, attempts, Newton iterations, t the jump starts from, objective
-    rungs = {0.5: (19, 53, 131, 0.99925575, 9.53772751),
-             0.25: (20, 53, 132, 0.99925574, 9.53772755)}
+    rungs = {0.5: (19, 53, 132, 0.99925575, 9.53772751),
+             0.25: (20, 53, 133, 0.99925574, 9.53772755)}
     for dt_max, (accepted, attempts, iters, jump_from, objective) in rungs.items():
         cfg = small_config(stepping=StepController(dt_init=0.1, dt_max=dt_max))
         point, first = solver.run(cfg)

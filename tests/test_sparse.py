@@ -232,13 +232,9 @@ def test_block_scalar_box_matches_hand_assembly():
     # n=1 primal-dual system: [[h, -1, 1], [za, ca, 0], [-zb, 0, cb]]
     h, za, zb, ca, cb = 2.5, 0.8, 0.3, 0.7456, 1.2456
     blocks = BlockSystem(("x", "za", "zb"), (1, 1, 1))
-    blocks.set("x", "x", SparseMatrix.from_dense([[h]]))
-    blocks.set("x", "za", -np.ones(1))
-    blocks.set("x", "zb", np.ones(1))
-    blocks.set("za", "x", np.array([za]))
-    blocks.set("za", "za", np.array([ca]))
-    blocks.set("zb", "x", np.array([-zb]))
-    blocks.set("zb", "zb", np.array([cb]))
+    for row, col, value in [("x", "x", h), ("x", "za", -1.0), ("x", "zb", 1.0), ("za", "x", za),
+                            ("za", "za", ca), ("zb", "x", -zb), ("zb", "zb", cb)]:
+        blocks.set(row, col, SparseMatrix.from_dense([[value]]))
     expected = np.array([[h, -1.0, 1.0], [za, ca, 0.0], [-zb, 0.0, cb]])
     assert blocks.assemble().csr.toarray() == pytest.approx(expected)
 
@@ -264,8 +260,8 @@ def test_block_roundtrip_every_block(rng):
 def test_block_set_again_replaces():
     # a second set at one position replaces the first block; nothing sums
     blocks = BlockSystem(("a",), (2,))
-    blocks.set("a", "a", np.array([1.0, 2.0]))
-    blocks.set("a", "a", np.array([10.0, 20.0]))
+    blocks.set("a", "a", SparseMatrix.from_dense(np.diag([1.0, 2.0])))
+    blocks.set("a", "a", SparseMatrix.from_dense(np.diag([10.0, 20.0])))
     assert np.array_equal(blocks.assemble().csr.toarray(), np.diag([10.0, 20.0]))
 
 
@@ -275,22 +271,22 @@ def test_block_size_validation():
         blocks.set("a", "b", identity(2))  # wrong shape: needs 2x3
     with pytest.raises(ValueError):  # transposed, it needs 3x2
         blocks.set("a", "b", SparseMatrix.from_dense(np.ones((2, 3))), transpose=True)
-    with pytest.raises(ValueError):
-        blocks.set("a", "b", np.ones(2))  # diagonal shorthand needs square block
-    with pytest.raises(ValueError):
-        blocks.set("a", "a", np.ones(3))  # diagonal length mismatch
+    with pytest.raises(TypeError):
+        blocks.set("a", "a", np.eye(2))  # only SparseMatrix blocks
+    with pytest.raises(TypeError):
+        blocks.set("a", "a", np.ones(2))
     with pytest.raises(KeyError):
-        blocks.set("a", "c", np.ones(2))  # unknown block name
+        blocks.set("a", "c", identity(2))  # unknown block name
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_block_refill_bit_identical_to_fresh_assembly(data):
-    # rounds of new values on one layout of sparse, dense (with exact zeros)
-    # and diagonal blocks, transposed or not: each assembly must be
-    # bit-identical to a fresh system's and equal the dense sum of its
-    # placements; then a changed position, transpose flag or entry count
-    # must raise
+    # rounds of new values on one layout of sparse and dense (every entry
+    # stored, exact zeros included) blocks, transposed or not: each assembly
+    # must be bit-identical to a fresh system's and equal the dense sum of
+    # its placements; then a changed position, transpose flag or entry
+    # count must raise
     names = ("a", "b", "c")
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -299,20 +295,16 @@ def test_block_refill_bit_identical_to_fresh_assembly(data):
                              min_size=1, max_size=4))
     layout = {}  # (i, j) -> (kind, pattern, transpose); pattern has the block's shape
     for i, j in sorted(keys):
-        kinds = ["sparse", "dense"] + (["diagonal"] if sizes[i] == sizes[j] else [])
-        kind = data.draw(st.sampled_from(kinds))
+        kind = data.draw(st.sampled_from(["sparse", "dense"]))
         transpose = data.draw(st.booleans())
         shape = (sizes[j], sizes[i]) if transpose else (sizes[i], sizes[j])
         mask = rng.random(shape) < 0.6
         layout[(i, j)] = (kind, SparsityPattern(*shape, *np.nonzero(mask)), transpose)
 
     def new_block(kind, pattern):
-        if kind == "diagonal":
-            values = rng.standard_normal(pattern.shape[0])
-            return values, np.diag(values)
         if kind == "dense":
             values = rng.standard_normal(pattern.shape) * (rng.random(pattern.shape) < 0.7)
-            return values, values
+            return SparseMatrix.from_dense(values), values
         block = pattern.fill(rng.standard_normal(pattern.order.size))
         return block, block.csr.toarray()
 
@@ -335,22 +327,18 @@ def test_block_refill_bit_identical_to_fresh_assembly(data):
     change = data.draw(st.sampled_from(["transpose", "count"] + (["position"] if free else [])))
     if change == "position":
         i, j = data.draw(st.sampled_from(free))
-        blocks.set(names[i], names[j], np.zeros((sizes[i], sizes[j])))
+        blocks.set(names[i], names[j], SparseMatrix.from_dense(np.zeros((sizes[i], sizes[j]))))
     else:
         (i, j), (kind, pattern, transpose) = data.draw(st.sampled_from(sorted(layout.items())))
         block, _ = new_block(kind, pattern)
         if change == "count":
             # a sparse block with one entry fewer or one more than before
-            n = block.size if isinstance(block, np.ndarray) else block.nnz
             rows, cols = np.divmod(np.arange(pattern.shape[0] * pattern.shape[1]), pattern.shape[1])
-            k = n - 1 if n > 0 else 1
+            k = block.nnz - 1 if block.nnz > 0 else 1
             block = SparseMatrix.from_triplets(*pattern.shape, rows[:k], cols[:k], np.ones(k))
         else:
             # the same placement from the transposed block and the flipped flag
-            if isinstance(block, SparseMatrix):
-                block = block.transpose()
-            elif block.ndim == 2:
-                block = block.T
+            block = block.transpose()
             transpose = not transpose
         blocks.set(names[i], names[j], block, transpose=transpose)
     with pytest.raises(ValueError):

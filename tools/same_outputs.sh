@@ -8,7 +8,9 @@
 # 60x20 with --full), `solve` on 20x8 with `stepping.dt_init = 0.1` and
 # `stepping.dt_max = 0.25` (a folding run whose steps below the cap start from
 # the tangent predictor, so its tangent solves go through the Hessian too, and
-# whose correctors stop on leaving the minimizer branch), `solve` on
+# whose correctors stop on leaving the minimizer branch; run with --verbose,
+# so its log gives each step's reason and residual, and each accepted one's
+# Newton count, which the output files do not show), `solve` on
 # acceptance criterion 6's 20x8 config
 # (`stepping.dt_init = stepping.dt_max = 0.9`, `barrier.mu_inf = 0.05`,
 # `newton.damping = 0.0`: full Newton steps with no `step_limit`, whose
@@ -66,7 +68,8 @@ for side in rev head; do
     for mesh in $cases; do
         run $side "solve-$mesh" solve "$work/$mesh.cfg" --out-dir "$work/$side-out-$mesh"
     done
-    run $side solve-20x8-dt solve "$work/20x8-dt.cfg" --out-dir "$work/$side-out-20x8-dt"
+    run $side solve-20x8-dt solve "$work/20x8-dt.cfg" --out-dir "$work/$side-out-20x8-dt" \
+        --verbose
     run $side solve-20x8-criterion6 solve "$work/20x8-criterion6.cfg" \
         --out-dir "$work/$side-out-20x8-criterion6"
     run $side scalar-demos scalar-demos
