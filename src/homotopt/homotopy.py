@@ -357,7 +357,8 @@ def trace(problem: HomotopyProblem, x0: np.ndarray, controller: StepController,
         else:
             rejected.setdefault((t_try, from_tangent), record)
             dt *= controller.shrink
-            log.info("step %d rejected (%s)%s: t=%.10g res=%.3e dt->%.3e",
-                     index, record.reason, fallback_mark, t_try, record.residual_norm, dt)
+            log.info("step %d rejected (%s)%s: t=%.10g newton=%d res=%.3e dt->%.3e", index,
+                     record.reason, fallback_mark, t_try, record.newton_iters,
+                     record.residual_norm, dt)
             jump = dt < controller.dt_min
     return x, result_trace

@@ -24,9 +24,11 @@ pivoting on one fill-reducing order for the run, and recovers dz_a and dz_b
 from drho by two diagonal scalings.  M's inertia is that of the reduced
 Hessian ``rr + Sigma + 2 ru K^-1 ru^T`` plus l negative eigenvalues, so each
 factorization also reports the reduced Hessian's negative count, which the
-corrector reads to notice that it left the minimizer branch.  Only M is
-refilled on a fixed block layout; the 4-block Jacobian, built only as the
-checked reference and for the LU fallback, comes from ``scipy.sparse.bmat``.
+corrector reads to notice that it left the minimizer branch.  One
+:class:`~homotopt.sparse.BlockSystem` per system assembles M on the block
+layout of its first call and factors it on the order of its first
+factorization; the 4-block Jacobian, built only as the checked reference
+and for the LU fallback, comes from ``scipy.sparse.bmat``.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from .barrier import (BarrierSchedule, BoxConstraints, DualPair, fraction_to_bou
 from .homotopy import Factor, HomotopyProblem, SolveTrace, pivoted_lu
 from .lagrangian import Lagrangian
 from .mesh import bridge_domain, build_structured_mesh
-from .sparse import BlockSystem, SingularMatrixError, SparseMatrix, SymmetricOrder, solve_direct
+from .sparse import BlockSystem, SingularMatrixError, SparseMatrix, solve_direct
 
 if TYPE_CHECKING:  # pragma: no cover
     from .io_cli import SolverConfig
@@ -82,9 +84,14 @@ class KktSystem:
         self.n = lagr.n_density
         self.l = lagr.n_disp
         self.dim = 3 * self.n + 2 * self.l  # residual length
-        self._reduced = BlockSystem(("rho", "u"), (self.n, self.l))
-        self._rr_diagonal = None  # positions of rr's diagonal in its CSR data
-        self._symmetric = SymmetricOrder()
+        # every Hessian's rr is refilled on the density pattern: the positions
+        # of its diagonal in the CSR data are fixed for the run
+        pattern = lagr.dofmap.geometry.pattern
+        rows = np.repeat(np.arange(self.n), np.diff(pattern.indptr))
+        self._rr_diagonal = np.flatnonzero(pattern.indices == rows)
+        if self._rr_diagonal.size != self.n:
+            raise ValueError("the density Hessian's pattern lacks diagonal entries")
+        self._blocks = BlockSystem()  # M's layout and order
 
     def _split(self, v: np.ndarray):
         """Views of ``v``'s rho, u, z_a and z_b blocks; ``v`` has dim - l entries."""
@@ -152,24 +159,14 @@ class KktSystem:
     def reduced_matrix(self, point: KktPoint) -> SparseMatrix:
         """``M = [[rr + Sigma, ru], [ru^T, -K/2]]`` in (drho, w = 2 du), with
         ``Sigma = z_a / gap_a + z_b / gap_b``; symmetric once p = -u.  Sigma
-        is added to rr's diagonal values, at positions found at the first
-        call; the block system sorts M's layout once and refills it."""
+        is added to rr's diagonal values; the run's block system sorts M's
+        layout once and refills it."""
         h = self.lagr.hessian(point.rho, point.u, point.p_adj)
-        rr = h.rr.csr
-        if self._rr_diagonal is None:
-            rows = np.repeat(np.arange(self.n), np.diff(rr.indptr))
-            self._rr_diagonal = np.flatnonzero(rr.indices == rows)
-            if self._rr_diagonal.size != self.n:
-                raise ValueError("the density Hessian's pattern lacks diagonal entries")
         sigma = point.z_a / self.box.lower_gap(point.rho) + point.z_b / self.box.upper_gap(point.rho)
-        data = rr.data.copy()
+        data = h.rr.csr.data.copy()
         data[self._rr_diagonal] += sigma
-        blocks = self._reduced
-        blocks.set("rho", "rho", h.rr.with_data(data))
-        blocks.set("rho", "u", h.ru)
-        blocks.set("u", "rho", h.ru, transpose=True)
-        blocks.set("u", "u", h.up.with_data(-0.5 * h.up.csr.data))
-        return blocks.assemble()
+        return self._blocks.assemble(h.rr.with_data(data), h.ru,
+                                     h.up.with_data(-0.5 * h.up.csr.data))
 
     def factor(self, point: KktPoint) -> Factor:
         """``jacobian(point)`` factored: the solve of ``jacobian(point) d = b``
@@ -191,7 +188,7 @@ class KktSystem:
         gap_a, gap_b = self.box.lower_gap(point.rho), self.box.upper_gap(point.rho)
         try:
             m = self.reduced_matrix(point)
-            lu = self._symmetric.factor(m)
+            lu = self._blocks.factor()
         except SingularMatrixError as exc:
             log.info("symmetric factorization refused (%s): 4-block LU fallback", exc)
             return pivoted_lu(self.jacobian(point))

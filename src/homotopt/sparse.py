@@ -2,19 +2,20 @@
 
 Every assembled operator in the package (elasticity stiffness, density mass
 and stiffness, KKT blocks) is a :class:`SparseMatrix`.  General systems go
-through :func:`solve_direct`, a sparse LU with partial pivoting.  Symmetric
-matrices of one fixed layout, such as the reduced KKT matrix of a run, go
-through :class:`SymmetricOrder`: a diagonal-pivoting factorization
-``P A P^T = L D L^T`` on a fill-reducing order computed once, which also
-counts the negative pivots (the inertia).  A factorization whose smallest
-pivot falls below ``PIVOT_RATIO`` times the largest, or whose solution is not
-finite, raises :class:`SingularMatrixError`, which callers treat as "the
-Newton system degenerated", distinct from a shape error; the symmetric
-factorization raises it too when SuperLU left the diagonal.
+through :func:`solve_direct`, a sparse LU with partial pivoting.  The
+symmetric block matrix of a run, the reduced KKT matrix, is a
+:class:`BlockSystem`: assembled on a layout fixed at its first call and
+factored by diagonal pivoting, ``P M P^T = L D L^T``, on a fill-reducing
+order computed once, which also counts the negative pivots (the inertia).
+A factorization whose smallest pivot falls below ``PIVOT_RATIO`` times the
+largest, or whose solution is not finite, raises
+:class:`SingularMatrixError`, which callers treat as "the Newton system
+degenerated", distinct from a shape error; the symmetric factorization
+raises it too when SuperLU left the diagonal.
 """
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,7 +27,6 @@ __all__ = [
     "BlockSystem",
     "SingularMatrixError",
     "SymmetricFactor",
-    "SymmetricOrder",
     "solve_direct",
 ]
 
@@ -252,115 +252,71 @@ class SymmetricFactor:
 _DIAGONAL_PIVOTS = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-class SymmetricOrder:
-    """Factors symmetric matrices of one fixed CSR layout on one
-    fill-reducing order.
-
-    The first :meth:`factor` lets SuperLU order the matrix
-    (``MMD_AT_PLUS_A``) and keeps that order, with a map gathering CSR data
-    into the CSC data of the symmetrically permuted matrix; its
-    factorization serves as the first one.  Every later call permutes by
-    that gather and factors with the ``NATURAL`` order; a matrix whose CSR
-    ``indptr`` or ``indices`` differ from the first one's raises
-    ``ValueError``.  Pivots stay on the diagonal (threshold 0), which is
-    stable for symmetric quasi-definite matrices; a factorization that
-    needed an off-diagonal pivot, or fails the pivot test, raises
-    :class:`SingularMatrixError`.
-    """
-
-    def __init__(self):
-        self._order = None  # position in the permuted matrix -> index
-        self._layout = None  # (indptr, indices) of the first matrix's CSR
-        self._csc = None  # (gather, indices, indptr) of the permuted matrix
-
-    def factor(self, a: SparseMatrix) -> SymmetricFactor:
-        if a.nrows != a.ncols:
-            raise ValueError(f"matrix must be square, got {a.nrows}x{a.ncols}")
-        if self._order is None:
-            lu = _splu(a.csr.tocsc(), permc_spec="MMD_AT_PLUS_A", **_DIAGONAL_PIVOTS)
-            order = np.argsort(lu.perm_c)
-            # entry k of the CSR data is marked k + 1, so the permuted matrix
-            # keeps every entry and its data names the source
-            mark = _csr_matrix(np.arange(1, a.nnz + 1), a.csr.indices, a.csr.indptr, a.shape)
-            permuted = mark.csr[order][:, order].tocsc()
-            self._csc = (permuted.data.astype(np.int64) - 1, permuted.indices, permuted.indptr)
-            self._layout = (a.csr.indptr, a.csr.indices)
-            self._order = order
-            return SymmetricFactor(lu, None)
-        if not all(map(np.array_equal, (a.csr.indptr, a.csr.indices), self._layout)):
-            raise ValueError("matrix layout differs from the first factorization")
-        gather, indices, indptr = self._csc
-        csc = sp.csc_matrix((a.csr.data[gather], indices, indptr), shape=a.shape)
-        return SymmetricFactor(_splu(csc, permc_spec="NATURAL", **_DIAGONAL_PIVOTS), self._order)
+def _coordinates(a: SparseMatrix):
+    """Row and column of each entry of ``a``, in CSR data order."""
+    return np.repeat(np.arange(a.nrows), np.diff(a.csr.indptr)), a.csr.indices
 
 
 class BlockSystem:
-    """Square block layout with named blocks, assembled on a cached pattern.
+    """The symmetric block matrix ``M = [[A, B], [B^T, C]]`` of one fixed
+    layout, assembled and factored.
 
-    Entries are :class:`SparseMatrix` blocks; unset blocks are zero, and a
-    transposed block is placed as its transpose, read from its own values.
-    A second :meth:`set` at a position replaces the block there; nothing
-    sums.  The first :meth:`assemble` fixes the layout and sorts it into a
-    :class:`SparsityPattern`; later calls only refill it.  Each block must
-    then keep its position, transpose flag and entry count, or
-    :meth:`assemble` raises ``ValueError``, and its entries' places, which
-    callers ensure by refilling a fixed :class:`SparsityPattern`.
+    The first :meth:`assemble` checks that the blocks fit and sorts M's
+    layout into a :class:`SparsityPattern`; every later call refills it by
+    one gather, ``B^T`` read from ``B``'s own values, so no transpose is
+    built.  A block whose CSR layout (shape, ``indptr`` or ``indices``)
+    differs from the first call's raises ``ValueError``.
+
+    :meth:`factor` factors the last assembled M as ``P M P^T = L D L^T``.
+    The first call lets SuperLU order M (``MMD_AT_PLUS_A``) and keeps that
+    order, with a gather from M's CSR data into the CSC data of the
+    symmetrically permuted matrix; every later call permutes by that gather
+    and factors with the ``NATURAL`` order.  Pivots stay on the diagonal
+    (threshold 0), which is stable for symmetric quasi-definite matrices; a
+    factorization that needed an off-diagonal pivot, or fails the pivot
+    test, raises :class:`SingularMatrixError`.
     """
 
-    def __init__(self, names: Sequence[str], sizes: Sequence[int]):
-        names = tuple(names)
-        sizes = tuple(int(s) for s in sizes)
-        if len(names) != len(sizes):
-            raise ValueError("one size per block name required")
-        if len(set(names)) != len(names):
-            raise ValueError("block names must be unique")
-        if any(s <= 0 for s in sizes):
-            raise ValueError("block sizes must be positive")
-        self.names = names
-        self.sizes = sizes
-        self.offsets = tuple(int(o) for o in np.concatenate([[0], np.cumsum(sizes)]))
-        self._entries: dict = {}  # (i, j) -> (block, transpose)
-        self._layout = None  # per block: position, transpose flag, entry count
+    def __init__(self):
+        self._layout = None  # (shape, indptr, indices) of A, B and C at the first assembly
         self._pattern = None
+        self._matrix = None  # the last assembled M
+        self._order = None  # position in the permuted matrix -> index in M
+        self._csc = None  # (gather, indices, indptr) of the permuted matrix
 
-    def _index(self, name: str) -> int:
-        if name not in self.names:
-            raise KeyError(f"unknown block name {name!r}")
-        return self.names.index(name)
-
-    def set(self, row, col, block: SparseMatrix, transpose: bool = False) -> None:
-        """Place ``block``, or with ``transpose`` its transpose, at (row, col)."""
-        i, j = self._index(row), self._index(col)
-        if not isinstance(block, SparseMatrix):
-            raise TypeError(f"block ({row},{col}) must be a SparseMatrix")
-        nr, nc = self.sizes[i], self.sizes[j]
-        shape = (nc, nr) if transpose else (nr, nc)
-        if block.shape != shape:
-            raise ValueError(f"block ({row},{col}) needs a {shape[0]}x{shape[1]} matrix, "
-                             f"got {block.shape}")
-        self._entries[(i, j)] = (block, bool(transpose))
-
-    def assemble(self) -> SparseMatrix:
-        entries = [(key, *self._entries[key]) for key in sorted(self._entries)]
-        layout = [(key, transpose, block.nnz) for key, block, transpose in entries]
+    def assemble(self, a: SparseMatrix, b: SparseMatrix, c: SparseMatrix) -> SparseMatrix:
+        layout = [(x.shape, x.csr.indptr, x.csr.indices) for x in (a, b, c)]
         if self._pattern is None:
-            self._pattern = self._build_pattern(entries)
+            n, m = b.shape
+            if a.shape != (n, n) or c.shape != (m, m):
+                raise ValueError(f"blocks of shapes {a.shape}, {b.shape} and {c.shape} "
+                                 f"do not fit [[A, B], [B^T, C]]")
+            (ra, ca), (rb, cb), (rc, cc) = map(_coordinates, (a, b, c))
+            self._pattern = SparsityPattern(n + m, n + m,
+                                            np.concatenate([ra, rb, cb + n, rc + n]),
+                                            np.concatenate([ca, cb + n, rb, cc + n]))
             self._layout = layout
-        elif layout != self._layout:
+        elif not all(s == s0 and np.array_equal(p, p0) and np.array_equal(i, i0)
+                     for (s, p, i), (s0, p0, i0) in zip(layout, self._layout)):
             raise ValueError("block layout differs from the first assembly")
-        return self._pattern.fill(np.concatenate([np.zeros(0)] +
-                                                 [block.csr.data for _, block, _ in entries]))
+        self._matrix = self._pattern.fill(
+            np.concatenate([a.csr.data, b.csr.data, b.csr.data, c.csr.data]))
+        return self._matrix
 
-    def _build_pattern(self, entries) -> SparsityPattern:
-        """Triplets of every placement, in the order of the concatenated block
-        values that :meth:`assemble` fills with."""
-        rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for (i, j), block, transpose in entries:
-            r = np.repeat(np.arange(block.nrows), np.diff(block.csr.indptr))
-            c = block.csr.indices
-            if transpose:
-                r, c = c, r
-            rows.append(r + self.offsets[i])
-            cols.append(c + self.offsets[j])
-        dim = self.offsets[-1]
-        return SparsityPattern(dim, dim, np.concatenate(rows), np.concatenate(cols))
+    def factor(self) -> SymmetricFactor:
+        """The last assembled M, factored on the order of the first call."""
+        m = self._matrix
+        if m is None:
+            raise ValueError("no matrix assembled")
+        if self._order is None:
+            lu = _splu(m.csr.tocsc(), permc_spec="MMD_AT_PLUS_A", **_DIAGONAL_PIVOTS)
+            order = np.argsort(lu.perm_c)
+            # entry k of the CSR data is marked k + 1, so the permuted matrix
+            # keeps every entry and its data names the source
+            permuted = m.with_data(np.arange(1, m.nnz + 1)).csr[order][:, order].tocsc()
+            self._csc = (permuted.data.astype(np.int64) - 1, permuted.indices, permuted.indptr)
+            self._order = order
+            return SymmetricFactor(lu, None)
+        gather, indices, indptr = self._csc
+        csc = sp.csc_matrix((m.csr.data[gather], indices, indptr), shape=m.shape)
+        return SymmetricFactor(_splu(csc, permc_spec="NATURAL", **_DIAGONAL_PIVOTS), self._order)

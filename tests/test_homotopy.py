@@ -445,10 +445,11 @@ def test_step_underflow_raises_with_trace():
     assert all(not r.accepted for r in err.value.trace.records)
 
 
-def test_repeated_rejected_proposal_is_replayed_not_rerun():
+def test_repeated_rejected_proposal_is_replayed_not_rerun(caplog):
     # x = t solves every t < 1 in one Newton step; t = 1 has no root, so each
     # corrector there spends its whole budget.  Proposals clamped to 1 repeat
-    # from the same accepted point until a shorter step is accepted.
+    # from the same accepted point until a shorter step is accepted.  The
+    # log gives each rejection's Newton count, a replay's 0 included.
     factor_ts = []
 
     def factor(x, t):
@@ -461,11 +462,15 @@ def test_repeated_rejected_proposal_is_replayed_not_rerun():
         dh_dt=lambda x, t: np.array([-1.0]),
     )
     controller = StepController(dt_init=0.5, dt_max=4.0, growth=4.0, dt_min=0.1)
+    caplog.set_level(logging.INFO, logger="homotopt.homotopy")
     with pytest.raises(StepUnderflowError) as err:
         trace(problem, np.array([0.0]), controller, NewtonConfig(max_iter=3))
     records = err.value.trace.records
     assert [r.t for r in records] == [0.5, 1.0, 1.0, 1.0, 0.75, 1.0, 1.0, 1.0,
                                       0.875, 1.0, 1.0, 1.0, 1.0]
+    steps = [m for m in caplog.messages if m.startswith("step ")]
+    assert steps[1].startswith("step 2 rejected (max_iter): t=1 newton=3 res=")
+    assert steps[2].startswith("step 3 rejected (repeat): t=1 newton=0 res=")
     assert [r.reason for r in records] == ["", "max_iter", "repeat", "repeat"] * 3 \
         + ["max_iter"]
     # every step is below the cap, and the tangent of x = t is exact

@@ -1,5 +1,6 @@
 import logging
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -206,6 +207,17 @@ def test_jacobian_barrier_rows(small_system):
     assert np.all(kkt_diagonal(system, jac, "rho", "z_b") == 1.0)
 
 
+def test_density_pattern_without_its_diagonal_is_refused(small_system):
+    # Sigma goes onto rr's diagonal, so the pattern rr is refilled on must hold it
+    system, _ = small_system
+    n = system.n
+    ring = sparse.SparsityPattern(n, n, np.arange(n), np.roll(np.arange(n), 1))
+    lagr = SimpleNamespace(n_density=n, n_disp=system.l,
+                           dofmap=SimpleNamespace(geometry=SimpleNamespace(pattern=ring)))
+    with pytest.raises(ValueError, match="lacks diagonal"):
+        solver.KktSystem(lagr, system.box)
+
+
 def test_reduced_matrix_bit_identical_to_bmat(small_system, rng):
     # M is refilled on the layout its first call fixed; scipy's bmat of its
     # four blocks, built afresh, is the independent reference
@@ -388,22 +400,18 @@ def test_condensed_step_equals_full_kkt_solve(small_run, small_system):
             assert rel_err(reference[m:], -system.unpack(step).u) <= 1e-10
 
 
-def test_negative_pivots_count_the_reduced_hessian_inertia(small_run, small_system):
+def test_negative_pivots_count_the_reduced_hessian_inertia(small_run):
     # M's inertia is the reduced Hessian's plus l negative eigenvalues: S > 0
     # on the traced points before t = 1, 16 negatives at the final saddle
     _, _, accepted = small_run
-    system, _ = small_system
-    order = sparse.SymmetricOrder()  # ordered at t = 0, reused after it
+    system, _ = solver.build_system(small_config())  # ordered at t = 0, reused after it
     counts = []
     for t, point in accepted:
-        m = system.reduced_matrix(point)
-        dense = m.csr.toarray()
+        dense = system.reduced_matrix(point).csr.toarray()
         assert np.abs(dense - dense.T).max() <= 1e-14 * np.abs(dense).max()
         negative = int(np.count_nonzero(np.linalg.eigvalsh(dense) < 0.0))
-        pivots = order.factor(m).negative_pivots
-        assert pivots == negative
-        assert system.factor(point).negative == pivots - system.l
-        counts.append((t, pivots - system.l))
+        assert system.factor(point).negative == negative - system.l
+        counts.append((t, negative - system.l))
     assert counts == [(0.0, 0), (0.25, 0), (0.5, 0), (0.75, 0), (1.0, 16)]
 
 
@@ -418,10 +426,10 @@ def test_refused_symmetric_factorization_falls_back_to_the_4_block_lu(
     rhs = -system.residual(point, anchor, t + 0.25, schedule)[:m]
     reduced = problem.factor(point.pack(), t + 0.25).solve(rhs)
 
-    def refuse(self, a):
+    def refuse(self):
         raise sparse.SingularMatrixError("a pivot left the diagonal")
 
-    monkeypatch.setattr(sparse.SymmetricOrder, "factor", refuse)
+    monkeypatch.setattr(sparse.BlockSystem, "factor", refuse)
     with caplog.at_level(logging.INFO, logger="homotopt.solver"):
         step = problem.factor(point.pack(), t + 0.25).solve(rhs)
     assert "4-block LU fallback" in caplog.text

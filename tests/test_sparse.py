@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homotopt.sparse import (BlockSystem, SingularMatrixError, SparseMatrix,
-                             SparsityPattern, SymmetricOrder, solve_direct)
+                             SparsityPattern, solve_direct)
 
 
 def identity(n):
@@ -177,169 +178,120 @@ def quasi_definite(rng, n, m):
 
 
 def test_symmetric_factor_solves_and_counts_negative_eigenvalues(rng):
-    # one order serves every matrix of the layout: the first factorization
+    # one order serves every refill of the layout: the first factorization
     # computes it, the later ones permute by it
-    order = SymmetricOrder()
+    blocks = BlockSystem()
     dense = quasi_definite(rng, 30, 12)
-    layout = SparseMatrix.from_dense(dense)
+    b = SparseMatrix.from_dense(dense[:30, 30:])
     for k in range(3):
         values = dense + np.diag(np.full(42, 0.5 * k))
-        factor = order.factor(layout.with_data(values.ravel()))
-        b = rng.standard_normal(42)
-        x = factor.solve(b)
-        assert np.linalg.norm(x - np.linalg.solve(values, b)) <= 1e-10 * np.linalg.norm(x)
+        m = blocks.assemble(SparseMatrix.from_dense(values[:30, :30]), b,
+                            SparseMatrix.from_dense(values[30:, 30:]))
+        assert np.array_equal(m.csr.toarray(), values)
+        factor = blocks.factor()
+        rhs = rng.standard_normal(42)
+        x = factor.solve(rhs)
+        assert np.linalg.norm(x - np.linalg.solve(values, rhs)) <= 1e-10 * np.linalg.norm(x)
         assert factor.negative_pivots == np.count_nonzero(np.linalg.eigvalsh(values) < 0)
     with pytest.raises(ValueError):
         factor.solve(np.ones(41))
-    with pytest.raises(ValueError):
-        order.factor(SparseMatrix.from_triplets(42, 42, range(42), range(42), np.ones(42)))
-    # a layout with the first one's entry count but other places is refused
-    first, second = np.diag(np.full(4, 4.0)), np.diag(np.full(4, 4.0))
-    first[0, 1] = first[1, 0] = second[0, 3] = second[3, 0] = 1.0
-    order = SymmetricOrder()
-    order.factor(SparseMatrix.from_triplets(4, 4, *np.nonzero(first), first[np.nonzero(first)]))
-    with pytest.raises(ValueError, match="layout differs"):
-        order.factor(SparseMatrix.from_triplets(4, 4, *np.nonzero(second),
-                                                second[np.nonzero(second)]))
 
 
 def test_symmetric_factor_refusals():
+    one, zero = SparseMatrix.from_dense([[1.0]]), SparseMatrix.from_dense([[0.0]])
     # a zero diagonal needs an off-diagonal pivot
+    blocks = BlockSystem()
+    blocks.assemble(zero, one, zero)
     with pytest.raises(SingularMatrixError, match="diagonal"):
-        SymmetricOrder().factor(SparseMatrix.from_dense([[0.0, 1.0], [1.0, 0.0]]))
-    near_singular = SparseMatrix.from_triplets(2, 2, [0, 1], [0, 1], [1.0, -1e-16])
+        blocks.factor()
+    blocks = BlockSystem()
+    blocks.assemble(one, SparseMatrix.from_triplets(1, 1, [], [], []),
+                    SparseMatrix.from_dense([[-1e-16]]))
     with pytest.raises(SingularMatrixError, match="threshold"):
-        SymmetricOrder().factor(near_singular)
-    with pytest.raises(ValueError):
-        SymmetricOrder().factor(SparseMatrix.from_triplets(2, 3, [], [], []))
+        blocks.factor()
+    with pytest.raises(ValueError):  # nothing assembled to factor
+        BlockSystem().factor()
 
 
 def test_block_diagonal_layout():
-    blocks = BlockSystem(("p", "q"), (1, 1))
-    blocks.set("p", "p", SparseMatrix.from_dense([[3.0]]))
-    blocks.set("q", "q", SparseMatrix.from_dense([[7.0]]))
-    assert blocks.assemble().csr.toarray() == pytest.approx(np.array([[3.0, 0.0], [0.0, 7.0]]))
+    # a B without entries leaves M block diagonal
+    blocks = BlockSystem()
+    m = blocks.assemble(SparseMatrix.from_dense([[3.0]]), SparseMatrix.from_triplets(1, 1, [], [], []),
+                        SparseMatrix.from_dense([[7.0]]))
+    assert np.array_equal(m.csr.toarray(), np.array([[3.0, 0.0], [0.0, 7.0]]))
 
 
 def test_block_identity_blocks_give_global_identity():
-    blocks = BlockSystem(("a", "b"), (2, 3))
-    blocks.set("a", "a", identity(2))
-    blocks.set("b", "b", identity(3))
-    assert blocks.assemble().csr.toarray() == pytest.approx(np.eye(5))
-
-
-def test_block_scalar_box_matches_hand_assembly():
-    # n=1 primal-dual system: [[h, -1, 1], [za, ca, 0], [-zb, 0, cb]]
-    h, za, zb, ca, cb = 2.5, 0.8, 0.3, 0.7456, 1.2456
-    blocks = BlockSystem(("x", "za", "zb"), (1, 1, 1))
-    for row, col, value in [("x", "x", h), ("x", "za", -1.0), ("x", "zb", 1.0), ("za", "x", za),
-                            ("za", "za", ca), ("zb", "x", -zb), ("zb", "zb", cb)]:
-        blocks.set(row, col, SparseMatrix.from_dense([[value]]))
-    expected = np.array([[h, -1.0, 1.0], [za, ca, 0.0], [-zb, 0.0, cb]])
-    assert blocks.assemble().csr.toarray() == pytest.approx(expected)
+    m = BlockSystem().assemble(identity(2), SparseMatrix.from_triplets(2, 3, [], [], []),
+                               identity(3))
+    assert np.array_equal(m.csr.toarray(), np.eye(5))
 
 
 def test_block_roundtrip_every_block(rng):
-    names, sizes = ("r", "s", "t"), (2, 3, 2)
-    blocks = BlockSystem(names, sizes)
-    stored = {}
-    offsets = (0, 2, 5, 7)
-    for i in range(3):
-        for j in range(3):
-            if rng.random() < 0.4:
-                continue
-            dense = rng.standard_normal((sizes[i], sizes[j]))
-            blocks.set(names[i], names[j], SparseMatrix.from_dense(dense))
-            stored[(i, j)] = dense
-    full = blocks.assemble().csr.toarray()
-    for (i, j), dense in stored.items():
-        sub = full[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]
-        assert sub == pytest.approx(dense, abs=1e-15)
-
-
-def test_block_set_again_replaces():
-    # a second set at one position replaces the first block; nothing sums
-    blocks = BlockSystem(("a",), (2,))
-    blocks.set("a", "a", SparseMatrix.from_dense(np.diag([1.0, 2.0])))
-    blocks.set("a", "a", SparseMatrix.from_dense(np.diag([10.0, 20.0])))
-    assert np.array_equal(blocks.assemble().csr.toarray(), np.diag([10.0, 20.0]))
+    a, b, c = (rng.standard_normal(shape) for shape in ((2, 2), (2, 3), (3, 3)))
+    full = BlockSystem().assemble(*map(SparseMatrix.from_dense, (a, b, c))).csr.toarray()
+    assert np.array_equal(full[:2, :2], a)
+    assert np.array_equal(full[:2, 2:], b)
+    assert np.array_equal(full[2:, :2], b.T)
+    assert np.array_equal(full[2:, 2:], c)
 
 
 def test_block_size_validation():
-    blocks = BlockSystem(("a", "b"), (2, 3))
-    with pytest.raises(ValueError):
-        blocks.set("a", "b", identity(2))  # wrong shape: needs 2x3
-    with pytest.raises(ValueError):  # transposed, it needs 3x2
-        blocks.set("a", "b", SparseMatrix.from_dense(np.ones((2, 3))), transpose=True)
-    with pytest.raises(TypeError):
-        blocks.set("a", "a", np.eye(2))  # only SparseMatrix blocks
-    with pytest.raises(TypeError):
-        blocks.set("a", "a", np.ones(2))
-    with pytest.raises(KeyError):
-        blocks.set("a", "c", identity(2))  # unknown block name
+    # A must be square with B's rows, C square with B's columns
+    a, b, c = identity(2), SparseMatrix.from_dense(np.ones((2, 3))), identity(3)
+    for blocks in [(identity(3), b, c), (a, b.transpose(), c), (a, b, identity(2)),
+                   (a, SparseMatrix.from_dense(np.ones((2, 2))), c)]:
+        with pytest.raises(ValueError, match="do not fit"):
+            BlockSystem().assemble(*blocks)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_block_refill_bit_identical_to_fresh_assembly(data):
-    # rounds of new values on one layout of sparse and dense (every entry
-    # stored, exact zeros included) blocks, transposed or not: each assembly
-    # must be bit-identical to a fresh system's and equal the dense sum of
-    # its placements; then a changed position, transpose flag or entry
-    # count must raise
-    names = ("a", "b", "c")
-    sizes = data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    # rounds of new values for sparse and dense (every entry stored, exact
+    # zeros included) blocks A, B and C on one layout: each assembly must be
+    # bit-identical to a fresh system's and to scipy's bmat of the blocks;
+    # then a block with its entries at other places, or with another entry
+    # count, must raise
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    keys = data.draw(st.sets(st.tuples(st.integers(0, 2), st.integers(0, 2)),
-                             min_size=1, max_size=4))
-    layout = {}  # (i, j) -> (kind, pattern, transpose); pattern has the block's shape
-    for i, j in sorted(keys):
+    layout = []  # (kind, pattern) of A, B and C
+    for shape in ((n, n), (n, m), (m, m)):
         kind = data.draw(st.sampled_from(["sparse", "dense"]))
-        transpose = data.draw(st.booleans())
-        shape = (sizes[j], sizes[i]) if transpose else (sizes[i], sizes[j])
-        mask = rng.random(shape) < 0.6
-        layout[(i, j)] = (kind, SparsityPattern(*shape, *np.nonzero(mask)), transpose)
+        layout.append((kind, SparsityPattern(*shape, *np.nonzero(rng.random(shape) < 0.6))))
 
     def new_block(kind, pattern):
         if kind == "dense":
-            values = rng.standard_normal(pattern.shape) * (rng.random(pattern.shape) < 0.7)
-            return SparseMatrix.from_dense(values), values
-        block = pattern.fill(rng.standard_normal(pattern.order.size))
-        return block, block.csr.toarray()
+            return SparseMatrix.from_dense(rng.standard_normal(pattern.shape)
+                                           * (rng.random(pattern.shape) < 0.7))
+        return pattern.fill(rng.standard_normal(pattern.order.size))
 
-    blocks = BlockSystem(names, sizes)
+    blocks = BlockSystem()
     for _ in range(data.draw(st.integers(1, 4))):
-        fresh = BlockSystem(names, sizes)
-        reference = np.zeros((offsets[-1], offsets[-1]))
-        for (i, j), (kind, pattern, transpose) in layout.items():
-            block, dense = new_block(kind, pattern)
-            blocks.set(names[i], names[j], block, transpose=transpose)
-            fresh.set(names[i], names[j], block, transpose=transpose)
-            reference[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] += \
-                dense.T if transpose else dense
-        got = blocks.assemble()
-        want = fresh.assemble().csr
+        a, b, c = (new_block(*entry) for entry in layout)
+        got = blocks.assemble(a, b, c)
+        want = BlockSystem().assemble(a, b, c).csr
         assert_same_csr(got, want.data, want.indices, want.indptr)
-        assert np.array_equal(got.csr.toarray(), reference)
+        reference = sp.bmat([[a.csr, b.csr], [b.csr.T, c.csr]], format="csr")
+        reference.sort_indices()
+        assert_same_csr(got, reference.data, reference.indices, reference.indptr)
 
-    free = [(i, j) for i in range(3) for j in range(3) if (i, j) not in layout]
-    change = data.draw(st.sampled_from(["transpose", "count"] + (["position"] if free else [])))
-    if change == "position":
-        i, j = data.draw(st.sampled_from(free))
-        blocks.set(names[i], names[j], SparseMatrix.from_dense(np.zeros((sizes[i], sizes[j]))))
+    i = data.draw(st.integers(0, 2))
+    block = new_block(*layout[i])
+    shape = block.shape
+    stored = np.zeros(shape, dtype=bool)
+    coo = block.csr.tocoo()
+    stored[coo.row, coo.col] = True
+    free = np.flatnonzero(~stored)
+    if block.nnz and free.size and data.draw(st.booleans()):
+        # one entry moved to a place the layout leaves empty
+        moved = stored.ravel().copy()
+        moved[np.flatnonzero(moved)[0]], moved[free[0]] = False, True
+        rows, cols = np.nonzero(moved.reshape(shape))
     else:
-        (i, j), (kind, pattern, transpose) = data.draw(st.sampled_from(sorted(layout.items())))
-        block, _ = new_block(kind, pattern)
-        if change == "count":
-            # a sparse block with one entry fewer or one more than before
-            rows, cols = np.divmod(np.arange(pattern.shape[0] * pattern.shape[1]), pattern.shape[1])
-            k = block.nnz - 1 if block.nnz > 0 else 1
-            block = SparseMatrix.from_triplets(*pattern.shape, rows[:k], cols[:k], np.ones(k))
-        else:
-            # the same placement from the transposed block and the flipped flag
-            block = block.transpose()
-            transpose = not transpose
-        blocks.set(names[i], names[j], block, transpose=transpose)
-    with pytest.raises(ValueError):
-        blocks.assemble()
+        # one entry fewer, or one where there were none
+        rows, cols = np.divmod(np.arange(block.nnz - 1 if block.nnz else 1), shape[1])
+    changed = [new_block(*entry) for entry in layout]
+    changed[i] = SparseMatrix.from_triplets(*shape, rows, cols, np.ones(rows.size))
+    with pytest.raises(ValueError, match="layout differs"):
+        blocks.assemble(*changed)

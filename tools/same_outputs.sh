@@ -8,13 +8,14 @@
 # 60x20 with --full), `solve` on 20x8 with `stepping.dt_init = 0.1` and
 # `stepping.dt_max = 0.25` (a folding run whose steps below the cap start from
 # the tangent predictor, so its tangent solves go through the Hessian too, and
-# whose correctors stop on leaving the minimizer branch; run with --verbose,
-# so its log gives each step's reason and residual, and each accepted one's
-# Newton count, which the output files do not show), `solve` on
+# whose correctors stop on leaving the minimizer branch), `solve` on
 # acceptance criterion 6's 20x8 config
 # (`stepping.dt_init = stepping.dt_max = 0.9`, `barrier.mu_inf = 0.05`,
 # `newton.damping = 0.0`: full Newton steps with no `step_limit`, whose
 # correctors end `invalid_iterate`), `scalar-demos` and `check-derivatives`.
+# Every solve runs with --verbose, so its log gives each step, accepted or
+# rejected, with its reason, Newton count and residual, which the output
+# files do not show; the folding runs' rejected correctors are compared too.
 # It diffs each solve's output directory and the text each command prints,
 # less the `outputs in DIR` line, plus the exit status.  Exits 1 on any
 # difference.
@@ -65,13 +66,10 @@ printf 'stepping.dt_init = 0.1\nstepping.dt_max = 0.25\n' | cat "$work/20x8.cfg"
 printf 'stepping.dt_init = 0.9\nstepping.dt_max = 0.9\nbarrier.mu_inf = 0.05\nnewton.damping = 0.0\n' \
     | cat "$work/20x8.cfg" - > "$work/20x8-criterion6.cfg"
 for side in rev head; do
-    for mesh in $cases; do
-        run $side "solve-$mesh" solve "$work/$mesh.cfg" --out-dir "$work/$side-out-$mesh"
+    for name in $cases 20x8-dt 20x8-criterion6; do
+        run $side "solve-$name" solve "$work/$name.cfg" --out-dir "$work/$side-out-$name" \
+            --verbose
     done
-    run $side solve-20x8-dt solve "$work/20x8-dt.cfg" --out-dir "$work/$side-out-20x8-dt" \
-        --verbose
-    run $side solve-20x8-criterion6 solve "$work/20x8-criterion6.cfg" \
-        --out-dir "$work/$side-out-20x8-criterion6"
     run $side scalar-demos scalar-demos
     run $side check-derivatives check-derivatives --points 3
 done
