@@ -480,22 +480,24 @@ def _fd_errors(system, schedule, anchor, rng, h: float = 1e-6):
                    _rel_err((gp.d_rho - gm.d_rho) / (2 * h), hess.ru.matvec(d_u)),
                    _rel_err((gp.d_p - gm.d_p) / (2 * h), hess.up.matvec(d_u)))
 
-    # Jacobian along a direction vs the residual's central difference along
-    # the unpacked direction (dp = -du), on the rows the Jacobian covers, and
-    # the t-derivative of the traced map
-    point = solver.KktPoint(rho, u, p, rng.uniform(0.5, 2.0, size=n),
-                            rng.uniform(0.5, 2.0, size=n))
+    # M along a direction y = (drho, w) vs the residual's central difference
+    # on the rho and u rows along the condensed step (p = -u, as at every
+    # point the solver builds), and the t-derivative of the traced map
+    z_a, z_b = rng.uniform(0.5, 2.0, size=n), rng.uniform(0.5, 2.0, size=n)
+    point = solver.KktPoint(rho, u, -u, z_a, z_b)
     t = 0.5
-    jac = system.jacobian(point)
-    d = unit(jac.ncols)
-    blocks = list(zip(vars(point).values(), vars(system.unpack(d)).values()))
+    y = unit(n + l)
+    d_rho, w = y[:n], y[n:]
+    step = solver.KktPoint(d_rho, w / 2, -w / 2, -z_a * d_rho / system.box.lower_gap(rho),
+                           z_b * d_rho / system.box.upper_gap(rho))
+    blocks = list(zip(vars(point).values(), vars(step).values()))
 
-    def moved(step):
-        return solver.KktPoint(*(x + step * dx for x, dx in blocks))
+    def moved(s):
+        return solver.KktPoint(*(x + s * dx for x, dx in blocks))
 
     rp = system.residual(moved(h), anchor, t, schedule)
     rm = system.residual(moved(-h), anchor, t, schedule)
-    err_jac = _rel_err((rp - rm)[:jac.nrows] / (2 * h), jac.matvec(d))
+    err_jac = _rel_err((rp - rm)[:n + l] / (2 * h), system.jacobian(point).matvec(y))
     fd_t = (system.residual(point, anchor, t + h, schedule)
             - system.residual(point, anchor, t - h, schedule)) / (2 * h)
     err_ht = _rel_err(fd_t, system.h_t(anchor, t, schedule))

@@ -15,45 +15,41 @@ rows last; with p = -u the state rows are the adjoint rows negated, bitwise,
 so every Newton and tangent system is the leading square block of the
 residual's Jacobian.
 
-That block is not factored as it stands.  With p = -u its (rho, u) block is
+That block is never built.  With p = -u its (rho, u) block is
 ``ru - rp = 2 ru``; eliminating z_a and z_b and taking w = 2 du as the
-unknown leaves the symmetric quasi-definite matrix
+unknown leaves the condensed Jacobian, the symmetric quasi-definite matrix
 ``M = [[rr + Sigma, ru], [ru^T, -K/2]]`` of dimension n + l, with
-``Sigma = z_a / gap_a + z_b / gap_b``.  Every step factors M by diagonal
-pivoting on one fill-reducing order for the run, and recovers dz_a and dz_b
-from drho by two diagonal scalings.  M's inertia is that of the reduced
-Hessian ``rr + Sigma + 2 ru K^-1 ru^T`` plus l negative eigenvalues, so each
+``Sigma = z_a / gap_a + z_b / gap_b`` (Nocedal & Wright, *Numerical
+Optimization*, ch. 19).  Every step factors M by diagonal pivoting on one
+fill-reducing order for the run, and recovers dz_a and dz_b from drho by two
+diagonal scalings.  M's inertia is that of the reduced Hessian
+``rr + Sigma + 2 ru K^-1 ru^T`` plus l negative eigenvalues, so each
 factorization also reports the reduced Hessian's negative count, which the
 corrector reads to notice that it left the minimizer branch.  One
 :class:`~homotopt.sparse.BlockSystem` per system assembles M on the block
 layout of its first call and factors it on the order of its first
-factorization; the 4-block Jacobian, built only as the checked reference
-and for the LU fallback, comes from ``scipy.sparse.bmat``.
+factorization.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fem, homotopy
 from .barrier import (BarrierSchedule, BoxConstraints, DualPair, fraction_to_boundary,
                       pd_residual_box)
-from .homotopy import Factor, HomotopyProblem, SolveTrace, pivoted_lu
+from .homotopy import Factor, HomotopyProblem, SolveTrace
 from .lagrangian import Lagrangian
 from .mesh import bridge_domain, build_structured_mesh
-from .sparse import BlockSystem, SingularMatrixError, SparseMatrix, solve_direct
+from .sparse import BlockSystem, SparseMatrix, solve_direct
 
 if TYPE_CHECKING:  # pragma: no cover
     from .io_cli import SolverConfig
 
 __all__ = ["KktPoint", "KktSystem", "build_system", "run"]
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -73,8 +69,8 @@ class KktPoint:
 
 class KktSystem:
     """Perturbed optimality system in the unknown (rho, u, z_a, z_b): its
-    residual, with the state rows last, the Jacobian of the other rows, and
-    their solve through the reduced symmetric matrix."""
+    residual, with the state rows last, and the solve of the other rows
+    through their condensed Jacobian M."""
 
     def __init__(self, lagr: Lagrangian, box: BoxConstraints):
         if box.n != lagr.n_density:
@@ -136,31 +132,17 @@ class KktSystem:
         return r
 
     def jacobian(self, point: KktPoint) -> SparseMatrix:
-        """Jacobian of the residual's leading rows (rho, u, z_a, z_b) along
-        steps with dp = -du, in that block order.  It is independent of t,
-        which only shifts the residual.
+        """The condensed Jacobian ``M = [[rr + Sigma, ru], [ru^T, -K/2]]`` in
+        (drho, w = 2 du), with ``Sigma = z_a / gap_a + z_b / gap_b``;
+        symmetric once p = -u.
 
-        Row blocks: [rr, ru - rp, -I, I], [ru^T, -up, 0, 0],
-        [diag z_a, 0, diag gap_a, 0] and [-diag z_b, 0, 0, diag gap_b]
-        (``up`` = K(rho), ``rp`` = the Hessian's ``ru`` at u and p swapped),
-        at any ``point``, p independent of u included; built afresh by
-        ``scipy.sparse.bmat``, as no run takes it but the LU fallback.
+        ``M (drho, w)`` is the derivative of the residual's rho and u rows
+        along the step ``(drho, w/2, -w/2, -z_a drho / gap_a, z_b drho /
+        gap_b)`` in (rho, u, p, z_a, z_b), whose dz_a and dz_b keep the
+        linearized complementarity rows fixed.  It is independent of t,
+        which only shifts the residual.  Sigma is added to rr's diagonal
+        values; the run's block system sorts M's layout once and refills it.
         """
-        h = self.lagr.hessian(point.rho, point.u, point.p_adj)
-        rp = self.lagr.hessian(point.rho, point.p_adj, point.u).ru  # ru's pattern
-        eye = sp.identity(self.n, format="csr")
-        return SparseMatrix(sp.bmat([
-            [h.rr.csr, h.ru.csr - rp.csr, -eye, eye],
-            [h.ru.csr.T, -h.up.csr, None, None],
-            [sp.diags(point.z_a), None, sp.diags(self.box.lower_gap(point.rho)), None],
-            [sp.diags(-point.z_b), None, None, sp.diags(self.box.upper_gap(point.rho))],
-        ], format="csr"))
-
-    def reduced_matrix(self, point: KktPoint) -> SparseMatrix:
-        """``M = [[rr + Sigma, ru], [ru^T, -K/2]]`` in (drho, w = 2 du), with
-        ``Sigma = z_a / gap_a + z_b / gap_b``; symmetric once p = -u.  Sigma
-        is added to rr's diagonal values; the run's block system sorts M's
-        layout once and refills it."""
         h = self.lagr.hessian(point.rho, point.u, point.p_adj)
         sigma = point.z_a / self.box.lower_gap(point.rho) + point.z_b / self.box.upper_gap(point.rho)
         data = h.rr.csr.data.copy()
@@ -169,29 +151,25 @@ class KktSystem:
                                      h.up.with_data(-0.5 * h.up.csr.data))
 
     def factor(self, point: KktPoint) -> Factor:
-        """``jacobian(point)`` factored: the solve of ``jacobian(point) d = b``
-        for ``b`` of length dim - l, and the number of negative eigenvalues
-        of the reduced Hessian ``rr + Sigma + 2 ru K^-1 ru^T`` (M's negative
-        pivots less l).
+        """The solve for the step ``d`` in (rho, u, z_a, z_b) of the
+        residual's leading rows, ``b`` of length dim - l on the right, and
+        the number of negative eigenvalues of the reduced Hessian
+        ``rr + Sigma + 2 ru K^-1 ru^T`` (M's negative pivots less l).
 
-        Factors :meth:`reduced_matrix` on the run's symmetric order and solves
+        Factors :meth:`jacobian` on the run's symmetric order and solves
         ``M (drho, w) = (b_rho + b_a / gap_a - b_b / gap_b, b_u)``; then
         ``du = w / 2``, ``dz_a = (b_a - z_a drho) / gap_a`` and
         ``dz_b = (b_b + z_b drho) / gap_b``.  One step of iterative
         refinement on M brings the error of the diagonal pivots past the
         fold, where ``rr + Sigma`` is indefinite, back to that of a pivoted
-        LU.  If the symmetric factorization is refused, the step falls back
-        to :func:`~homotopt.homotopy.pivoted_lu` of the 4-block Jacobian,
-        which reports no inertia, and the log says so.  The traced problem
-        of :meth:`homotopy_problem` solves only through this method.
+        LU.  A refused symmetric factorization raises
+        :class:`~homotopt.sparse.SingularMatrixError`, as a singular
+        Jacobian does.  The traced problem of :meth:`homotopy_problem`
+        solves only through this method.
         """
         gap_a, gap_b = self.box.lower_gap(point.rho), self.box.upper_gap(point.rho)
-        try:
-            m = self.reduced_matrix(point)
-            lu = self._blocks.factor()
-        except SingularMatrixError as exc:
-            log.info("symmetric factorization refused (%s): 4-block LU fallback", exc)
-            return pivoted_lu(self.jacobian(point))
+        m = self.jacobian(point)
+        lu = self._blocks.factor()
 
         def solve(b):
             b_rho, b_u, b_a, b_b = self._split(b)

@@ -209,8 +209,8 @@ def test_corrector_below_t1_stops_at_the_second_indefinite_iterate(negatives, it
 @pytest.mark.parametrize("negatives", [[1, 0] * 10, [1, None] * 10],
                          ids=["alternating", "no-inertia-resets"])
 def test_isolated_indefinite_iterates_do_not_stop_the_corrector(negatives):
-    # an iterate whose factor reports no inertia (the KKT problem's 4-block
-    # LU fallback) ends the run of indefinite iterates as a definite one does
+    # an iterate whose factor reports no inertia (a `pivoted_lu` problem's)
+    # ends the run of indefinite iterates as a definite one does
     result = newton_corrector(scripted_inertia_problem(negatives), np.zeros(1), 0.5,
                               NewtonConfig())
     assert (result.converged, result.reason, result.iters) == (False, "max_iter", 20)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from homotopt.io_cli import (ConfigError, MeshConfig, NewtonSettings, SolverConf
                              write_param_history)
 from homotopt.lagrangian import ProblemParams
 from homotopt.mesh import DomainSpec, build_structured_mesh
+from homotopt.sparse import SparseMatrix
 
 SMALL_CONFIG = """
 mesh.nx = 20
@@ -538,6 +540,26 @@ def test_cli_check_derivatives(tmp_path, capsys):
     for line, (name, tol) in zip(lines, checks):
         assert re.fullmatch(rf"{re.escape(name)}: max relative error \d\.\d{{3}}e[-+]\d\d "
                             rf"\(tol {tol}\)  PASS", line), line
+
+
+def test_cli_check_derivatives_catches_m_without_sigma(tmp_path, capsys, monkeypatch):
+    # the checked matrix is the factored M: dropping Sigma from its rho
+    # diagonal fails the jacobian line and the command
+    jacobian = solver.KktSystem.jacobian
+
+    def without_sigma(self, point):
+        m = jacobian(self, point)
+        sigma = (point.z_a / self.box.lower_gap(point.rho)
+                 + point.z_b / self.box.upper_gap(point.rho))
+        return SparseMatrix(m.csr - sp.diags(np.concatenate([sigma, np.zeros(self.l)])))
+
+    monkeypatch.setattr(solver.KktSystem, "jacobian", without_sigma)
+    cfg_path = tmp_path / "small.cfg"
+    cfg_path.write_text(SMALL_CONFIG)
+    assert run_cli(["check-derivatives", str(cfg_path), "--points", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" ", 1)[-1] for line in lines] == ["PASS", "PASS", "FAIL", "PASS"]
+    assert lines[2].startswith("jacobian vs FD(residual): ")
 
 
 @pytest.mark.parametrize("points", ["0", "-2"])

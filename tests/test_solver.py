@@ -1,4 +1,3 @@
-import logging
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -7,9 +6,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from homotopt import solver, sparse
+from homotopt import homotopy, solver, sparse
 from homotopt.barrier import BarrierSchedule
-from homotopt.homotopy import StepController
+from homotopt.homotopy import NewtonConfig, StepController
 from homotopt.io_cli import MeshConfig, NewtonSettings, SolverConfig
 from homotopt.solver import KktPoint
 
@@ -33,19 +32,10 @@ def random_point(system, rng):
                     z_b=rng.uniform(0.5, 2.0, system.n))
 
 
-def kkt_block(system, jac, row, col):
-    """Block (row, col) of the condensed KKT matrix, as a dense array."""
-    names = ("rho", "u", "z_a", "z_b")
-    offsets = np.cumsum([0, system.n, system.l, system.n, system.n])
-    i, j = names.index(row), names.index(col)
-    return jac.csr[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]].toarray()
-
-
-def kkt_diagonal(system, jac, row, col):
-    """Diagonal of a KKT block that must be diagonal."""
-    block = kkt_block(system, jac, row, col)
-    assert np.count_nonzero(block - np.diag(np.diag(block))) == 0
-    return np.diag(block)
+def m_block(system, m, row, col):
+    """Block (row, col) of M in (drho, w), "rho" or "u", as a dense array."""
+    cut = {"rho": slice(0, system.n), "u": slice(system.n, system.n + system.l)}
+    return m.csr[cut[row], cut[col]].toarray()
 
 
 @pytest.fixture(scope="module")
@@ -154,29 +144,33 @@ def test_h_t_matches_fd_in_t(small_system, rng):
 
 
 def test_jacobian_matches_fd_of_residual(small_system, rng):
-    # the Jacobian along a direction is the residual's derivative along the
-    # unpacked direction (dp = -du) on the leading rho, u and z rows, at any
-    # point: p here is independent of u
+    # M y, y = (drho, w), is the residual's derivative on the rho and u rows
+    # along the condensed step (drho, w/2, -w/2, -z_a drho/gap_a, z_b drho/gap_b)
+    # in (rho, u, p, z_a, z_b) at a point with p = -u; the step keeps the
+    # complementarity rows fixed to first order
     system, schedule = small_system
+    n, l = system.n, system.l
     point, anchor = system.initialize(50.0)
-    pt = KktPoint(rho=rng.uniform(0.3, 0.7, system.n),
-                  u=rng.standard_normal(system.l),
-                  p_adj=rng.standard_normal(system.l),
-                  z_a=rng.uniform(0.5, 2.0, system.n),
-                  z_b=rng.uniform(0.5, 2.0, system.n))
-    jac = system.jacobian(pt)
-    assert jac.shape == (system.dim - system.l,) * 2
-    fields = ("rho", "u", "p_adj", "z_a", "z_b")
+    u = rng.standard_normal(l)
+    pt = KktPoint(rho=rng.uniform(0.3, 0.7, n), u=u, p_adj=-u,
+                  z_a=rng.uniform(0.5, 2.0, n), z_b=rng.uniform(0.5, 2.0, n))
+    m = system.jacobian(pt)
+    assert m.shape == (n + l,) * 2
+    gap_a, gap_b = system.box.lower_gap(pt.rho), system.box.upper_gap(pt.rho)
     h = 1e-6
     t = 0.6
     for _ in range(5):
-        direction = rng.standard_normal(jac.ncols)
-        direction /= np.linalg.norm(direction)
-        d = system.unpack(direction)
-        assert np.array_equal(d.p_adj, -d.u)
-        rp, rm = (system.residual(KktPoint(*(getattr(pt, f) + s * getattr(d, f) for f in fields)),
-                                  anchor, t, schedule) for s in (h, -h))
-        assert rel_err((rp - rm)[:jac.nrows] / (2 * h), jac.matvec(direction)) <= 1e-5
+        y = rng.standard_normal(n + l)
+        y /= np.linalg.norm(y)
+        d_rho, w = y[:n], y[n:]
+        d = KktPoint(d_rho, w / 2, -w / 2, -pt.z_a * d_rho / gap_a, pt.z_b * d_rho / gap_b)
+        moved = [KktPoint(*(x + s * dx for x, dx in zip(vars(pt).values(), vars(d).values())))
+                 for s in (h, -h)]
+        assert all(np.array_equal(x.p_adj, -x.u) for x in moved)
+        rp, rm = (system.residual(x, anchor, t, schedule) for x in moved)
+        fd = (rp - rm) / (2 * h)
+        assert rel_err(fd[:n + l], m.matvec(y)) <= 1e-5
+        assert np.linalg.norm(fd[n + l:3 * n + l]) <= 1e-8
 
 
 def test_jacobian_coupling_blocks_vanish_at_zero_fields(small_system):
@@ -186,25 +180,29 @@ def test_jacobian_coupling_blocks_vanish_at_zero_fields(small_system):
                   p_adj=np.zeros(system.l),
                   z_a=np.ones(system.n),
                   z_b=np.ones(system.n))
-    jac = system.jacobian(pt)
-    assert np.max(np.abs(kkt_block(system, jac, "rho", "u"))) == 0.0
-    assert np.max(np.abs(kkt_block(system, jac, "u", "rho"))) == 0.0
+    m = system.jacobian(pt)
+    assert m.shape == (system.n + system.l,) * 2
+    assert np.max(np.abs(m_block(system, m, "rho", "u"))) == 0.0
+    assert np.max(np.abs(m_block(system, m, "u", "rho"))) == 0.0
+    assert np.max(np.abs(m_block(system, m, "u", "u"))) > 0.0
 
 
 def test_jacobian_barrier_rows(small_system):
+    # M's rho block is rr with Sigma = z_a/gap_a + z_b/gap_b on its
+    # diagonal, by hand 2/0.3 + 5/0.7 here; its u block is -K/2
     system, schedule = small_system
     pt = KktPoint(rho=np.full(system.n, 0.3),
                   u=np.zeros(system.l),
                   p_adj=np.zeros(system.l),
                   z_a=np.full(system.n, 2.0),
                   z_b=np.full(system.n, 5.0))
-    jac = system.jacobian(pt)
-    assert np.all(kkt_diagonal(system, jac, "z_a", "rho") == 2.0)
-    assert np.all(kkt_diagonal(system, jac, "z_a", "z_a") == pytest.approx(0.3))
-    assert np.all(kkt_diagonal(system, jac, "z_b", "rho") == -5.0)
-    assert np.all(kkt_diagonal(system, jac, "z_b", "z_b") == pytest.approx(0.7))
-    assert np.all(kkt_diagonal(system, jac, "rho", "z_a") == -1.0)
-    assert np.all(kkt_diagonal(system, jac, "rho", "z_b") == 1.0)
+    m = system.jacobian(pt)
+    h = system.lagr.hessian(pt.rho, pt.u, pt.p_adj)
+    shift = m_block(system, m, "rho", "rho") - h.rr.csr.toarray()
+    assert np.count_nonzero(shift - np.diag(np.diag(shift))) == 0
+    assert np.diag(shift) == pytest.approx(np.full(system.n, 2.0 / 0.3 + 5.0 / 0.7),
+                                           rel=1e-14)
+    assert np.array_equal(m_block(system, m, "u", "u"), -0.5 * h.up.csr.toarray())
 
 
 def test_density_pattern_without_its_diagonal_is_refused(small_system):
@@ -230,7 +228,7 @@ def test_reduced_matrix_bit_identical_to_bmat(small_system, rng):
         sigma = pt.z_a / system.box.lower_gap(pt.rho) + pt.z_b / system.box.upper_gap(pt.rho)
         want = sp.bmat([[rr + sp.diags(sigma), ru], [ru.T, -up / 2]], format="csr")
         want.sort_indices()
-        got = system.reduced_matrix(pt).csr
+        got = system.jacobian(pt).csr
         assert got.shape == want.shape == (system.n + system.l,) * 2
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
@@ -249,14 +247,14 @@ def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
         patterns.append((nrows, ncols))
 
     matrices = []
-    reduced_matrix = solver.KktSystem.reduced_matrix
+    jacobian = solver.KktSystem.jacobian
 
-    def counted_reduced_matrix(self, point):
+    def counted_jacobian(self, point):
         matrices.append(point)
-        return reduced_matrix(self, point)
+        return jacobian(self, point)
 
     monkeypatch.setattr(sparse.SparsityPattern, "__init__", counted_init)
-    monkeypatch.setattr(solver.KktSystem, "reduced_matrix", counted_reduced_matrix)
+    monkeypatch.setattr(solver.KktSystem, "jacobian", counted_jacobian)
     _, trace = solver.run(small_config())
     assert trace.accepted()[-1].t == 1.0
     assert len(matrices) >= 10
@@ -407,7 +405,7 @@ def test_negative_pivots_count_the_reduced_hessian_inertia(small_run):
     system, _ = solver.build_system(small_config())  # ordered at t = 0, reused after it
     counts = []
     for t, point in accepted:
-        dense = system.reduced_matrix(point).csr.toarray()
+        dense = system.jacobian(point).csr.toarray()
         assert np.abs(dense - dense.T).max() <= 1e-14 * np.abs(dense).max()
         negative = int(np.count_nonzero(np.linalg.eigvalsh(dense) < 0.0))
         assert system.factor(point).negative == negative - system.l
@@ -415,33 +413,34 @@ def test_negative_pivots_count_the_reduced_hessian_inertia(small_run):
     assert counts == [(0.0, 0), (0.25, 0), (0.5, 0), (0.75, 0), (1.0, 16)]
 
 
-def test_refused_symmetric_factorization_falls_back_to_the_4_block_lu(
-        small_run, small_system, monkeypatch, caplog):
+def test_refused_symmetric_factorization_is_a_singular_jacobian(
+        small_run, small_system, monkeypatch):
+    # a refused diagonal pivot is a singular Jacobian: the corrector stops
+    # `singular`, and the tangent is None, which the tracer records as a
+    # predictor fallback
     _, _, accepted = small_run
     system, schedule = small_system
     _, anchor = system.initialize(schedule.mu0)
     problem = system.homotopy_problem(anchor, schedule, damping=0.995)
     t, point = accepted[2]
-    m = system.dim - system.l
-    rhs = -system.residual(point, anchor, t + 0.25, schedule)[:m]
-    reduced = problem.factor(point.pack(), t + 0.25).solve(rhs)
+    v = point.pack()
 
     def refuse(self):
         raise sparse.SingularMatrixError("a pivot left the diagonal")
 
     monkeypatch.setattr(sparse.BlockSystem, "factor", refuse)
-    with caplog.at_level(logging.INFO, logger="homotopt.solver"):
-        step = problem.factor(point.pack(), t + 0.25).solve(rhs)
-    assert "4-block LU fallback" in caplog.text
-    assert system.factor(point).negative is None  # no inertia from the LU
-    assert np.array_equal(step, sparse.solve_direct(system.jacobian(point), rhs))
-    assert rel_err(step, reduced) <= 1e-10
+    with pytest.raises(sparse.SingularMatrixError, match="left the diagonal"):
+        problem.factor(v, t + 0.25)
+    result = homotopy.newton_corrector(problem, v, t + 0.25, NewtonConfig())
+    assert (result.converged, result.reason, result.iters) == (False, "singular", 0)
+    assert np.array_equal(result.x, v)
+    assert homotopy._tangent_direction(problem, v, t) is None
 
 
 def test_run_orders_the_reduced_matrix_once(monkeypatch):
     # the first factorization orders M (MMD on A^T + A); every later one
-    # reuses that order, permuted, with the NATURAL column order; the
-    # 4-block Jacobian is never built
+    # reuses that order, permuted, with the NATURAL column order; M is
+    # assembled by `jacobian` once per factorization
     specs = []
     splu = sparse.spla.splu
 
@@ -450,19 +449,20 @@ def test_run_orders_the_reduced_matrix_once(monkeypatch):
         return splu(a, **kwargs)
 
     monkeypatch.setattr(sparse, "spla", type("spla", (), {"splu": staticmethod(recorded_splu)}))
-    records = []
-    monkeypatch.setattr(solver.log, "info", lambda *args: records.append(args))
+    calls = []
+    jacobian = solver.KktSystem.jacobian
 
-    def unbuilt(self, point):
-        raise AssertionError("KktSystem.jacobian called on the default path")
+    def counted_jacobian(self, point):
+        calls.append(point)
+        return jacobian(self, point)
 
-    monkeypatch.setattr(solver.KktSystem, "jacobian", unbuilt)
+    monkeypatch.setattr(solver.KktSystem, "jacobian", counted_jacobian)
     _, trace = solver.run(small_config())
     assert trace.accepted()[-1].t == 1.0
     assert specs[0] is None  # the state solve of the initial point
     assert specs[1:] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(specs) - 2)
     assert len(specs) == 1 + sum(r.newton_iters for r in trace.records)
-    assert records == []  # no fallback
+    assert len(calls) == len(specs) - 1
 
 
 def test_run_objective_decreases(small_run, small_system):

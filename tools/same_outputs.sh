@@ -12,7 +12,9 @@
 # acceptance criterion 6's 20x8 config
 # (`stepping.dt_init = stepping.dt_max = 0.9`, `barrier.mu_inf = 0.05`,
 # `newton.damping = 0.0`: full Newton steps with no `step_limit`, whose
-# correctors end `invalid_iterate`), `scalar-demos` and `check-derivatives`.
+# correctors end `invalid_iterate`), `solve` on 40x12 with
+# `mesh.diagonal = right` (the one non-mirrored mesh the solver accepts),
+# `scalar-demos` and `check-derivatives`.
 # Every solve runs with --verbose, so its log gives each step, accepted or
 # rejected, with its reason, Newton count and residual, which the output
 # files do not show; the folding runs' rejected correctors are compared too.
@@ -65,8 +67,10 @@ printf 'stepping.dt_init = 0.1\nstepping.dt_max = 0.25\n' | cat "$work/20x8.cfg"
     > "$work/20x8-dt.cfg"
 printf 'stepping.dt_init = 0.9\nstepping.dt_max = 0.9\nbarrier.mu_inf = 0.05\nnewton.damping = 0.0\n' \
     | cat "$work/20x8.cfg" - > "$work/20x8-criterion6.cfg"
+printf 'mesh.nx = 40\nmesh.ny = 12\nmesh.diagonal = right\n' > "$work/40x12-right.cfg"
+solves="$cases 20x8-dt 20x8-criterion6 40x12-right"
 for side in rev head; do
-    for name in $cases 20x8-dt 20x8-criterion6; do
+    for name in $solves; do
         run $side "solve-$name" solve "$work/$name.cfg" --out-dir "$work/$side-out-$name" \
             --verbose
     done
@@ -75,8 +79,8 @@ for side in rev head; do
 done
 
 cd "$work"
-for mesh in $cases 20x8-dt 20x8-criterion6; do
-    compare -r "rev-out-$mesh" "head-out-$mesh"
+for name in $solves; do
+    compare -r "rev-out-$name" "head-out-$name"
 done
 for name in $(ls head-*.txt | sed 's/^head-//'); do
     compare "rev-$name" "head-$name"
