@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,8 +52,9 @@ LEFT_BRANCH_ITERATES = 2
 class Factor:
     """A factored ``H_x(x, t)``: ``solve(b)`` gives ``dx`` with
     ``H_x dx = b`` for ``b`` of length ``len(x)``; ``negative`` is the number
-    of negative eigenvalues of the problem's reduced Hessian, or None if the
-    factorization does not report it."""
+    of negative eigenvalues of the problem's reduced Hessian (on the
+    subspace its steps lie in), or None if the factorization does not
+    report it."""
 
     solve: Callable[[np.ndarray], np.ndarray]
     negative: Optional[int] = None
@@ -248,6 +249,9 @@ class TraceRecord:
 @dataclass
 class SolveTrace:
     records: List[TraceRecord] = field(default_factory=list)
+    # negative eigenvalues of the reduced Hessian at the final point by
+    # symmetry class (symmetric, antisymmetric), where the caller reads them
+    final_negative: Optional[Tuple[int, int]] = None
 
     def accepted(self) -> List[TraceRecord]:
         return [r for r in self.records if r.accepted]

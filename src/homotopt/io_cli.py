@@ -407,6 +407,9 @@ def _solve_and_write(cfg: SolverConfig, msh: TriMesh) -> int:
     how = f"; t = 1 reached by endpoint jump from t = {t_traced:.8g}" if final.endpoint_jump else ""
     print(f"solve finished: {tr.n_accepted} accepted / {tr.n_attempts} total steps, "
           f"final residual {final.residual_norm:.3e}{how}")
+    if tr.final_negative is not None:
+        print("negative eigenvalues of the final reduced Hessian: {} mirror-symmetric, "
+              "{} antisymmetric".format(*tr.final_negative))
     print(f"outputs in {out_dir}")
     return 0
 
@@ -437,22 +440,27 @@ def _rel_err(approx: np.ndarray, exact: np.ndarray) -> float:
     return float(np.linalg.norm(approx - exact)) / scale
 
 
-def _fd_errors(system, schedule, anchor, rng, h: float = 1e-6):
-    """Central-difference errors of the derivatives at one random point:
-    ``(gradient, hessian, jacobian, h_t)``, each the largest relative error
-    over the directions tried."""
+def _fd_errors(system, schedule, anchor, index: int, h: float = 1e-6):
+    """Central-difference errors of the derivatives at the ``index``-th set
+    of random points: ``(gradient, hessian, jacobian, h_t)``, each the
+    largest relative error over the directions tried.  Each check draws its
+    point and directions from its own generator, seeded by ``(0, index,
+    check)``, so a change to one check's draws moves no other check."""
     lagr = system.lagr
     n, l = system.n, system.l
 
-    def unit(size):
-        d = rng.standard_normal(size)
-        return d / np.linalg.norm(d)
+    def draws(check):
+        rng = np.random.default_rng((0, index, check))
 
-    rho = rng.uniform(0.2, 0.8, size=n)
-    u = rng.standard_normal(l)
-    p = rng.standard_normal(l)
+        def unit(size):
+            d = rng.standard_normal(size)
+            return d / np.linalg.norm(d)
+
+        rho, u, p = rng.uniform(0.2, 0.8, size=n), rng.standard_normal(l), rng.standard_normal(l)
+        return rng, unit, rho, u, p
 
     # gradient vs directional central differences of L
+    _, unit, rho, u, p = draws(0)
     g = lagr.gradient(rho, u, p)
     err_grad = 0.0
     for block, at in ((g.d_rho, lambda d: (rho + d, u, p)),
@@ -465,6 +473,7 @@ def _fd_errors(system, schedule, anchor, rng, h: float = 1e-6):
             err_grad = max(err_grad, abs(fd - exact) / max(abs(exact), 1.0))
 
     # hessian blocks vs directional central differences of the gradient
+    _, unit, rho, u, p = draws(1)
     hess = lagr.hessian(rho, u, p)
     hess_rp = lagr.hessian(rho, p, u).ru  # d2L/drho dp: ru at swapped fields
     d_rho = unit(n)
@@ -482,7 +491,8 @@ def _fd_errors(system, schedule, anchor, rng, h: float = 1e-6):
 
     # M along a direction y = (drho, w) vs the residual's central difference
     # on the rho and u rows along the condensed step (p = -u, as at every
-    # point the solver builds), and the t-derivative of the traced map
+    # point the solver builds)
+    rng, unit, rho, u, _ = draws(2)
     z_a, z_b = rng.uniform(0.5, 2.0, size=n), rng.uniform(0.5, 2.0, size=n)
     point = solver.KktPoint(rho, u, -u, z_a, z_b)
     t = 0.5
@@ -498,6 +508,11 @@ def _fd_errors(system, schedule, anchor, rng, h: float = 1e-6):
     rp = system.residual(moved(h), anchor, t, schedule)
     rm = system.residual(moved(-h), anchor, t, schedule)
     err_jac = _rel_err((rp - rm)[:n + l] / (2 * h), system.jacobian(point).matvec(y))
+
+    # the t-derivative of the traced map
+    rng, _, rho, u, _ = draws(3)
+    z_a, z_b = rng.uniform(0.5, 2.0, size=n), rng.uniform(0.5, 2.0, size=n)
+    point = solver.KktPoint(rho, u, -u, z_a, z_b)
     fd_t = (system.residual(point, anchor, t + h, schedule)
             - system.residual(point, anchor, t - h, schedule)) / (2 * h)
     err_ht = _rel_err(fd_t, system.h_t(anchor, t, schedule))
@@ -514,10 +529,9 @@ def _cmd_check_derivatives(args) -> int:
         _print_err(f"error: {exc}")
         return 1
     _, anchor = system.initialize(cfg.barrier.mu0)
-    rng = np.random.default_rng(0)
     worst = [0.0] * 4
-    for _ in range(args.points):
-        worst = [max(w, e) for w, e in zip(worst, _fd_errors(system, schedule, anchor, rng))]
+    for index in range(args.points):
+        worst = [max(w, e) for w, e in zip(worst, _fd_errors(system, schedule, anchor, index))]
     checks = (("gradient vs FD(L)", 1e-6), ("hessian vs FD(gradient)", 1e-5),
               ("jacobian vs FD(residual)", 1e-5), ("h_t vs FD in t", 1e-6))
     results = [_report(f"{name}: max relative error {err:.3e} (tol {tol:.0e})", err <= tol)

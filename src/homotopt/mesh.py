@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Optional
 
 import numpy as np
 
@@ -125,17 +126,21 @@ class DomainSpec:
 
 @dataclass(frozen=True, eq=False)
 class TriMesh:
-    """Triangulation with counter-clockwise triangles and tagged boundary edges."""
+    """Triangulation with counter-clockwise triangles and tagged boundary
+    edges; ``mirror``, if given, maps each vertex to its image under the
+    reflection that maps the triangulation onto itself."""
 
     vertices: np.ndarray       # (n_v, 2)
     triangles: np.ndarray      # (n_t, 3) vertex indices
     boundary_edges: np.ndarray  # (n_b, 2) vertex indices, CCW along the boundary
     boundary_tags: np.ndarray   # (n_b,) EdgeTag values
+    mirror: Optional[np.ndarray] = None  # (n_v,) vertex indices, or None
 
     def __post_init__(self):
-        for name in ("vertices", "triangles", "boundary_edges", "boundary_tags"):
+        for name in ("vertices", "triangles", "boundary_edges", "boundary_tags", "mirror"):
             arr = getattr(self, name)
-            arr.setflags(write=False)
+            if arr is not None:
+                arr.setflags(write=False)
 
     @property
     def n_vertices(self) -> int:
@@ -166,7 +171,9 @@ def build_structured_mesh(spec: DomainSpec, nx: int, ny: int, diagonal: str = "r
 
     ``diagonal="right"`` splits every cell along the lower-left to upper-right
     diagonal.  ``diagonal="mirrored"`` flips the split in the right half so the
-    triangulation is symmetric under x -> width - x (requires even nx).
+    triangulation is symmetric under x -> width - x (requires even nx); that
+    mesh records the reflection as its vertex ``mirror``, grid vertex (i, j)
+    to (nx - i, j).
     A spec whose clamped or loaded segments catch no grid edge raises
     ``ValueError``: such a mesh has no supports or no load.
     """
@@ -228,7 +235,10 @@ def build_structured_mesh(spec: DomainSpec, nx: int, ny: int, diagonal: str = "r
                 f"must fall on grid vertices, so for the bridge mesh.nx must be a "
                 f"multiple of 20")
 
-    mesh = TriMesh(vertices, triangles, boundary_edges, tags)
+    mirror = None
+    if diagonal == "mirrored":
+        mirror = np.arange(vertices.shape[0]).reshape(ny + 1, nx + 1)[:, ::-1].ravel()
+    mesh = TriMesh(vertices, triangles, boundary_edges, tags, mirror)
     areas = triangle_signed_areas(mesh)
     if np.any(areas <= 0):
         raise AssertionError("structured mesh produced a non-CCW triangle")

@@ -20,14 +20,25 @@ That block is never built.  With p = -u its (rho, u) block is
 unknown leaves the condensed Jacobian, the symmetric quasi-definite matrix
 ``M = [[rr + Sigma, ru], [ru^T, -K/2]]`` of dimension n + l, with
 ``Sigma = z_a / gap_a + z_b / gap_b`` (Nocedal & Wright, *Numerical
-Optimization*, ch. 19).  Every step factors M by diagonal pivoting on one
-fill-reducing order for the run, and recovers dz_a and dz_b from drho by two
-diagonal scalings.  M's inertia is that of the reduced Hessian
-``rr + Sigma + 2 ru K^-1 ru^T`` plus l negative eigenvalues, so each
-factorization also reports the reduced Hessian's negative count, which the
-corrector reads to notice that it left the minimizer branch.  One
+Optimization*, ch. 19).  M's inertia is that of the reduced Hessian
+``S = rr + Sigma + 2 ru K^-1 ru^T`` plus l negative eigenvalues.
+
+The bridge problem is symmetric under the mirror x -> width - x of the
+``mirrored`` mesh, which maps rho to rho o mirror, u_x to -u_x o mirror and
+u_y to u_y o mirror.  In an orthonormal basis [Q_s, Q_a] of the symmetric
+and antisymmetric vectors, M splits into ``M_s = Q_s^T M Q_s`` and
+``M_a = Q_a^T M Q_a`` up to rounding (Werner & Spence, SIAM J. Numer. Anal.
+21, 1984), and at a symmetric point every Newton and tangent step lies in
+the range of Q_s.  So every step factors only M_s, of about half M's
+dimension, by diagonal pivoting on one fill-reducing order for the run,
+solves ``Q_s M_s^-1 Q_s^T``, and recovers dz_a and dz_b from drho by two
+diagonal scalings; rho, z_a and z_b stay symmetric bitwise along the run.
+Each factorization reports S's negative count in the symmetric class, which
+the corrector reads to notice that it left the minimizer branch, and the run
+factors M_a once, at its final point, to report the antisymmetric class too.
+A mesh without a mirror takes Q_s = I: M_s is M.  One
 :class:`~homotopt.sparse.BlockSystem` per system assembles M on the block
-layout of its first call and factors it on the order of its first
+layout of its first call and factors M_s on the order of its first
 factorization.
 """
 from __future__ import annotations
@@ -41,15 +52,16 @@ import numpy as np
 from . import fem, homotopy
 from .barrier import (BarrierSchedule, BoxConstraints, DualPair, fraction_to_boundary,
                       pd_residual_box)
+from .fem import DofMap
 from .homotopy import Factor, HomotopyProblem, SolveTrace
 from .lagrangian import Lagrangian
 from .mesh import bridge_domain, build_structured_mesh
-from .sparse import BlockSystem, SparseMatrix, solve_direct
+from .sparse import BlockSystem, SingularMatrixError, SparseMatrix, Subspace, solve_direct
 
 if TYPE_CHECKING:  # pragma: no cover
     from .io_cli import SolverConfig
 
-__all__ = ["KktPoint", "KktSystem", "build_system", "run"]
+__all__ = ["KktPoint", "KktSystem", "build_system", "mirror_subspaces", "run"]
 
 
 @dataclass
@@ -87,7 +99,9 @@ class KktSystem:
         self._rr_diagonal = np.flatnonzero(pattern.indices == rows)
         if self._rr_diagonal.size != self.n:
             raise ValueError("the density Hessian's pattern lacks diagonal entries")
-        self._blocks = BlockSystem()  # M's layout and order
+        self._mirror = lagr.dofmap.mesh.mirror
+        (symmetric, self._l_s), self._antisymmetric = mirror_subspaces(lagr.dofmap)
+        self._blocks = BlockSystem(symmetric)  # M's layout, M_s's layout and order
 
     def _split(self, v: np.ndarray):
         """Views of ``v``'s rho, u, z_a and z_b blocks; ``v`` has dim - l entries."""
@@ -154,19 +168,31 @@ class KktSystem:
         """The solve for the step ``d`` in (rho, u, z_a, z_b) of the
         residual's leading rows, ``b`` of length dim - l on the right, and
         the number of negative eigenvalues of the reduced Hessian
-        ``rr + Sigma + 2 ru K^-1 ru^T`` (M's negative pivots less l).
+        ``rr + Sigma + 2 ru K^-1 ru^T`` in the mirror-symmetric class
+        (M_s's negative pivots less l_s, its number of w columns).
 
-        Factors :meth:`jacobian` on the run's symmetric order and solves
-        ``M (drho, w) = (b_rho + b_a / gap_a - b_b / gap_b, b_u)``; then
-        ``du = w / 2``, ``dz_a = (b_a - z_a drho) / gap_a`` and
-        ``dz_b = (b_b + z_b drho) / gap_b``.  One step of iterative
-        refinement on M brings the error of the diagonal pivots past the
-        fold, where ``rr + Sigma`` is indefinite, back to that of a pivoted
-        LU.  A refused symmetric factorization raises
+        Assembles :meth:`jacobian`, fills ``M_s = Q_s^T M Q_s`` from it by
+        one weighted gather and factors M_s on the run's symmetric order
+        (Q_s is the identity on a mesh without a mirror, where M_s is M).
+        Then ``(drho, w) = Q_s M_s^-1 Q_s^T (b_rho + b_a / gap_a - b_b /
+        gap_b, b_u)``, ``du = w / 2``, ``dz_a = (b_a - z_a drho) / gap_a``
+        and ``dz_b = (b_b + z_b drho) / gap_b``.  At a mirror-symmetric
+        point M commutes with the mirror up to rounding and the residual is
+        symmetric up to rounding, so the step lies in the range of Q_s;
+        the dropped antisymmetric part of ``b`` is rounding, and the step
+        keeps rho, z_a and z_b symmetric bitwise.  A point whose rho, z_a
+        or z_b differs from its mirror image raises ``ValueError``.  One
+        step of iterative refinement on M brings the error of the diagonal
+        pivots past the fold, where ``rr + Sigma`` is indefinite, back to
+        that of a pivoted LU.  A refused symmetric factorization raises
         :class:`~homotopt.sparse.SingularMatrixError`, as a singular
         Jacobian does.  The traced problem of :meth:`homotopy_problem`
         solves only through this method.
         """
+        if self._mirror is not None and not all(
+                np.array_equal(v, v[self._mirror]) for v in (point.rho, point.z_a, point.z_b)):
+            raise ValueError("the point breaks the mesh's mirror symmetry: rho, z_a and z_b "
+                             "must equal their mirror images")
         gap_a, gap_b = self.box.lower_gap(point.rho), self.box.upper_gap(point.rho)
         m = self.jacobian(point)
         lu = self._blocks.factor()
@@ -180,7 +206,22 @@ class KktSystem:
             return np.concatenate([d_rho, 0.5 * w, (b_a - point.z_a * d_rho) / gap_a,
                                    (b_b + point.z_b * d_rho) / gap_b])
 
-        return Factor(solve, lu.negative_pivots - self.l)
+        return Factor(solve, lu.negative_pivots - self._l_s)
+
+    def negative_by_class(self, point: KktPoint) -> Optional[Tuple[int, int]]:
+        """The reduced Hessian's negative eigenvalues at ``point`` in the
+        mirror-symmetric and the antisymmetric class: :meth:`factor`'s count
+        and M_a's negative pivots less l_a, from one factorization of each
+        of M_s and ``M_a = Q_a^T M Q_a``.  None on a mesh without a mirror,
+        or if either factorization is refused."""
+        if self._antisymmetric is None:
+            return None
+        try:
+            symmetric = self.factor(point).negative
+            basis, l_a = self._antisymmetric
+            return symmetric, self._blocks.factor(basis).negative_pivots - l_a
+        except SingularMatrixError:
+            return None
 
     def h_t(self, anchor: np.ndarray, t: float, schedule: BarrierSchedule) -> np.ndarray:
         """Derivative of the traced map in t: anchor row plus the mu(t) chain rule."""
@@ -226,6 +267,46 @@ class KktSystem:
                                mu_of_t=schedule.mu, step_limit=step_limit)
 
 
+def mirror_subspaces(dofmap: DofMap):
+    """Orthonormal bases of the mirror-symmetric and antisymmetric subspaces
+    of M's (drho, w) coordinates, each with its number of w columns:
+    ``((Q_s, l_s), (Q_a, l_a))``, or ``((I, l), None)`` on a mesh without a
+    vertex mirror.
+
+    The mirror T maps rho to rho o mirror, u_x to -u_x o mirror and u_y to
+    u_y o mirror.  A coordinate i and its image j = T(i) != i share one
+    column of each basis, with the weights 1/sqrt(2) and +-1/sqrt(2); a
+    coordinate T maps to itself (up to sign) is one column of weight 1 in
+    the class its sign names.  Columns follow their first coordinate, so
+    rho's come first.  The clamps must be mirror-symmetric; the load and
+    the box, which the bridge problem also keeps symmetric, are not checked.
+    """
+    n, l = dofmap.n_density, dofmap.n_disp
+    mirror = dofmap.mesh.mirror
+    if mirror is None:
+        return (Subspace.identity(n + l), l), None
+    disp = dofmap.disp_index
+    free = disp[:, 0] >= 0
+    if not np.array_equal(free, free[mirror]):
+        raise ValueError("the clamps break the mesh's mirror symmetry")
+    image = np.concatenate([mirror, np.empty(l, dtype=np.int64)])
+    image[n + disp[free]] = n + disp[mirror[free]]
+    sign = np.ones(n + l)
+    sign[n + disp[free, 0]] = -1.0
+    index = np.arange(n + l)
+
+    def basis(parity):
+        lead = np.flatnonzero((index < image) | ((index == image) & (sign == parity)))
+        weight = np.where(image[lead] == lead, 1.0, np.sqrt(0.5))
+        columns, weights = np.full(n + l, -1), np.zeros(n + l)
+        columns[lead] = columns[image[lead]] = np.arange(lead.size)
+        weights[lead] = weight
+        weights[image[lead]] = parity * sign[lead] * weight
+        return Subspace(columns, weights), int(np.count_nonzero(lead >= n))
+
+    return basis(1.0), basis(-1.0)
+
+
 def build_system(config: "SolverConfig") -> Tuple[KktSystem, BarrierSchedule]:
     """Assemble mesh, operators and schedule for a solver configuration."""
     domain = bridge_domain()
@@ -244,7 +325,9 @@ def run(config: "SolverConfig",
     """Trace the barrier homotopy from t = 0 to 1 for the given configuration.
 
     ``on_accept(t, point)`` fires at the initial point and after every
-    accepted step.  Returns the final point and the per-attempt trace.
+    accepted step.  Returns the final point and the per-attempt trace, whose
+    ``final_negative`` is :meth:`KktSystem.negative_by_class` at the final
+    point.
     """
     system, schedule = build_system(config)
     point0, anchor = system.initialize(schedule.mu0)
@@ -256,4 +339,6 @@ def run(config: "SolverConfig",
     if on_accept is not None:
         callback = lambda t, v: on_accept(t, system.unpack(v))
     x, trace = homotopy.trace(problem, point0.pack(), config.stepping, cfg, on_accept=callback)
-    return system.unpack(x), trace
+    final = system.unpack(x)
+    trace.final_negative = system.negative_by_class(final)
+    return final, trace

@@ -3,10 +3,12 @@
 Every assembled operator in the package (elasticity stiffness, density mass
 and stiffness, KKT blocks) is a :class:`SparseMatrix`.  General systems go
 through :func:`solve_direct`, a sparse LU with partial pivoting.  The
-symmetric block matrix of a run, the reduced KKT matrix, is a
-:class:`BlockSystem`: assembled on a layout fixed at its first call and
-factored by diagonal pivoting, ``P M P^T = L D L^T``, on a fill-reducing
-order computed once, which also counts the negative pivots (the inertia).
+symmetric block matrix of a run, the reduced KKT matrix M, is a
+:class:`BlockSystem`: assembled on a layout fixed at its first call, and
+restricted to a :class:`Subspace` (all of M's space by default) whose
+matrix ``Q^T M Q`` is factored by diagonal pivoting, ``P A P^T = L D L^T``,
+on a fill-reducing order computed once, which also counts the negative
+pivots (the inertia).
 A factorization whose smallest pivot falls below ``PIVOT_RATIO`` times the
 largest, or whose solution is not finite, raises
 :class:`SingularMatrixError`, which callers treat as "the Newton system
@@ -15,7 +17,7 @@ raises it too when SuperLU left the diagonal.
 """
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +26,7 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "SparseMatrix",
     "SparsityPattern",
+    "Subspace",
     "BlockSystem",
     "SingularMatrixError",
     "SymmetricFactor",
@@ -214,37 +217,102 @@ def solve_direct(a: SparseMatrix, b: np.ndarray) -> np.ndarray:
     return _check_finite(lu.solve(b))
 
 
-class SymmetricFactor:
-    """``P A P^T = L D L^T`` of a symmetric matrix, from SuperLU with diagonal
-    pivots; ``order`` maps each position of the permuted matrix to its index
-    in ``A`` (None: SuperLU permuted ``A`` itself).
+class Subspace:
+    """An orthonormal basis Q of a subspace of R^N in which each coordinate
+    lies in at most one column: row i of Q holds ``weight[i]`` in column
+    ``column[i]`` and is zero elsewhere (all of it where ``column[i]`` is
+    -1).
 
-    ``negative_pivots`` counts D's negative entries, which by Sylvester's law
-    of inertia is the number of negative eigenvalues of ``A``.
+    So ``restrict(b) = Q^T b`` is one ``np.bincount``, ``expand(y) = Q y``
+    one gather, and each entry (i, j) of an N x N matrix A lands in at most
+    one entry of ``Q^T A Q``, (``column[i]``, ``column[j]``), with the
+    weight ``weight[i] * weight[j]``.
     """
 
-    __slots__ = ("_lu", "_order", "negative_pivots")
+    __slots__ = ("column", "weight", "size", "_rows", "_columns", "_weights")
 
-    def __init__(self, lu, order):
+    def __init__(self, column, weight):
+        self.column = np.asarray(column, dtype=np.int64)
+        self.weight = np.asarray(weight, dtype=np.float64)
+        if self.weight.shape != self.column.shape or self.column.ndim != 1:
+            raise ValueError("column and weight must be vectors of equal length")
+        self._rows = np.flatnonzero(self.column >= 0)  # the coordinates in a column
+        self._columns, self._weights = self.column[self._rows], self.weight[self._rows]
+        norms = np.bincount(self._columns, weights=self._weights ** 2)
+        if norms.size and np.abs(norms - 1.0).max() > 1e-15:
+            raise ValueError("the columns of a subspace basis must have unit norm")
+        self.size = norms.size  # number of columns
+
+    @classmethod
+    def identity(cls, n: int) -> "Subspace":
+        """All of R^n, Q = I."""
+        return cls(np.arange(n), np.ones(n))
+
+    @property
+    def dim(self) -> int:
+        """N, the dimension of the space around the subspace."""
+        return self.column.size
+
+    def restrict(self, b: np.ndarray) -> np.ndarray:
+        """``Q^T b``."""
+        return np.bincount(self._columns, weights=self._weights * b[self._rows],
+                           minlength=self.size)
+
+    def expand(self, y: np.ndarray) -> np.ndarray:
+        """``Q y``."""
+        x = np.zeros(self.dim)
+        x[self._rows] = self._weights * y[self._columns]
+        return x
+
+    def congruence(self, a: "SparseMatrix") -> Tuple[SparsityPattern, np.ndarray]:
+        """The layout of ``Q^T A Q`` for ``a``'s layout, and the weight of
+        each of ``a``'s entries in CSR data order: ``pattern.fill(weights *
+        data)`` is ``Q^T A Q`` for any CSR data on that layout."""
+        if a.shape != (self.dim, self.dim):
+            raise ValueError(f"matrix of shape {(self.dim,) * 2} expected, got {a.shape}")
+        rows, cols = _coordinates(a)
+        r, c = self.column[rows], self.column[cols]
+        keep = np.flatnonzero((r >= 0) & (c >= 0))
+        pattern = SparsityPattern(self.size, self.size, r[keep], c[keep], source=keep)
+        return pattern, self.weight[rows] * self.weight[cols]
+
+
+class SymmetricFactor:
+    """``P A P^T = L D L^T`` of ``A = Q^T M Q``, a symmetric matrix M
+    restricted to a :class:`Subspace` Q, from SuperLU with diagonal pivots;
+    ``order`` maps each position of the permuted matrix to its index in
+    ``A`` (None: SuperLU permuted ``A`` itself).
+
+    ``solve(b)`` is ``Q A^-1 Q^T b``, in M's coordinates.
+    ``negative_pivots`` counts D's negative entries, which by Sylvester's
+    law of inertia is the number of negative eigenvalues of ``A``.
+    """
+
+    __slots__ = ("_lu", "_order", "_basis", "negative_pivots")
+
+    def __init__(self, lu, order, basis: Subspace):
         if not np.array_equal(lu.perm_r, lu.perm_c):
             raise SingularMatrixError("a pivot left the diagonal")
         pivots = lu.U.diagonal()
         _check_pivots(pivots)
         self._lu = lu
         self._order = order
+        self._basis = basis
         self.negative_pivots = int(np.count_nonzero(pivots < 0.0))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``x`` with ``A x = b`` for one right-hand side."""
+        """``x = Q A^-1 Q^T b`` for one right-hand side of M's length."""
         b = np.asarray(b, dtype=np.float64)
-        n = self._lu.shape[0]
+        n = self._basis.dim
         if b.shape != (n,):
             raise ValueError(f"right-hand side of length {n} expected, got shape {b.shape}")
+        b = self._basis.restrict(b)
         if self._order is None:
-            return _check_finite(self._lu.solve(b))
-        x = np.empty(n)
-        x[self._order] = self._lu.solve(b[self._order])
-        return _check_finite(x)
+            y = self._lu.solve(b)
+        else:
+            y = np.empty(b.size)
+            y[self._order] = self._lu.solve(b[self._order])
+        return self._basis.expand(_check_finite(y))
 
 
 # SuperLU settings for a symmetric matrix: order A + A^T's pattern and take
@@ -257,9 +325,15 @@ def _coordinates(a: SparseMatrix):
     return np.repeat(np.arange(a.nrows), np.diff(a.csr.indptr)), a.csr.indices
 
 
+def _ordered_splu(a: SparseMatrix):
+    """SuperLU's factorization of ``a`` on its own fill-reducing order."""
+    return _splu(a.csr.tocsc(), permc_spec="MMD_AT_PLUS_A", **_DIAGONAL_PIVOTS)
+
+
 class BlockSystem:
     """The symmetric block matrix ``M = [[A, B], [B^T, C]]`` of one fixed
-    layout, assembled and factored.
+    layout, assembled, and restricted to the subspace ``basis`` (default:
+    all of M's space) to be factored.
 
     The first :meth:`assemble` checks that the blocks fit and sorts M's
     layout into a :class:`SparsityPattern`; every later call refills it by
@@ -267,21 +341,26 @@ class BlockSystem:
     built.  A block whose CSR layout (shape, ``indptr`` or ``indices``)
     differs from the first call's raises ``ValueError``.
 
-    :meth:`factor` factors the last assembled M as ``P M P^T = L D L^T``.
-    The first call lets SuperLU order M (``MMD_AT_PLUS_A``) and keeps that
-    order, with a gather from M's CSR data into the CSC data of the
-    symmetrically permuted matrix; every later call permutes by that gather
-    and factors with the ``NATURAL`` order.  Pivots stay on the diagonal
-    (threshold 0), which is stable for symmetric quasi-definite matrices; a
-    factorization that needed an off-diagonal pivot, or fails the pivot
-    test, raises :class:`SingularMatrixError`.
+    :meth:`factor` factors ``Q^T M Q`` of the last assembled M as ``P Q^T M
+    Q P^T = L D L^T``.  The first call sorts the layout of ``Q^T M Q``,
+    lets SuperLU order it (``MMD_AT_PLUS_A``) and keeps that order, with a
+    gather from its CSR data into the CSC data of the symmetrically permuted
+    matrix; every later call fills ``Q^T M Q`` by one weighted gather from
+    M's data, permutes it by that gather and factors it with the
+    ``NATURAL`` order.  With the identity basis ``Q^T M Q`` is M, bitwise.
+    Pivots stay on the diagonal (threshold 0), which is stable for
+    symmetric quasi-definite matrices; a factorization that needed an
+    off-diagonal pivot, or fails the pivot test, raises
+    :class:`SingularMatrixError`.
     """
 
-    def __init__(self):
+    def __init__(self, basis: Optional[Subspace] = None):
+        self.basis = basis  # None: the identity, fixed at the first factorization
         self._layout = None  # (shape, indptr, indices) of A, B and C at the first assembly
         self._pattern = None
         self._matrix = None  # the last assembled M
-        self._order = None  # position in the permuted matrix -> index in M
+        self._restriction = None  # Q^T M Q's pattern and the weight of each entry of M
+        self._order = None  # position in the permuted matrix -> index in Q^T M Q
         self._csc = None  # (gather, indices, indptr) of the permuted matrix
 
     def assemble(self, a: SparseMatrix, b: SparseMatrix, c: SparseMatrix) -> SparseMatrix:
@@ -303,20 +382,32 @@ class BlockSystem:
             np.concatenate([a.csr.data, b.csr.data, b.csr.data, c.csr.data]))
         return self._matrix
 
-    def factor(self) -> SymmetricFactor:
-        """The last assembled M, factored on the order of the first call."""
+    def factor(self, basis: Optional[Subspace] = None) -> SymmetricFactor:
+        """``Q^T M Q`` of the last assembled M, factored on the order of the
+        first call.  A ``basis`` other than the system's own is restricted
+        to, ordered and factored once, and nothing of it is kept."""
         m = self._matrix
         if m is None:
             raise ValueError("no matrix assembled")
+        if basis is not None and basis is not self.basis:
+            pattern, weights = basis.congruence(m)
+            return SymmetricFactor(_ordered_splu(pattern.fill(weights * m.csr.data)), None, basis)
+        if self._restriction is None:
+            if self.basis is None:
+                self.basis = Subspace.identity(m.nrows)
+            self._restriction = self.basis.congruence(m)
+        pattern, weights = self._restriction
+        reduced = pattern.fill(weights * m.csr.data)
         if self._order is None:
-            lu = _splu(m.csr.tocsc(), permc_spec="MMD_AT_PLUS_A", **_DIAGONAL_PIVOTS)
+            lu = _ordered_splu(reduced)
             order = np.argsort(lu.perm_c)
             # entry k of the CSR data is marked k + 1, so the permuted matrix
             # keeps every entry and its data names the source
-            permuted = m.with_data(np.arange(1, m.nnz + 1)).csr[order][:, order].tocsc()
+            permuted = reduced.with_data(np.arange(1, reduced.nnz + 1)).csr[order][:, order].tocsc()
             self._csc = (permuted.data.astype(np.int64) - 1, permuted.indices, permuted.indptr)
             self._order = order
-            return SymmetricFactor(lu, None)
+            return SymmetricFactor(lu, None, self.basis)
         gather, indices, indptr = self._csc
-        csc = sp.csc_matrix((m.csr.data[gather], indices, indptr), shape=m.shape)
-        return SymmetricFactor(_splu(csc, permc_spec="NATURAL", **_DIAGONAL_PIVOTS), self._order)
+        csc = sp.csc_matrix((reduced.csr.data[gather], indices, indptr), shape=reduced.shape)
+        return SymmetricFactor(_splu(csc, permc_spec="NATURAL", **_DIAGONAL_PIVOTS), self._order,
+                               self.basis)

@@ -374,7 +374,10 @@ def test_cli_solve_and_determinism(tmp_path, capsys):
     final1 = (out1 / "density_final.vtk").read_bytes()
     final2 = (out2 / "density_final.vtk").read_bytes()
     assert final1 == final2
-    assert "endpoint jump" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "endpoint jump" not in out
+    assert out.splitlines()[1] == ("negative eigenvalues of the final reduced Hessian: "
+                                   "8 mirror-symmetric, 8 antisymmetric")
     snaps1 = sorted(p.name for p in out1.glob("density_t*.vtk"))
     snaps2 = sorted(p.name for p in out2.glob("density_t*.vtk"))
     assert snaps1 == snaps2 and snaps1
@@ -560,6 +563,22 @@ def test_cli_check_derivatives_catches_m_without_sigma(tmp_path, capsys, monkeyp
     lines = capsys.readouterr().out.splitlines()
     assert [line.rsplit(" ", 1)[-1] for line in lines] == ["PASS", "PASS", "FAIL", "PASS"]
     assert lines[2].startswith("jacobian vs FD(residual): ")
+
+
+def test_check_derivatives_draws_each_check_from_its_own_generator(monkeypatch):
+    # so a change to one check's draws moves no other check's line
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def recorded(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    system, schedule = solver.build_system(SolverConfig(mesh=MeshConfig(nx=20, ny=8)))
+    _, anchor = system.initialize(schedule.mu0)
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    io_cli._fd_errors(system, schedule, anchor, 2)
+    assert seeds == [(0, 2, check) for check in range(4)]
 
 
 @pytest.mark.parametrize("points", ["0", "-2"])

@@ -132,6 +132,13 @@ def test_mirrored_diagonal_triangulation_is_symmetric(bridge):
     original = {tri_key(tri, False) for tri in m.triangles}
     reflected = {tri_key(tri, True) for tri in m.triangles}
     assert original == reflected
+    # the recorded vertex mirror is that reflection, and it maps the
+    # triangles onto themselves
+    index = {(round(x, 9), round(y, 9)): i for i, (x, y) in enumerate(m.vertices)}
+    expected = [index[round(2.4 - x, 9), round(y, 9)] for x, y in m.vertices]
+    assert np.array_equal(m.mirror, expected)
+    assert {frozenset(tri) for tri in m.mirror[m.triangles]} == {frozenset(tri) for tri in m.triangles}
+    assert build_structured_mesh(bridge, nx=20, ny=8).mirror is None
 
 
 def test_mirrored_requires_even_nx(bridge):

@@ -32,6 +32,41 @@ def random_point(system, rng):
                     z_b=rng.uniform(0.5, 2.0, system.n))
 
 
+def mirror_map(system):
+    """The reflection x -> 2.4 - x on M's (drho, w) coordinates, found from
+    the vertex coordinates: ``(T v)[i] = sign[i] * v[image[i]]``."""
+    msh, disp = system.lagr.mesh, system.lagr.dofmap.disp_index
+    index = {(round(x, 9), round(y, 9)): i for i, (x, y) in enumerate(msh.vertices)}
+    mirror = np.array([index[round(2.4 - x, 9), round(y, 9)] for x, y in msh.vertices])
+    n, l = system.n, system.l
+    image, sign = np.concatenate([mirror, np.zeros(l, dtype=np.int64)]), np.ones(n + l)
+    for v, d in zip(*np.nonzero(disp >= 0)):
+        image[n + disp[v, d]] = n + disp[mirror[v], d]
+        sign[n + disp[v, d]] = -1.0 if d == 0 else 1.0
+    return image, sign
+
+
+def dense_basis(q):
+    """The subspace basis ``q`` as a dense matrix."""
+    dense = np.zeros((q.dim, q.size))
+    rows = np.flatnonzero(q.column >= 0)
+    dense[rows, q.column[rows]] = q.weight[rows]
+    return dense
+
+
+def recorded_splu(monkeypatch):
+    """Every matrix handed to SuperLU from now on, and its permc_spec."""
+    calls = []
+    splu = sparse.spla.splu
+
+    def record(a, **kwargs):
+        calls.append((a, kwargs.get("permc_spec")))
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(sparse, "spla", type("spla", (), {"splu": staticmethod(record)}))
+    return calls
+
+
 def m_block(system, m, row, col):
     """Block (row, col) of M in (drho, w), "rho" or "u", as a dense array."""
     cut = {"rho": slice(0, system.n), "u": slice(system.n, system.n + system.l)}
@@ -236,8 +271,9 @@ def test_reduced_matrix_bit_identical_to_bmat(small_system, rng):
 
 
 def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
-    # one solve sorts four layouts, each once: density, K(rho), coupling and
-    # the reduced (rho, u) matrix; every later assembly refills them
+    # one solve sorts six layouts, each once: density, K(rho), coupling, the
+    # reduced (rho, u) matrix M and its symmetric and antisymmetric blocks;
+    # every later assembly refills them
     system, _ = solver.build_system(small_config())
     patterns = []
     init = sparse.SparsityPattern.__init__
@@ -259,7 +295,12 @@ def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
     assert trace.accepted()[-1].t == 1.0
     assert len(matrices) >= 10
     n, l = system.n, system.l
-    assert sorted(patterns) == sorted([(n, n), (l, l), (n, l), (n + l, n + l)])
+    (q_s, _), (q_a, _) = solver.mirror_subspaces(system.lagr.dofmap)
+    k_s, k_a = q_s.size, q_a.size
+    assert k_s + k_a == n + l
+    # M_s's layout, and M_a's for the one factorization at the final point
+    assert sorted(patterns) == sorted([(n, n), (l, l), (n, l), (n + l, n + l), (k_s, k_s),
+                                       (k_a, k_a)])
 
 
 def test_one_solve_transposes_no_matrix(monkeypatch):
@@ -370,12 +411,20 @@ def test_run_keeps_adjoint_bitwise_minus_state(small_run):
 def test_condensed_step_equals_full_kkt_solve(small_run, small_system):
     # at accepted points, the Newton and tangent steps are the (rho, u, z_a,
     # z_b) blocks of the 5-block KKT solution (scipy bmat and spsolve), rows
-    # and columns in the residual's order, and its p block is -du
+    # and columns in the residual's order, of the right-hand side less its
+    # antisymmetric part, and its p block is -du; the part dropped is
+    # rounding (1.7e-5 of the converged residual's norm 1.5e-9 at t = 1)
     _, _, accepted = small_run
     system, schedule = small_system
     _, anchor = system.initialize(schedule.mu0)
     problem = system.homotopy_problem(anchor, schedule, damping=0.995)
     eye = sp.identity(system.n, format="csr")
+    n, l = system.n, system.l
+    image, sign = mirror_map(system)
+    # the mirror on the residual's rows (rho, u, z_a, z_b, p)
+    full_image = np.concatenate([image, image[:n] + n + l, image[:n] + 2 * n + l,
+                                 image[n:] + 2 * n + l])
+    full_sign = np.concatenate([sign, np.ones(2 * n), sign[n:]])
     for t, point in accepted:
         h = system.lagr.hessian(point.rho, point.u, point.p_adj)
         rp = system.lagr.hessian(point.rho, point.p_adj, point.u).ru.csr  # d2L/drho dp
@@ -393,24 +442,32 @@ def test_condensed_step_equals_full_kkt_solve(small_run, small_system):
         for rhs in (-system.residual(point, anchor, t_next, schedule),
                     -system.h_t(anchor, t, schedule)):
             step = problem.factor(v, t_next).solve(rhs[:m])
-            reference = spla.spsolve(full, rhs)
+            symmetric = 0.5 * (rhs + full_sign * rhs[full_image])
+            assert np.linalg.norm(rhs - symmetric) <= 1e-4 * np.linalg.norm(rhs)
+            reference = spla.spsolve(full, symmetric)
             assert rel_err(step, reference[:m]) <= 1e-10
             assert rel_err(reference[m:], -system.unpack(step).u) <= 1e-10
 
 
 def test_negative_pivots_count_the_reduced_hessian_inertia(small_run):
-    # M's inertia is the reduced Hessian's plus l negative eigenvalues: S > 0
-    # on the traced points before t = 1, 16 negatives at the final saddle
-    _, _, accepted = small_run
+    # M_s's inertia is the symmetric class of the reduced Hessian's plus l_s
+    # negative eigenvalues, M_a's the antisymmetric class's plus l_a: S > 0
+    # on the traced points before t = 1, 8 + 8 negatives at the final saddle
+    point, trace, accepted = small_run
     system, _ = solver.build_system(small_config())  # ordered at t = 0, reused after it
+    (q_s, l_s), (q_a, l_a) = solver.mirror_subspaces(system.lagr.dofmap)
+    qs, qa = dense_basis(q_s), dense_basis(q_a)
     counts = []
     for t, point in accepted:
         dense = system.jacobian(point).csr.toarray()
         assert np.abs(dense - dense.T).max() <= 1e-14 * np.abs(dense).max()
-        negative = int(np.count_nonzero(np.linalg.eigvalsh(dense) < 0.0))
-        assert system.factor(point).negative == negative - system.l
-        counts.append((t, negative - system.l))
-    assert counts == [(0.0, 0), (0.25, 0), (0.5, 0), (0.75, 0), (1.0, 16)]
+        negative = [int(np.count_nonzero(np.linalg.eigvalsh(q.T @ dense @ q) < 0.0)) - l_q
+                    for q, l_q in ((qs, l_s), (qa, l_a))]
+        assert system.factor(point).negative == negative[0]
+        assert system.negative_by_class(point) == tuple(negative)
+        counts.append((t, *negative))
+    assert counts == [(0.0, 0, 0), (0.25, 0, 0), (0.5, 0, 0), (0.75, 0, 0), (1.0, 8, 8)]
+    assert trace.final_negative == (8, 8)
 
 
 def test_refused_symmetric_factorization_is_a_singular_jacobian(
@@ -438,17 +495,11 @@ def test_refused_symmetric_factorization_is_a_singular_jacobian(
 
 
 def test_run_orders_the_reduced_matrix_once(monkeypatch):
-    # the first factorization orders M (MMD on A^T + A); every later one
-    # reuses that order, permuted, with the NATURAL column order; M is
-    # assembled by `jacobian` once per factorization
-    specs = []
-    splu = sparse.spla.splu
-
-    def recorded_splu(a, **kwargs):
-        specs.append(kwargs.get("permc_spec"))
-        return splu(a, **kwargs)
-
-    monkeypatch.setattr(sparse, "spla", type("spla", (), {"splu": staticmethod(recorded_splu)}))
+    # the first factorization orders M_s (MMD on A^T + A); every later one
+    # reuses that order, permuted, with the NATURAL column order; the final
+    # point factors M_s once more and M_a once, on its own MMD order; M is
+    # assembled by `jacobian` once per M_s factorization
+    factored = recorded_splu(monkeypatch)
     calls = []
     jacobian = solver.KktSystem.jacobian
 
@@ -459,10 +510,11 @@ def test_run_orders_the_reduced_matrix_once(monkeypatch):
     monkeypatch.setattr(solver.KktSystem, "jacobian", counted_jacobian)
     _, trace = solver.run(small_config())
     assert trace.accepted()[-1].t == 1.0
+    specs = [spec for _, spec in factored]
     assert specs[0] is None  # the state solve of the initial point
-    assert specs[1:] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(specs) - 2)
-    assert len(specs) == 1 + sum(r.newton_iters for r in trace.records)
-    assert len(calls) == len(specs) - 1
+    assert specs[1:] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(specs) - 3) + ["MMD_AT_PLUS_A"]
+    assert len(specs) == 3 + sum(r.newton_iters for r in trace.records)
+    assert len(calls) == len(specs) - 2
 
 
 def test_run_objective_decreases(small_run, small_system):
@@ -474,15 +526,95 @@ def test_run_objective_decreases(small_run, small_system):
 
 
 def test_run_density_symmetric(small_run, small_system):
-    point, _, _ = small_run
+    # steps lie in the mirror-symmetric subspace, so rho, z_a and z_b stay
+    # symmetric bitwise at every accepted point
+    _, _, accepted = small_run
     system, _ = small_system
-    msh = system.lagr.mesh
-    index = {(round(x, 9), round(y, 9)): i for i, (x, y) in enumerate(msh.vertices)}
-    defect = 0.0
-    for i, (x, y) in enumerate(msh.vertices):
-        j = index[(round(2.4 - x, 9), round(y, 9))]
-        defect = max(defect, abs(point.rho[i] - point.rho[j]))
-    assert defect <= 1e-3
+    mirror = mirror_map(system)[0][:system.n]
+    for _, point in accepted:
+        for v in (point.rho, point.z_a, point.z_b):
+            assert np.array_equal(v, v[mirror])
+
+
+def test_mirror_subspaces_split_the_space(small_system):
+    # Q = [Q_s, Q_a] is orthogonal, T Q_s = Q_s and T Q_a = -Q_a for the
+    # mirror T found from the vertex coordinates; l_s and l_a count the
+    # columns on w
+    system, _ = small_system
+    n, l = system.n, system.l
+    image, sign = mirror_map(system)
+    (q_s, l_s), (q_a, l_a) = solver.mirror_subspaces(system.lagr.dofmap)
+    qs, qa = dense_basis(q_s), dense_basis(q_a)
+    q = np.hstack([qs, qa])
+    assert q.shape == (n + l, n + l)
+    assert np.abs(q.T @ q - np.eye(n + l)).max() <= 1e-15
+    assert np.array_equal(sign[:, None] * qs[image], qs)
+    assert np.array_equal(sign[:, None] * qa[image], -qa)
+    assert (l_s, l_a) == tuple(int(np.count_nonzero(np.any(b[n:] != 0.0, axis=0)))
+                               for b in (qs, qa))
+    assert l_s + l_a == l
+
+
+def test_kkt_matrix_splits_by_mirror_class_along_the_run(small_run, monkeypatch):
+    # at every accepted point of the mirrored run T M T^T = M up to rounding,
+    # and the M_s that `factor` hands to SuperLU is Q_s^T M Q_s
+    _, _, accepted = small_run
+    system, _ = solver.build_system(small_config())
+    image, sign = mirror_map(system)
+    (q_s, _), _ = solver.mirror_subspaces(system.lagr.dofmap)
+    qs = dense_basis(q_s)
+    factored = recorded_splu(monkeypatch)
+    for i, (_, point) in enumerate(accepted):
+        m = system.jacobian(point).csr.toarray()
+        mirrored = sign[:, None] * sign[None, :] * m[np.ix_(image, image)]
+        assert np.abs(mirrored - m).max() <= 1e-11 * np.abs(m).max()
+        system.factor(point)
+        want = qs.T @ m @ qs
+        if i > 0:  # permuted on the order of the first factorization
+            want = want[np.ix_(system._blocks._order, system._blocks._order)]
+        got = factored[-1][0].toarray()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert len(factored) == len(accepted)
+
+
+def test_right_mesh_factors_m_itself(rng, monkeypatch):
+    # without a mirror, M_s is M, bitwise, and no class count is reported
+    system, _ = solver.build_system(small_config(mesh=MeshConfig(nx=20, ny=8, diagonal="right")))
+    assert system.lagr.mesh.mirror is None
+    start, _ = system.initialize(50.0)
+    other = random_point(system, rng)
+    other.p_adj = -other.u
+    factored = recorded_splu(monkeypatch)
+    for i, point in enumerate((start, other)):
+        m = system.jacobian(point).csr
+        negative = system.factor(point).negative
+        dense = m.toarray()
+        assert negative == np.count_nonzero(np.linalg.eigvalsh(dense) < 0.0) - system.l
+        if i > 0:
+            m = m[system._blocks._order][:, system._blocks._order]
+        want, got = m.tocsc(), factored[-1][0]
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+    assert system.negative_by_class(start) is None
+
+
+def test_factor_refuses_a_point_off_the_mirror_symmetry(small_system, rng):
+    # a random point is not symmetric; its mirror average is, and one bit
+    # off in z_b is refused again
+    system, _ = small_system
+    mirror = system.lagr.mesh.mirror
+    point = random_point(system, rng)
+    point.p_adj = -point.u
+    with pytest.raises(ValueError, match="mirror symmetry"):
+        system.factor(point)
+    for name in ("rho", "z_a", "z_b"):
+        v = getattr(point, name)
+        setattr(point, name, 0.5 * (v + v[mirror]))
+    system.factor(point)
+    point.z_b[0] = np.nextafter(point.z_b[0], np.inf)
+    with pytest.raises(ValueError, match="mirror symmetry"):
+        system.factor(point)
 
 
 def test_large_first_step_forces_rejection_and_halving():
@@ -528,7 +660,8 @@ def test_fold_run_ends_non_decreasing_correctors_early():
     assert [r.endpoint_jump for r in trace.records] == [False] * 50 + [True]
     assert np.array_equal(point.p_adj, -point.u)
     system, _ = solver.build_system(SolverConfig(mesh=MeshConfig(nx=40, ny=12)))
-    assert system.lagr.objective(point.rho, point.u) == 8.659454175066632
+    assert system.lagr.objective(point.rho, point.u) == 8.659454175066719
+    assert trace.final_negative == (4, 4)
 
 
 def test_smooth_run_keeps_its_indefinite_step_at_t1(small_run):

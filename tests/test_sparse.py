@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homotopt.sparse import (BlockSystem, SingularMatrixError, SparseMatrix,
+from homotopt.sparse import (BlockSystem, SingularMatrixError, SparseMatrix, Subspace,
                              SparsityPattern, solve_direct)
 
 
@@ -195,6 +195,45 @@ def test_symmetric_factor_solves_and_counts_negative_eigenvalues(rng):
         assert factor.negative_pivots == np.count_nonzero(np.linalg.eigvalsh(values) < 0)
     with pytest.raises(ValueError):
         factor.solve(np.ones(41))
+
+
+def test_block_system_factors_its_restriction_to_a_subspace(rng):
+    # Q pairs some coordinates with weights +-1/sqrt(2), keeps some alone and
+    # leaves the rest out; factor() solves Q (Q^T M Q)^-1 Q^T b and counts
+    # Q^T M Q's negative eigenvalues on every refill, and a basis given to
+    # factor() is factored once on its own
+    n, m = 30, 12
+    c = np.sqrt(0.5)
+    column = np.full(n + m, -1)
+    weight = np.zeros(n + m)
+    column[[0, 1, 2, 3, 4, 30, 31, 32]] = [0, 0, 1, 1, 2, 3, 4, 4]
+    weight[[0, 1, 2, 3, 4, 30, 31, 32]] = [c, c, c, -c, 1.0, -1.0, c, c]
+    column[5:30], weight[5:30] = np.arange(5, 30), 1.0
+    basis = Subspace(column, weight)
+    assert (basis.dim, basis.size) == (n + m, 30)
+    q = np.zeros((n + m, basis.size))
+    rows = np.flatnonzero(column >= 0)
+    q[rows, column[rows]] = weight[rows]
+    other = Subspace.identity(n + m)
+    blocks = BlockSystem(basis)
+    dense = quasi_definite(rng, n, m)
+    b = SparseMatrix.from_dense(dense[:n, n:])
+    for k in range(3):
+        values = dense + np.diag(np.full(n + m, 0.5 * k))
+        blocks.assemble(SparseMatrix.from_dense(values[:n, :n]), b,
+                        SparseMatrix.from_dense(values[n:, n:]))
+        reduced = q.T @ values @ q
+        factor = blocks.factor()
+        rhs = rng.standard_normal(n + m)
+        x = factor.solve(rhs)
+        want = q @ np.linalg.solve(reduced, q.T @ rhs)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+        assert factor.negative_pivots == np.count_nonzero(np.linalg.eigvalsh(reduced) < 0)
+        whole = blocks.factor(other)
+        assert np.linalg.norm(whole.solve(rhs) - np.linalg.solve(values, rhs)) \
+            <= 1e-10 * np.linalg.norm(whole.solve(rhs))
+    with pytest.raises(ValueError, match="unit norm"):
+        Subspace([0, 0, 1], [1.0, 1.0, 1.0])
 
 
 def test_symmetric_factor_refusals():

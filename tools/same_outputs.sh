@@ -19,8 +19,10 @@
 # rejected, with its reason, Newton count and residual, which the output
 # files do not show; the folding runs' rejected correctors are compared too.
 # It diffs each solve's output directory and the text each command prints,
-# less the `outputs in DIR` line, plus the exit status.  Exits 1 on any
-# difference.
+# less the `outputs in DIR` line, plus the exit status.  For each file that
+# differs it also prints how many of its numbers differ and the largest
+# absolute and relative difference among them, so a change in the last bits
+# reads apart from a changed result.  Exits 1 on any difference.
 set -euo pipefail
 
 usage="usage: tools/same_outputs.sh REV [--full]"
@@ -49,6 +51,50 @@ run() {
         | grep -v "outputs in " > "$work/$side-$name.txt" || true
 }
 
+# numbers A B: for files A and B, or each pair of differing files in
+# directories A and B, the count of numbers that differ between paired lines
+# and the largest absolute and relative difference among them, and the count
+# of lines left unpaired (added, removed, or with another count of numbers).
+# Files of equal length pair line by line; others pair as a line diff does.
+numbers() {
+    python - "$1" "$2" <<'PY'
+import difflib, filecmp, os, re, sys
+
+a, b = sys.argv[1:]
+if os.path.isdir(a):
+    names = sorted(set(os.listdir(a)) & set(os.listdir(b)))
+    pairs = [(os.path.join(a, f), os.path.join(b, f)) for f in names
+             if not filecmp.cmp(os.path.join(a, f), os.path.join(b, f), shallow=False)]
+else:
+    pairs = [(a, b)]
+number = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+for x, y in pairs:
+    old, new = (open(f, errors="replace").read().splitlines() for f in (x, y))
+    diffs, unpaired = [], 0
+    if len(old) == len(new):
+        blocks = [("replace", 0, len(old), 0, len(new))]
+    else:
+        blocks = difflib.SequenceMatcher(None, old, new, autojunk=False).get_opcodes()
+    for tag, i1, i2, j1, j2 in blocks:
+        if tag == "equal":
+            continue
+        if i2 - i1 != j2 - j1:
+            unpaired += i2 - i1 + j2 - j1
+            continue
+        for p, q in zip(old[i1:i2], new[j1:j2]):
+            u, v = ([float(t) for t in number.findall(line)] for line in (p, q))
+            if len(u) != len(v):
+                unpaired += 2
+                continue
+            diffs += [(abs(e - f), abs(e - f) / max(abs(e), abs(f))) for e, f in zip(u, v) if e != f]
+    text = f"  {os.path.basename(y)}: {len(diffs)} numbers differ"
+    if diffs:
+        text += (f", largest difference {max(d for d, _ in diffs):.3e} absolute, "
+                 f"{max(r for _, r in diffs):.3e} relative")
+    print(text + (f"; {unpaired} lines unpaired" if unpaired else ""))
+PY
+}
+
 status=0
 compare() {
     if diff "$@" > "$work/diff.txt"; then
@@ -56,6 +102,7 @@ compare() {
     else
         echo "DIFFERENT: ${*: -1}"
         head -n 20 "$work/diff.txt"
+        numbers "${@: -2:1}" "${@: -1}"
         status=1
     fi
 }
