@@ -227,6 +227,5 @@ def assemble_gl_operators(dofmap: DofMap):
     gg = np.einsum("eik,ejk->eij", geo.grads, geo.grads)
     k_rho = geo.pattern.fill(geo.area[:, None, None] * gg)
     mass = geo.pattern.fill(geo.area[:, None, None] * _MASS3)
-    phi_vol = np.zeros(n)
-    np.add.at(phi_vol, geo.tri.ravel(), np.repeat(geo.area / 3.0, 3))
+    phi_vol = np.bincount(geo.tri.ravel(), weights=np.repeat(geo.area / 3.0, 3), minlength=n)
     return k_rho, mass, phi_vol

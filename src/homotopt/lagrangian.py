@@ -32,6 +32,13 @@ __all__ = [
     "default_params",
 ]
 
+# Quadrature tables: row q holds W_q B_qi, and W_q B_qi B_qj flattened over
+# (i, j), so int_T rho^k phi_i = area * (rho_q^k @ _W_PHI) and
+# int_T rho^k phi_i phi_j = area * (rho_q^k @ _W_PHIPHI), for rho_q the
+# density at the quadrature points of T.
+_W_PHI = fem.QUAD_W[:, None] * fem.QUAD_BARY  # (Q, 3)
+_W_PHIPHI = (_W_PHI[:, :, None] * fem.QUAD_BARY[:, None, :]).reshape(-1, 9)  # (Q, 9)
+
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -133,7 +140,7 @@ class Lagrangian:
         rho = np.asarray(rho, float)
         lam_w, mu_w = fem._effective_weights(geo, self.material, rho)
         u_loc, p_loc, div_u, div_p, _, _ = self._element_fields(rho, u, p_adj)
-        gup = np.einsum("ea,eab,eb->e", u_loc, geo.gmat6, p_loc)
+        gup = np.einsum("ea,ea->e", u_loc, np.einsum("eab,eb->ea", geo.gmat6, p_loc))
         p_k_u = float(np.sum(lam_w * div_u * div_p + mu_w * gup))
         return self.objective(rho, u) + p_k_u - float(np.asarray(p_adj) @ self.load)
 
@@ -162,8 +169,7 @@ class Lagrangian:
         w = dlam * div_u * div_p + dmu * np.einsum("ea,ea->e", u_loc, g_p)
 
         # int_T rho^(p-2) phi_i phi_j
-        m_phiphi = geo.area[:, None, None] * np.einsum(
-            "eq,q,qi,qj->eij", rho_q ** (pe - 2.0), fem.QUAD_W, fem.QUAD_BARY, fem.QUAD_BARY)
+        m_phiphi = geo.area[:, None, None] * (rho_q ** (pe - 2.0) @ _W_PHIPHI).reshape(-1, 3, 3)
 
         s_vals = (pe * (pe - 1.0)) * m_phiphi * w[:, None, None]
         rr = geo.pattern.matrix(self._rr_const + geo.pattern.reduce(s_vals))
@@ -180,8 +186,7 @@ class Lagrangian:
         div_u = np.einsum("ea,ea->e", geo.div6, u_loc)
         div_p = np.einsum("ea,ea->e", geo.div6, p_loc)
         rho_q = rho[geo.tri] @ fem.QUAD_BARY.T
-        m_phi = geo.area[:, None] * np.einsum(
-            "eq,q,qi->ei", rho_q ** (self.material.exponent - 1.0), fem.QUAD_W, fem.QUAD_BARY)
+        m_phi = geo.area[:, None] * (rho_q ** (self.material.exponent - 1.0) @ _W_PHI)
         return u_loc, p_loc, div_u, div_p, rho_q, m_phi
 
     def _coupling_gradient(self, rho, u, p_adj) -> np.ndarray:
@@ -190,11 +195,10 @@ class Lagrangian:
         dlam = self.material.lambda1 - self.material.lambda0
         dmu = self.material.mu1 - self.material.mu0
         u_loc, p_loc, div_u, div_p, _, m_phi = self._element_fields(rho, u, p_adj)
-        gup = np.einsum("ea,eab,eb->e", u_loc, geo.gmat6, p_loc)
+        gup = np.einsum("ea,ea->e", u_loc, np.einsum("eab,eb->ea", geo.gmat6, p_loc))
         w = dlam * div_u * div_p + dmu * gup
-        out = np.zeros(self.n_density)
-        np.add.at(out, geo.tri.ravel(), (pe * m_phi * w[:, None]).ravel())
-        return out
+        return np.bincount(geo.tri.ravel(), weights=(pe * m_phi * w[:, None]).ravel(),
+                           minlength=self.n_density)
 
     def _coupling_cross(self, geo, pe, m_phi, dlam, dmu, div_p, g_p) -> SparseMatrix:
         """Mixed density-displacement block ``ru``: rows are density DOFs,

@@ -1,7 +1,11 @@
 """Sparse storage, deterministic triplet assembly, and direct linear solves.
 
 Every assembled operator in the package (elasticity stiffness, density mass
-and stiffness, KKT blocks) is a :class:`SparseMatrix`.  General systems go
+and stiffness, KKT blocks) is a :class:`SparseMatrix`.  Its CSR data comes
+from a :class:`SparsityPattern`, which sorts a fixed triplet layout once and
+then sums any values for it by one precomputed summation operator, a single
+sparse matrix-vector product (a plain gather when no triplets share an
+entry).  General systems go
 through :func:`solve_direct`, a sparse LU with partial pivoting.  The
 symmetric block matrix of a run, the reduced KKT matrix M, is a
 :class:`BlockSystem`: assembled on a layout fixed at its first call, and
@@ -45,10 +49,10 @@ class SparseMatrix:
     """Immutable sparse matrix in compressed-row form built from triplets.
 
     Duplicate triplets are summed in a fixed order (stable sort by row then
-    column, ``np.add.reduceat`` over each group in input order), so assembly
-    is bit-reproducible for a given triplet sequence.  Operators assembled
-    again and again on one mesh keep a :class:`SparsityPattern` and only
-    refill its values.
+    column, then a left-to-right sum over each group in input order, see
+    :class:`SparsityPattern`), so assembly is bit-reproducible for a given
+    triplet sequence.  Operators assembled again and again on one mesh keep
+    a :class:`SparsityPattern` and only refill its values.
     """
 
     __slots__ = ("_csr",)
@@ -115,29 +119,39 @@ class SparseMatrix:
 
 
 class SparsityPattern:
-    """CSR layout of a fixed ``(rows, cols)`` triplet sequence.
+    """CSR layout of a fixed ``(rows, cols)`` triplet sequence, with the
+    reduction that sums any values for that sequence into its CSR data.
 
-    The stable (row, column) sort runs once, at construction; :meth:`fill`
-    then assembles any values for the same sequence by a gather and a
-    per-entry ``np.add.reduceat``, bit-identical to ``from_triplets``.
-    ``source`` optionally gives, for each triplet, the position of its value
-    in the arrays later passed to :meth:`fill` (default: its own position),
-    so a masked or reordered triplet sequence costs one gather.
+    The stable (row, column) sort runs once, at construction, and fixes the
+    reduction as one summation operator, ``summation``: a CSR matrix with
+    one row per entry and one column per source value, which lists the
+    entry's triplets in input order with their ``weights`` (default 1) as
+    its data.  So :meth:`reduce` is one sparse matrix-vector product, which
+    sums each entry's weighted values left to right in input order,
+    starting from +0.0; a refill is bit-identical to ``from_triplets``.  A
+    pattern in which no two triplets share an entry and every weight is 1
+    keeps ``summation`` as a plain gather index instead, which copies each
+    value, a stored -0.0 included.  ``source`` optionally gives, for each triplet,
+    the position of its value in the arrays later passed to :meth:`fill`
+    (default: its own position); values after the last such position are
+    not read.
     """
 
-    __slots__ = ("shape", "order", "starts", "indices", "indptr")
+    __slots__ = ("shape", "summation", "indices", "indptr")
 
-    def __init__(self, nrows: int, ncols: int, rows, cols, source=None):
+    def __init__(self, nrows: int, ncols: int, rows, cols, source=None, weights=None):
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         if rows.size != cols.size:
             raise ValueError("rows and cols must have equal length")
+        if int(nrows) * int(ncols) > np.iinfo(np.int64).max:
+            raise ValueError(f"a {nrows}x{ncols} matrix has more entries than int64 can index")
         if rows.size:
             if rows.min() < 0 or rows.max() >= nrows:
                 raise IndexError(f"row index out of range for {nrows}x{ncols} matrix")
             if cols.min() < 0 or cols.max() >= ncols:
                 raise IndexError(f"column index out of range for {nrows}x{ncols} matrix")
-        order = np.lexsort((cols, rows))  # stable: ties keep input order
+        order = np.argsort(rows * ncols + cols, kind="stable")  # ties keep input order
         r, c = rows[order], cols[order]
         first = np.ones(r.size, dtype=bool)
         first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
@@ -147,17 +161,22 @@ class SparsityPattern:
         # scipy picks the index dtype; keep its arrays so refills share them
         csr = sp.csr_matrix((np.zeros(starts.size), c[starts], indptr), shape=(nrows, ncols))
         self.shape = (nrows, ncols)
-        self.order = order if source is None else np.asarray(source, dtype=np.int64)[order]
-        self.starts = None if starts.size == r.size else starts  # None: no duplicates
         self.indices = csr.indices
         self.indptr = csr.indptr
+        gather = order if source is None else np.asarray(source, dtype=np.int64)[order]
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64).ravel()[order]
+        if starts.size == r.size and (weights is None or np.all(weights == 1.0)):
+            self.summation = gather
+        else:
+            self.summation = sp.csr_matrix(
+                (np.ones(r.size) if weights is None else weights, gather,
+                 np.append(starts, r.size)),
+                shape=(starts.size, gather.max(initial=-1) + 1))
 
     def reduce(self, values) -> np.ndarray:
-        """CSR data: each entry sums its triplets' values in input order."""
-        v = np.asarray(values, dtype=np.float64).ravel()[self.order]
-        if self.starts is not None:
-            v = np.add.reduceat(v, self.starts)
-        return v
+        """CSR data: each entry sums its triplets' weighted values."""
+        return _sum(self.summation, values)
 
     def matrix(self, data: np.ndarray) -> "SparseMatrix":
         """The matrix with this pattern and the given CSR data."""
@@ -165,6 +184,15 @@ class SparsityPattern:
 
     def fill(self, values) -> "SparseMatrix":
         return self.matrix(self.reduce(values))
+
+
+def _sum(summation, values) -> np.ndarray:
+    """Apply a :class:`SparsityPattern` summation, a gather index or a CSR
+    operator, to ``values``."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if isinstance(summation, np.ndarray):
+        return v[summation]
+    return summation @ v[:summation.shape[1]]
 
 
 def _csr_matrix(data, indices, indptr, shape) -> SparseMatrix:
@@ -264,17 +292,17 @@ class Subspace:
         x[self._rows] = self._weights * y[self._columns]
         return x
 
-    def congruence(self, a: "SparseMatrix") -> Tuple[SparsityPattern, np.ndarray]:
-        """The layout of ``Q^T A Q`` for ``a``'s layout, and the weight of
-        each of ``a``'s entries in CSR data order: ``pattern.fill(weights *
-        data)`` is ``Q^T A Q`` for any CSR data on that layout."""
+    def congruence(self, a: "SparseMatrix") -> SparsityPattern:
+        """The layout of ``Q^T A Q`` for ``a``'s layout, with each of ``a``'s
+        entries weighted by ``weight[i] * weight[j]``: ``pattern.fill(data)``
+        is ``Q^T A Q`` for any CSR data on that layout."""
         if a.shape != (self.dim, self.dim):
             raise ValueError(f"matrix of shape {(self.dim,) * 2} expected, got {a.shape}")
         rows, cols = _coordinates(a)
         r, c = self.column[rows], self.column[cols]
         keep = np.flatnonzero((r >= 0) & (c >= 0))
-        pattern = SparsityPattern(self.size, self.size, r[keep], c[keep], source=keep)
-        return pattern, self.weight[rows] * self.weight[cols]
+        return SparsityPattern(self.size, self.size, r[keep], c[keep], source=keep,
+                               weights=self.weight[rows[keep]] * self.weight[cols[keep]])
 
 
 class SymmetricFactor:
@@ -342,11 +370,12 @@ class BlockSystem:
     differs from the first call's raises ``ValueError``.
 
     :meth:`factor` factors ``Q^T M Q`` of the last assembled M as ``P Q^T M
-    Q P^T = L D L^T``.  The first call sorts the layout of ``Q^T M Q``,
-    lets SuperLU order it (``MMD_AT_PLUS_A``) and keeps that order, with a
-    gather from its CSR data into the CSC data of the symmetrically permuted
-    matrix; every later call fills ``Q^T M Q`` by one weighted gather from
-    M's data, permutes it by that gather and factors it with the
+    Q P^T = L D L^T``.  The first call sorts the layout of ``Q^T M Q``
+    (:meth:`Subspace.congruence`), lets SuperLU order it
+    (``MMD_AT_PLUS_A``) and keeps that order, with the rows of the layout's
+    summation operator put in the CSC order of the symmetrically permuted
+    matrix; every later call fills that permuted matrix's CSC data by one
+    product of the kept operator with M's data and factors it with the
     ``NATURAL`` order.  With the identity basis ``Q^T M Q`` is M, bitwise.
     Pivots stay on the diagonal (threshold 0), which is stable for
     symmetric quasi-definite matrices; a factorization that needed an
@@ -359,9 +388,8 @@ class BlockSystem:
         self._layout = None  # (shape, indptr, indices) of A, B and C at the first assembly
         self._pattern = None
         self._matrix = None  # the last assembled M
-        self._restriction = None  # Q^T M Q's pattern and the weight of each entry of M
         self._order = None  # position in the permuted matrix -> index in Q^T M Q
-        self._csc = None  # (gather, indices, indptr) of the permuted matrix
+        self._csc = None  # (summation, indices, indptr, shape) of the permuted matrix
 
     def assemble(self, a: SparseMatrix, b: SparseMatrix, c: SparseMatrix) -> SparseMatrix:
         layout = [(x.shape, x.csr.indptr, x.csr.indices) for x in (a, b, c)]
@@ -390,24 +418,22 @@ class BlockSystem:
         if m is None:
             raise ValueError("no matrix assembled")
         if basis is not None and basis is not self.basis:
-            pattern, weights = basis.congruence(m)
-            return SymmetricFactor(_ordered_splu(pattern.fill(weights * m.csr.data)), None, basis)
-        if self._restriction is None:
+            return SymmetricFactor(_ordered_splu(basis.congruence(m).fill(m.csr.data)), None, basis)
+        if self._order is None:
             if self.basis is None:
                 self.basis = Subspace.identity(m.nrows)
-            self._restriction = self.basis.congruence(m)
-        pattern, weights = self._restriction
-        reduced = pattern.fill(weights * m.csr.data)
-        if self._order is None:
+            pattern = self.basis.congruence(m)
+            reduced = pattern.fill(m.csr.data)
             lu = _ordered_splu(reduced)
             order = np.argsort(lu.perm_c)
             # entry k of the CSR data is marked k + 1, so the permuted matrix
             # keeps every entry and its data names the source
             permuted = reduced.with_data(np.arange(1, reduced.nnz + 1)).csr[order][:, order].tocsc()
-            self._csc = (permuted.data.astype(np.int64) - 1, permuted.indices, permuted.indptr)
+            self._csc = (pattern.summation[permuted.data.astype(np.int64) - 1], permuted.indices,
+                         permuted.indptr, reduced.shape)
             self._order = order
             return SymmetricFactor(lu, None, self.basis)
-        gather, indices, indptr = self._csc
-        csc = sp.csc_matrix((reduced.csr.data[gather], indices, indptr), shape=reduced.shape)
+        summation, indices, indptr, shape = self._csc
+        csc = sp.csc_matrix((_sum(summation, m.csr.data), indices, indptr), shape=shape)
         return SymmetricFactor(_splu(csc, permc_spec="NATURAL", **_DIAGONAL_PIVOTS), self._order,
                                self.basis)

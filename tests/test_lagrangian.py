@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from homotopt import fem
+from homotopt import fem, lagrangian
 from homotopt.lagrangian import Lagrangian, ProblemParams
 from homotopt.sparse import solve_direct
 
@@ -145,6 +145,30 @@ def test_hessian_matches_fd_of_gradient(coarse_lagrangian, rng):
             assert rel_err((gp.d_rho - gm.d_rho) / (2 * h), rp.matvec(d_p)) <= 1e-5
             assert rel_err((gp.d_u - gm.d_u) / (2 * h), blocks.up.matvec(d_p)) <= 1e-5
             assert np.max(np.abs((gp.d_p - gm.d_p) / (2 * h))) <= 1e-7
+
+
+def test_quadrature_tables_match_their_einsum_definitions(coarse_lagrangian, rng):
+    # gradient and Hessian integrate rho^k phi_i and rho^k phi_i phi_j by
+    # (Q, 3) and (Q, 9) tables; a wrong table weight moves them far less than
+    # the FD checks' 1e-5 can see, so each is held to its einsum definition
+    lagr = coarse_lagrangian
+    geo = lagr.dofmap.geometry
+    w, b = fem.QUAD_W, fem.QUAD_BARY
+    pe = lagr.material.exponent
+
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+
+    for _ in range(3):
+        rho, u, p = random_point(lagr, rng)
+        rho_q = rho[geo.tri] @ b.T
+        for k in (pe - 1.0, pe - 2.0):
+            assert_close(rho_q ** k @ lagrangian._W_PHI,
+                         np.einsum("eq,q,qi->ei", rho_q ** k, w, b))
+            assert_close((rho_q ** k @ lagrangian._W_PHIPHI).reshape(-1, 3, 3),
+                         np.einsum("eq,q,qi,qj->eij", rho_q ** k, w, b, b))
+        assert_close(lagr._element_fields(rho, u, p)[5],
+                     geo.area[:, None] * np.einsum("eq,q,qi->ei", rho_q ** (pe - 1.0), w, b))
 
 
 def test_hessian_superblock_symmetry(coarse_lagrangian, rng):

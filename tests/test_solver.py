@@ -660,7 +660,7 @@ def test_fold_run_ends_non_decreasing_correctors_early():
     assert [r.endpoint_jump for r in trace.records] == [False] * 50 + [True]
     assert np.array_equal(point.p_adj, -point.u)
     system, _ = solver.build_system(SolverConfig(mesh=MeshConfig(nx=40, ny=12)))
-    assert system.lagr.objective(point.rho, point.u) == 8.659454175066719
+    assert system.lagr.objective(point.rho, point.u) == 8.659454175067179
     assert trace.final_negative == (4, 4)
 
 

@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -56,16 +59,19 @@ def test_matvec_matches_triplet_accumulation(rng):
 
 
 def one_shot_compression(nrows, rows, cols, values):
-    """Reference: sort the triplets and sum each group, all in one call."""
+    """Reference: sort the triplets and sum each group left to right in input
+    order, from +0.0; without duplicates each value is copied, which is the
+    same sum from -0.0 (-0.0 + x is x, bitwise)."""
     rows, cols, values = (np.asarray(a) for a in (rows, cols, values))
     order = np.lexsort((cols, rows))
     r, c, v = rows[order], cols[order], values[order]
     first = np.ones(r.size, dtype=bool)
     first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
     starts = np.flatnonzero(first)
-    data = np.add.reduceat(v, starts) if r.size else v
+    zero = 0.0 if starts.size < r.size else -0.0
+    data = [functools.reduce(operator.add, group, zero) for group in np.split(v, starts[1:])]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(r[starts], minlength=nrows))])
-    return data, c[starts], indptr
+    return (data if r.size else v), c[starts], indptr
 
 
 def assert_same_csr(m, data, indices, indptr):
@@ -98,6 +104,39 @@ def test_pattern_refill_bit_identical_to_from_triplets(data):
             nrows, rows[keep], cols[keep], values[keep]))
 
 
+def test_pattern_sums_each_group_left_to_right():
+    # (1 + 1e16) - 1e16 is 0, where np.add.reduceat's 1 + (1e16 - 1e16) is 1
+    rows, cols, values = [0, 0, 0, 1], [1, 1, 1, 0], [1.0, 1e16, -1e16, 2.0]
+    m = SparsityPattern(2, 2, rows, cols).fill(values)
+    assert_same_csr(m, [0.0, 2.0], [1, 0], [0, 1, 2])
+    assert_same_csr(m, *one_shot_compression(2, rows, cols, values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pattern_layout_and_sum_order_match_lexsort(data):
+    # one argsort of rows * ncols + cols orders the triplets as lexsort does,
+    # on column counts up to 2^40, where the key passes 2^32
+    nrows = data.draw(st.integers(1, 6))
+    ncols = data.draw(st.sampled_from([1, 2, 7, 2 ** 31 + 1, 2 ** 40]))
+    size = data.draw(st.integers(0, 40))
+    rows = np.array(data.draw(st.lists(st.integers(0, nrows - 1), min_size=size,
+                                       max_size=size)), dtype=np.int64)
+    cols = np.array(data.draw(st.lists(st.sampled_from([0, min(1, ncols - 1), ncols // 2, ncols - 1]),
+                                       min_size=size, max_size=size)), dtype=np.int64)
+    order = np.lexsort((cols, rows))
+    pattern = SparsityPattern(nrows, ncols, rows, cols)
+    summation = pattern.summation
+    sources = summation if isinstance(summation, np.ndarray) else summation.indices
+    assert np.array_equal(sources, order)
+    first = np.ones(size, dtype=bool)
+    first[1:] = np.diff(rows[order]) != 0
+    first[1:] |= np.diff(cols[order]) != 0
+    assert np.array_equal(pattern.indices, cols[order][first])
+    assert np.array_equal(pattern.indptr,
+                          np.searchsorted(rows[order][first], np.arange(nrows + 1)))
+
+
 def test_pattern_validation():
     with pytest.raises(ValueError):
         SparsityPattern(2, 2, [0, 1], [0])
@@ -105,6 +144,8 @@ def test_pattern_validation():
         SparsityPattern(2, 2, [0, 2], [0, 0])
     with pytest.raises(ValueError):
         SparseMatrix.from_triplets(2, 2, [0, 1], [0, 1], [1.0])
+    with pytest.raises(ValueError, match="int64"):  # the sort key would overflow
+        SparsityPattern(2 ** 32, 2 ** 32, [0], [0])
 
 
 def test_transpose():
@@ -294,16 +335,17 @@ def test_block_refill_bit_identical_to_fresh_assembly(data):
     # count, must raise
     n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    layout = []  # (kind, pattern) of A, B and C
+    layout = []  # (kind, pattern, triplet count) of A, B and C
     for shape in ((n, n), (n, m), (m, m)):
         kind = data.draw(st.sampled_from(["sparse", "dense"]))
-        layout.append((kind, SparsityPattern(*shape, *np.nonzero(rng.random(shape) < 0.6))))
+        rows, cols = np.nonzero(rng.random(shape) < 0.6)
+        layout.append((kind, SparsityPattern(*shape, rows, cols), rows.size))
 
-    def new_block(kind, pattern):
+    def new_block(kind, pattern, size):
         if kind == "dense":
             return SparseMatrix.from_dense(rng.standard_normal(pattern.shape)
                                            * (rng.random(pattern.shape) < 0.7))
-        return pattern.fill(rng.standard_normal(pattern.order.size))
+        return pattern.fill(rng.standard_normal(size))
 
     blocks = BlockSystem()
     for _ in range(data.draw(st.integers(1, 4))):
