@@ -172,7 +172,7 @@ class KktSystem:
         (M_s's negative pivots less l_s, its number of w columns).
 
         Assembles :meth:`jacobian`, fills ``M_s = Q_s^T M Q_s`` from it by
-        one weighted gather and factors M_s on the run's symmetric order
+        one summation-operator product and factors M_s on the run's symmetric order
         (Q_s is the identity on a mesh without a mirror, where M_s is M).
         Then ``(drho, w) = Q_s M_s^-1 Q_s^T (b_rho + b_a / gap_a - b_b /
         gap_b, b_u)``, ``du = w / 2``, ``dz_a = (b_a - z_a drho) / gap_a``

@@ -120,10 +120,10 @@ def test_pattern_layout_and_sum_order_match_lexsort(data):
     nrows = data.draw(st.integers(1, 6))
     ncols = data.draw(st.sampled_from([1, 2, 7, 2 ** 31 + 1, 2 ** 40]))
     size = data.draw(st.integers(0, 40))
+    column = st.sampled_from([0, min(1, ncols - 1), ncols // 2, ncols - 1])
     rows = np.array(data.draw(st.lists(st.integers(0, nrows - 1), min_size=size,
                                        max_size=size)), dtype=np.int64)
-    cols = np.array(data.draw(st.lists(st.sampled_from([0, min(1, ncols - 1), ncols // 2, ncols - 1]),
-                                       min_size=size, max_size=size)), dtype=np.int64)
+    cols = np.array(data.draw(st.lists(column, min_size=size, max_size=size)), dtype=np.int64)
     order = np.lexsort((cols, rows))
     pattern = SparsityPattern(nrows, ncols, rows, cols)
     summation = pattern.summation

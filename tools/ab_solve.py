@@ -82,8 +82,9 @@ def main(argv=None) -> int:
     nx, ny = map(int, size.groups())
 
     with tempfile.TemporaryDirectory(prefix="ab_solve-") as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", args.rev, "src"],
-                                 check=True, capture_output=True).stdout
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", "--format=tar", args.rev, "src"],
+            check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
         trees = {"base": load_tree(Path(tmp) / "src"), "checkout": load_tree(ROOT / "src")}
