@@ -16,13 +16,14 @@ applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import fem
 from .fem import DofMap, MaterialModel, local_displacements
 from .mesh import TriMesh
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, SparsityPattern
 
 __all__ = [
     "ProblemParams",
@@ -83,9 +84,11 @@ class Lagrangian:
     """Evaluates L(rho, u, p) = J(rho, u) + p . (K(rho) u - f) and its blocks.
 
     Density-independent operators (density stiffness/mass, hat volumes) are
-    assembled once; the state matrix K(rho) is cached for the last density,
-    which residual and Jacobian share.  ``rr`` is refilled on the element
-    pattern of ``k_rho`` and ``mass``, ``ru`` on one built at the first Hessian.
+    assembled once.  The state matrix K(rho) is cached for the last density,
+    and the element fields for the last (rho, u, p), so the gradient and the
+    Hessian at one point share them; each key is a copy, compared by value.
+    ``rr`` is refilled on the element pattern of ``k_rho`` and ``mass``,
+    ``ru`` on :attr:`cross_pattern`, both from :meth:`hessian_elements`.
     """
 
     def __init__(self, dofmap: DofMap, material: MaterialModel, params, load: np.ndarray):
@@ -97,9 +100,10 @@ class Lagrangian:
             raise ValueError("load vector does not match the displacement DOF count")
         self.k_rho, self.mass, self.phi_vol = fem.assemble_gl_operators(dofmap)
         self._k_cache = (None, None)
+        self._field_cache = (None, None)
         # beta*eps*K_rho - (beta/eps)*M on the element pattern, the constant
         # part of the density Hessian (same operation order as the sparse sum)
-        self._rr_const = (params.beta * params.epsilon) * self.k_rho.csr.data \
+        self.rr_const = (params.beta * params.epsilon) * self.k_rho.csr.data \
             - (params.beta / params.epsilon) * self.mass.csr.data
         self._cross_pattern = None
 
@@ -136,12 +140,10 @@ class Lagrangian:
 
     def value(self, rho: np.ndarray, u: np.ndarray, p_adj: np.ndarray) -> float:
         """Full Lagrangian; element-wise evaluation, cheap enough for FD oracles."""
-        geo = self.dofmap.geometry
         rho = np.asarray(rho, float)
-        lam_w, mu_w = fem._effective_weights(geo, self.material, rho)
-        u_loc, p_loc, div_u, div_p, _, _ = self._element_fields(rho, u, p_adj)
-        gup = np.einsum("ea,ea->e", u_loc, np.einsum("eab,eb->ea", geo.gmat6, p_loc))
-        p_k_u = float(np.sum(lam_w * div_u * div_p + mu_w * gup))
+        lam_w, mu_w = fem._effective_weights(self.dofmap.geometry, self.material, rho)
+        f = self._element_fields(rho, u, p_adj)
+        p_k_u = float(np.sum(lam_w * f.div_u * f.div_p + mu_w * f.gup))
         return self.objective(rho, u) + p_k_u - float(np.asarray(p_adj) @ self.load)
 
     def gradient(self, rho: np.ndarray, u: np.ndarray, p_adj: np.ndarray) -> GradientBlocks:
@@ -152,60 +154,86 @@ class Lagrangian:
             prm.epsilon * self.k_rho.matvec(rho)
             + (0.5 / prm.epsilon) * (self.phi_vol - 2.0 * self.mass.matvec(rho))
         )
-        d_rho += self._coupling_gradient(rho, u, p_adj)
+        f = self._element_fields(rho, u, p_adj)
+        d_rho += np.bincount(self.dofmap.geometry.tri.ravel(),
+                             weights=(self.material.exponent * f.m_phi * f.w[:, None]).ravel(),
+                             minlength=self.n_density)
         d_u = self.load + k.matvec(p_adj)
         d_p = k.matvec(u) - self.load
         return GradientBlocks(d_rho, d_u, d_p)
 
     def hessian(self, rho: np.ndarray, u: np.ndarray, p_adj: np.ndarray) -> HessianBlocks:
+        rr, ru = self.hessian_elements(rho, u, p_adj)
+        pattern = self.dofmap.geometry.pattern
+        return HessianBlocks(rr=pattern.matrix(self.rr_const + pattern.reduce(rr)),
+                             ru=self.cross_pattern.fill(ru), up=self.state_matrix(rho))
+
+    def hessian_elements(self, rho: np.ndarray, u: np.ndarray, p_adj: np.ndarray):
+        """Element values of the Hessian's rr and ru blocks: ``(E, 3, 3)``
+        values whose sum on the density pattern, plus :attr:`rr_const`
+        (``beta*eps*k_rho - (beta/eps)*mass``), is rr, and ``(E, 3, 6)``
+        values whose sum on :attr:`cross_pattern` is ru."""
         rho = np.asarray(rho, dtype=np.float64)
         geo = self.dofmap.geometry
         pe = self.material.exponent
-        dlam = self.material.lambda1 - self.material.lambda0
-        dmu = self.material.mu1 - self.material.mu0
-
-        u_loc, p_loc, div_u, div_p, rho_q, m_phi = self._element_fields(rho, u, p_adj)
-        g_p = np.einsum("eab,eb->ea", geo.gmat6, p_loc)
-        w = dlam * div_u * div_p + dmu * np.einsum("ea,ea->e", u_loc, g_p)
-
+        f = self._element_fields(rho, u, p_adj)
         # int_T rho^(p-2) phi_i phi_j
-        m_phiphi = geo.area[:, None, None] * (rho_q ** (pe - 2.0) @ _W_PHIPHI).reshape(-1, 3, 3)
+        m_phiphi = geo.area[:, None, None] * (f.rho_q ** (pe - 2.0) @ _W_PHIPHI).reshape(-1, 3, 3)
+        rr = (pe * (pe - 1.0)) * m_phiphi * f.w[:, None, None]
+        return rr, self._coupling_cross(f)
 
-        s_vals = (pe * (pe - 1.0)) * m_phiphi * w[:, None, None]
-        rr = geo.pattern.matrix(self._rr_const + geo.pattern.reduce(s_vals))
-
-        ru = self._coupling_cross(geo, pe, m_phi, dlam, dmu, div_p, g_p)
-        return HessianBlocks(rr=rr, ru=ru, up=self.state_matrix(rho))
-
-    def _element_fields(self, rho, u, p_adj):
-        """Per element: local u and p, their divergences, rho at the
-        quadrature points and int_T rho^(p-1) phi_i."""
-        geo = self.dofmap.geometry
-        u_loc = local_displacements(self.dofmap, np.asarray(u, dtype=np.float64))
-        p_loc = local_displacements(self.dofmap, np.asarray(p_adj, dtype=np.float64))
-        div_u = np.einsum("ea,ea->e", geo.div6, u_loc)
-        div_p = np.einsum("ea,ea->e", geo.div6, p_loc)
-        rho_q = rho[geo.tri] @ fem.QUAD_BARY.T
-        m_phi = geo.area[:, None] * (rho_q ** (self.material.exponent - 1.0) @ _W_PHI)
-        return u_loc, p_loc, div_u, div_p, rho_q, m_phi
-
-    def _coupling_gradient(self, rho, u, p_adj) -> np.ndarray:
-        geo = self.dofmap.geometry
-        pe = self.material.exponent
-        dlam = self.material.lambda1 - self.material.lambda0
-        dmu = self.material.mu1 - self.material.mu0
-        u_loc, p_loc, div_u, div_p, _, m_phi = self._element_fields(rho, u, p_adj)
-        gup = np.einsum("ea,ea->e", u_loc, np.einsum("eab,eb->ea", geo.gmat6, p_loc))
-        w = dlam * div_u * div_p + dmu * gup
-        return np.bincount(geo.tri.ravel(), weights=(pe * m_phi * w[:, None]).ravel(),
-                           minlength=self.n_density)
-
-    def _coupling_cross(self, geo, pe, m_phi, dlam, dmu, div_p, g_p) -> SparseMatrix:
-        """Mixed density-displacement block ``ru``: rows are density DOFs,
-        columns the displacement modes, with the adjoint field held fixed."""
-        bracket = dlam * geo.div6 * div_p[:, None] + dmu * g_p  # (E, 6)
-        vals = pe * m_phi[:, :, None] * bracket[:, None, :]  # (E, 3, 6)
+    @property
+    def cross_pattern(self) -> SparsityPattern:
+        """Layout of ru from its (E, 3, 6) element values: rows are density
+        DOFs, columns displacement DOFs; sorted at first use."""
         if self._cross_pattern is None:
             self._cross_pattern = fem.element_pattern(
-                self.n_density, self.n_disp, geo.tri, self.dofmap.element_dofs)
-        return self._cross_pattern.fill(vals)
+                self.n_density, self.n_disp, self.dofmap.geometry.tri, self.dofmap.element_dofs)
+        return self._cross_pattern
+
+    def _element_fields(self, rho, u, p_adj) -> "_ElementFields":
+        """The element fields at (rho, u, p), kept for the last point asked."""
+        key, fields = self._field_cache
+        if key is not None and all(np.array_equal(k, v) for k, v in zip(key, (rho, u, p_adj))):
+            return fields
+        geo = self.dofmap.geometry
+        u = np.asarray(u, dtype=np.float64)
+        p_adj = np.asarray(p_adj, dtype=np.float64)
+        u_loc = local_displacements(self.dofmap, u)
+        p_loc = local_displacements(self.dofmap, p_adj)
+        div_u = np.einsum("ea,ea->e", geo.div6, u_loc)
+        div_p = np.einsum("ea,ea->e", geo.div6, p_loc)
+        g_p = np.einsum("eab,eb->ea", geo.gmat6, p_loc)
+        gup = np.einsum("ea,ea->e", u_loc, g_p)
+        dlam = self.material.lambda1 - self.material.lambda0
+        dmu = self.material.mu1 - self.material.mu0
+        rho_q = rho[geo.tri] @ fem.QUAD_BARY.T
+        m_phi = geo.area[:, None] * (rho_q ** (self.material.exponent - 1.0) @ _W_PHI)
+        fields = _ElementFields(div_u, div_p, g_p, gup, dlam * div_u * div_p + dmu * gup,
+                                rho_q, m_phi)
+        for v in fields:
+            v.setflags(write=False)
+        self._field_cache = (tuple(np.array(v, dtype=np.float64) for v in (rho, u, p_adj)), fields)
+        return fields
+
+    def _coupling_cross(self, f: "_ElementFields") -> np.ndarray:
+        """Element values of the mixed density-displacement block ``ru``,
+        with the adjoint field held fixed."""
+        dlam = self.material.lambda1 - self.material.lambda0
+        dmu = self.material.mu1 - self.material.mu0
+        bracket = dlam * self.dofmap.geometry.div6 * f.div_p[:, None] + dmu * f.g_p  # (E, 6)
+        return self.material.exponent * f.m_phi[:, :, None] * bracket[:, None, :]  # (E, 3, 6)
+
+
+class _ElementFields(NamedTuple):
+    """Per element at one (rho, u, p): the divergences of u and p, G p and
+    u . G p (G the element's ``gmat6``), their weight ``w`` in the coupling
+    terms, rho at the quadrature points and int_T rho^(p-1) phi_i."""
+
+    div_u: np.ndarray
+    div_p: np.ndarray
+    g_p: np.ndarray
+    gup: np.ndarray
+    w: np.ndarray
+    rho_q: np.ndarray
+    m_phi: np.ndarray

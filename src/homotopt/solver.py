@@ -36,10 +36,16 @@ diagonal scalings; rho, z_a and z_b stay symmetric bitwise along the run.
 Each factorization reports S's negative count in the symmetric class, which
 the corrector reads to notice that it left the minimizer branch, and the run
 factors M_a once, at its final point, to report the antisymmetric class too.
-A mesh without a mirror takes Q_s = I: M_s is M.  One
-:class:`~homotopt.sparse.BlockSystem` per system assembles M on the block
-layout of its first call and factors M_s on the order of its first
-factorization.
+A mesh without a mirror takes Q_s = I: M_s is M.
+
+M itself is assembled only where it is read: at a run's first
+factorization, which sorts M's layout and orders M_s on it, at the final
+point, for M_a, and by the derivative checks.  One
+:class:`~homotopt.sparse.BlockSystem` per system keeps M_s's order and one
+sparse operator, composed at the first factorization from the layouts of
+rr, ru, K and M and the congruence of Q_s, whose product with the element
+values of rr and ru, Sigma and K's data is the permuted M_s's CSC data: a
+Newton iteration builds no rr, ru or M matrix.
 """
 from __future__ import annotations
 
@@ -48,6 +54,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem, homotopy
 from .barrier import (BarrierSchedule, BoxConstraints, DualPair, fraction_to_boundary,
@@ -56,7 +63,8 @@ from .fem import DofMap
 from .homotopy import Factor, HomotopyProblem, SolveTrace
 from .lagrangian import Lagrangian
 from .mesh import bridge_domain, build_structured_mesh
-from .sparse import BlockSystem, SingularMatrixError, SparseMatrix, Subspace, solve_direct
+from .sparse import (BlockSystem, SingularMatrixError, SparseMatrix, Subspace, solve_direct,
+                     summation_operator)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .io_cli import SolverConfig
@@ -101,7 +109,7 @@ class KktSystem:
             raise ValueError("the density Hessian's pattern lacks diagonal entries")
         self._mirror = lagr.dofmap.mesh.mirror
         (symmetric, self._l_s), self._antisymmetric = mirror_subspaces(lagr.dofmap)
-        self._blocks = BlockSystem(symmetric)  # M's layout, M_s's layout and order
+        self._blocks = BlockSystem(symmetric)  # M's layout, M_s's order and operator
 
     def _split(self, v: np.ndarray):
         """Views of ``v``'s rho, u, z_a and z_b blocks; ``v`` has dim - l entries."""
@@ -109,7 +117,8 @@ class KktSystem:
         if v.shape != (self.dim - self.l,):
             raise ValueError(f"vector of length {self.dim - self.l} (rho, u, z_a, z_b) "
                              f"expected, got shape {v.shape}")
-        return np.split(v, (self.n, self.n + self.l, 2 * self.n + self.l))
+        n, l = self.n, self.l
+        return v[:n], v[n:n + l], v[n + l:2 * n + l], v[2 * n + l:]
 
     def unpack(self, v: np.ndarray) -> KktPoint:
         """The point of ``v`` = (rho, u, z_a, z_b): views into ``v``, and
@@ -156,13 +165,30 @@ class KktSystem:
         linearized complementarity rows fixed.  It is independent of t,
         which only shifts the residual.  Sigma is added to rr's diagonal
         values; the run's block system sorts M's layout once and refills it.
+        -K/2 is written ``0.0 - 0.5 K``, so K's exact zeros are stored as
+        +0.0, as :meth:`factor`'s sums store them.
         """
         h = self.lagr.hessian(point.rho, point.u, point.p_adj)
         sigma = point.z_a / self.box.lower_gap(point.rho) + point.z_b / self.box.upper_gap(point.rho)
         data = h.rr.csr.data.copy()
         data[self._rr_diagonal] += sigma
         return self._blocks.assemble(h.rr.with_data(data), h.ru,
-                                     h.up.with_data(-0.5 * h.up.csr.data))
+                                     h.up.with_data(0.0 - 0.5 * h.up.csr.data))
+
+    def _source(self) -> sp.csr_matrix:
+        """The operator from z = [rr's element values, 1, Sigma, ru's
+        element values, K's data] to the CSR data of rr + Sigma, ru and
+        -K/2.  Its column order sums each entry of rr + Sigma as rr is
+        summed, element values first, then the constant part, then Sigma."""
+        lagr = self.lagr
+        n_rr = 9 * lagr.dofmap.geometry.tri.shape[0]  # rr's element values; ru has twice as many
+        rr = summation_operator(lagr.dofmap.geometry.pattern, n_rr)
+        sigma = sp.csr_matrix((np.ones(self.n), (self._rr_diagonal, np.arange(self.n))),
+                              shape=(rr.shape[0], self.n))
+        k = sp.diags(np.full(lagr.dofmap.state_pattern.indices.size, -0.5))
+        return sp.bmat([[rr, sp.csr_matrix(lagr.rr_const[:, None]), sigma, None, None],
+                        [None, None, None, summation_operator(lagr.cross_pattern, 2 * n_rr), None],
+                        [None, None, None, None, k]], format="csr")
 
     def factor(self, point: KktPoint) -> Factor:
         """The solve for the step ``d`` in (rho, u, z_a, z_b) of the
@@ -171,37 +197,45 @@ class KktSystem:
         ``rr + Sigma + 2 ru K^-1 ru^T`` in the mirror-symmetric class
         (M_s's negative pivots less l_s, its number of w columns).
 
-        Assembles :meth:`jacobian`, fills ``M_s = Q_s^T M Q_s`` from it by
-        one summation-operator product and factors M_s on the run's symmetric order
-        (Q_s is the identity on a mesh without a mirror, where M_s is M).
-        Then ``(drho, w) = Q_s M_s^-1 Q_s^T (b_rho + b_a / gap_a - b_b /
-        gap_b, b_u)``, ``du = w / 2``, ``dz_a = (b_a - z_a drho) / gap_a``
-        and ``dz_b = (b_b + z_b drho) / gap_b``.  At a mirror-symmetric
-        point M commutes with the mirror up to rounding and the residual is
-        symmetric up to rounding, so the step lies in the range of Q_s;
-        the dropped antisymmetric part of ``b`` is rounding, and the step
-        keeps rho, z_a and z_b symmetric bitwise.  A point whose rho, z_a
-        or z_b differs from its mirror image raises ``ValueError``.  One
-        step of iterative refinement on M brings the error of the diagonal
-        pivots past the fold, where ``rr + Sigma`` is indefinite, back to
-        that of a pivoted LU.  A refused symmetric factorization raises
-        :class:`~homotopt.sparse.SingularMatrixError`, as a singular
-        Jacobian does.  The traced problem of :meth:`homotopy_problem`
-        solves only through this method.
+        Fills the permuted ``M_s = Q_s^T M Q_s`` by one product of the run's
+        operator with z = [rr's and ru's element values from
+        :meth:`Lagrangian.hessian_elements`, Sigma, K's cached data] and
+        factors it on the run's symmetric order (Q_s is the identity on a
+        mesh without a mirror, where M_s is M, bitwise).  The run's first
+        call instead assembles :meth:`jacobian`, orders M_s from it and
+        composes the operator.  Then ``(drho, w) = Q_s M_s^-1 Q_s^T (b_rho +
+        b_a / gap_a - b_b / gap_b, b_u)``, ``du = w / 2``, ``dz_a = (b_a -
+        z_a drho) / gap_a`` and ``dz_b = (b_b + z_b drho) / gap_b``.  At a
+        mirror-symmetric point M commutes with the mirror up to rounding and
+        the residual is symmetric up to rounding, so the step lies in the
+        range of Q_s; the dropped antisymmetric part of ``b`` is rounding,
+        and the step keeps rho, z_a and z_b symmetric bitwise.  A point
+        whose rho, z_a or z_b differs from its mirror image raises
+        ``ValueError``.  One step of iterative refinement on M_s brings the
+        error of the diagonal pivots past the fold, where ``rr + Sigma`` is
+        indefinite, back to that of a pivoted LU.  A refused symmetric
+        factorization raises :class:`~homotopt.sparse.SingularMatrixError`,
+        as a singular Jacobian does.  The traced problem of
+        :meth:`homotopy_problem` solves only through this method.
         """
         if self._mirror is not None and not all(
                 np.array_equal(v, v[self._mirror]) for v in (point.rho, point.z_a, point.z_b)):
             raise ValueError("the point breaks the mesh's mirror symmetry: rho, z_a and z_b "
                              "must equal their mirror images")
         gap_a, gap_b = self.box.lower_gap(point.rho), self.box.upper_gap(point.rho)
-        m = self.jacobian(point)
-        lu = self._blocks.factor()
+        if self._blocks.composed:
+            rr, ru = self.lagr.hessian_elements(point.rho, point.u, point.p_adj)
+            k = self.lagr.state_matrix(point.rho).csr.data
+            lu = self._blocks.factor(values=np.concatenate(
+                [rr.ravel(), [1.0], point.z_a / gap_a + point.z_b / gap_b, ru.ravel(), k]))
+        else:  # the run's first factorization: M's layout, M_s's order, the operator
+            self.jacobian(point)
+            lu = self._blocks.factor()
+            self._blocks.compose(self._source())
 
         def solve(b):
             b_rho, b_u, b_a, b_b = self._split(b)
-            rhs = np.concatenate([b_rho + b_a / gap_a - b_b / gap_b, b_u])
-            y = lu.solve(rhs)
-            y = y + lu.solve(rhs - m.matvec(y))  # one step of iterative refinement
+            y = lu.solve(np.concatenate([b_rho + b_a / gap_a - b_b / gap_b, b_u]))
             d_rho, w = y[:self.n], y[self.n:]
             return np.concatenate([d_rho, 0.5 * w, (b_a - point.z_a * d_rho) / gap_a,
                                    (b_b + point.z_b * d_rho) / gap_b])
@@ -212,12 +246,13 @@ class KktSystem:
         """The reduced Hessian's negative eigenvalues at ``point`` in the
         mirror-symmetric and the antisymmetric class: :meth:`factor`'s count
         and M_a's negative pivots less l_a, from one factorization of each
-        of M_s and ``M_a = Q_a^T M Q_a``.  None on a mesh without a mirror,
+        of M_s and ``M_a = Q_a^T M Q_a``, M assembled by :meth:`jacobian`.  None on a mesh without a mirror,
         or if either factorization is refused."""
         if self._antisymmetric is None:
             return None
         try:
             symmetric = self.factor(point).negative
+            self.jacobian(point)
             basis, l_a = self._antisymmetric
             return symmetric, self._blocks.factor(basis).negative_pivots - l_a
         except SingularMatrixError:

@@ -12,7 +12,9 @@ symmetric block matrix of a run, the reduced KKT matrix M, is a
 restricted to a :class:`Subspace` (all of M's space by default) whose
 matrix ``Q^T M Q`` is factored by diagonal pivoting, ``P A P^T = L D L^T``,
 on a fill-reducing order computed once, which also counts the negative
-pivots (the inertia).
+pivots (the inertia).  One operator, kept with that order, fills the
+permuted ``Q^T M Q`` from M's data, or, once composed with the operators
+that give M's blocks, from their input, so M need not be assembled.
 A factorization whose smallest pivot falls below ``PIVOT_RATIO`` times the
 largest, or whose solution is not finite, raises
 :class:`SingularMatrixError`, which callers treat as "the Newton system
@@ -307,45 +309,52 @@ class Subspace:
 
 class SymmetricFactor:
     """``P A P^T = L D L^T`` of ``A = Q^T M Q``, a symmetric matrix M
-    restricted to a :class:`Subspace` Q, from SuperLU with diagonal pivots;
-    ``order`` maps each position of the permuted matrix to its index in
-    ``A`` (None: SuperLU permuted ``A`` itself).
+    restricted to a :class:`Subspace` Q, from SuperLU with diagonal pivots.
+    ``matrix`` is the matrix SuperLU factored, ``P A P^T``; ``order`` maps
+    each of its positions to the index in ``A`` (None: SuperLU permuted
+    ``A`` itself, and ``matrix`` is ``A``).
 
-    ``solve(b)`` is ``Q A^-1 Q^T b``, in M's coordinates.
-    ``negative_pivots`` counts D's negative entries, which by Sylvester's
-    law of inertia is the number of negative eigenvalues of ``A``.
+    ``solve(b)`` is ``Q A^-1 Q^T b``, in M's coordinates, with one step of
+    iterative refinement on ``matrix``.  ``negative_pivots`` counts D's
+    negative entries, which by Sylvester's law of inertia is the number of
+    negative eigenvalues of ``A``.
     """
 
-    __slots__ = ("_lu", "_order", "_basis", "negative_pivots")
+    __slots__ = ("_lu", "_matrix", "_order", "_basis", "negative_pivots")
 
-    def __init__(self, lu, order, basis: Subspace):
+    def __init__(self, lu, matrix, order, basis: Subspace):
         if not np.array_equal(lu.perm_r, lu.perm_c):
             raise SingularMatrixError("a pivot left the diagonal")
         pivots = lu.U.diagonal()
         _check_pivots(pivots)
         self._lu = lu
+        self._matrix = matrix
         self._order = order
         self._basis = basis
         self.negative_pivots = int(np.count_nonzero(pivots < 0.0))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``x = Q A^-1 Q^T b`` for one right-hand side of M's length."""
+        """``x = Q A^-1 Q^T b`` for one right-hand side of M's length:
+        ``y = A^-1 r`` and ``y += A^-1 (r - A y)`` for ``r = Q^T b``, in the
+        factored matrix's order, then ``x = Q y``."""
         b = np.asarray(b, dtype=np.float64)
         n = self._basis.dim
         if b.shape != (n,):
             raise ValueError(f"right-hand side of length {n} expected, got shape {b.shape}")
-        b = self._basis.restrict(b)
-        if self._order is None:
-            y = self._lu.solve(b)
-        else:
-            y = np.empty(b.size)
-            y[self._order] = self._lu.solve(b[self._order])
-        return self._basis.expand(_check_finite(y))
+        r = self._basis.restrict(b)
+        if self._order is not None:
+            r = r[self._order]
+        y = _check_finite(self._lu.solve(r))
+        y = _check_finite(y + self._lu.solve(r - self._matrix @ y))
+        if self._order is not None:
+            y[self._order] = y.copy()
+        return self._basis.expand(y)
 
 
-# SuperLU settings for a symmetric matrix: order A + A^T's pattern and take
-# each diagonal entry as the pivot unless it is exactly zero
-_DIAGONAL_PIVOTS = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+# SuperLU settings for a symmetric matrix: order A + A^T's pattern, take each
+# diagonal entry as the pivot unless it is exactly zero, and one-column
+# panels, which suit matrices of this size
+_DIAGONAL_PIVOTS = dict(diag_pivot_thresh=0.0, panel_size=1, options={"SymmetricMode": True})
 
 
 def _coordinates(a: SparseMatrix):
@@ -356,6 +365,17 @@ def _coordinates(a: SparseMatrix):
 def _ordered_splu(a: SparseMatrix):
     """SuperLU's factorization of ``a`` on its own fill-reducing order."""
     return _splu(a.csr.tocsc(), permc_spec="MMD_AT_PLUS_A", **_DIAGONAL_PIVOTS)
+
+
+def summation_operator(pattern: SparsityPattern, ncols: int) -> sp.csr_matrix:
+    """``pattern``'s summation as a CSR matrix with ``ncols`` columns, one
+    per source value: its product with the values is ``pattern.reduce``."""
+    summation = pattern.summation
+    if isinstance(summation, np.ndarray):
+        return sp.csr_matrix((np.ones(summation.size), summation, np.arange(summation.size + 1)),
+                             shape=(summation.size, ncols))
+    return sp.csr_matrix((summation.data, summation.indices, summation.indptr),
+                         shape=(summation.shape[0], ncols))
 
 
 class BlockSystem:
@@ -369,18 +389,20 @@ class BlockSystem:
     built.  A block whose CSR layout (shape, ``indptr`` or ``indices``)
     differs from the first call's raises ``ValueError``.
 
-    :meth:`factor` factors ``Q^T M Q`` of the last assembled M as ``P Q^T M
-    Q P^T = L D L^T``.  The first call sorts the layout of ``Q^T M Q``
-    (:meth:`Subspace.congruence`), lets SuperLU order it
-    (``MMD_AT_PLUS_A``) and keeps that order, with the rows of the layout's
-    summation operator put in the CSC order of the symmetrically permuted
-    matrix; every later call fills that permuted matrix's CSC data by one
-    product of the kept operator with M's data and factors it with the
-    ``NATURAL`` order.  With the identity basis ``Q^T M Q`` is M, bitwise.
-    Pivots stay on the diagonal (threshold 0), which is stable for
-    symmetric quasi-definite matrices; a factorization that needed an
-    off-diagonal pivot, or fails the pivot test, raises
-    :class:`SingularMatrixError`.
+    :meth:`factor` factors ``Q^T M Q`` as ``P Q^T M Q P^T = L D L^T``.  The
+    first call sorts the layout of ``Q^T M Q`` of the last assembled M
+    (:meth:`Subspace.congruence`), lets SuperLU order it (``MMD_AT_PLUS_A``)
+    and keeps that order, with one operator whose rows are put in the CSC
+    order of the symmetrically permuted matrix: its product with M's CSR
+    data is that matrix's CSC data.  :meth:`compose` composes the operator
+    once more, with one from an input z to the blocks' data, so that M's
+    data need never be assembled again.  Every later call fills the
+    permuted matrix's CSC data by one product of the kept operator, with
+    M's data or with z, and factors it with the ``NATURAL`` order.  With
+    the identity basis ``Q^T M Q`` is M, bitwise.  Pivots stay on the
+    diagonal (threshold 0), which is stable for symmetric quasi-definite
+    matrices; a factorization that needed an off-diagonal pivot, or fails
+    the pivot test, raises :class:`SingularMatrixError`.
     """
 
     def __init__(self, basis: Optional[Subspace] = None):
@@ -389,7 +411,8 @@ class BlockSystem:
         self._pattern = None
         self._matrix = None  # the last assembled M
         self._order = None  # position in the permuted matrix -> index in Q^T M Q
-        self._csc = None  # (summation, indices, indptr, shape) of the permuted matrix
+        self._csc = None  # (operator, indices, indptr, shape) of the permuted matrix
+        self.composed = False  # the kept operator reads compose()'s input, not M's data
 
     def assemble(self, a: SparseMatrix, b: SparseMatrix, c: SparseMatrix) -> SparseMatrix:
         layout = [(x.shape, x.csr.indptr, x.csr.indices) for x in (a, b, c)]
@@ -410,15 +433,46 @@ class BlockSystem:
             np.concatenate([a.csr.data, b.csr.data, b.csr.data, c.csr.data]))
         return self._matrix
 
-    def factor(self, basis: Optional[Subspace] = None) -> SymmetricFactor:
-        """``Q^T M Q`` of the last assembled M, factored on the order of the
-        first call.  A ``basis`` other than the system's own is restricted
-        to, ordered and factored once, and nothing of it is kept."""
+    def compose(self, source: sp.csr_matrix) -> None:
+        """Let every later :meth:`factor` of the system's own basis read its
+        values from an input z: ``source`` has one row per entry of A, B
+        and C, in that order and each in CSR data order, and its product
+        with z is their data.  The kept operator is composed with it once,
+        and each row's terms are sorted by their position in z, so that
+        they are summed in that order."""
+        if self._csc is None:
+            raise ValueError("no order to compose with: factor once first")
+        if self.composed:
+            raise ValueError("the operator already reads its own input")
+        na, nb, nc = (indices.size for _, _, indices in self._layout)
+        if source.shape[0] != na + nb + nc:
+            raise ValueError(f"source of {na + nb + nc} rows expected, got {source.shape[0]}")
+        # the row of source that gives each of M's entries: M's pattern
+        # gathers (the blocks do not overlap) from A, B, B and C's data
+        rows = np.concatenate([np.arange(na + nb), np.arange(na, na + nb + nc)])
+        rows = rows[self._pattern.summation]
+        operator, indices, indptr, shape = self._csc
+        if isinstance(operator, np.ndarray):
+            fused = source[rows[operator]]
+        else:  # the operator's columns relabelled from M's entries to source rows
+            fused = sp.csr_matrix((operator.data, rows[operator.indices], operator.indptr),
+                                  shape=(operator.shape[0], source.shape[0])) @ source
+        fused.sort_indices()
+        self._csc = (fused, indices, indptr, shape)
+        self.composed = True
+
+    def factor(self, basis: Optional[Subspace] = None, values=None) -> SymmetricFactor:
+        """``Q^T M Q`` factored on the order of the first call, its data
+        the kept operator's product with ``values`` once :meth:`compose`
+        has run, else with the last assembled M's data.  A ``basis`` other
+        than the system's own is restricted to, from the last assembled M,
+        ordered and factored once, and nothing of it is kept."""
         m = self._matrix
         if m is None:
             raise ValueError("no matrix assembled")
         if basis is not None and basis is not self.basis:
-            return SymmetricFactor(_ordered_splu(basis.congruence(m).fill(m.csr.data)), None, basis)
+            reduced = basis.congruence(m).fill(m.csr.data)
+            return SymmetricFactor(_ordered_splu(reduced), reduced.csr, None, basis)
         if self._order is None:
             if self.basis is None:
                 self.basis = Subspace.identity(m.nrows)
@@ -432,8 +486,11 @@ class BlockSystem:
             self._csc = (pattern.summation[permuted.data.astype(np.int64) - 1], permuted.indices,
                          permuted.indptr, reduced.shape)
             self._order = order
-            return SymmetricFactor(lu, None, self.basis)
-        summation, indices, indptr, shape = self._csc
-        csc = sp.csc_matrix((_sum(summation, m.csr.data), indices, indptr), shape=shape)
-        return SymmetricFactor(_splu(csc, permc_spec="NATURAL", **_DIAGONAL_PIVOTS), self._order,
-                               self.basis)
+            return SymmetricFactor(lu, reduced.csr, None, self.basis)
+        if (values is None) == self.composed:
+            raise ValueError("values are read by a composed operator, and only by one")
+        operator, indices, indptr, shape = self._csc
+        csc = sp.csc_matrix((_sum(operator, m.csr.data if values is None else values),
+                             indices, indptr), shape=shape)
+        return SymmetricFactor(_splu(csc, permc_spec="NATURAL", **_DIAGONAL_PIVOTS), csc,
+                               self._order, self.basis)

@@ -167,8 +167,35 @@ def test_quadrature_tables_match_their_einsum_definitions(coarse_lagrangian, rng
                          np.einsum("eq,q,qi->ei", rho_q ** k, w, b))
             assert_close((rho_q ** k @ lagrangian._W_PHIPHI).reshape(-1, 3, 3),
                          np.einsum("eq,q,qi,qj->eij", rho_q ** k, w, b, b))
-        assert_close(lagr._element_fields(rho, u, p)[5],
+        assert_close(lagr._element_fields(rho, u, p).m_phi,
                      geo.area[:, None] * np.einsum("eq,q,qi->ei", rho_q ** (pe - 1.0), w, b))
+
+
+def test_element_fields_are_never_served_stale(coarse_dofmap, material, params, coarse_load,
+                                               rng):
+    # gradient and Hessian at one point share one set of element fields; a
+    # density changed in place, or new u and p, must not be served the old
+    # ones: each Hessian equals a fresh Lagrangian's, bitwise
+    lagr = Lagrangian(coarse_dofmap, material, params, coarse_load)
+    rho, u, p = random_point(lagr, rng)
+
+    def assert_fresh(rho, u, p):
+        got = lagr.hessian(rho, u, p)
+        want = Lagrangian(coarse_dofmap, material, params, coarse_load).hessian(rho, u, p)
+        for block in ("rr", "ru", "up"):
+            assert getattr(got, block).csr.data.tobytes() == getattr(want, block).csr.data.tobytes()
+
+    lagr.gradient(rho, u, p)
+    assert_fresh(rho, u, p)
+    rho[3] += 0.1
+    assert_fresh(rho, u, p)
+    lagr.gradient(rho, u, p)
+    _, u_new, p_new = random_point(lagr, rng)
+    assert_fresh(rho, u_new, p_new)
+    lagr.gradient(rho, u_new, p_new)
+    u_new[0] = -u_new[0]
+    assert_fresh(rho, u_new, p_new)
+    assert_fresh(rho, p_new, u_new)  # the rho-p block's swapped fields
 
 
 def test_hessian_superblock_symmetry(coarse_lagrangian, rng):

@@ -263,6 +263,7 @@ def test_reduced_matrix_bit_identical_to_bmat(small_system, rng):
         sigma = pt.z_a / system.box.lower_gap(pt.rho) + pt.z_b / system.box.upper_gap(pt.rho)
         want = sp.bmat([[rr + sp.diags(sigma), ru], [ru.T, -up / 2]], format="csr")
         want.sort_indices()
+        want.data += 0.0  # M stores K's exact zeros as +0.0, as the sums of M_s do
         got = system.jacobian(pt).csr
         assert got.shape == want.shape == (system.n + system.l,) * 2
         assert np.array_equal(got.indptr, want.indptr)
@@ -273,7 +274,7 @@ def test_reduced_matrix_bit_identical_to_bmat(small_system, rng):
 def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
     # one solve sorts six layouts, each once: density, K(rho), coupling, the
     # reduced (rho, u) matrix M and its symmetric and antisymmetric blocks;
-    # every later assembly refills them
+    # M is assembled only at the first factorization and at the final point
     system, _ = solver.build_system(small_config())
     patterns = []
     init = sparse.SparsityPattern.__init__
@@ -293,7 +294,7 @@ def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
     monkeypatch.setattr(solver.KktSystem, "jacobian", counted_jacobian)
     _, trace = solver.run(small_config())
     assert trace.accepted()[-1].t == 1.0
-    assert len(matrices) >= 10
+    assert len(matrices) == 2
     n, l = system.n, system.l
     (q_s, _), (q_a, _) = solver.mirror_subspaces(system.lagr.dofmap)
     k_s, k_a = q_s.size, q_a.size
@@ -301,6 +302,55 @@ def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
     # M_s's layout, and M_a's for the one factorization at the final point
     assert sorted(patterns) == sorted([(n, n), (l, l), (n, l), (n + l, n + l), (k_s, k_s),
                                        (k_a, k_a)])
+
+
+def test_newton_loop_builds_no_hessian_or_kkt_matrix(monkeypatch):
+    # a 20x8 solve assembles rr, ru and M only at its first factorization,
+    # which orders M_s, and at the final point, for M_a; every other
+    # factorization fills M_s from element values
+    calls = []
+    assemble, hessian = sparse.BlockSystem.assemble, solver.Lagrangian.hessian
+
+    def counted_assemble(self, *blocks):
+        calls.append("assemble")
+        return assemble(self, *blocks)
+
+    def counted_hessian(self, rho, u, p_adj):
+        calls.append(np.array(rho))
+        return hessian(self, rho, u, p_adj)
+
+    monkeypatch.setattr(sparse.BlockSystem, "assemble", counted_assemble)
+    monkeypatch.setattr(solver.Lagrangian, "hessian", counted_hessian)
+    point, trace = solver.run(small_config())
+    assert sum(r.newton_iters for r in trace.records) == 25
+    assert [c if isinstance(c, str) else "hessian" for c in calls] == ["hessian", "assemble"] * 2
+    assert np.all(calls[0] == 0.5)
+    assert np.array_equal(calls[2], point.rho)
+
+
+def test_operator_fills_m_s_as_the_congruence_of_m(rng, monkeypatch):
+    # at random mirror-symmetric 20x8 points, the M_s that the run's
+    # operator fills from element values is Q_s^T M Q_s, permuted on the
+    # order of the first factorization
+    system, _ = solver.build_system(small_config())
+    (q_s, _), _ = solver.mirror_subspaces(system.lagr.dofmap)
+    qs = dense_basis(q_s)
+    mirror = system.lagr.mesh.mirror
+    factored = recorded_splu(monkeypatch)
+    system.factor(system.initialize(50.0)[0])  # orders M_s, composes the operator
+    for _ in range(3):
+        point = random_point(system, rng)
+        point.p_adj = -point.u
+        for name in ("rho", "z_a", "z_b"):
+            v = getattr(point, name)
+            setattr(point, name, 0.5 * (v + v[mirror]))
+        system.factor(point)
+        order = system._blocks._order
+        want = (qs.T @ system.jacobian(point).csr.toarray() @ qs)[np.ix_(order, order)]
+        got = factored[-1][0].toarray()
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    # the initial state solve, then M_s ordered once and refilled three times
+    assert [spec for _, spec in factored] == [None, "MMD_AT_PLUS_A"] + ["NATURAL"] * 3
 
 
 def test_one_solve_transposes_no_matrix(monkeypatch):
@@ -319,25 +369,26 @@ def test_one_solve_transposes_no_matrix(monkeypatch):
 
 
 def test_one_hessian_builds_one_coupling_block(monkeypatch):
-    # the rho-p block is ru at swapped fields, so a Hessian builds ru only
-    calls = {"hessian": 0, "coupling": 0}
-    hessian = solver.Lagrangian.hessian
+    # the rho-p block is ru at swapped fields, so the Hessian's element
+    # values hold ru's only
+    calls = {"elements": 0, "coupling": 0}
+    elements = solver.Lagrangian.hessian_elements
     coupling = solver.Lagrangian._coupling_cross
 
-    def counted_hessian(self, *args):
-        calls["hessian"] += 1
-        return hessian(self, *args)
+    def counted_elements(self, *args):
+        calls["elements"] += 1
+        return elements(self, *args)
 
     def counted_coupling(self, *args):
         calls["coupling"] += 1
         return coupling(self, *args)
 
-    monkeypatch.setattr(solver.Lagrangian, "hessian", counted_hessian)
+    monkeypatch.setattr(solver.Lagrangian, "hessian_elements", counted_elements)
     monkeypatch.setattr(solver.Lagrangian, "_coupling_cross", counted_coupling)
     _, trace = solver.run(small_config())
     assert trace.accepted()[-1].t == 1.0
-    assert calls["hessian"] > 0
-    assert calls["coupling"] == calls["hessian"]
+    assert calls["elements"] > 0
+    assert calls["coupling"] == calls["elements"]
 
 
 def test_pack_unpack_roundtrip(small_system, rng):
@@ -482,7 +533,7 @@ def test_refused_symmetric_factorization_is_a_singular_jacobian(
     t, point = accepted[2]
     v = point.pack()
 
-    def refuse(self):
+    def refuse(self, *args, **kwargs):
         raise sparse.SingularMatrixError("a pivot left the diagonal")
 
     monkeypatch.setattr(sparse.BlockSystem, "factor", refuse)
@@ -498,7 +549,7 @@ def test_run_orders_the_reduced_matrix_once(monkeypatch):
     # the first factorization orders M_s (MMD on A^T + A); every later one
     # reuses that order, permuted, with the NATURAL column order; the final
     # point factors M_s once more and M_a once, on its own MMD order; M is
-    # assembled by `jacobian` once per M_s factorization
+    # assembled by `jacobian` only for the first factorization and for M_a
     factored = recorded_splu(monkeypatch)
     calls = []
     jacobian = solver.KktSystem.jacobian
@@ -514,7 +565,7 @@ def test_run_orders_the_reduced_matrix_once(monkeypatch):
     assert specs[0] is None  # the state solve of the initial point
     assert specs[1:] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(specs) - 3) + ["MMD_AT_PLUS_A"]
     assert len(specs) == 3 + sum(r.newton_iters for r in trace.records)
-    assert len(calls) == len(specs) - 2
+    assert len(calls) == 2
 
 
 def test_run_objective_decreases(small_run, small_system):
@@ -660,7 +711,7 @@ def test_fold_run_ends_non_decreasing_correctors_early():
     assert [r.endpoint_jump for r in trace.records] == [False] * 50 + [True]
     assert np.array_equal(point.p_adj, -point.u)
     system, _ = solver.build_system(SolverConfig(mesh=MeshConfig(nx=40, ny=12)))
-    assert system.lagr.objective(point.rho, point.u) == 8.659454175067179
+    assert system.lagr.objective(point.rho, point.u) == 8.65945417506713
     assert trace.final_negative == (4, 4)
 
 

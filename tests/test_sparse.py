@@ -277,6 +277,37 @@ def test_block_system_factors_its_restriction_to_a_subspace(rng):
         Subspace([0, 0, 1], [1.0, 1.0, 1.0])
 
 
+def test_composed_system_factors_from_the_blocks_input(rng):
+    # compose() folds an operator from an input z to the blocks' data into
+    # the kept one: each entry here sums two entries of z, and factor(values
+    # = z) solves and counts as the M of those sums
+    n, m = 30, 12
+    dense = quasi_definite(rng, n, m)
+    blocks = BlockSystem()
+    a, b, c = map(SparseMatrix.from_dense, (dense[:n, :n], dense[:n, n:], dense[n:, n:]))
+    blocks.assemble(a, b, c)
+    size = a.nnz + b.nnz + c.nnz
+    source = sp.hstack([sp.identity(size), sp.identity(size)], format="csr")
+    with pytest.raises(ValueError, match="factor once first"):
+        blocks.compose(source)
+    blocks.factor()
+    with pytest.raises(ValueError, match="rows expected"):
+        blocks.compose(source[1:])
+    blocks.compose(source)
+    with pytest.raises(ValueError, match="composed"):
+        blocks.factor()
+    for k in range(3):
+        values = dense + np.diag(np.full(n + m, 0.5 * k))
+        data = np.concatenate([SparseMatrix.from_dense(x).csr.data for x in
+                               (values[:n, :n], values[:n, n:], values[n:, n:])])
+        part = rng.standard_normal(size)
+        factor = blocks.factor(values=np.concatenate([part, data - part]))
+        rhs = rng.standard_normal(n + m)
+        x = factor.solve(rhs)
+        assert np.linalg.norm(x - np.linalg.solve(values, rhs)) <= 1e-10 * np.linalg.norm(x)
+        assert factor.negative_pivots == np.count_nonzero(np.linalg.eigvalsh(values) < 0)
+
+
 def test_symmetric_factor_refusals():
     one, zero = SparseMatrix.from_dense([[1.0]]), SparseMatrix.from_dense([[0.0]])
     # a zero diagonal needs an off-diagonal pivot

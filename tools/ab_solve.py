@@ -11,8 +11,9 @@ rather than two processes minutes apart.  After one untimed run of each
 tree, every pair times one ``solver.run`` of the default config on the given
 mesh per tree, and the side that runs first alternates from pair to pair.
 
-Prints each side's median and quartiles of the run time and the number of
-pairs the checkout won.  Exits 1 if the two trees' steps attempted, steps
+Prints each side's median and quartiles of the run's wall time and of its
+CPU time (``time.process_time``), and for each the number of pairs the
+checkout won: CPU time drifts less than the wall clock on a shared machine.  Exits 1 if the two trees' steps attempted, steps
 accepted or Newton iterations differ on any run.  BLAS threads are pinned to
 1 unless the environment sets them, as perfbench pins them.
 """
@@ -54,13 +55,14 @@ def load_tree(src: Path) -> dict:
 
 def solve(modules: dict, nx: int, ny: int):
     """One timed ``solver.run`` with ``modules`` as the live ``homotopt``;
-    returns the seconds taken and (steps attempted, accepted, iterations)."""
+    returns the wall and CPU seconds taken and (steps attempted, accepted,
+    iterations)."""
     sys.modules.update(modules)
     io_cli = modules["homotopt.io_cli"]
     cfg = io_cli.SolverConfig(mesh=io_cli.MeshConfig(nx=nx, ny=ny))
-    start = time.perf_counter()
+    start, cpu = time.perf_counter(), time.process_time()
     _, trace = modules["homotopt.solver"].run(cfg)
-    seconds = time.perf_counter() - start
+    seconds = (time.perf_counter() - start, time.process_time() - cpu)
     return seconds, (trace.n_attempts, trace.n_accepted,
                      sum(r.newton_iters for r in trace.records))
 
@@ -90,22 +92,25 @@ def main(argv=None) -> int:
         trees = {"base": load_tree(Path(tmp) / "src"), "checkout": load_tree(ROOT / "src")}
 
         counts = {name: {solve(modules, nx, ny)[1]} for name, modules in trees.items()}
-        times = {name: [] for name in trees}
+        times = {name: [] for name in trees}  # (wall, CPU) seconds of each run
         for pair in range(args.pairs):
             order = ("base", "checkout") if pair % 2 == 0 else ("checkout", "base")
             for name in order:
                 seconds, count = solve(trees[name], nx, ny)
                 times[name].append(seconds)
                 counts[name].add(count)
-            print(f"pair {pair + 1:2d}: base {times['base'][-1]:.4f} s, "
-                  f"checkout {times['checkout'][-1]:.4f} s", flush=True)
+            (base, base_cpu), (checkout, checkout_cpu) = times["base"][-1], times["checkout"][-1]
+            print(f"pair {pair + 1:2d}: base {base:.4f} s (CPU {base_cpu:.4f} s), "
+                  f"checkout {checkout:.4f} s (CPU {checkout_cpu:.4f} s)", flush=True)
 
-    wins = sum(c < b for b, c in zip(times["base"], times["checkout"]))
     print(f"mesh {nx}x{ny}, {args.pairs} pairs, base = {args.rev}")
-    for name in trees:
-        print(f"{name:>8}: {summary(times[name])}")
-    print(f"checkout faster in {wins} of {args.pairs} pairs; median ratio "
-          f"{np.median(times['checkout']) / np.median(times['base']):.3f}")
+    for clock, column in (("wall", 0), ("CPU", 1)):
+        side = {name: [t[column] for t in times[name]] for name in trees}
+        wins = sum(c < b for b, c in zip(side["base"], side["checkout"]))
+        for name in trees:
+            print(f"{name:>8} {clock:>4}: {summary(side[name])}")
+        print(f"{clock}: checkout faster in {wins} of {args.pairs} pairs; median ratio "
+              f"{np.median(side['checkout']) / np.median(side['base']):.3f}")
     for name, seen in counts.items():
         print(f"{name:>8}: (steps attempted, accepted, Newton iterations) {sorted(seen)}")
     if counts["base"] != counts["checkout"]:
