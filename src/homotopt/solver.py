@@ -246,8 +246,9 @@ class KktSystem:
         """The reduced Hessian's negative eigenvalues at ``point`` in the
         mirror-symmetric and the antisymmetric class: :meth:`factor`'s count
         and M_a's negative pivots less l_a, from one factorization of each
-        of M_s and ``M_a = Q_a^T M Q_a``, M assembled by :meth:`jacobian`.  None on a mesh without a mirror,
-        or if either factorization is refused."""
+        of M_s and ``M_a = Q_a^T M Q_a``, M assembled by :meth:`jacobian`.
+        None on a mesh without a mirror, or if either factorization is
+        refused."""
         if self._antisymmetric is None:
             return None
         try:

@@ -13,9 +13,10 @@ mesh per tree, and the side that runs first alternates from pair to pair.
 
 Prints each side's median and quartiles of the run's wall time and of its
 CPU time (``time.process_time``), and for each the number of pairs the
-checkout won: CPU time drifts less than the wall clock on a shared machine.  Exits 1 if the two trees' steps attempted, steps
-accepted or Newton iterations differ on any run.  BLAS threads are pinned to
-1 unless the environment sets them, as perfbench pins them.
+checkout won: CPU time drifts less than the wall clock on a shared
+machine.  Exits 1 if the two trees' steps attempted, steps accepted or
+Newton iterations differ on any run.  BLAS threads are pinned to 1 unless
+the environment sets them, as perfbench pins them.
 """
 from __future__ import annotations
 
