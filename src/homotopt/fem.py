@@ -114,14 +114,11 @@ class DofMap:
 def make_dofmap(mesh: TriMesh) -> DofMap:
     """Number the free displacement DOFs and derive the element layouts of
     ``mesh`` once; every assembly on this map reads them."""
-    fixed = dirichlet_vertex_set(mesh)
+    free = np.ones(mesh.n_vertices, dtype=bool)
+    free[list(dirichlet_vertex_set(mesh))] = False
     disp = np.full((mesh.n_vertices, 2), -1, dtype=np.int64)
-    k = 0
-    for v in range(mesh.n_vertices):
-        if v not in fixed:
-            disp[v, 0] = k
-            disp[v, 1] = k + 1
-            k += 2
+    k = 2 * int(np.count_nonzero(free))
+    disp[free] = np.arange(k, dtype=np.int64).reshape(-1, 2)
     geo = _element_tables(mesh)
     gdof = disp[geo.tri].reshape(-1, 6)
     return DofMap(mesh=mesh, n_density=mesh.n_vertices, disp_index=disp, n_disp=k, geometry=geo,
@@ -202,18 +199,15 @@ def assemble_traction_load(dofmap: DofMap, spec: DomainSpec) -> np.ndarray:
     """Edge-wise P1 trace integral of the traction over the loaded boundary
     of the dofmap's mesh."""
     mesh = dofmap.mesh
-    f = np.zeros(dofmap.n_disp)
     g = np.asarray(spec.traction, dtype=np.float64)
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if tag != int(EdgeTag.NEUMANN_TRACTION):
-            continue
-        h = float(np.linalg.norm(mesh.vertices[b] - mesh.vertices[a]))
-        for v in (a, b):
-            for d in range(2):
-                k = dofmap.disp_index[v, d]
-                if k >= 0:
-                    f[k] += 0.5 * h * g[d]
-    return f
+    edges = mesh.boundary_edges[mesh.boundary_tags == int(EdgeTag.NEUMANN_TRACTION)]
+    h = np.linalg.norm(mesh.vertices[edges[:, 1]] - mesh.vertices[edges[:, 0]], axis=1)
+    # each edge's terms for (end, direction), in edge order: every entry sums
+    # its terms left to right from +0.0, as a loop over the edges would
+    dofs = dofmap.disp_index[edges]
+    terms = np.broadcast_to((0.5 * h)[:, None, None] * g, dofs.shape)
+    keep = dofs >= 0
+    return np.bincount(dofs[keep], weights=terms[keep], minlength=dofmap.n_disp)
 
 
 def assemble_gl_operators(dofmap: DofMap):

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import math
 import sys
+import weakref
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -231,25 +232,40 @@ def write_param_history(trace_result: SolveTrace, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# Each mesh's POINTS, CELLS, CELL_TYPES and POINT_DATA text, rendered at its
+# first write; a mesh's arrays are read-only, so the text cannot go stale, and
+# the weak keys let it die with its mesh.
+_VTK_MESH_BLOCKS = weakref.WeakKeyDictionary()
+
+
+def _vtk_mesh_block(mesh: TriMesh) -> str:
+    block = _VTK_MESH_BLOCKS.get(mesh)
+    if block is None:
+        n_v, n_t = mesh.n_vertices, mesh.n_triangles
+        block = "\n".join([
+            f"POINTS {n_v} double",
+            *(f"{x!r} {y!r} 0.0" for x, y in mesh.vertices.tolist()),
+            f"CELLS {n_t} {4 * n_t}",
+            *(f"3 {a} {b} {c}" for a, b, c in mesh.triangles.tolist()),
+            f"CELL_TYPES {n_t}",
+            *["5"] * n_t,
+            f"POINT_DATA {n_v}",
+            "SCALARS rho double 1",
+            "LOOKUP_TABLE default"])
+        _VTK_MESH_BLOCKS[mesh] = block
+    return block
+
+
 def write_density_vtk(mesh: TriMesh, rho: np.ndarray, path, title: str = "density") -> None:
-    """Legacy-VTK ASCII unstructured grid with a point scalar field ``rho``."""
+    """Legacy-VTK ASCII unstructured grid with a point scalar field ``rho``.
+
+    The mesh's part of the file is rendered once per mesh, at its first
+    write, and reused by every later write of that mesh."""
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != (mesh.n_vertices,):
         raise ValueError("rho must have one value per mesh vertex")
-    out = ["# vtk DataFile Version 2.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID"]
-    out.append(f"POINTS {mesh.n_vertices} double")
-    for x, y in mesh.vertices:
-        out.append(f"{float(x)!r} {float(y)!r} 0.0")
-    out.append(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}")
-    for a, b, c in mesh.triangles:
-        out.append(f"3 {a} {b} {c}")
-    out.append(f"CELL_TYPES {mesh.n_triangles}")
-    out.extend(["5"] * mesh.n_triangles)
-    out.append(f"POINT_DATA {mesh.n_vertices}")
-    out.append("SCALARS rho double 1")
-    out.append("LOOKUP_TABLE default")
-    for v in rho:
-        out.append(f"{float(v)!r}")
+    out = ["# vtk DataFile Version 2.0", title, "ASCII", "DATASET UNSTRUCTURED_GRID",
+           _vtk_mesh_block(mesh), *map(repr, rho.tolist())]
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
@@ -388,7 +404,7 @@ def _solve_and_write(cfg: SolverConfig, msh: TriMesh) -> int:
             pending = [s for s in pending if s > t + 1e-12]
 
     try:
-        point, tr = solver.run(cfg, on_accept=on_accept)
+        point, tr = solver.run(cfg, on_accept=on_accept, mesh=msh)
     except StepUnderflowError as exc:
         # Keep what was traced: the history up to the failed endpoint jump
         # and the last accepted density.

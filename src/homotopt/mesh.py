@@ -57,13 +57,15 @@ class BoundarySegment:
     def horizontal(self) -> bool:
         return abs(self.p1[1] - self.p0[1]) <= GEOM_TOL
 
-    def contains(self, point, tol: float = GEOM_TOL) -> bool:
-        x, y = float(point[0]), float(point[1])
+    def contains(self, points, tol: float = GEOM_TOL) -> np.ndarray:
+        """Whether each point (last axis: x, y) lies on the segment."""
+        points = np.asarray(points, dtype=np.float64)
+        x, y = points[..., 0], points[..., 1]
         if self.horizontal:
             lo, hi = sorted((self.p0[0], self.p1[0]))
-            return abs(y - self.p0[1]) <= tol and lo - tol <= x <= hi + tol
+            return (np.abs(y - self.p0[1]) <= tol) & (lo - tol <= x) & (x <= hi + tol)
         lo, hi = sorted((self.p0[1], self.p1[1]))
-        return abs(x - self.p0[0]) <= tol and lo - tol <= y <= hi + tol
+        return (np.abs(x - self.p0[0]) <= tol) & (lo - tol <= y) & (y <= hi + tol)
 
 
 @dataclass(frozen=True)
@@ -189,42 +191,36 @@ def build_structured_mesh(spec: DomainSpec, nx: int, ny: int, diagonal: str = "r
     gx, gy = np.meshgrid(xs, ys)  # row j = constant y
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
 
-    def vid(i, j):
-        return j * (nx + 1) + i
+    # cell (i, j) in row-major order: its lower-left vertex v00 is
+    # j * (nx + 1) + i, and its two triangles share the diagonal v00-v11
+    i = np.tile(np.arange(nx, dtype=np.int64), ny)
+    v00 = np.repeat(np.arange(ny, dtype=np.int64), nx) * (nx + 1) + i
+    v10, v01, v11 = v00 + 1, v00 + nx + 1, v00 + nx + 2
+    cells = np.column_stack([v00, v10, v11, v00, v11, v01])
+    if diagonal == "mirrored":  # the right half's cells split along v10-v01
+        flip = i >= nx // 2
+        cells[flip] = np.column_stack([v00, v10, v01, v10, v11, v01])[flip]
+    triangles = cells.reshape(-1, 3)
 
-    triangles = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    k = 0
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            right_split = diagonal == "right" or i < nx // 2
-            if right_split:
-                triangles[k] = (v00, v10, v11)
-                triangles[k + 1] = (v00, v11, v01)
-            else:
-                triangles[k] = (v00, v10, v01)
-                triangles[k + 1] = (v10, v11, v01)
-            k += 2
+    # the boundary walked counter-clockwise from vertex (0, 0): bottom left
+    # to right, right side upward, top right to left, left side downward
+    grid = np.arange(vertices.shape[0], dtype=np.int64).reshape(ny + 1, nx + 1)
+    ring = np.concatenate([grid[0], grid[1:, nx], grid[ny, nx - 1::-1], grid[ny - 1::-1, 0]])
+    boundary_edges = np.column_stack([ring[:-1], ring[1:]])
 
-    edges = []
-    for i in range(nx):                      # bottom, left to right
-        edges.append((vid(i, 0), vid(i + 1, 0)))
-    for j in range(ny):                      # right side, upward
-        edges.append((vid(nx, j), vid(nx, j + 1)))
-    for i in range(nx, 0, -1):               # top, right to left
-        edges.append((vid(i, ny), vid(i - 1, ny)))
-    for j in range(ny, 0, -1):               # left side, downward
-        edges.append((vid(0, j), vid(0, j - 1)))
-    boundary_edges = np.asarray(edges, dtype=np.int64)
+    ends = vertices[boundary_edges]  # (n_b, 2 ends, 2 coordinates)
 
-    tags = np.full(len(edges), int(EdgeTag.NEUMANN_FREE), dtype=np.int64)
-    for idx, (a, b) in enumerate(boundary_edges):
-        pa, pb = vertices[a], vertices[b]
-        if any(s.contains(pa) and s.contains(pb) for s in spec.dirichlet_segments):
-            tags[idx] = int(EdgeTag.DIRICHLET_ZERO)
-        elif any(s.contains(pa) and s.contains(pb) for s in spec.neumann_traction_segments):
-            tags[idx] = int(EdgeTag.NEUMANN_TRACTION)
+    def on_any(segments):
+        hit = np.zeros(len(boundary_edges), dtype=bool)
+        for seg in segments:
+            hit |= seg.contains(ends).all(axis=1)
+        return hit
+
+    tags = np.full(len(boundary_edges), int(EdgeTag.NEUMANN_FREE), dtype=np.int64)
+    loaded = on_any(spec.neumann_traction_segments)
+    clamped = on_any(spec.dirichlet_segments)
+    tags[loaded] = int(EdgeTag.NEUMANN_TRACTION)
+    tags[clamped] = int(EdgeTag.DIRICHLET_ZERO)
     for kind, tag, segments in (("clamped", EdgeTag.DIRICHLET_ZERO, spec.dirichlet_segments),
                                 ("loaded", EdgeTag.NEUMANN_TRACTION,
                                  spec.neumann_traction_segments)):
@@ -237,7 +233,7 @@ def build_structured_mesh(spec: DomainSpec, nx: int, ny: int, diagonal: str = "r
 
     mirror = None
     if diagonal == "mirrored":
-        mirror = np.arange(vertices.shape[0]).reshape(ny + 1, nx + 1)[:, ::-1].ravel()
+        mirror = grid[:, ::-1].ravel()
     mesh = TriMesh(vertices, triangles, boundary_edges, tags, mirror)
     areas = triangle_signed_areas(mesh)
     if np.any(areas <= 0):
@@ -255,9 +251,5 @@ def triangle_signed_areas(mesh: TriMesh) -> np.ndarray:
 
 def dirichlet_vertex_set(mesh: TriMesh) -> set:
     """Vertices incident to at least one clamped boundary edge."""
-    fixed = set()
-    for (a, b), tag in zip(mesh.boundary_edges, mesh.boundary_tags):
-        if tag == int(EdgeTag.DIRICHLET_ZERO):
-            fixed.add(int(a))
-            fixed.add(int(b))
-    return fixed
+    clamped = mesh.boundary_edges[mesh.boundary_tags == int(EdgeTag.DIRICHLET_ZERO)]
+    return set(np.unique(clamped).tolist())

@@ -62,7 +62,7 @@ from .barrier import (BarrierSchedule, BoxConstraints, DualPair, fraction_to_bou
 from .fem import DofMap
 from .homotopy import Factor, HomotopyProblem, SolveTrace
 from .lagrangian import Lagrangian
-from .mesh import bridge_domain, build_structured_mesh
+from .mesh import TriMesh, bridge_domain, build_structured_mesh
 from .sparse import (BlockSystem, SingularMatrixError, SparseMatrix, Subspace, solve_direct,
                      summation_operator)
 
@@ -182,13 +182,20 @@ class KktSystem:
         summed, element values first, then the constant part, then Sigma."""
         lagr = self.lagr
         n_rr = 9 * lagr.dofmap.geometry.tri.shape[0]  # rr's element values; ru has twice as many
-        rr = summation_operator(lagr.dofmap.geometry.pattern, n_rr)
-        sigma = sp.csr_matrix((np.ones(self.n), (self._rr_diagonal, np.arange(self.n))),
-                              shape=(rr.shape[0], self.n))
-        k = sp.diags(np.full(lagr.dofmap.state_pattern.indices.size, -0.5))
-        return sp.bmat([[rr, sp.csr_matrix(lagr.rr_const[:, None]), sigma, None, None],
-                        [None, None, None, summation_operator(lagr.cross_pattern, 2 * n_rr), None],
-                        [None, None, None, None, k]], format="csr")
+        rr = summation_operator(lagr.dofmap.geometry.pattern, n_rr).tocoo()
+        ru = summation_operator(lagr.cross_pattern, 2 * n_rr).tocoo()
+        n_k = lagr.dofmap.state_pattern.indices.size
+        const = np.flatnonzero(lagr.rr_const)  # the stored entries of the constant column
+        # (row, column, value) of each block at its offset in the operator
+        blocks = [(rr.row, rr.col, rr.data),
+                  (const, np.full(const.size, n_rr), lagr.rr_const[const]),
+                  (self._rr_diagonal, n_rr + 1 + np.arange(self.n), np.ones(self.n)),
+                  (rr.shape[0] + ru.row, n_rr + 1 + self.n + ru.col, ru.data),
+                  (rr.shape[0] + ru.shape[0] + np.arange(n_k),
+                   3 * n_rr + 1 + self.n + np.arange(n_k), np.full(n_k, -0.5))]
+        rows, cols, data = (np.concatenate(part) for part in zip(*blocks))
+        return sp.csr_matrix((data, (rows, cols)),
+                             shape=(rr.shape[0] + ru.shape[0] + n_k, 3 * n_rr + 1 + self.n + n_k))
 
     def factor(self, point: KktPoint) -> Factor:
         """The solve for the step ``d`` in (rho, u, z_a, z_b) of the
@@ -343,12 +350,16 @@ def mirror_subspaces(dofmap: DofMap):
     return basis(1.0), basis(-1.0)
 
 
-def build_system(config: "SolverConfig") -> Tuple[KktSystem, BarrierSchedule]:
-    """Assemble mesh, operators and schedule for a solver configuration."""
+def build_system(config: "SolverConfig", mesh: Optional[TriMesh] = None
+                 ) -> Tuple[KktSystem, BarrierSchedule]:
+    """Assemble operators and schedule for a solver configuration on
+    ``mesh``, which must be the bridge mesh of ``config.mesh``; without one,
+    that mesh is built here."""
     domain = bridge_domain()
-    msh = build_structured_mesh(domain, config.mesh.nx, config.mesh.ny,
-                                diagonal=config.mesh.diagonal)
-    dofmap = fem.make_dofmap(msh)
+    if mesh is None:
+        mesh = build_structured_mesh(domain, config.mesh.nx, config.mesh.ny,
+                                     diagonal=config.mesh.diagonal)
+    dofmap = fem.make_dofmap(mesh)
     load = fem.assemble_traction_load(dofmap, domain)
     lagr = Lagrangian(dofmap, config.material, config.params, load)
     box = BoxConstraints(np.zeros(dofmap.n_density), np.ones(dofmap.n_density))
@@ -356,16 +367,17 @@ def build_system(config: "SolverConfig") -> Tuple[KktSystem, BarrierSchedule]:
 
 
 def run(config: "SolverConfig",
-        on_accept: Optional[Callable[[float, KktPoint], None]] = None
-        ) -> Tuple[KktPoint, SolveTrace]:
-    """Trace the barrier homotopy from t = 0 to 1 for the given configuration.
+        on_accept: Optional[Callable[[float, KktPoint], None]] = None,
+        mesh: Optional[TriMesh] = None) -> Tuple[KktPoint, SolveTrace]:
+    """Trace the barrier homotopy from t = 0 to 1 for the given configuration,
+    on ``mesh`` if given (see :func:`build_system`).
 
     ``on_accept(t, point)`` fires at the initial point and after every
     accepted step.  Returns the final point and the per-attempt trace, whose
     ``final_negative`` is :meth:`KktSystem.negative_by_class` at the final
     point.
     """
-    system, schedule = build_system(config)
+    system, schedule = build_system(config, mesh)
     point0, anchor = system.initialize(schedule.mu0)
     problem = system.homotopy_problem(anchor, schedule, damping=config.newton.damping)
     # Dimension-independent stopping: scale the residual tolerance with the

@@ -479,13 +479,16 @@ class BlockSystem:
             pattern = self.basis.congruence(m)
             reduced = pattern.fill(m.csr.data)
             lu = _ordered_splu(reduced)
-            order = np.argsort(lu.perm_c)
-            # entry k of the CSR data is marked k + 1, so the permuted matrix
-            # keeps every entry and its data names the source
-            permuted = reduced.with_data(np.arange(1, reduced.nnz + 1)).csr[order][:, order].tocsc()
-            self._csc = (pattern.summation[permuted.data.astype(np.int64) - 1], permuted.indices,
-                         permuted.indptr, reduced.shape)
-            self._order = order
+            # entry k of the CSR data sits at (perm_c[row], perm_c[col]) of the
+            # permuted matrix; sorting by column, then row, gives its CSC order
+            rows, cols = (lu.perm_c[i] for i in _coordinates(reduced))
+            entries = np.lexsort((rows, cols))
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=reduced.nrows))])
+            # scipy picks the index dtype; keep its arrays so refills share them
+            layout = sp.csc_matrix((np.zeros(entries.size), rows[entries], indptr),
+                                   shape=reduced.shape)
+            self._csc = (pattern.summation[entries], layout.indices, layout.indptr, reduced.shape)
+            self._order = np.argsort(lu.perm_c)
             return SymmetricFactor(lu, reduced.csr, None, self.basis)
         if (values is None) == self.composed:
             raise ValueError("values are read by a composed operator, and only by one")

@@ -8,7 +8,7 @@ from homotopt import fem
 from homotopt.fem import (MaterialModel, assemble_gl_operators,
                           assemble_state_operator, assemble_traction_load,
                           default_material, make_dofmap)
-from homotopt.mesh import (BoundarySegment, DomainSpec, build_structured_mesh,
+from homotopt.mesh import (BoundarySegment, DomainSpec, EdgeTag, build_structured_mesh,
                            dirichlet_vertex_set)
 from homotopt.sparse import solve_direct
 
@@ -247,6 +247,44 @@ def test_load_supported_only_on_traction_vertices(bridge, coarse_mesh, coarse_do
             k = coarse_dofmap.disp_index[v, d]
             if k >= 0 and f[k] != 0.0:
                 assert seg.contains(coarse_mesh.vertices[v])
+
+
+def loop_disp_index(msh):
+    """Free vertices numbered two at a time in vertex order, -1 on clamped ones."""
+    fixed = dirichlet_vertex_set(msh)
+    disp = np.full((msh.n_vertices, 2), -1, dtype=np.int64)
+    k = 0
+    for v in range(msh.n_vertices):
+        if v not in fixed:
+            disp[v] = (k, k + 1)
+            k += 2
+    return disp, k
+
+
+def loop_traction_load(msh, disp, spec):
+    """The traction load summed one loaded edge, end and direction at a time."""
+    f = np.zeros(disp.max() + 1)
+    g = np.asarray(spec.traction, dtype=np.float64)
+    for (a, b), tag in zip(msh.boundary_edges, msh.boundary_tags):
+        if tag != int(EdgeTag.NEUMANN_TRACTION):
+            continue
+        h = float(np.linalg.norm(msh.vertices[b] - msh.vertices[a]))
+        for v in (a, b):
+            for d in range(2):
+                if disp[v, d] >= 0:
+                    f[disp[v, d]] += 0.5 * h * g[d]
+    return f
+
+
+@pytest.mark.parametrize("diagonal", ["right", "mirrored"])
+@pytest.mark.parametrize("nx, ny", [(20, 8), (40, 12), (60, 20), (80, 28)])
+def test_array_built_dofs_and_load_equal_the_loops(bridge, nx, ny, diagonal):
+    msh = build_structured_mesh(bridge, nx, ny, diagonal)
+    dofmap = make_dofmap(msh)
+    disp, n_disp = loop_disp_index(msh)
+    assert np.array_equal(dofmap.disp_index, disp) and dofmap.n_disp == n_disp
+    load = assemble_traction_load(dofmap, bridge)
+    assert load.tobytes() == loop_traction_load(msh, disp, bridge).tobytes()
 
 
 # --- phase-field operators ---------------------------------------------------

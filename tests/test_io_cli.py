@@ -1,4 +1,7 @@
+import gc
+import hashlib
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -329,6 +332,42 @@ def test_vtk_byte_stable(tmp_path, rng):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+# sha256 of write_density_vtk's file of the bridge mesh at rho_i = (i + 1/2) / n_v,
+# title "rho", as the writer that rendered every line on every call wrote it
+VTK_DIGESTS = {
+    (20, 8, "mirrored"): "264a02bf1eef6abf3bc8139f23af4820bc14946cf8a2476b703c1418838859b2",
+    (40, 12, "right"): "591e88caa05f451f4e62c6b55e6295ca73b15a74168f7a58f107d186a7c0c19f",
+}
+
+
+def _vtk_digest(msh, path):
+    write_density_vtk(msh, (np.arange(msh.n_vertices) + 0.5) / msh.n_vertices, path, title="rho")
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("nx, ny, diagonal", sorted(VTK_DIGESTS))
+def test_vtk_bytes_pinned(tmp_path, bridge, nx, ny, diagonal):
+    msh = build_structured_mesh(bridge, nx, ny, diagonal)
+    assert _vtk_digest(msh, tmp_path / "first.vtk") == VTK_DIGESTS[nx, ny, diagonal]
+    assert _vtk_digest(msh, tmp_path / "again.vtk") == VTK_DIGESTS[nx, ny, diagonal]
+
+
+def test_vtk_meshes_written_alternately_keep_their_blocks(tmp_path, bridge):
+    meshes = {key: build_structured_mesh(bridge, *key) for key in sorted(VTK_DIGESTS)}
+    for turn in range(2):
+        for key, msh in meshes.items():
+            assert _vtk_digest(msh, tmp_path / f"{turn}.vtk") == VTK_DIGESTS[key]
+
+
+def test_vtk_keeps_no_mesh_alive(tmp_path, bridge):
+    msh = build_structured_mesh(bridge, 20, 8)
+    write_density_vtk(msh, np.full(msh.n_vertices, 0.5), tmp_path / "field.vtk")
+    ref = weakref.ref(msh)
+    del msh
+    gc.collect()
+    assert ref() is None
+
+
 def test_vtk_size_mismatch(tmp_path):
     spec = DomainSpec(1.0, 1.0)
     msh = build_structured_mesh(spec, nx=1, ny=1)
@@ -383,6 +422,21 @@ def test_cli_solve_and_determinism(tmp_path, capsys):
     assert snaps1 == snaps2 and snaps1
     for name in snaps1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_cli_solve_builds_one_mesh(tmp_path, monkeypatch):
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return build_structured_mesh(*args, **kwargs)
+
+    for module in (io_cli, solver):
+        monkeypatch.setattr(module, "build_structured_mesh", counting)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(SMALL_CONFIG)
+    assert run_cli(["solve", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert len(built) == 1
 
 
 def test_cli_closing_line_names_the_endpoint_jump(tmp_path, capsys):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from homotopt.mesh import (BoundarySegment, DomainSpec, EdgeTag, bridge_domain,
+from homotopt.mesh import (GEOM_TOL, BoundarySegment, DomainSpec, EdgeTag, bridge_domain,
                            build_structured_mesh, dirichlet_vertex_set,
                            triangle_signed_areas)
 
@@ -182,3 +182,60 @@ def test_dirichlet_tag_iff_segment_membership(bridge):
             for v in (a, b)
         )
         assert (tag == int(EdgeTag.DIRICHLET_ZERO)) == in_seg
+
+
+# --- reference: the mesh built one cell, edge and vertex at a time ----------------
+
+def loop_on_segment(seg, point):
+    """Whether one point lies on ``seg``, by scalar comparisons."""
+    x, y = float(point[0]), float(point[1])
+    if seg.horizontal:
+        lo, hi = sorted((seg.p0[0], seg.p1[0]))
+        return abs(y - seg.p0[1]) <= GEOM_TOL and lo - GEOM_TOL <= x <= hi + GEOM_TOL
+    lo, hi = sorted((seg.p0[1], seg.p1[1]))
+    return abs(x - seg.p0[0]) <= GEOM_TOL and lo - GEOM_TOL <= y <= hi + GEOM_TOL
+
+
+def loop_mesh(spec, vertices, nx, ny, diagonal):
+    """Triangles, boundary edges, edge tags and clamped vertices of the grid."""
+    def vid(i, j):
+        return j * (nx + 1) + i
+
+    triangles = []
+    for j in range(ny):
+        for i in range(nx):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            if diagonal == "right" or i < nx // 2:
+                triangles += [(v00, v10, v11), (v00, v11, v01)]
+            else:
+                triangles += [(v00, v10, v01), (v10, v11, v01)]
+    edges = [(vid(i, 0), vid(i + 1, 0)) for i in range(nx)]
+    edges += [(vid(nx, j), vid(nx, j + 1)) for j in range(ny)]
+    edges += [(vid(i, ny), vid(i - 1, ny)) for i in range(nx, 0, -1)]
+    edges += [(vid(0, j), vid(0, j - 1)) for j in range(ny, 0, -1)]
+    tags, fixed = [], set()
+    for a, b in edges:
+        def on(segments):
+            return any(loop_on_segment(s, vertices[a]) and loop_on_segment(s, vertices[b])
+                       for s in segments)
+        if on(spec.dirichlet_segments):
+            tags.append(int(EdgeTag.DIRICHLET_ZERO))
+            fixed |= {a, b}
+        elif on(spec.neumann_traction_segments):
+            tags.append(int(EdgeTag.NEUMANN_TRACTION))
+        else:
+            tags.append(int(EdgeTag.NEUMANN_FREE))
+    return np.array(triangles), np.array(edges), np.array(tags), fixed
+
+
+@pytest.mark.parametrize("diagonal", ["right", "mirrored"])
+@pytest.mark.parametrize("nx, ny", [(20, 8), (40, 12), (60, 20), (80, 28)])
+def test_array_built_mesh_equals_the_loops(bridge, nx, ny, diagonal):
+    m = build_structured_mesh(bridge, nx, ny, diagonal)
+    triangles, edges, tags, fixed = loop_mesh(bridge, m.vertices, nx, ny, diagonal)
+    for got, want in ((m.triangles, triangles), (m.boundary_edges, edges),
+                      (m.boundary_tags, tags)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert dirichlet_vertex_set(m) == fixed
+    assert all(type(v) is int for v in fixed)

@@ -271,6 +271,30 @@ def test_reduced_matrix_bit_identical_to_bmat(small_system, rng):
         assert got.data.tobytes() == want.data.tobytes()
 
 
+@pytest.mark.parametrize("diagonal", ["mirrored", "right"])
+def test_source_operator_bit_identical_to_bmat(diagonal):
+    # the operator from z = [rr's element values, 1, Sigma, ru's element
+    # values, K's data] to the blocks' data, against scipy's bmat of its blocks
+    system, _ = solver.build_system(small_config(mesh=MeshConfig(nx=20, ny=8, diagonal=diagonal)))
+    lagr, n = system.lagr, system.n
+    n_rr = 9 * lagr.dofmap.geometry.tri.shape[0]
+    rr = sparse.summation_operator(lagr.dofmap.geometry.pattern, n_rr)
+    sigma = sp.csr_matrix((np.ones(n), (system._rr_diagonal, np.arange(n))),
+                          shape=(rr.shape[0], n))
+    k = sp.diags(np.full(lagr.dofmap.state_pattern.indices.size, -0.5))
+    want = sp.bmat([[rr, sp.csr_matrix(lagr.rr_const[:, None]), sigma, None, None],
+                    [None, None, None, sparse.summation_operator(lagr.cross_pattern, 2 * n_rr),
+                     None],
+                    [None, None, None, None, k]], format="csr")
+    got = system._source()
+    for m in (got, want):
+        m.sort_indices()
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
 def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
     # one solve sorts six layouts, each once: density, K(rho), coupling, the
     # reduced (rho, u) matrix M and its symmetric and antisymmetric blocks;

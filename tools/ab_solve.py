@@ -1,30 +1,37 @@
 #!/usr/bin/env python3
-"""Alternating in-process A/B timing of ``solver.run``: another revision's
-``src/`` against this checkout's.
+"""Alternating in-process A/B timing of ``homotopt solve`` jobs: another
+revision's ``src/`` against this checkout's.
 
     python3 tools/ab_solve.py REV [--mesh 40x12] [--pairs 20]
 
 REV's ``src/`` is exported with ``git archive`` into a temporary directory,
 and both trees are imported into this one process, each keeping its own
 ``homotopt`` modules, so a pair compares the two trees in one machine state
-rather than two processes minutes apart.  After one untimed run of each
-tree, every pair times one ``solver.run`` of the default config on the given
-mesh per tree, and the side that runs first alternates from pair to pair.
+rather than two processes minutes apart.  A job is what a perfbench job
+is: one ``io_cli.run_cli(["solve", CONFIG, "--out-dir", DIR])`` of the
+default config on the given mesh, stdout captured, so it includes parsing
+the config, building the mesh and writing the VTK and CSV outputs.  After
+one untimed job of each tree, every pair times one job per tree, and the
+side that runs first alternates from pair to pair.
 
-Prints each side's median and quartiles of the run's wall time and of its
+Prints each side's median and quartiles of the job's wall time and of its
 CPU time (``time.process_time``), and for each the number of pairs the
 checkout won: CPU time drifts less than the wall clock on a shared
-machine.  Exits 1 if the two trees' steps attempted, steps accepted or
-Newton iterations differ on any run.  BLAS threads are pinned to 1 unless
-the environment sets them, as perfbench pins them.
+machine.  Exits 1 if a job fails, or if the two trees' steps attempted,
+steps accepted or Newton iterations differ on any job; the counts come
+from the trace of each job's ``solver.run``, which is wrapped as perfbench
+wraps it.  BLAS threads are pinned to 1 unless the environment sets them,
+as perfbench pins them.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import io
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -42,7 +49,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def load_tree(src: Path) -> dict:
     """Import ``homotopt`` from ``src`` and return its modules, taken out of
-    ``sys.modules`` so that the other tree can be imported next."""
+    ``sys.modules`` so that the other tree can be imported next.  The tree's
+    ``solver.run`` is wrapped to keep each job's trace as ``last_trace``."""
     sys.path.insert(0, str(src))
     try:
         importlib.invalidate_caches()
@@ -50,20 +58,35 @@ def load_tree(src: Path) -> dict:
             importlib.import_module(name)
     finally:
         sys.path.remove(str(src))
-    return {name: sys.modules.pop(name) for name in list(sys.modules)
-            if name == "homotopt" or name.startswith("homotopt.")}
+    modules = {name: sys.modules.pop(name) for name in list(sys.modules)
+               if name == "homotopt" or name.startswith("homotopt.")}
+    solver = modules["homotopt.solver"]
+    run = vars(solver)["run"]
+
+    def capture(config, *args, **kwargs):
+        point, trace = run(config, *args, **kwargs)
+        solver.last_trace = trace
+        return point, trace
+
+    solver.run = capture
+    return modules
 
 
-def solve(modules: dict, nx: int, ny: int):
-    """One timed ``solver.run`` with ``modules`` as the live ``homotopt``;
-    returns the wall and CPU seconds taken and (steps attempted, accepted,
-    iterations)."""
+def solve(modules: dict, config: Path, out_dir: Path):
+    """One timed ``homotopt solve`` job with ``modules`` as the live
+    ``homotopt``; returns the wall and CPU seconds taken and (steps
+    attempted, accepted, iterations)."""
     sys.modules.update(modules)
-    io_cli = modules["homotopt.io_cli"]
-    cfg = io_cli.SolverConfig(mesh=io_cli.MeshConfig(nx=nx, ny=ny))
+    solver = modules["homotopt.solver"]
+    solver.last_trace = None
+    shutil.rmtree(out_dir, ignore_errors=True)
     start, cpu = time.perf_counter(), time.process_time()
-    _, trace = modules["homotopt.solver"].run(cfg)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = modules["homotopt.io_cli"].run_cli(["solve", str(config), "--out-dir", str(out_dir)])
     seconds = (time.perf_counter() - start, time.process_time() - cpu)
+    trace = solver.last_trace
+    if rc != 0 or trace is None:
+        sys.exit(f"error: a solve job of {modules['homotopt'].__file__} failed (exit {rc})")
     return seconds, (trace.n_attempts, trace.n_accepted,
                      sum(r.newton_iters for r in trace.records))
 
@@ -91,13 +114,15 @@ def main(argv=None) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
         trees = {"base": load_tree(Path(tmp) / "src"), "checkout": load_tree(ROOT / "src")}
+        config, out_dir = Path(tmp) / "bridge.cfg", Path(tmp) / "out"
+        config.write_text(f"mesh.nx = {nx}\nmesh.ny = {ny}\n", encoding="utf-8")
 
-        counts = {name: {solve(modules, nx, ny)[1]} for name, modules in trees.items()}
+        counts = {name: {solve(modules, config, out_dir)[1]} for name, modules in trees.items()}
         times = {name: [] for name in trees}  # (wall, CPU) seconds of each run
         for pair in range(args.pairs):
             order = ("base", "checkout") if pair % 2 == 0 else ("checkout", "base")
             for name in order:
-                seconds, count = solve(trees[name], nx, ny)
+                seconds, count = solve(trees[name], config, out_dir)
                 times[name].append(seconds)
                 counts[name].add(count)
             (base, base_cpu), (checkout, checkout_cpu) = times["base"][-1], times["checkout"][-1]
