@@ -38,14 +38,11 @@ the corrector reads to notice that it left the minimizer branch, and the run
 factors M_a once, at its final point, to report the antisymmetric class too.
 A mesh without a mirror takes Q_s = I: M_s is M.
 
-M itself is assembled only where it is read: at a run's first
-factorization, which sorts M's layout and orders M_s on it, at the final
-point, for M_a, and by the derivative checks.  One
-:class:`~homotopt.sparse.BlockSystem` per system keeps M_s's order and one
-sparse operator, composed at the first factorization from the layouts of
-rr, ru, K and M and the congruence of Q_s, whose product with the element
-values of rr and ru, Sigma and K's data is the permuted M_s's CSC data: a
-Newton iteration builds no rr, ru or M matrix.
+One :class:`~homotopt.sparse.BlockSystem` per system, built at the first
+factorization from the layouts of rr, ru and K and the operator from
+z = [rr's element values, 1, Sigma, ru's element values, K's data] to
+their data, gives M and every factored M_s and M_a as one product of an
+operator with z: no rr, ru or M matrix is built along a run.
 """
 from __future__ import annotations
 
@@ -108,8 +105,8 @@ class KktSystem:
         if self._rr_diagonal.size != self.n:
             raise ValueError("the density Hessian's pattern lacks diagonal entries")
         self._mirror = lagr.dofmap.mesh.mirror
-        (symmetric, self._l_s), self._antisymmetric = mirror_subspaces(lagr.dofmap)
-        self._blocks = BlockSystem(symmetric)  # M's layout, M_s's order and operator
+        (self._symmetric, self._l_s), self._antisymmetric = mirror_subspaces(lagr.dofmap)
+        self._blocks = None  # M's layout, M_s's order and operator, built at first use
 
     def _split(self, v: np.ndarray):
         """Views of ``v``'s rho, u, z_a and z_b blocks; ``v`` has dim - l entries."""
@@ -163,17 +160,30 @@ class KktSystem:
         along the step ``(drho, w/2, -w/2, -z_a drho / gap_a, z_b drho /
         gap_b)`` in (rho, u, p, z_a, z_b), whose dz_a and dz_b keep the
         linearized complementarity rows fixed.  It is independent of t,
-        which only shifts the residual.  Sigma is added to rr's diagonal
-        values; the run's block system sorts M's layout once and refills it.
-        -K/2 is written ``0.0 - 0.5 K``, so K's exact zeros are stored as
-        +0.0, as :meth:`factor`'s sums store them.
+        which only shifts the residual.  M is the product of the run's
+        block system with :meth:`_values`, as every matrix :meth:`factor`
+        factors is; K's exact zeros are stored as +0.0.
         """
-        h = self.lagr.hessian(point.rho, point.u, point.p_adj)
-        sigma = point.z_a / self.box.lower_gap(point.rho) + point.z_b / self.box.upper_gap(point.rho)
-        data = h.rr.csr.data.copy()
-        data[self._rr_diagonal] += sigma
-        return self._blocks.assemble(h.rr.with_data(data), h.ru,
-                                     h.up.with_data(0.0 - 0.5 * h.up.csr.data))
+        return self._system().assemble(self._values(point))
+
+    def _values(self, point: KktPoint) -> np.ndarray:
+        """z = [rr's and ru's element values from
+        :meth:`Lagrangian.hessian_elements`, 1, Sigma, K's cached data] at
+        ``point``, in :meth:`_source`'s order."""
+        lagr, box = self.lagr, self.box
+        rr, ru = lagr.hessian_elements(point.rho, point.u, point.p_adj)
+        sigma = point.z_a / box.lower_gap(point.rho) + point.z_b / box.upper_gap(point.rho)
+        return np.concatenate([rr.ravel(), [1.0], sigma, ru.ravel(),
+                               lagr.state_matrix(point.rho).csr.data])
+
+    def _system(self) -> BlockSystem:
+        """The run's block system of M on the density, cross and state
+        patterns, built at the first call."""
+        if self._blocks is None:
+            lagr = self.lagr
+            self._blocks = BlockSystem(lagr.dofmap.geometry.pattern, lagr.cross_pattern,
+                                       lagr.dofmap.state_pattern, self._source(), self._symmetric)
+        return self._blocks
 
     def _source(self) -> sp.csr_matrix:
         """The operator from z = [rr's element values, 1, Sigma, ru's
@@ -205,14 +215,12 @@ class KktSystem:
         (M_s's negative pivots less l_s, its number of w columns).
 
         Fills the permuted ``M_s = Q_s^T M Q_s`` by one product of the run's
-        operator with z = [rr's and ru's element values from
-        :meth:`Lagrangian.hessian_elements`, Sigma, K's cached data] and
-        factors it on the run's symmetric order (Q_s is the identity on a
-        mesh without a mirror, where M_s is M, bitwise).  The run's first
-        call instead assembles :meth:`jacobian`, orders M_s from it and
-        composes the operator.  Then ``(drho, w) = Q_s M_s^-1 Q_s^T (b_rho +
-        b_a / gap_a - b_b / gap_b, b_u)``, ``du = w / 2``, ``dz_a = (b_a -
-        z_a drho) / gap_a`` and ``dz_b = (b_b + z_b drho) / gap_b``.  At a
+        operator with :meth:`_values` and factors it on the run's symmetric
+        order, which the first call takes (Q_s is the identity on a mesh
+        without a mirror, where M_s is M, bitwise).  Then ``(drho, w) = Q_s
+        M_s^-1 Q_s^T (b_rho + b_a / gap_a - b_b / gap_b, b_u)``, ``du = w /
+        2``, ``dz_a = (b_a - z_a drho) / gap_a`` and ``dz_b = (b_b + z_b
+        drho) / gap_b``.  At a
         mirror-symmetric point M commutes with the mirror up to rounding and
         the residual is symmetric up to rounding, so the step lies in the
         range of Q_s; the dropped antisymmetric part of ``b`` is rounding,
@@ -229,16 +237,8 @@ class KktSystem:
                 np.array_equal(v, v[self._mirror]) for v in (point.rho, point.z_a, point.z_b)):
             raise ValueError("the point breaks the mesh's mirror symmetry: rho, z_a and z_b "
                              "must equal their mirror images")
+        lu = self._system().factor(self._values(point))
         gap_a, gap_b = self.box.lower_gap(point.rho), self.box.upper_gap(point.rho)
-        if self._blocks.composed:
-            rr, ru = self.lagr.hessian_elements(point.rho, point.u, point.p_adj)
-            k = self.lagr.state_matrix(point.rho).csr.data
-            lu = self._blocks.factor(values=np.concatenate(
-                [rr.ravel(), [1.0], point.z_a / gap_a + point.z_b / gap_b, ru.ravel(), k]))
-        else:  # the run's first factorization: M's layout, M_s's order, the operator
-            self.jacobian(point)
-            lu = self._blocks.factor()
-            self._blocks.compose(self._source())
 
         def solve(b):
             b_rho, b_u, b_a, b_b = self._split(b)
@@ -253,16 +253,15 @@ class KktSystem:
         """The reduced Hessian's negative eigenvalues at ``point`` in the
         mirror-symmetric and the antisymmetric class: :meth:`factor`'s count
         and M_a's negative pivots less l_a, from one factorization of each
-        of M_s and ``M_a = Q_a^T M Q_a``, M assembled by :meth:`jacobian`.
+        of M_s and ``M_a = Q_a^T M Q_a``, both filled from :meth:`_values`.
         None on a mesh without a mirror, or if either factorization is
         refused."""
         if self._antisymmetric is None:
             return None
+        basis, l_a = self._antisymmetric
         try:
-            symmetric = self.factor(point).negative
-            self.jacobian(point)
-            basis, l_a = self._antisymmetric
-            return symmetric, self._blocks.factor(basis).negative_pivots - l_a
+            return (self.factor(point).negative,
+                    self._system().factor(self._values(point), basis).negative_pivots - l_a)
         except SingularMatrixError:
             return None
 

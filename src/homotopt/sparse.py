@@ -5,16 +5,15 @@ and stiffness, KKT blocks) is a :class:`SparseMatrix`.  Its CSR data comes
 from a :class:`SparsityPattern`, which sorts a fixed triplet layout once and
 then sums any values for it by one precomputed summation operator, a single
 sparse matrix-vector product (a plain gather when no triplets share an
-entry).  General systems go
-through :func:`solve_direct`, a sparse LU with partial pivoting.  The
-symmetric block matrix of a run, the reduced KKT matrix M, is a
-:class:`BlockSystem`: assembled on a layout fixed at its first call, and
-restricted to a :class:`Subspace` (all of M's space by default) whose
-matrix ``Q^T M Q`` is factored by diagonal pivoting, ``P A P^T = L D L^T``,
-on a fill-reducing order computed once, which also counts the negative
-pivots (the inertia).  One operator, kept with that order, fills the
-permuted ``Q^T M Q`` from M's data, or, once composed with the operators
-that give M's blocks, from their input, so M need not be assembled.
+entry).  General systems go through :func:`solve_direct`, a sparse LU
+with partial pivoting.  The symmetric block matrix of a run, the reduced
+KKT matrix M, is a :class:`BlockSystem` on fixed block layouts, its values
+given by an input z through one operator, and restricted to a
+:class:`Subspace` (all of M's space by default) whose matrix ``Q^T M Q``
+is factored by diagonal pivoting, ``P A P^T = L D L^T``, on a
+fill-reducing order computed once, which also counts the negative pivots
+(the inertia).  M and every factored ``Q^T M Q`` are one product of an
+operator with z.
 A factorization whose smallest pivot falls below ``PIVOT_RATIO`` times the
 largest, or whose solution is not finite, raises
 :class:`SingularMatrixError`, which callers treat as "the Newton system
@@ -112,10 +111,6 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix(self._csr.T.tocsr())
 
-    def with_data(self, data) -> "SparseMatrix":
-        """The matrix with this layout and the given CSR data."""
-        return _csr_matrix(data, self._csr.indices, self._csr.indptr, self.shape)
-
     def __repr__(self) -> str:
         return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
@@ -178,30 +173,21 @@ class SparsityPattern:
 
     def reduce(self, values) -> np.ndarray:
         """CSR data: each entry sums its triplets' weighted values."""
-        return _sum(self.summation, values)
+        v = np.asarray(values, dtype=np.float64).ravel()
+        if isinstance(self.summation, np.ndarray):
+            return v[self.summation]
+        return self.summation @ v[:self.summation.shape[1]]
 
     def matrix(self, data: np.ndarray) -> "SparseMatrix":
-        """The matrix with this pattern and the given CSR data."""
-        return _csr_matrix(data, self.indices, self.indptr, self.shape)
+        """The matrix with this pattern and the given CSR data, which shares
+        the pattern's index arrays."""
+        csr = sp.csr_matrix((np.asarray(data, dtype=np.float64), self.indices, self.indptr),
+                            shape=self.shape)
+        csr.has_sorted_indices = True
+        return SparseMatrix(csr)
 
     def fill(self, values) -> "SparseMatrix":
         return self.matrix(self.reduce(values))
-
-
-def _sum(summation, values) -> np.ndarray:
-    """Apply a :class:`SparsityPattern` summation, a gather index or a CSR
-    operator, to ``values``."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if isinstance(summation, np.ndarray):
-        return v[summation]
-    return summation @ v[:summation.shape[1]]
-
-
-def _csr_matrix(data, indices, indptr, shape) -> SparseMatrix:
-    """A matrix on sorted CSR index arrays, which it shares."""
-    csr = sp.csr_matrix((np.asarray(data, dtype=np.float64), indices, indptr), shape=shape)
-    csr.has_sorted_indices = True
-    return SparseMatrix(csr)
 
 
 def _splu(csc: sp.csc_matrix, **options):
@@ -294,13 +280,14 @@ class Subspace:
         x[self._rows] = self._weights * y[self._columns]
         return x
 
-    def congruence(self, a: "SparseMatrix") -> SparsityPattern:
-        """The layout of ``Q^T A Q`` for ``a``'s layout, with each of ``a``'s
-        entries weighted by ``weight[i] * weight[j]``: ``pattern.fill(data)``
-        is ``Q^T A Q`` for any CSR data on that layout."""
-        if a.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix of shape {(self.dim,) * 2} expected, got {a.shape}")
-        rows, cols = _coordinates(a)
+    def congruence(self, layout) -> SparsityPattern:
+        """The layout of ``Q^T A Q`` for a CSR layout (``shape``, ``indptr``,
+        ``indices``) of A, with each of its entries weighted by ``weight[i] *
+        weight[j]``: ``pattern.fill(data)`` is ``Q^T A Q`` for any CSR data
+        on that layout."""
+        if layout.shape != (self.dim, self.dim):
+            raise ValueError(f"matrix of shape {(self.dim,) * 2} expected, got {layout.shape}")
+        rows, cols = _coordinates(layout)
         r, c = self.column[rows], self.column[cols]
         keep = np.flatnonzero((r >= 0) & (c >= 0))
         return SparsityPattern(self.size, self.size, r[keep], c[keep], source=keep,
@@ -357,14 +344,10 @@ class SymmetricFactor:
 _DIAGONAL_PIVOTS = dict(diag_pivot_thresh=0.0, panel_size=1, options={"SymmetricMode": True})
 
 
-def _coordinates(a: SparseMatrix):
-    """Row and column of each entry of ``a``, in CSR data order."""
-    return np.repeat(np.arange(a.nrows), np.diff(a.csr.indptr)), a.csr.indices
-
-
-def _ordered_splu(a: SparseMatrix):
-    """SuperLU's factorization of ``a`` on its own fill-reducing order."""
-    return _splu(a.csr.tocsc(), permc_spec="MMD_AT_PLUS_A", **_DIAGONAL_PIVOTS)
+def _coordinates(layout):
+    """Row and column of each entry of a CSR layout (``shape``, ``indptr``,
+    ``indices``), in CSR data order."""
+    return np.repeat(np.arange(layout.shape[0]), np.diff(layout.indptr)), layout.indices
 
 
 def summation_operator(pattern: SparsityPattern, ncols: int) -> sp.csr_matrix:
@@ -379,121 +362,81 @@ def summation_operator(pattern: SparsityPattern, ncols: int) -> sp.csr_matrix:
 
 
 class BlockSystem:
-    """The symmetric block matrix ``M = [[A, B], [B^T, C]]`` of one fixed
-    layout, assembled, and restricted to the subspace ``basis`` (default:
+    """The symmetric block matrix ``M = [[A, B], [B^T, C]]`` on the fixed CSR
+    layouts (``shape``, ``indptr``, ``indices``) of A, B and C, its values
+    given by an input z, and restricted to the subspace ``basis`` (default:
     all of M's space) to be factored.
 
-    The first :meth:`assemble` checks that the blocks fit and sorts M's
-    layout into a :class:`SparsityPattern`; every later call refills it by
-    one gather, ``B^T`` read from ``B``'s own values, so no transpose is
-    built.  A block whose CSR layout (shape, ``indptr`` or ``indices``)
-    differs from the first call's raises ``ValueError``.
+    ``source`` has one row per entry of A, B and C, in that order and each
+    in CSR data order: its product with z is their data.  The constructor
+    checks that the blocks fit, sorts M's layout and gathers ``source``'s
+    rows into the operator from z to M's CSR data, ``B^T``'s entries read
+    from ``B``'s rows, and each row's terms sorted by their position in z,
+    so that they are summed in that order.  :meth:`assemble` is its
+    product with z.
 
     :meth:`factor` factors ``Q^T M Q`` as ``P Q^T M Q P^T = L D L^T``.  The
-    first call sorts the layout of ``Q^T M Q`` of the last assembled M
-    (:meth:`Subspace.congruence`), lets SuperLU order it (``MMD_AT_PLUS_A``)
-    and keeps that order, with one operator whose rows are put in the CSC
-    order of the symmetrically permuted matrix: its product with M's CSR
-    data is that matrix's CSC data.  :meth:`compose` composes the operator
-    once more, with one from an input z to the blocks' data, so that M's
-    data need never be assembled again.  Every later call fills the
-    permuted matrix's CSC data by one product of the kept operator, with
-    M's data or with z, and factors it with the ``NATURAL`` order.  With
-    the identity basis ``Q^T M Q`` is M, bitwise.  Pivots stay on the
+    first call sorts the layout of ``Q^T M Q`` (:meth:`Subspace.congruence`),
+    multiplies its summation into M's operator, lets SuperLU order the
+    product with z (``MMD_AT_PLUS_A``) and keeps that order, with the
+    operator's rows put in the CSC order of the symmetrically permuted
+    matrix.  Every later call fills that matrix's CSC data by one product of
+    the kept operator with z and factors it with the ``NATURAL`` order.
+    With the identity basis ``Q^T M Q`` is M, bitwise.  Pivots stay on the
     diagonal (threshold 0), which is stable for symmetric quasi-definite
     matrices; a factorization that needed an off-diagonal pivot, or fails
     the pivot test, raises :class:`SingularMatrixError`.
     """
 
-    def __init__(self, basis: Optional[Subspace] = None):
-        self.basis = basis  # None: the identity, fixed at the first factorization
-        self._layout = None  # (shape, indptr, indices) of A, B and C at the first assembly
-        self._pattern = None
-        self._matrix = None  # the last assembled M
-        self._order = None  # position in the permuted matrix -> index in Q^T M Q
-        self._csc = None  # (operator, indices, indptr, shape) of the permuted matrix
-        self.composed = False  # the kept operator reads compose()'s input, not M's data
-
-    def assemble(self, a: SparseMatrix, b: SparseMatrix, c: SparseMatrix) -> SparseMatrix:
-        layout = [(x.shape, x.csr.indptr, x.csr.indices) for x in (a, b, c)]
-        if self._pattern is None:
-            n, m = b.shape
-            if a.shape != (n, n) or c.shape != (m, m):
-                raise ValueError(f"blocks of shapes {a.shape}, {b.shape} and {c.shape} "
-                                 f"do not fit [[A, B], [B^T, C]]")
-            (ra, ca), (rb, cb), (rc, cc) = map(_coordinates, (a, b, c))
-            self._pattern = SparsityPattern(n + m, n + m,
-                                            np.concatenate([ra, rb, cb + n, rc + n]),
-                                            np.concatenate([ca, cb + n, rb, cc + n]))
-            self._layout = layout
-        elif not all(s == s0 and np.array_equal(p, p0) and np.array_equal(i, i0)
-                     for (s, p, i), (s0, p0, i0) in zip(layout, self._layout)):
-            raise ValueError("block layout differs from the first assembly")
-        self._matrix = self._pattern.fill(
-            np.concatenate([a.csr.data, b.csr.data, b.csr.data, c.csr.data]))
-        return self._matrix
-
-    def compose(self, source: sp.csr_matrix) -> None:
-        """Let every later :meth:`factor` of the system's own basis read its
-        values from an input z: ``source`` has one row per entry of A, B
-        and C, in that order and each in CSR data order, and its product
-        with z is their data.  The kept operator is composed with it once,
-        and each row's terms are sorted by their position in z, so that
-        they are summed in that order."""
-        if self._csc is None:
-            raise ValueError("no order to compose with: factor once first")
-        if self.composed:
-            raise ValueError("the operator already reads its own input")
-        na, nb, nc = (indices.size for _, _, indices in self._layout)
+    def __init__(self, a, b, c, source: sp.csr_matrix, basis: Optional[Subspace] = None):
+        n, m = b.shape
+        if a.shape != (n, n) or c.shape != (m, m):
+            raise ValueError(f"blocks of shapes {a.shape}, {b.shape} and {c.shape} "
+                             f"do not fit [[A, B], [B^T, C]]")
+        na, nb, nc = (x.indices.size for x in (a, b, c))
         if source.shape[0] != na + nb + nc:
             raise ValueError(f"source of {na + nb + nc} rows expected, got {source.shape[0]}")
+        (ra, ca), (rb, cb), (rc, cc) = map(_coordinates, (a, b, c))
+        self._pattern = SparsityPattern(n + m, n + m, np.concatenate([ra, rb, cb + n, rc + n]),
+                                        np.concatenate([ca, cb + n, rb, cc + n]))
         # the row of source that gives each of M's entries: M's pattern
         # gathers (the blocks do not overlap) from A, B, B and C's data
         rows = np.concatenate([np.arange(na + nb), np.arange(na, na + nb + nc)])
-        rows = rows[self._pattern.summation]
-        operator, indices, indptr, shape = self._csc
-        if isinstance(operator, np.ndarray):
-            fused = source[rows[operator]]
-        else:  # the operator's columns relabelled from M's entries to source rows
-            fused = sp.csr_matrix((operator.data, rows[operator.indices], operator.indptr),
-                                  shape=(operator.shape[0], source.shape[0])) @ source
-        fused.sort_indices()
-        self._csc = (fused, indices, indptr, shape)
-        self.composed = True
+        self._operator = source[rows[self._pattern.summation]]
+        self._operator.sort_indices()
+        self._basis = Subspace.identity(n + m) if basis is None else basis
+        self._order = None  # position in the permuted matrix -> index in Q^T M Q
+        self._csc = None  # (operator, indices, indptr, shape) of the permuted matrix
 
-    def factor(self, basis: Optional[Subspace] = None, values=None) -> SymmetricFactor:
-        """``Q^T M Q`` factored on the order of the first call, its data
-        the kept operator's product with ``values`` once :meth:`compose`
-        has run, else with the last assembled M's data.  A ``basis`` other
-        than the system's own is restricted to, from the last assembled M,
+    def assemble(self, z) -> SparseMatrix:
+        """M at the input z."""
+        return self._pattern.matrix(self._operator @ z)
+
+    def factor(self, z, basis: Optional[Subspace] = None) -> SymmetricFactor:
+        """``Q^T M Q`` at the input z, factored on the order of the first
+        call.  A ``basis`` other than the system's own is restricted to,
         ordered and factored once, and nothing of it is kept."""
-        m = self._matrix
-        if m is None:
-            raise ValueError("no matrix assembled")
-        if basis is not None and basis is not self.basis:
-            reduced = basis.congruence(m).fill(m.csr.data)
-            return SymmetricFactor(_ordered_splu(reduced), reduced.csr, None, basis)
-        if self._order is None:
-            if self.basis is None:
-                self.basis = Subspace.identity(m.nrows)
-            pattern = self.basis.congruence(m)
-            reduced = pattern.fill(m.csr.data)
-            lu = _ordered_splu(reduced)
+        if basis is None or basis is self._basis:
+            if self._csc is not None:
+                operator, indices, indptr, shape = self._csc
+                csc = sp.csc_matrix((operator @ z, indices, indptr), shape=shape)
+                return SymmetricFactor(_splu(csc, permc_spec="NATURAL", **_DIAGONAL_PIVOTS), csc,
+                                       self._order, self._basis)
+            basis = self._basis
+        pattern = basis.congruence(self._pattern)
+        operator = summation_operator(pattern, self._operator.shape[0]) @ self._operator
+        operator.sort_indices()
+        reduced = pattern.matrix(operator @ z).csr
+        lu = _splu(reduced.tocsc(), permc_spec="MMD_AT_PLUS_A", **_DIAGONAL_PIVOTS)
+        if basis is self._basis:
             # entry k of the CSR data sits at (perm_c[row], perm_c[col]) of the
             # permuted matrix; sorting by column, then row, gives its CSC order
-            rows, cols = (lu.perm_c[i] for i in _coordinates(reduced))
+            rows, cols = (lu.perm_c[i] for i in _coordinates(pattern))
             entries = np.lexsort((rows, cols))
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=reduced.nrows))])
+            indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=basis.size))])
             # scipy picks the index dtype; keep its arrays so refills share them
             layout = sp.csc_matrix((np.zeros(entries.size), rows[entries], indptr),
                                    shape=reduced.shape)
-            self._csc = (pattern.summation[entries], layout.indices, layout.indptr, reduced.shape)
+            self._csc = (operator[entries], layout.indices, layout.indptr, reduced.shape)
             self._order = np.argsort(lu.perm_c)
-            return SymmetricFactor(lu, reduced.csr, None, self.basis)
-        if (values is None) == self.composed:
-            raise ValueError("values are read by a composed operator, and only by one")
-        operator, indices, indptr, shape = self._csc
-        csc = sp.csc_matrix((_sum(operator, m.csr.data if values is None else values),
-                             indices, indptr), shape=shape)
-        return SymmetricFactor(_splu(csc, permc_spec="NATURAL", **_DIAGONAL_PIVOTS), csc,
-                               self._order, self.basis)
+        return SymmetricFactor(lu, reduced, None, basis)

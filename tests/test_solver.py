@@ -298,7 +298,7 @@ def test_source_operator_bit_identical_to_bmat(diagonal):
 def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
     # one solve sorts six layouts, each once: density, K(rho), coupling, the
     # reduced (rho, u) matrix M and its symmetric and antisymmetric blocks;
-    # M is assembled only at the first factorization and at the final point
+    # M itself is never assembled
     system, _ = solver.build_system(small_config())
     patterns = []
     init = sparse.SparsityPattern.__init__
@@ -318,7 +318,7 @@ def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
     monkeypatch.setattr(solver.KktSystem, "jacobian", counted_jacobian)
     _, trace = solver.run(small_config())
     assert trace.accepted()[-1].t == 1.0
-    assert len(matrices) == 2
+    assert matrices == []
     n, l = system.n, system.l
     (q_s, _), (q_a, _) = solver.mirror_subspaces(system.lagr.dofmap)
     k_s, k_a = q_s.size, q_a.size
@@ -329,52 +329,63 @@ def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
 
 
 def test_newton_loop_builds_no_hessian_or_kkt_matrix(monkeypatch):
-    # a 20x8 solve assembles rr, ru and M only at its first factorization,
-    # which orders M_s, and at the final point, for M_a; every other
-    # factorization fills M_s from element values
+    # a 20x8 solve fills every M_s, and M_a at the final point, from
+    # element values: it builds no rr, ru or M matrix
     calls = []
-    assemble, hessian = sparse.BlockSystem.assemble, solver.Lagrangian.hessian
+    for owner, name in ((solver.Lagrangian, "hessian"), (sparse.BlockSystem, "assemble"),
+                        (solver.KktSystem, "jacobian")):
+        def counted(*args, name=name, method=getattr(owner, name)):
+            calls.append(name)
+            return method(*args)
 
-    def counted_assemble(self, *blocks):
-        calls.append(("assemble", None))
-        return assemble(self, *blocks)
-
-    def counted_hessian(self, rho, u, p_adj):
-        calls.append(("hessian", np.array(rho)))
-        return hessian(self, rho, u, p_adj)
-
-    monkeypatch.setattr(sparse.BlockSystem, "assemble", counted_assemble)
-    monkeypatch.setattr(solver.Lagrangian, "hessian", counted_hessian)
+        monkeypatch.setattr(owner, name, counted)
     point, trace = solver.run(small_config())
     assert sum(r.newton_iters for r in trace.records) == 25
-    assert [name for name, _ in calls] == ["hessian", "assemble"] * 2
-    assert np.all(calls[0][1] == 0.5)
-    assert np.array_equal(calls[2][1], point.rho)
+    assert trace.final_negative == (8, 8)
+    assert calls == []
 
 
 def test_operator_fills_m_s_as_the_congruence_of_m(rng, monkeypatch):
-    # at random mirror-symmetric 20x8 points, the M_s that the run's
-    # operator fills from element values is Q_s^T M Q_s, permuted on the
-    # order of the first factorization
+    # at the initial point and at random mirror-symmetric 20x8 points, the
+    # M_s that the run's operator fills from element values is Q_s^T M Q_s,
+    # permuted on the order of the first factorization after it
     system, _ = solver.build_system(small_config())
     (q_s, _), _ = solver.mirror_subspaces(system.lagr.dofmap)
     qs = dense_basis(q_s)
     mirror = system.lagr.mesh.mirror
     factored = recorded_splu(monkeypatch)
-    system.factor(system.initialize(50.0)[0])  # orders M_s, composes the operator
+    points = [system.initialize(50.0)[0]]
     for _ in range(3):
         point = random_point(system, rng)
         point.p_adj = -point.u
         for name in ("rho", "z_a", "z_b"):
             v = getattr(point, name)
             setattr(point, name, 0.5 * (v + v[mirror]))
+        points.append(point)
+    for i, point in enumerate(points):
         system.factor(point)
-        order = system._blocks._order
-        want = (qs.T @ system.jacobian(point).csr.toarray() @ qs)[np.ix_(order, order)]
+        want = qs.T @ system.jacobian(point).csr.toarray() @ qs
+        if i > 0:
+            want = want[np.ix_(system._blocks._order, system._blocks._order)]
         got = factored[-1][0].toarray()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     # the initial state solve, then M_s ordered once and refilled three times
     assert [spec for _, spec in factored] == [None, "MMD_AT_PLUS_A"] + ["NATURAL"] * 3
+
+
+def test_final_m_a_is_the_congruence_of_m(small_run, monkeypatch):
+    # the M_a that the final point's class count factors is Q_a^T M Q_a
+    point, _, _ = small_run
+    system, _ = solver.build_system(small_config())
+    _, (q_a, _) = solver.mirror_subspaces(system.lagr.dofmap)
+    qa = dense_basis(q_a)
+    factored = recorded_splu(monkeypatch)
+    assert system.negative_by_class(point) == (8, 8)
+    assert [spec for _, spec in factored] == ["MMD_AT_PLUS_A"] * 2  # M_s ordered, then M_a
+    m = system.jacobian(point).csr.toarray()
+    got = factored[-1][0].toarray()
+    assert got.shape == (q_a.size,) * 2
+    assert np.abs(got - qa.T @ m @ qa).max() <= 1e-14 * np.abs(m).max()
 
 
 def test_one_solve_transposes_no_matrix(monkeypatch):
@@ -572,8 +583,8 @@ def test_refused_symmetric_factorization_is_a_singular_jacobian(
 def test_run_orders_the_reduced_matrix_once(monkeypatch):
     # the first factorization orders M_s (MMD on A^T + A); every later one
     # reuses that order, permuted, with the NATURAL column order; the final
-    # point factors M_s once more and M_a once, on its own MMD order; M is
-    # assembled by `jacobian` only for the first factorization and for M_a
+    # point factors M_s once more and M_a once, on its own MMD order; no
+    # factorization reads M from `jacobian`
     factored = recorded_splu(monkeypatch)
     calls = []
     jacobian = solver.KktSystem.jacobian
@@ -589,7 +600,7 @@ def test_run_orders_the_reduced_matrix_once(monkeypatch):
     assert specs[0] is None  # the state solve of the initial point
     assert specs[1:] == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(specs) - 3) + ["MMD_AT_PLUS_A"]
     assert len(specs) == 3 + sum(r.newton_iters for r in trace.records)
-    assert len(calls) == 2
+    assert calls == []
 
 
 def test_run_objective_decreases(small_run, small_system):
@@ -735,7 +746,7 @@ def test_fold_run_ends_non_decreasing_correctors_early():
     assert [r.endpoint_jump for r in trace.records] == [False] * 50 + [True]
     assert np.array_equal(point.p_adj, -point.u)
     system, _ = solver.build_system(SolverConfig(mesh=MeshConfig(nx=40, ny=12)))
-    assert system.lagr.objective(point.rho, point.u) == 8.65945417506713
+    assert system.lagr.objective(point.rho, point.u) == 8.659454175067326
     assert trace.final_negative == (4, 4)
 
 

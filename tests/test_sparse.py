@@ -218,18 +218,30 @@ def quasi_definite(rng, n, m):
     return np.block([[a, b], [b.T, -(c @ c.T + m * np.eye(m))]])
 
 
+def direct_system(dense, n, basis=None):
+    """The block system of ``dense``'s blocks split at ``n``, every entry
+    stored, whose input z is their concatenated CSR data, and a function
+    giving z for a matrix of that layout."""
+    def blocks(values):
+        return [SparseMatrix.from_dense(x).csr for x in
+                (values[:n, :n], values[:n, n:], values[n:, n:])]
+
+    def z(values):
+        return np.concatenate([x.data for x in blocks(values)])
+
+    size = z(dense).size
+    return BlockSystem(*blocks(dense), sp.identity(size, format="csr"), basis), z
+
+
 def test_symmetric_factor_solves_and_counts_negative_eigenvalues(rng):
-    # one order serves every refill of the layout: the first factorization
+    # one order serves every input of the layout: the first factorization
     # computes it, the later ones permute by it
-    blocks = BlockSystem()
     dense = quasi_definite(rng, 30, 12)
-    b = SparseMatrix.from_dense(dense[:30, 30:])
+    blocks, z = direct_system(dense, 30)
     for k in range(3):
         values = dense + np.diag(np.full(42, 0.5 * k))
-        m = blocks.assemble(SparseMatrix.from_dense(values[:30, :30]), b,
-                            SparseMatrix.from_dense(values[30:, 30:]))
-        assert np.array_equal(m.csr.toarray(), values)
-        factor = blocks.factor()
+        assert np.array_equal(blocks.assemble(z(values)).csr.toarray(), values)
+        factor = blocks.factor(z(values))
         rhs = rng.standard_normal(42)
         x = factor.solve(rhs)
         assert np.linalg.norm(x - np.linalg.solve(values, rhs)) <= 1e-10 * np.linalg.norm(x)
@@ -241,7 +253,7 @@ def test_symmetric_factor_solves_and_counts_negative_eigenvalues(rng):
 def test_block_system_factors_its_restriction_to_a_subspace(rng):
     # Q pairs some coordinates with weights +-1/sqrt(2), keeps some alone and
     # leaves the rest out; factor() solves Q (Q^T M Q)^-1 Q^T b and counts
-    # Q^T M Q's negative eigenvalues on every refill, and a basis given to
+    # Q^T M Q's negative eigenvalues on every input, and a basis given to
     # factor() is factored once on its own
     n, m = 30, 12
     c = np.sqrt(0.5)
@@ -256,21 +268,18 @@ def test_block_system_factors_its_restriction_to_a_subspace(rng):
     rows = np.flatnonzero(column >= 0)
     q[rows, column[rows]] = weight[rows]
     other = Subspace.identity(n + m)
-    blocks = BlockSystem(basis)
     dense = quasi_definite(rng, n, m)
-    b = SparseMatrix.from_dense(dense[:n, n:])
+    blocks, z = direct_system(dense, n, basis)
     for k in range(3):
         values = dense + np.diag(np.full(n + m, 0.5 * k))
-        blocks.assemble(SparseMatrix.from_dense(values[:n, :n]), b,
-                        SparseMatrix.from_dense(values[n:, n:]))
         reduced = q.T @ values @ q
-        factor = blocks.factor()
+        factor = blocks.factor(z(values))
         rhs = rng.standard_normal(n + m)
         x = factor.solve(rhs)
         want = q @ np.linalg.solve(reduced, q.T @ rhs)
         assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
         assert factor.negative_pivots == np.count_nonzero(np.linalg.eigvalsh(reduced) < 0)
-        whole = blocks.factor(other)
+        whole = blocks.factor(z(values), other)
         assert np.linalg.norm(whole.solve(rhs) - np.linalg.solve(values, rhs)) \
             <= 1e-10 * np.linalg.norm(whole.solve(rhs))
     with pytest.raises(ValueError, match="unit norm"):
@@ -278,73 +287,66 @@ def test_block_system_factors_its_restriction_to_a_subspace(rng):
 
 
 def test_composed_system_factors_from_the_blocks_input(rng):
-    # compose() folds an operator from an input z to the blocks' data into
-    # the kept one: each entry here sums two entries of z, and factor(values
-    # = z) solves and counts as the M of those sums
+    # each entry of the blocks here sums two entries of the input z, and
+    # factor(z) solves and counts as the M of those sums
     n, m = 30, 12
     dense = quasi_definite(rng, n, m)
-    blocks = BlockSystem()
     a, b, c = map(SparseMatrix.from_dense, (dense[:n, :n], dense[:n, n:], dense[n:, n:]))
-    blocks.assemble(a, b, c)
     size = a.nnz + b.nnz + c.nnz
     source = sp.hstack([sp.identity(size), sp.identity(size)], format="csr")
-    with pytest.raises(ValueError, match="factor once first"):
-        blocks.compose(source)
-    blocks.factor()
-    with pytest.raises(ValueError, match="rows expected"):
-        blocks.compose(source[1:])
-    blocks.compose(source)
-    with pytest.raises(ValueError, match="composed"):
-        blocks.factor()
+    blocks = BlockSystem(a.csr, b.csr, c.csr, source)
     for k in range(3):
         values = dense + np.diag(np.full(n + m, 0.5 * k))
         data = np.concatenate([SparseMatrix.from_dense(x).csr.data for x in
                                (values[:n, :n], values[:n, n:], values[n:, n:])])
         part = rng.standard_normal(size)
-        factor = blocks.factor(values=np.concatenate([part, data - part]))
+        factor = blocks.factor(np.concatenate([part, data - part]))
         rhs = rng.standard_normal(n + m)
         x = factor.solve(rhs)
         assert np.linalg.norm(x - np.linalg.solve(values, rhs)) <= 1e-10 * np.linalg.norm(x)
         assert factor.negative_pivots == np.count_nonzero(np.linalg.eigvalsh(values) < 0)
 
 
+def test_block_system_refuses_a_source_of_the_wrong_row_count():
+    # one row of the source per entry of A, B and C: 1 + 2 + 2 here
+    a, b = SparsityPattern(1, 1, [0], [0]), SparsityPattern(1, 2, [0, 0], [0, 1])
+    c = SparsityPattern(2, 2, [0, 1], [0, 1])
+    for rows in (4, 6):
+        with pytest.raises(ValueError, match=f"source of 5 rows expected, got {rows}"):
+            BlockSystem(a, b, c, sp.identity(rows, format="csr"))
+
+
 def test_symmetric_factor_refusals():
-    one, zero = SparseMatrix.from_dense([[1.0]]), SparseMatrix.from_dense([[0.0]])
+    one, zero = SparseMatrix.from_dense([[1.0]]).csr, SparseMatrix.from_dense([[0.0]]).csr
     # a zero diagonal needs an off-diagonal pivot
-    blocks = BlockSystem()
-    blocks.assemble(zero, one, zero)
+    blocks = BlockSystem(zero, one, zero, sp.identity(3, format="csr"))
     with pytest.raises(SingularMatrixError, match="diagonal"):
-        blocks.factor()
-    blocks = BlockSystem()
-    blocks.assemble(one, SparseMatrix.from_triplets(1, 1, [], [], []),
-                    SparseMatrix.from_dense([[-1e-16]]))
+        blocks.factor(np.array([0.0, 1.0, 0.0]))
+    blocks = BlockSystem(one, SparsityPattern(1, 1, [], []), one, sp.identity(2, format="csr"))
     with pytest.raises(SingularMatrixError, match="threshold"):
-        blocks.factor()
-    with pytest.raises(ValueError):  # nothing assembled to factor
-        BlockSystem().factor()
+        blocks.factor(np.array([1.0, -1e-16]))
 
 
 def test_block_diagonal_layout():
     # a B without entries leaves M block diagonal
-    blocks = BlockSystem()
-    m = blocks.assemble(SparseMatrix.from_dense([[3.0]]), SparseMatrix.from_triplets(1, 1, [], [], []),
-                        SparseMatrix.from_dense([[7.0]]))
+    one = SparseMatrix.from_dense([[1.0]]).csr
+    blocks = BlockSystem(one, SparsityPattern(1, 1, [], []), one, sp.identity(2, format="csr"))
+    m = blocks.assemble(np.array([3.0, 7.0]))
     assert np.array_equal(m.csr.toarray(), np.array([[3.0, 0.0], [0.0, 7.0]]))
 
 
 def test_block_identity_blocks_give_global_identity():
-    m = BlockSystem().assemble(identity(2), SparseMatrix.from_triplets(2, 3, [], [], []),
-                               identity(3))
-    assert np.array_equal(m.csr.toarray(), np.eye(5))
+    diagonal = [SparsityPattern(k, k, np.arange(k), np.arange(k)) for k in (2, 3)]
+    blocks = BlockSystem(diagonal[0], SparsityPattern(2, 3, [], []), diagonal[1],
+                         sp.identity(5, format="csr"))
+    assert np.array_equal(blocks.assemble(np.ones(5)).csr.toarray(), np.eye(5))
 
 
 def test_block_roundtrip_every_block(rng):
     a, b, c = (rng.standard_normal(shape) for shape in ((2, 2), (2, 3), (3, 3)))
-    full = BlockSystem().assemble(*map(SparseMatrix.from_dense, (a, b, c))).csr.toarray()
-    assert np.array_equal(full[:2, :2], a)
-    assert np.array_equal(full[:2, 2:], b)
-    assert np.array_equal(full[2:, :2], b.T)
-    assert np.array_equal(full[2:, 2:], c)
+    full = np.block([[a, b], [b.T, c]])
+    blocks, z = direct_system(full, 2)
+    assert np.array_equal(blocks.assemble(z(full)).csr.toarray(), full)
 
 
 def test_block_size_validation():
@@ -352,58 +354,39 @@ def test_block_size_validation():
     a, b, c = identity(2), SparseMatrix.from_dense(np.ones((2, 3))), identity(3)
     for blocks in [(identity(3), b, c), (a, b.transpose(), c), (a, b, identity(2)),
                    (a, SparseMatrix.from_dense(np.ones((2, 2))), c)]:
+        size = sum(x.nnz for x in blocks)
         with pytest.raises(ValueError, match="do not fit"):
-            BlockSystem().assemble(*blocks)
+            BlockSystem(*(x.csr for x in blocks), sp.identity(size, format="csr"))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_block_refill_bit_identical_to_fresh_assembly(data):
-    # rounds of new values for sparse and dense (every entry stored, exact
-    # zeros included) blocks A, B and C on one layout: each assembly must be
-    # bit-identical to a fresh system's and to scipy's bmat of the blocks;
-    # then a block with its entries at other places, or with another entry
-    # count, must raise
+    # sparse and dense (every entry stored) layouts of A, B and C and a
+    # random source whose rows sum up to four terms of z: M at each new z
+    # must be bit-identical to a fresh system's and to scipy's bmat of the
+    # blocks that the product of the source with z fills
     n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    layout = []  # (kind, pattern, triplet count) of A, B and C
+    layouts = []
     for shape in ((n, n), (n, m), (m, m)):
-        kind = data.draw(st.sampled_from(["sparse", "dense"]))
-        rows, cols = np.nonzero(rng.random(shape) < 0.6)
-        layout.append((kind, SparsityPattern(*shape, rows, cols), rows.size))
-
-    def new_block(kind, pattern, size):
-        if kind == "dense":
-            return SparseMatrix.from_dense(rng.standard_normal(pattern.shape)
-                                           * (rng.random(pattern.shape) < 0.7))
-        return pattern.fill(rng.standard_normal(size))
-
-    blocks = BlockSystem()
+        if data.draw(st.sampled_from(["sparse", "dense"])) == "dense":
+            layouts.append(SparseMatrix.from_dense(np.zeros(shape)).csr)
+        else:
+            layouts.append(SparsityPattern(*shape, *np.nonzero(rng.random(shape) < 0.6)))
+    rows = sum(x.indices.size for x in layouts)
+    width = data.draw(st.integers(1, 8))
+    source = sp.random(rows, width, density=min(1.0, 4 / width), format="csr", rng=rng)
+    source.sort_indices()
+    blocks = BlockSystem(*layouts, source)
     for _ in range(data.draw(st.integers(1, 4))):
-        a, b, c = (new_block(*entry) for entry in layout)
-        got = blocks.assemble(a, b, c)
-        want = BlockSystem().assemble(a, b, c).csr
+        z = rng.standard_normal(width) * 10.0 ** rng.integers(-8, 9, width)
+        got = blocks.assemble(z)
+        want = BlockSystem(*layouts, source).assemble(z).csr
         assert_same_csr(got, want.data, want.indices, want.indptr)
-        reference = sp.bmat([[a.csr, b.csr], [b.csr.T, c.csr]], format="csr")
+        values = np.split(source @ z, np.cumsum([x.indices.size for x in layouts])[:-1])
+        a, b, c = (sp.csr_matrix((v, x.indices, x.indptr), shape=x.shape)
+                   for v, x in zip(values, layouts))
+        reference = sp.bmat([[a, b], [b.T, c]], format="csr")
         reference.sort_indices()
         assert_same_csr(got, reference.data, reference.indices, reference.indptr)
-
-    i = data.draw(st.integers(0, 2))
-    block = new_block(*layout[i])
-    shape = block.shape
-    stored = np.zeros(shape, dtype=bool)
-    coo = block.csr.tocoo()
-    stored[coo.row, coo.col] = True
-    free = np.flatnonzero(~stored)
-    if block.nnz and free.size and data.draw(st.booleans()):
-        # one entry moved to a place the layout leaves empty
-        moved = stored.ravel().copy()
-        moved[np.flatnonzero(moved)[0]], moved[free[0]] = False, True
-        rows, cols = np.nonzero(moved.reshape(shape))
-    else:
-        # one entry fewer, or one where there were none
-        rows, cols = np.divmod(np.arange(block.nnz - 1 if block.nnz else 1), shape[1])
-    changed = [new_block(*entry) for entry in layout]
-    changed[i] = SparseMatrix.from_triplets(*shape, rows, cols, np.ones(rows.size))
-    with pytest.raises(ValueError, match="layout differs"):
-        blocks.assemble(*changed)
