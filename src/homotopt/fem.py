@@ -135,7 +135,7 @@ def element_pattern(nrows: int, ncols: int, row_dofs: np.ndarray,
     rows = np.broadcast_to(row_dofs[:, :, None], shape)
     cols = np.broadcast_to(col_dofs[:, None, :], shape)
     keep = (rows >= 0) & (cols >= 0)
-    return SparsityPattern(nrows, ncols, rows[keep], cols[keep], source=np.flatnonzero(keep))
+    return SparsityPattern(nrows, ncols, rows, cols, keep=keep)
 
 
 def _element_tables(mesh: TriMesh) -> _ElementTables:

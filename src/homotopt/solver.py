@@ -60,8 +60,7 @@ from .fem import DofMap
 from .homotopy import Factor, HomotopyProblem, SolveTrace
 from .lagrangian import Lagrangian
 from .mesh import TriMesh, bridge_domain, build_structured_mesh
-from .sparse import (BlockSystem, SingularMatrixError, SparseMatrix, Subspace, solve_direct,
-                     summation_operator)
+from .sparse import BlockSystem, SingularMatrixError, SparseMatrix, Subspace, solve_direct
 
 if TYPE_CHECKING:  # pragma: no cover
     from .io_cli import SolverConfig
@@ -106,7 +105,7 @@ class KktSystem:
             raise ValueError("the density Hessian's pattern lacks diagonal entries")
         self._mirror = lagr.dofmap.mesh.mirror
         (self._symmetric, self._l_s), self._antisymmetric = mirror_subspaces(lagr.dofmap)
-        self._blocks = None  # M's layout, M_s's order and operator, built at first use
+        self._blocks = None  # M's block system, built at first use
 
     def _split(self, v: np.ndarray):
         """Views of ``v``'s rho, u, z_a and z_b blocks; ``v`` has dim - l entries."""
@@ -182,7 +181,7 @@ class KktSystem:
         if self._blocks is None:
             lagr = self.lagr
             self._blocks = BlockSystem(lagr.dofmap.geometry.pattern, lagr.cross_pattern,
-                                       lagr.dofmap.state_pattern, self._source(), self._symmetric)
+                                       lagr.dofmap.state_pattern, self._source())
         return self._blocks
 
     def _source(self) -> sp.csr_matrix:
@@ -191,9 +190,9 @@ class KktSystem:
         -K/2.  Its column order sums each entry of rr + Sigma as rr is
         summed, element values first, then the constant part, then Sigma."""
         lagr = self.lagr
-        n_rr = 9 * lagr.dofmap.geometry.tri.shape[0]  # rr's element values; ru has twice as many
-        rr = summation_operator(lagr.dofmap.geometry.pattern, n_rr).tocoo()
-        ru = summation_operator(lagr.cross_pattern, 2 * n_rr).tocoo()
+        rr = lagr.dofmap.geometry.pattern.summation.tocoo()
+        ru = lagr.cross_pattern.summation.tocoo()
+        n_rr = rr.shape[1]  # rr's element values; ru has twice as many
         n_k = lagr.dofmap.state_pattern.indices.size
         const = np.flatnonzero(lagr.rr_const)  # the stored entries of the constant column
         # (row, column, value) of each block at its offset in the operator
@@ -237,7 +236,7 @@ class KktSystem:
                 np.array_equal(v, v[self._mirror]) for v in (point.rho, point.z_a, point.z_b)):
             raise ValueError("the point breaks the mesh's mirror symmetry: rho, z_a and z_b "
                              "must equal their mirror images")
-        lu = self._system().factor(self._values(point))
+        lu = self._system().factor(self._values(point), self._symmetric)
         gap_a, gap_b = self.box.lower_gap(point.rho), self.box.upper_gap(point.rho)
 
         def solve(b):

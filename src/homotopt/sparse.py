@@ -3,17 +3,14 @@
 Every assembled operator in the package (elasticity stiffness, density mass
 and stiffness, KKT blocks) is a :class:`SparseMatrix`.  Its CSR data comes
 from a :class:`SparsityPattern`, which sorts a fixed triplet layout once and
-then sums any values for it by one precomputed summation operator, a single
-sparse matrix-vector product (a plain gather when no triplets share an
-entry).  General systems go through :func:`solve_direct`, a sparse LU
-with partial pivoting.  The symmetric block matrix of a run, the reduced
-KKT matrix M, is a :class:`BlockSystem` on fixed block layouts, its values
-given by an input z through one operator, and restricted to a
-:class:`Subspace` (all of M's space by default) whose matrix ``Q^T M Q``
-is factored by diagonal pivoting, ``P A P^T = L D L^T``, on a
-fill-reducing order computed once, which also counts the negative pivots
-(the inertia).  M and every factored ``Q^T M Q`` are one product of an
-operator with z.
+then sums any values for it by one product with its summation operator.
+General systems go through :func:`solve_direct`, a sparse LU with partial
+pivoting.  The reduced KKT matrix M of a run is a :class:`BlockSystem` on
+fixed block layouts, its values given by an input z.  Each
+:class:`Subspace` Q it is restricted to gets, once, an operator from z to
+``Q^T M Q`` and a fill-reducing order, on which ``Q^T M Q`` is factored by
+diagonal pivoting, ``P A P^T = L D L^T``, which also counts the negative
+pivots (the inertia).
 A factorization whose smallest pivot falls below ``PIVOT_RATIO`` times the
 largest, or whose solution is not finite, raises
 :class:`SingularMatrixError`, which callers treat as "the Newton system
@@ -121,35 +118,36 @@ class SparsityPattern:
 
     The stable (row, column) sort runs once, at construction, and fixes the
     reduction as one summation operator, ``summation``: a CSR matrix with
-    one row per entry and one column per source value, which lists the
-    entry's triplets in input order with their ``weights`` (default 1) as
-    its data.  So :meth:`reduce` is one sparse matrix-vector product, which
-    sums each entry's weighted values left to right in input order,
-    starting from +0.0; a refill is bit-identical to ``from_triplets``.  A
-    pattern in which no two triplets share an entry and every weight is 1
-    keeps ``summation`` as a plain gather index instead, which copies each
-    value, a stored -0.0 included.  ``source`` optionally gives, for each triplet,
-    the position of its value in the arrays later passed to :meth:`fill`
-    (default: its own position); values after the last such position are
-    not read.
+    one row per entry and one column per triplet, which lists the entry's
+    triplets in input order with their ``weights`` (default 1) as its data.
+    So :meth:`reduce` is one sparse matrix-vector product, which sums each
+    entry's weighted values left to right in input order, starting from
+    +0.0; a refill is bit-identical to ``from_triplets``.  Where the mask
+    ``keep`` is given, only the triplets it marks are laid out and summed:
+    the others' indices are not checked and their values are not read.
     """
 
     __slots__ = ("shape", "summation", "indices", "indptr")
 
-    def __init__(self, nrows: int, ncols: int, rows, cols, source=None, weights=None):
+    def __init__(self, nrows: int, ncols: int, rows, cols, keep=None, weights=None):
         rows = np.asarray(rows, dtype=np.int64).ravel()
         cols = np.asarray(cols, dtype=np.int64).ravel()
         if rows.size != cols.size:
             raise ValueError("rows and cols must have equal length")
         if int(nrows) * int(ncols) > np.iinfo(np.int64).max:
             raise ValueError(f"a {nrows}x{ncols} matrix has more entries than int64 can index")
+        nvalues = rows.size
+        source = np.arange(nvalues)
+        if keep is not None:
+            source = source[np.asarray(keep, dtype=bool).ravel()]
+            rows, cols = rows[source], cols[source]
         if rows.size:
             if rows.min() < 0 or rows.max() >= nrows:
                 raise IndexError(f"row index out of range for {nrows}x{ncols} matrix")
             if cols.min() < 0 or cols.max() >= ncols:
                 raise IndexError(f"column index out of range for {nrows}x{ncols} matrix")
         order = np.argsort(rows * ncols + cols, kind="stable")  # ties keep input order
-        r, c = rows[order], cols[order]
+        r, c, source = rows[order], cols[order], source[order]
         first = np.ones(r.size, dtype=bool)
         first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
         starts = np.flatnonzero(first)
@@ -160,23 +158,14 @@ class SparsityPattern:
         self.shape = (nrows, ncols)
         self.indices = csr.indices
         self.indptr = csr.indptr
-        gather = order if source is None else np.asarray(source, dtype=np.int64)[order]
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64).ravel()[order]
-        if starts.size == r.size and (weights is None or np.all(weights == 1.0)):
-            self.summation = gather
-        else:
-            self.summation = sp.csr_matrix(
-                (np.ones(r.size) if weights is None else weights, gather,
-                 np.append(starts, r.size)),
-                shape=(starts.size, gather.max(initial=-1) + 1))
+        weights = (np.ones(source.size) if weights is None
+                   else np.asarray(weights, dtype=np.float64).ravel()[source])
+        self.summation = sp.csr_matrix((weights, source, np.append(starts, r.size)),
+                                       shape=(starts.size, nvalues))
 
     def reduce(self, values) -> np.ndarray:
         """CSR data: each entry sums its triplets' weighted values."""
-        v = np.asarray(values, dtype=np.float64).ravel()
-        if isinstance(self.summation, np.ndarray):
-            return v[self.summation]
-        return self.summation @ v[:self.summation.shape[1]]
+        return self.summation @ np.asarray(values, dtype=np.float64).ravel()
 
     def matrix(self, data: np.ndarray) -> "SparseMatrix":
         """The matrix with this pattern and the given CSR data, which shares
@@ -280,19 +269,6 @@ class Subspace:
         x[self._rows] = self._weights * y[self._columns]
         return x
 
-    def congruence(self, layout) -> SparsityPattern:
-        """The layout of ``Q^T A Q`` for a CSR layout (``shape``, ``indptr``,
-        ``indices``) of A, with each of its entries weighted by ``weight[i] *
-        weight[j]``: ``pattern.fill(data)`` is ``Q^T A Q`` for any CSR data
-        on that layout."""
-        if layout.shape != (self.dim, self.dim):
-            raise ValueError(f"matrix of shape {(self.dim,) * 2} expected, got {layout.shape}")
-        rows, cols = _coordinates(layout)
-        r, c = self.column[rows], self.column[cols]
-        keep = np.flatnonzero((r >= 0) & (c >= 0))
-        return SparsityPattern(self.size, self.size, r[keep], c[keep], source=keep,
-                               weights=self.weight[rows[keep]] * self.weight[cols[keep]])
-
 
 class SymmetricFactor:
     """``P A P^T = L D L^T`` of ``A = Q^T M Q``, a symmetric matrix M
@@ -350,45 +326,33 @@ def _coordinates(layout):
     return np.repeat(np.arange(layout.shape[0]), np.diff(layout.indptr)), layout.indices
 
 
-def summation_operator(pattern: SparsityPattern, ncols: int) -> sp.csr_matrix:
-    """``pattern``'s summation as a CSR matrix with ``ncols`` columns, one
-    per source value: its product with the values is ``pattern.reduce``."""
-    summation = pattern.summation
-    if isinstance(summation, np.ndarray):
-        return sp.csr_matrix((np.ones(summation.size), summation, np.arange(summation.size + 1)),
-                             shape=(summation.size, ncols))
-    return sp.csr_matrix((summation.data, summation.indices, summation.indptr),
-                         shape=(summation.shape[0], ncols))
-
-
 class BlockSystem:
     """The symmetric block matrix ``M = [[A, B], [B^T, C]]`` on the fixed CSR
     layouts (``shape``, ``indptr``, ``indices``) of A, B and C, its values
-    given by an input z, and restricted to the subspace ``basis`` (default:
-    all of M's space) to be factored.
+    given by an input z, factored restricted to a :class:`Subspace`.
 
     ``source`` has one row per entry of A, B and C, in that order and each
     in CSR data order: its product with z is their data.  The constructor
-    checks that the blocks fit, sorts M's layout and gathers ``source``'s
-    rows into the operator from z to M's CSR data, ``B^T``'s entries read
-    from ``B``'s rows, and each row's terms sorted by their position in z,
-    so that they are summed in that order.  :meth:`assemble` is its
-    product with z.
+    checks that the blocks fit and keeps ``source``'s rows in M-entry order:
+    A's, B's, B^T's (B's rows again) and C's.  For a basis Q the layout of
+    ``Q^T M Q`` is sorted from the blocks' entries, and its summation,
+    which folds in Q's weights, multiplied into those rows gives the
+    operator from z to its CSR data, each row's terms sorted by their
+    position in z, so that they are summed in that order.  :meth:`assemble`
+    is M, the restriction to all of M's space, bitwise.
 
     :meth:`factor` factors ``Q^T M Q`` as ``P Q^T M Q P^T = L D L^T``.  The
-    first call sorts the layout of ``Q^T M Q`` (:meth:`Subspace.congruence`),
-    multiplies its summation into M's operator, lets SuperLU order the
-    product with z (``MMD_AT_PLUS_A``) and keeps that order, with the
-    operator's rows put in the CSC order of the symmetrically permuted
-    matrix.  Every later call fills that matrix's CSC data by one product of
-    the kept operator with z and factors it with the ``NATURAL`` order.
-    With the identity basis ``Q^T M Q`` is M, bitwise.  Pivots stay on the
-    diagonal (threshold 0), which is stable for symmetric quasi-definite
-    matrices; a factorization that needed an off-diagonal pivot, or fails
-    the pivot test, raises :class:`SingularMatrixError`.
+    first call for a basis lets SuperLU order the operator's product with z
+    (``MMD_AT_PLUS_A``) and keeps that order, with the operator's rows put
+    in the CSC order of the symmetrically permuted matrix.  Every later call
+    for that basis fills that matrix's CSC data by one product of the kept
+    operator with z and factors it with the ``NATURAL`` order.  Pivots stay
+    on the diagonal (threshold 0), which is stable for symmetric
+    quasi-definite matrices; a factorization that needed an off-diagonal
+    pivot, or fails the pivot test, raises :class:`SingularMatrixError`.
     """
 
-    def __init__(self, a, b, c, source: sp.csr_matrix, basis: Optional[Subspace] = None):
+    def __init__(self, a, b, c, source: sp.csr_matrix):
         n, m = b.shape
         if a.shape != (n, n) or c.shape != (m, m):
             raise ValueError(f"blocks of shapes {a.shape}, {b.shape} and {c.shape} "
@@ -396,47 +360,52 @@ class BlockSystem:
         na, nb, nc = (x.indices.size for x in (a, b, c))
         if source.shape[0] != na + nb + nc:
             raise ValueError(f"source of {na + nb + nc} rows expected, got {source.shape[0]}")
-        (ra, ca), (rb, cb), (rc, cc) = map(_coordinates, (a, b, c))
-        self._pattern = SparsityPattern(n + m, n + m, np.concatenate([ra, rb, cb + n, rc + n]),
-                                        np.concatenate([ca, cb + n, rb, cc + n]))
-        # the row of source that gives each of M's entries: M's pattern
-        # gathers (the blocks do not overlap) from A, B, B and C's data
-        rows = np.concatenate([np.arange(na + nb), np.arange(na, na + nb + nc)])
-        self._operator = source[rows[self._pattern.summation]]
-        self._operator.sort_indices()
-        self._basis = Subspace.identity(n + m) if basis is None else basis
-        self._order = None  # position in the permuted matrix -> index in Q^T M Q
-        self._csc = None  # (operator, indices, indptr, shape) of the permuted matrix
+        self._blocks = (a, b, c)
+        self._source = source[np.concatenate([np.arange(na + nb), np.arange(na, na + nb + nc)])]
+        self._identity = Subspace.identity(n + m)
+        self._kept = {}  # basis -> order, operator and CSC layout of its permuted matrix
+
+    def _restricted(self, basis: Subspace):
+        """The layout of ``Q^T M Q`` for the basis Q, and the operator from z
+        to its CSR data."""
+        if basis.dim != self._identity.dim:
+            raise ValueError(f"basis of dimension {self._identity.dim} expected, got {basis.dim}")
+        (ra, ca), (rb, cb), (rc, cc) = map(_coordinates, self._blocks)
+        n = self._blocks[0].shape[0]
+        rows = np.concatenate([ra, rb, cb + n, rc + n])
+        cols = np.concatenate([ca, cb + n, rb, cc + n])
+        r, c = basis.column[rows], basis.column[cols]
+        pattern = SparsityPattern(basis.size, basis.size, r, c, keep=(r >= 0) & (c >= 0),
+                                  weights=basis.weight[rows] * basis.weight[cols])
+        operator = pattern.summation @ self._source
+        operator.sort_indices()
+        return pattern, operator
 
     def assemble(self, z) -> SparseMatrix:
         """M at the input z."""
-        return self._pattern.matrix(self._operator @ z)
+        pattern, operator = self._restricted(self._identity)
+        return pattern.matrix(operator @ z)
 
     def factor(self, z, basis: Optional[Subspace] = None) -> SymmetricFactor:
-        """``Q^T M Q`` at the input z, factored on the order of the first
-        call.  A ``basis`` other than the system's own is restricted to,
-        ordered and factored once, and nothing of it is kept."""
-        if basis is None or basis is self._basis:
-            if self._csc is not None:
-                operator, indices, indptr, shape = self._csc
-                csc = sp.csc_matrix((operator @ z, indices, indptr), shape=shape)
-                return SymmetricFactor(_splu(csc, permc_spec="NATURAL", **_DIAGONAL_PIVOTS), csc,
-                                       self._order, self._basis)
-            basis = self._basis
-        pattern = basis.congruence(self._pattern)
-        operator = summation_operator(pattern, self._operator.shape[0]) @ self._operator
-        operator.sort_indices()
+        """``Q^T M Q`` at the input z for the basis Q (default: all of M's
+        space), factored on the order of the basis's first call."""
+        basis = self._identity if basis is None else basis
+        if basis in self._kept:
+            order, operator, indices, indptr = self._kept[basis]
+            csc = sp.csc_matrix((operator @ z, indices, indptr), shape=(basis.size,) * 2)
+            return SymmetricFactor(_splu(csc, permc_spec="NATURAL", **_DIAGONAL_PIVOTS), csc,
+                                   order, basis)
+        pattern, operator = self._restricted(basis)
         reduced = pattern.matrix(operator @ z).csr
         lu = _splu(reduced.tocsc(), permc_spec="MMD_AT_PLUS_A", **_DIAGONAL_PIVOTS)
-        if basis is self._basis:
-            # entry k of the CSR data sits at (perm_c[row], perm_c[col]) of the
-            # permuted matrix; sorting by column, then row, gives its CSC order
-            rows, cols = (lu.perm_c[i] for i in _coordinates(pattern))
-            entries = np.lexsort((rows, cols))
-            indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=basis.size))])
-            # scipy picks the index dtype; keep its arrays so refills share them
-            layout = sp.csc_matrix((np.zeros(entries.size), rows[entries], indptr),
-                                   shape=reduced.shape)
-            self._csc = (operator[entries], layout.indices, layout.indptr, reduced.shape)
-            self._order = np.argsort(lu.perm_c)
+        # entry k of the CSR data sits at (perm_c[row], perm_c[col]) of the
+        # permuted matrix; sorting by column, then row, gives its CSC order
+        rows, cols = (lu.perm_c[i] for i in _coordinates(pattern))
+        entries = np.lexsort((rows, cols))
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=basis.size))])
+        # scipy picks the index dtype; keep its arrays so refills share them
+        layout = sp.csc_matrix((np.zeros(entries.size), rows[entries], indptr),
+                               shape=reduced.shape)
+        self._kept[basis] = (np.argsort(lu.perm_c), operator[entries], layout.indices,
+                             layout.indptr)
         return SymmetricFactor(lu, reduced, None, basis)

@@ -54,6 +54,12 @@ def dense_basis(q):
     return dense
 
 
+def kept_order(system):
+    """The order M_s's first factorization kept: position in the permuted
+    M_s -> index in M_s."""
+    return system._blocks._kept[system._symmetric][0]
+
+
 def recorded_splu(monkeypatch):
     """Every matrix handed to SuperLU from now on, and its permc_spec."""
     calls = []
@@ -277,14 +283,12 @@ def test_source_operator_bit_identical_to_bmat(diagonal):
     # values, K's data] to the blocks' data, against scipy's bmat of its blocks
     system, _ = solver.build_system(small_config(mesh=MeshConfig(nx=20, ny=8, diagonal=diagonal)))
     lagr, n = system.lagr, system.n
-    n_rr = 9 * lagr.dofmap.geometry.tri.shape[0]
-    rr = sparse.summation_operator(lagr.dofmap.geometry.pattern, n_rr)
+    rr = lagr.dofmap.geometry.pattern.summation
     sigma = sp.csr_matrix((np.ones(n), (system._rr_diagonal, np.arange(n))),
                           shape=(rr.shape[0], n))
     k = sp.diags(np.full(lagr.dofmap.state_pattern.indices.size, -0.5))
     want = sp.bmat([[rr, sp.csr_matrix(lagr.rr_const[:, None]), sigma, None, None],
-                    [None, None, None, sparse.summation_operator(lagr.cross_pattern, 2 * n_rr),
-                     None],
+                    [None, None, None, lagr.cross_pattern.summation, None],
                     [None, None, None, None, k]], format="csr")
     got = system._source()
     for m in (got, want):
@@ -296,9 +300,9 @@ def test_source_operator_bit_identical_to_bmat(diagonal):
 
 
 def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
-    # one solve sorts six layouts, each once: density, K(rho), coupling, the
-    # reduced (rho, u) matrix M and its symmetric and antisymmetric blocks;
-    # M itself is never assembled
+    # one solve sorts five layouts, each once: density, K(rho), coupling and
+    # the symmetric and antisymmetric blocks of the reduced (rho, u) matrix
+    # M; M itself is never assembled, so its layout is not sorted
     system, _ = solver.build_system(small_config())
     patterns = []
     init = sparse.SparsityPattern.__init__
@@ -324,8 +328,7 @@ def test_one_solve_sorts_the_kkt_layout_once(monkeypatch):
     k_s, k_a = q_s.size, q_a.size
     assert k_s + k_a == n + l
     # M_s's layout, and M_a's for the one factorization at the final point
-    assert sorted(patterns) == sorted([(n, n), (l, l), (n, l), (n + l, n + l), (k_s, k_s),
-                                       (k_a, k_a)])
+    assert sorted(patterns) == sorted([(n, n), (l, l), (n, l), (k_s, k_s), (k_a, k_a)])
 
 
 def test_newton_loop_builds_no_hessian_or_kkt_matrix(monkeypatch):
@@ -366,7 +369,7 @@ def test_operator_fills_m_s_as_the_congruence_of_m(rng, monkeypatch):
         system.factor(point)
         want = qs.T @ system.jacobian(point).csr.toarray() @ qs
         if i > 0:
-            want = want[np.ix_(system._blocks._order, system._blocks._order)]
+            want = want[np.ix_(kept_order(system), kept_order(system))]
         got = factored[-1][0].toarray()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     # the initial state solve, then M_s ordered once and refilled three times
@@ -386,6 +389,17 @@ def test_final_m_a_is_the_congruence_of_m(small_run, monkeypatch):
     got = factored[-1][0].toarray()
     assert got.shape == (q_a.size,) * 2
     assert np.abs(got - qa.T @ m @ qa).max() <= 1e-14 * np.abs(m).max()
+
+
+def test_final_m_a_order_is_kept(small_run, monkeypatch):
+    # a second class count at the final point refills M_a on the order its
+    # first one kept, as M_s is refilled
+    point, _, _ = small_run
+    system, _ = solver.build_system(small_config())
+    assert system.negative_by_class(point) == (8, 8)
+    factored = recorded_splu(monkeypatch)
+    assert system.negative_by_class(point) == (8, 8)
+    assert [spec for _, spec in factored] == ["NATURAL", "NATURAL"]
 
 
 def test_one_solve_transposes_no_matrix(monkeypatch):
@@ -657,7 +671,7 @@ def test_kkt_matrix_splits_by_mirror_class_along_the_run(small_run, monkeypatch)
         system.factor(point)
         want = qs.T @ m @ qs
         if i > 0:  # permuted on the order of the first factorization
-            want = want[np.ix_(system._blocks._order, system._blocks._order)]
+            want = want[np.ix_(kept_order(system), kept_order(system))]
         got = factored[-1][0].toarray()
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     assert len(factored) == len(accepted)
@@ -677,7 +691,7 @@ def test_right_mesh_factors_m_itself(rng, monkeypatch):
         dense = m.toarray()
         assert negative == np.count_nonzero(np.linalg.eigvalsh(dense) < 0.0) - system.l
         if i > 0:
-            m = m[system._blocks._order][:, system._blocks._order]
+            m = m[kept_order(system)][:, kept_order(system)]
         want, got = m.tocsc(), factored[-1][0]
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)

@@ -60,16 +60,14 @@ def test_matvec_matches_triplet_accumulation(rng):
 
 def one_shot_compression(nrows, rows, cols, values):
     """Reference: sort the triplets and sum each group left to right in input
-    order, from +0.0; without duplicates each value is copied, which is the
-    same sum from -0.0 (-0.0 + x is x, bitwise)."""
+    order, from +0.0."""
     rows, cols, values = (np.asarray(a) for a in (rows, cols, values))
     order = np.lexsort((cols, rows))
     r, c, v = rows[order], cols[order], values[order]
     first = np.ones(r.size, dtype=bool)
     first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
     starts = np.flatnonzero(first)
-    zero = 0.0 if starts.size < r.size else -0.0
-    data = [functools.reduce(operator.add, group, zero) for group in np.split(v, starts[1:])]
+    data = [functools.reduce(operator.add, group, 0.0) for group in np.split(v, starts[1:])]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(r[starts], minlength=nrows))])
     return (data if r.size else v), c[starts], indptr
 
@@ -94,7 +92,7 @@ def test_pattern_refill_bit_identical_to_from_triplets(data):
     keep = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)), bool)
     value = st.one_of(st.floats(-1e8, 1e8), st.floats(-1e-8, 1e-8))
     pattern = SparsityPattern(nrows, ncols, rows, cols)
-    masked = SparsityPattern(nrows, ncols, rows[keep], cols[keep], source=np.flatnonzero(keep))
+    masked = SparsityPattern(nrows, ncols, rows, cols, keep=keep)
     for _ in range(2):  # the second fill reuses the pattern with new values
         values = np.array(data.draw(st.lists(value, min_size=size, max_size=size)), float)
         want = SparseMatrix.from_triplets(nrows, ncols, rows, cols, values).csr
@@ -110,6 +108,9 @@ def test_pattern_sums_each_group_left_to_right():
     m = SparsityPattern(2, 2, rows, cols).fill(values)
     assert_same_csr(m, [0.0, 2.0], [1, 0], [0, 1, 2])
     assert_same_csr(m, *one_shot_compression(2, rows, cols, values))
+    # each sum starts from +0.0, so a lone -0.0 fills as +0.0
+    assert_same_csr(SparsityPattern(1, 2, [0, 0], [0, 1]).fill([-0.0, 1.0]),
+                    [0.0, 1.0], [0, 1], [0, 2])
 
 
 @settings(max_examples=150, deadline=None)
@@ -126,9 +127,7 @@ def test_pattern_layout_and_sum_order_match_lexsort(data):
     cols = np.array(data.draw(st.lists(column, min_size=size, max_size=size)), dtype=np.int64)
     order = np.lexsort((cols, rows))
     pattern = SparsityPattern(nrows, ncols, rows, cols)
-    summation = pattern.summation
-    sources = summation if isinstance(summation, np.ndarray) else summation.indices
-    assert np.array_equal(sources, order)
+    assert np.array_equal(pattern.summation.indices, order)
     first = np.ones(size, dtype=bool)
     first[1:] = np.diff(rows[order]) != 0
     first[1:] |= np.diff(cols[order]) != 0
@@ -218,7 +217,7 @@ def quasi_definite(rng, n, m):
     return np.block([[a, b], [b.T, -(c @ c.T + m * np.eye(m))]])
 
 
-def direct_system(dense, n, basis=None):
+def direct_system(dense, n):
     """The block system of ``dense``'s blocks split at ``n``, every entry
     stored, whose input z is their concatenated CSR data, and a function
     giving z for a matrix of that layout."""
@@ -230,7 +229,7 @@ def direct_system(dense, n, basis=None):
         return np.concatenate([x.data for x in blocks(values)])
 
     size = z(dense).size
-    return BlockSystem(*blocks(dense), sp.identity(size, format="csr"), basis), z
+    return BlockSystem(*blocks(dense), sp.identity(size, format="csr")), z
 
 
 def test_symmetric_factor_solves_and_counts_negative_eigenvalues(rng):
@@ -252,9 +251,9 @@ def test_symmetric_factor_solves_and_counts_negative_eigenvalues(rng):
 
 def test_block_system_factors_its_restriction_to_a_subspace(rng):
     # Q pairs some coordinates with weights +-1/sqrt(2), keeps some alone and
-    # leaves the rest out; factor() solves Q (Q^T M Q)^-1 Q^T b and counts
-    # Q^T M Q's negative eigenvalues on every input, and a basis given to
-    # factor() is factored once on its own
+    # leaves the rest out; factor(z, Q) solves Q (Q^T M Q)^-1 Q^T b and
+    # counts Q^T M Q's negative eigenvalues on every input, and each basis
+    # keeps its own order
     n, m = 30, 12
     c = np.sqrt(0.5)
     column = np.full(n + m, -1)
@@ -269,11 +268,11 @@ def test_block_system_factors_its_restriction_to_a_subspace(rng):
     q[rows, column[rows]] = weight[rows]
     other = Subspace.identity(n + m)
     dense = quasi_definite(rng, n, m)
-    blocks, z = direct_system(dense, n, basis)
+    blocks, z = direct_system(dense, n)
     for k in range(3):
         values = dense + np.diag(np.full(n + m, 0.5 * k))
         reduced = q.T @ values @ q
-        factor = blocks.factor(z(values))
+        factor = blocks.factor(z(values), basis)
         rhs = rng.standard_normal(n + m)
         x = factor.solve(rhs)
         want = q @ np.linalg.solve(reduced, q.T @ rhs)
@@ -284,6 +283,14 @@ def test_block_system_factors_its_restriction_to_a_subspace(rng):
             <= 1e-10 * np.linalg.norm(whole.solve(rhs))
     with pytest.raises(ValueError, match="unit norm"):
         Subspace([0, 0, 1], [1.0, 1.0, 1.0])
+
+
+def test_block_system_refuses_a_basis_of_the_wrong_dimension(rng):
+    dense = quasi_definite(rng, 3, 2)
+    blocks, z = direct_system(dense, 3)
+    for size in (4, 6):
+        with pytest.raises(ValueError, match=f"basis of dimension 5 expected, got {size}"):
+            blocks.factor(z(dense), Subspace.identity(size))
 
 
 def test_composed_system_factors_from_the_blocks_input(rng):
