@@ -19,7 +19,7 @@ from .lagrangian import Lagrangian, ProblemParams, default_params
 from .mesh import (BoundarySegment, DomainSpec, EdgeTag, TriMesh, bridge_domain,
                    build_structured_mesh, dirichlet_vertex_set)
 from .solver import KktPoint, KktSystem, build_system, run
-from .sparse import BlockSystem, SingularMatrixError, SparseMatrix, solve_direct
+from .sparse import BlockSystem, SingularMatrixError, solve_direct
 
 __version__ = "0.1.0"
 
@@ -36,6 +36,6 @@ __all__ = [
     "BoundarySegment", "DomainSpec", "EdgeTag", "TriMesh", "bridge_domain",
     "build_structured_mesh", "dirichlet_vertex_set",
     "KktPoint", "KktSystem", "build_system", "run",
-    "BlockSystem", "SingularMatrixError", "SparseMatrix", "solve_direct",
+    "BlockSystem", "SingularMatrixError", "solve_direct",
     "__version__",
 ]

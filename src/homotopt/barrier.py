@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .homotopy import HomotopyProblem, NewtonConfig, newton_corrector, pivoted_lu
-from .sparse import SparseMatrix, solve_direct  # solve_direct unused: perfbench/tracer.py wraps it
+from .sparse import solve_direct  # unused here: perfbench/tracer.py wraps it
 
 __all__ = [
     "BoxConstraints",
@@ -162,11 +162,11 @@ def box_barrier_problem(oracle: ObjectiveOracle, box: BoxConstraints) -> Homotop
 
     def factor(v, mu):
         x, z_a, z_b = split(v)
-        return pivoted_lu(SparseMatrix(sp.bmat([
+        return pivoted_lu(sp.bmat([
             [oracle.hessian(x), -eye, eye],
             [sp.diags(z_a), sp.diags(box.lower_gap(x)), None],
             [sp.diags(-z_b), None, sp.diags(box.upper_gap(x))],
-        ], format="csr")))
+        ], format="csr"))
 
     def valid(v):
         x, z_a, z_b = split(v)

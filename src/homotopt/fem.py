@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import EdgeTag, TriMesh, DomainSpec, dirichlet_vertex_set
 # solve_direct is unused here; perfbench/tracer.py wraps it in this module.
-from .sparse import SparseMatrix, SparsityPattern, solve_direct
+from .sparse import SparsityPattern, solve_direct
 
 __all__ = [
     "MaterialModel",
@@ -186,7 +187,7 @@ def _effective_weights(geo: _ElementTables, material: MaterialModel, rho: np.nda
 
 
 def assemble_state_operator(dofmap: DofMap, material: MaterialModel,
-                            rho: np.ndarray) -> SparseMatrix:
+                            rho: np.ndarray) -> sp.csr_matrix:
     """Reduced elasticity stiffness K(rho) on the free displacement DOFs."""
     geo = dofmap.geometry
     rho = np.asarray(rho, dtype=np.float64)

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+import scipy.sparse as sp
 
-from .sparse import SingularMatrixError, SparseMatrix, solve_direct
+from .sparse import SingularMatrixError, solve_direct
 
 __all__ = [
     "Factor",
@@ -60,12 +61,12 @@ class Factor:
     negative: Optional[int] = None
 
 
-def pivoted_lu(jac: Union[SparseMatrix, np.ndarray]) -> Factor:
-    """The square ``jac``, sparse or dense, factored by sparse LU with partial
-    pivoting; reports no inertia.  Its solve raises
-    :class:`SingularMatrixError`."""
-    if not isinstance(jac, SparseMatrix):
-        jac = SparseMatrix.from_dense(np.atleast_2d(np.asarray(jac, dtype=np.float64)))
+def pivoted_lu(jac: Union[sp.spmatrix, np.ndarray]) -> Factor:
+    """The square ``jac``, a scipy sparse matrix or a dense array, factored
+    by sparse LU with partial pivoting; reports no inertia.  Its solve
+    raises :class:`SingularMatrixError`."""
+    if not sp.issparse(jac):
+        jac = sp.csc_matrix(np.atleast_2d(np.asarray(jac, dtype=np.float64)))
     return Factor(lambda b: solve_direct(jac, b))
 
 

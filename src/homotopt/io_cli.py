@@ -495,15 +495,15 @@ def _fd_errors(system, schedule, anchor, index: int, h: float = 1e-6):
     d_rho = unit(n)
     gp = lagr.gradient(rho + h * d_rho, u, p)
     gm = lagr.gradient(rho - h * d_rho, u, p)
-    err_hess = max(_rel_err((gp.d_rho - gm.d_rho) / (2 * h), hess.rr.matvec(d_rho)),
-                   _rel_err((gp.d_u - gm.d_u) / (2 * h), hess.ru.transpose().matvec(d_rho)),
-                   _rel_err((gp.d_p - gm.d_p) / (2 * h), hess_rp.transpose().matvec(d_rho)))
+    err_hess = max(_rel_err((gp.d_rho - gm.d_rho) / (2 * h), hess.rr @ d_rho),
+                   _rel_err((gp.d_u - gm.d_u) / (2 * h), hess.ru.T @ d_rho),
+                   _rel_err((gp.d_p - gm.d_p) / (2 * h), hess_rp.T @ d_rho))
     d_u = unit(l)
     gp = lagr.gradient(rho, u + h * d_u, p)
     gm = lagr.gradient(rho, u - h * d_u, p)
     err_hess = max(err_hess,
-                   _rel_err((gp.d_rho - gm.d_rho) / (2 * h), hess.ru.matvec(d_u)),
-                   _rel_err((gp.d_p - gm.d_p) / (2 * h), hess.up.matvec(d_u)))
+                   _rel_err((gp.d_rho - gm.d_rho) / (2 * h), hess.ru @ d_u),
+                   _rel_err((gp.d_p - gm.d_p) / (2 * h), hess.up @ d_u))
 
     # M along a direction y = (drho, w) vs the residual's central difference
     # on the rho and u rows along the condensed step (p = -u, as at every
@@ -523,7 +523,7 @@ def _fd_errors(system, schedule, anchor, index: int, h: float = 1e-6):
 
     rp = system.residual(moved(h), anchor, t, schedule)
     rm = system.residual(moved(-h), anchor, t, schedule)
-    err_jac = _rel_err((rp - rm)[:n + l] / (2 * h), system.jacobian(point).matvec(y))
+    err_jac = _rel_err((rp - rm)[:n + l] / (2 * h), system.jacobian(point) @ y)
 
     # the t-derivative of the traced map
     rng, _, rho, u, _ = draws(3)

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
 from .fem import DofMap, MaterialModel, local_displacements
 from .mesh import TriMesh
-from .sparse import SparseMatrix, SparsityPattern
+from .sparse import SparsityPattern
 
 __all__ = [
     "ProblemParams",
@@ -75,9 +76,9 @@ class HessianBlocks:
     rho-p block is ``hessian(rho, p, u).ru``, since the objective is linear in
     u and K(rho) is symmetric.  Neither is stored."""
 
-    rr: SparseMatrix  # n x n
-    ru: SparseMatrix  # n x l
-    up: SparseMatrix  # l x l, equals K(rho)
+    rr: sp.csr_matrix  # n x n
+    ru: sp.csr_matrix  # n x l
+    up: sp.csr_matrix  # l x l, equals K(rho)
 
 
 class Lagrangian:
@@ -103,8 +104,8 @@ class Lagrangian:
         self._field_cache = (None, None)
         # beta*eps*K_rho - (beta/eps)*M on the element pattern, the constant
         # part of the density Hessian (same operation order as the sparse sum)
-        self.rr_const = (params.beta * params.epsilon) * self.k_rho.csr.data \
-            - (params.beta / params.epsilon) * self.mass.csr.data
+        self.rr_const = (params.beta * params.epsilon) * self.k_rho.data \
+            - (params.beta / params.epsilon) * self.mass.data
         self._cross_pattern = None
 
     @property
@@ -119,7 +120,7 @@ class Lagrangian:
     def n_disp(self) -> int:
         return self.dofmap.n_disp
 
-    def state_matrix(self, rho: np.ndarray) -> SparseMatrix:
+    def state_matrix(self, rho: np.ndarray) -> sp.csr_matrix:
         cached_rho, cached_k = self._k_cache
         if cached_rho is not None and np.array_equal(cached_rho, rho):
             return cached_k
@@ -130,8 +131,8 @@ class Lagrangian:
     def objective(self, rho: np.ndarray, u: np.ndarray) -> float:
         """Compliance + gamma * volume + (beta/2) * phase-field energy."""
         p = self.params
-        grad_energy = rho @ self.k_rho.matvec(rho)
-        double_well = self.phi_vol @ rho - rho @ self.mass.matvec(rho)
+        grad_energy = rho @ (self.k_rho @ rho)
+        double_well = self.phi_vol @ rho - rho @ (self.mass @ rho)
         return float(
             self.load @ u
             + p.gamma * (self.phi_vol @ rho)
@@ -151,15 +152,15 @@ class Lagrangian:
         prm = self.params
         k = self.state_matrix(rho)
         d_rho = prm.gamma * self.phi_vol + prm.beta * (
-            prm.epsilon * self.k_rho.matvec(rho)
-            + (0.5 / prm.epsilon) * (self.phi_vol - 2.0 * self.mass.matvec(rho))
+            prm.epsilon * (self.k_rho @ rho)
+            + (0.5 / prm.epsilon) * (self.phi_vol - 2.0 * (self.mass @ rho))
         )
         f = self._element_fields(rho, u, p_adj)
         d_rho += np.bincount(self.dofmap.geometry.tri.ravel(),
                              weights=(self.material.exponent * f.m_phi * f.w[:, None]).ravel(),
                              minlength=self.n_density)
-        d_u = self.load + k.matvec(p_adj)
-        d_p = k.matvec(u) - self.load
+        d_u = self.load + k @ p_adj
+        d_p = k @ u - self.load
         return GradientBlocks(d_rho, d_u, d_p)
 
     def hessian(self, rho: np.ndarray, u: np.ndarray, p_adj: np.ndarray) -> HessianBlocks:

@@ -60,7 +60,7 @@ from .fem import DofMap
 from .homotopy import Factor, HomotopyProblem, SolveTrace
 from .lagrangian import Lagrangian
 from .mesh import TriMesh, bridge_domain, build_structured_mesh
-from .sparse import BlockSystem, SingularMatrixError, SparseMatrix, Subspace, solve_direct
+from .sparse import BlockSystem, SingularMatrixError, Subspace, solve_direct
 
 if TYPE_CHECKING:  # pragma: no cover
     from .io_cli import SolverConfig
@@ -150,7 +150,7 @@ class KktSystem:
         r[:self.n] -= (1.0 - t) * anchor
         return r
 
-    def jacobian(self, point: KktPoint) -> SparseMatrix:
+    def jacobian(self, point: KktPoint) -> sp.csr_matrix:
         """The condensed Jacobian ``M = [[rr + Sigma, ru], [ru^T, -K/2]]`` in
         (drho, w = 2 du), with ``Sigma = z_a / gap_a + z_b / gap_b``;
         symmetric once p = -u.
@@ -173,7 +173,7 @@ class KktSystem:
         rr, ru = lagr.hessian_elements(point.rho, point.u, point.p_adj)
         sigma = point.z_a / box.lower_gap(point.rho) + point.z_b / box.upper_gap(point.rho)
         return np.concatenate([rr.ravel(), [1.0], sigma, ru.ravel(),
-                               lagr.state_matrix(point.rho).csr.data])
+                               lagr.state_matrix(point.rho).data])
 
     def _system(self) -> BlockSystem:
         """The run's block system of M on the density, cross and state

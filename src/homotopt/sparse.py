@@ -1,12 +1,12 @@
 """Sparse storage, deterministic triplet assembly, and direct linear solves.
 
 Every assembled operator in the package (elasticity stiffness, density mass
-and stiffness, KKT blocks) is a :class:`SparseMatrix`.  Its CSR data comes
-from a :class:`SparsityPattern`, which sorts a fixed triplet layout once and
-then sums any values for it by one product with its summation operator.
-General systems go through :func:`solve_direct`, a sparse LU with partial
-pivoting.  The reduced KKT matrix M of a run is a :class:`BlockSystem` on
-fixed block layouts, its values given by an input z.  Each
+and stiffness, KKT blocks) is a scipy CSR matrix.  Its data comes from a
+:class:`SparsityPattern`, which sorts a fixed triplet layout once and then
+sums any values for it by one product with its summation operator.  General
+systems go through :func:`solve_direct`, a sparse LU with partial pivoting.
+The reduced KKT matrix M of a run is a :class:`BlockSystem` on fixed block
+layouts, its values given by an input z.  Each
 :class:`Subspace` Q it is restricted to gets, once, an operator from z to
 ``Q^T M Q`` and a fill-reducing order, on which ``Q^T M Q`` is factored by
 diagonal pivoting, ``P A P^T = L D L^T``, which also counts the negative
@@ -19,14 +19,13 @@ raises it too when SuperLU left the diagonal.
 """
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
-    "SparseMatrix",
     "SparsityPattern",
     "Subspace",
     "BlockSystem",
@@ -44,72 +43,19 @@ class SingularMatrixError(RuntimeError):
 
 
 class SparseMatrix:
-    """Immutable sparse matrix in compressed-row form built from triplets.
-
-    Duplicate triplets are summed in a fixed order (stable sort by row then
-    column, then a left-to-right sum over each group in input order, see
-    :class:`SparsityPattern`), so assembly is bit-reproducible for a given
-    triplet sequence.  Operators assembled again and again on one mesh keep
-    a :class:`SparsityPattern` and only refill its values.
-    """
-
-    __slots__ = ("_csr",)
-
-    def __init__(self, csr):
-        if not sp.issparse(csr):
-            raise TypeError("expected a scipy sparse matrix")
-        csr = csr.tocsr()
-        csr.sort_indices()
-        self._csr = csr
+    """Only ``from_triplets``, kept because ``perfbench/tracer.py`` patches
+    it by name, as it wraps the otherwise unused ``solve_direct`` imports in
+    ``fem`` and ``barrier``.  Every matrix of the package is a scipy CSR
+    matrix."""
 
     @classmethod
-    def from_triplets(cls, nrows: int, ncols: int, rows, cols, values) -> "SparseMatrix":
+    def from_triplets(cls, nrows: int, ncols: int, rows, cols, values) -> sp.csr_matrix:
+        """The matrix of the triplets, duplicates summed as
+        :class:`SparsityPattern` sums them."""
         values = np.asarray(values, dtype=np.float64).ravel()
         if not (np.size(rows) == np.size(cols) == values.size):
             raise ValueError("rows, cols and values must have equal length")
         return SparsityPattern(nrows, ncols, rows, cols).fill(values)
-
-    @classmethod
-    def from_dense(cls, array) -> "SparseMatrix":
-        array = np.asarray(array, dtype=np.float64)
-        if array.ndim != 2:
-            raise ValueError("expected a 2-D array")
-        # every entry is stored, zeros included: the layout is the shape alone
-        m, n = array.shape
-        return cls(sp.csr_matrix((array.ravel(), np.tile(np.arange(n), m), np.arange(m + 1) * n),
-                                 shape=array.shape))
-
-    @property
-    def csr(self) -> sp.csr_matrix:
-        return self._csr
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return self._csr.shape
-
-    @property
-    def nrows(self) -> int:
-        return self._csr.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        return self._csr.shape[1]
-
-    @property
-    def nnz(self) -> int:
-        return self._csr.nnz
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.ncols,):
-            raise ValueError(f"vector of length {self.ncols} expected, got {v.shape}")
-        return self._csr @ v
-
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self._csr.T.tocsr())
-
-    def __repr__(self) -> str:
-        return f"SparseMatrix({self.nrows}x{self.ncols}, nnz={self.nnz})"
 
 
 class SparsityPattern:
@@ -167,15 +113,15 @@ class SparsityPattern:
         """CSR data: each entry sums its triplets' weighted values."""
         return self.summation @ np.asarray(values, dtype=np.float64).ravel()
 
-    def matrix(self, data: np.ndarray) -> "SparseMatrix":
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The matrix with this pattern and the given CSR data, which shares
         the pattern's index arrays."""
         csr = sp.csr_matrix((np.asarray(data, dtype=np.float64), self.indices, self.indptr),
                             shape=self.shape)
         csr.has_sorted_indices = True
-        return SparseMatrix(csr)
+        return csr
 
-    def fill(self, values) -> "SparseMatrix":
+    def fill(self, values) -> sp.csr_matrix:
         return self.matrix(self.reduce(values))
 
 
@@ -202,22 +148,23 @@ def _check_finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def solve_direct(a: SparseMatrix, b: np.ndarray) -> np.ndarray:
+def solve_direct(a: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     """Solve ``a x = b`` for one right-hand side by sparse LU with partial
     pivoting.
 
     Raises ``ValueError`` on shape mismatch and :class:`SingularMatrixError`
     when the factorization is exactly or numerically singular.
     """
-    if a.nrows != a.ncols:
-        raise ValueError(f"matrix must be square, got {a.nrows}x{a.ncols}")
+    nrows, ncols = a.shape
+    if nrows != ncols:
+        raise ValueError(f"matrix must be square, got {nrows}x{ncols}")
     b = np.asarray(b, dtype=np.float64)
-    if b.ndim > 1 or b.size != a.nrows:
-        raise ValueError(f"right-hand side of length {a.nrows} expected, got shape {b.shape}")
+    if b.ndim > 1 or b.size != nrows:
+        raise ValueError(f"right-hand side of length {nrows} expected, got shape {b.shape}")
     b = b.ravel()
-    if a.nrows == 0:
+    if nrows == 0:
         return np.zeros(0)
-    lu = _splu(a.csr.tocsc())
+    lu = _splu(a.tocsc())
     _check_pivots(lu.U.diagonal())
     return _check_finite(lu.solve(b))
 
@@ -273,9 +220,8 @@ class Subspace:
 class SymmetricFactor:
     """``P A P^T = L D L^T`` of ``A = Q^T M Q``, a symmetric matrix M
     restricted to a :class:`Subspace` Q, from SuperLU with diagonal pivots.
-    ``matrix`` is the matrix SuperLU factored, ``P A P^T``; ``order`` maps
-    each of its positions to the index in ``A`` (None: SuperLU permuted
-    ``A`` itself, and ``matrix`` is ``A``).
+    ``matrix`` is ``A``, the matrix SuperLU factored; a basis whose columns
+    are another's permuted gives that permutation of ``A``.
 
     ``solve(b)`` is ``Q A^-1 Q^T b``, in M's coordinates, with one step of
     iterative refinement on ``matrix``.  ``negative_pivots`` counts D's
@@ -283,34 +229,29 @@ class SymmetricFactor:
     negative eigenvalues of ``A``.
     """
 
-    __slots__ = ("_lu", "_matrix", "_order", "_basis", "negative_pivots")
+    __slots__ = ("_lu", "_matrix", "_basis", "negative_pivots")
 
-    def __init__(self, lu, matrix, order, basis: Subspace):
+    def __init__(self, lu, matrix, basis: Subspace):
         if not np.array_equal(lu.perm_r, lu.perm_c):
             raise SingularMatrixError("a pivot left the diagonal")
         pivots = lu.U.diagonal()
         _check_pivots(pivots)
         self._lu = lu
         self._matrix = matrix
-        self._order = order
         self._basis = basis
         self.negative_pivots = int(np.count_nonzero(pivots < 0.0))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """``x = Q A^-1 Q^T b`` for one right-hand side of M's length:
-        ``y = A^-1 r`` and ``y += A^-1 (r - A y)`` for ``r = Q^T b``, in the
-        factored matrix's order, then ``x = Q y``."""
+        ``y = A^-1 r`` and ``y += A^-1 (r - A y)`` for ``r = Q^T b``, then
+        ``x = Q y``."""
         b = np.asarray(b, dtype=np.float64)
         n = self._basis.dim
         if b.shape != (n,):
             raise ValueError(f"right-hand side of length {n} expected, got shape {b.shape}")
         r = self._basis.restrict(b)
-        if self._order is not None:
-            r = r[self._order]
         y = _check_finite(self._lu.solve(r))
         y = _check_finite(y + self._lu.solve(r - self._matrix @ y))
-        if self._order is not None:
-            y[self._order] = y.copy()
         return self._basis.expand(y)
 
 
@@ -343,10 +284,11 @@ class BlockSystem:
 
     :meth:`factor` factors ``Q^T M Q`` as ``P Q^T M Q P^T = L D L^T``.  The
     first call for a basis lets SuperLU order the operator's product with z
-    (``MMD_AT_PLUS_A``) and keeps that order, with the operator's rows put
-    in the CSC order of the symmetrically permuted matrix.  Every later call
-    for that basis fills that matrix's CSC data by one product of the kept
-    operator with z and factors it with the ``NATURAL`` order.  Pivots stay
+    (``MMD_AT_PLUS_A``) and keeps that order as the basis with its columns
+    permuted, with the operator's rows put in the CSC order of the
+    symmetrically permuted matrix.  Every later call for that basis fills
+    that matrix's CSC data by one product of the kept operator with z and
+    factors it in the permuted basis with the ``NATURAL`` order.  Pivots stay
     on the diagonal (threshold 0), which is stable for symmetric
     quasi-definite matrices; a factorization that needed an off-diagonal
     pivot, or fails the pivot test, raises :class:`SingularMatrixError`.
@@ -363,7 +305,7 @@ class BlockSystem:
         self._blocks = (a, b, c)
         self._source = source[np.concatenate([np.arange(na + nb), np.arange(na, na + nb + nc)])]
         self._identity = Subspace.identity(n + m)
-        self._kept = {}  # basis -> order, operator and CSC layout of its permuted matrix
+        self._kept = {}  # basis -> permuted basis, operator and CSC layout of its matrix
 
     def _restricted(self, basis: Subspace):
         """The layout of ``Q^T M Q`` for the basis Q, and the operator from z
@@ -381,7 +323,7 @@ class BlockSystem:
         operator.sort_indices()
         return pattern, operator
 
-    def assemble(self, z) -> SparseMatrix:
+    def assemble(self, z) -> sp.csr_matrix:
         """M at the input z."""
         pattern, operator = self._restricted(self._identity)
         return pattern.matrix(operator @ z)
@@ -391,12 +333,12 @@ class BlockSystem:
         space), factored on the order of the basis's first call."""
         basis = self._identity if basis is None else basis
         if basis in self._kept:
-            order, operator, indices, indptr = self._kept[basis]
+            permuted, operator, indices, indptr = self._kept[basis]
             csc = sp.csc_matrix((operator @ z, indices, indptr), shape=(basis.size,) * 2)
             return SymmetricFactor(_splu(csc, permc_spec="NATURAL", **_DIAGONAL_PIVOTS), csc,
-                                   order, basis)
+                                   permuted)
         pattern, operator = self._restricted(basis)
-        reduced = pattern.matrix(operator @ z).csr
+        reduced = pattern.matrix(operator @ z)
         lu = _splu(reduced.tocsc(), permc_spec="MMD_AT_PLUS_A", **_DIAGONAL_PIVOTS)
         # entry k of the CSR data sits at (perm_c[row], perm_c[col]) of the
         # permuted matrix; sorting by column, then row, gives its CSC order
@@ -406,6 +348,7 @@ class BlockSystem:
         # scipy picks the index dtype; keep its arrays so refills share them
         layout = sp.csc_matrix((np.zeros(entries.size), rows[entries], indptr),
                                shape=reduced.shape)
-        self._kept[basis] = (np.argsort(lu.perm_c), operator[entries], layout.indices,
-                             layout.indptr)
-        return SymmetricFactor(lu, reduced, None, basis)
+        # column c of the basis becomes perm_c[c]; -1, no column, stays -1
+        permuted = Subspace(np.append(lu.perm_c, -1)[basis.column], basis.weight)
+        self._kept[basis] = (permuted, operator[entries], layout.indices, layout.indptr)
+        return SymmetricFactor(lu, reduced, basis)

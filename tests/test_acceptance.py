@@ -129,23 +129,23 @@ def test_criterion_3_derivative_consistency():
             d_r = rng.standard_normal(n); d_r /= np.linalg.norm(d_r)
             gp = lagr.gradient(rho + h * d_r, u, p)
             gm = lagr.gradient(rho - h * d_r, u, p)
-            for fd_blk, action in (((gp.d_rho - gm.d_rho) / (2 * h), blocks.rr.matvec(d_r)),
-                                   ((gp.d_u - gm.d_u) / (2 * h), blocks.ru.transpose().matvec(d_r)),
-                                   ((gp.d_p - gm.d_p) / (2 * h), rp.transpose().matvec(d_r))):
+            for fd_blk, action in (((gp.d_rho - gm.d_rho) / (2 * h), blocks.rr @ d_r),
+                                   ((gp.d_u - gm.d_u) / (2 * h), blocks.ru.T @ d_r),
+                                   ((gp.d_p - gm.d_p) / (2 * h), rp.T @ d_r)):
                 worst_hess = max(worst_hess, np.linalg.norm(fd_blk - action)
                                  / max(np.linalg.norm(action), 1.0))
             d_u = rng.standard_normal(l); d_u /= np.linalg.norm(d_u)
             gp = lagr.gradient(rho, u + h * d_u, p)
             gm = lagr.gradient(rho, u - h * d_u, p)
-            for fd_blk, action in (((gp.d_rho - gm.d_rho) / (2 * h), blocks.ru.matvec(d_u)),
-                                   ((gp.d_p - gm.d_p) / (2 * h), blocks.up.matvec(d_u))):
+            for fd_blk, action in (((gp.d_rho - gm.d_rho) / (2 * h), blocks.ru @ d_u),
+                                   ((gp.d_p - gm.d_p) / (2 * h), blocks.up @ d_u)):
                 worst_hess = max(worst_hess, np.linalg.norm(fd_blk - action)
                                  / max(np.linalg.norm(action), 1.0))
             d_p = rng.standard_normal(l); d_p /= np.linalg.norm(d_p)
             gp = lagr.gradient(rho, u, p + h * d_p)
             gm = lagr.gradient(rho, u, p - h * d_p)
-            for fd_blk, action in (((gp.d_rho - gm.d_rho) / (2 * h), rp.matvec(d_p)),
-                                   ((gp.d_u - gm.d_u) / (2 * h), blocks.up.matvec(d_p))):
+            for fd_blk, action in (((gp.d_rho - gm.d_rho) / (2 * h), rp @ d_p),
+                                   ((gp.d_u - gm.d_u) / (2 * h), blocks.up @ d_p)):
                 worst_hess = max(worst_hess, np.linalg.norm(fd_blk - action)
                                  / max(np.linalg.norm(action), 1.0))
     elapsed = time.perf_counter() - start

@@ -4,6 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from homotopt.barrier import BoxConstraints, box_barrier_problem, run_pd_barrier
@@ -11,7 +12,7 @@ from homotopt.homotopy import (Factor, NewtonConfig, StepController, StepUnderfl
                                HomotopyProblem, _tangent_direction, global_homotopy,
                                newton_corrector, pivoted_lu, trace)
 from homotopt.io_cli import quartic_oracle
-from homotopt.sparse import SingularMatrixError, SparseMatrix
+from homotopt.sparse import SingularMatrixError
 
 ROOT = (-1.0 - math.sqrt(17.0)) / 8.0  # root of 4x^2 + x - 1 reached by the path
 
@@ -591,7 +592,7 @@ def test_pivoted_lu_solves_dense_and_sparse_alike():
                       [2.0, 0.0, 3.0],
                       [0.0, 5.0, 1.0]])  # a zero diagonal entry needs a row swap
     b = np.array([1.0, -2.0, 0.5])
-    sparse = SparseMatrix.from_triplets(3, 3, *np.nonzero(dense), dense[np.nonzero(dense)])
+    sparse = sp.csr_matrix(dense)
     solves = [pivoted_lu(jac) for jac in (dense, sparse)]
     assert [f.negative for f in solves] == [None, None]
     x = np.linalg.solve(dense, b)

@@ -21,7 +21,6 @@ from homotopt.io_cli import (ConfigError, MeshConfig, NewtonSettings, SolverConf
                              write_param_history)
 from homotopt.lagrangian import ProblemParams
 from homotopt.mesh import DomainSpec, build_structured_mesh
-from homotopt.sparse import SparseMatrix
 
 SMALL_CONFIG = """
 mesh.nx = 20
@@ -608,7 +607,7 @@ def test_cli_check_derivatives_catches_m_without_sigma(tmp_path, capsys, monkeyp
         m = jacobian(self, point)
         sigma = (point.z_a / self.box.lower_gap(point.rho)
                  + point.z_b / self.box.upper_gap(point.rho))
-        return SparseMatrix(m.csr - sp.diags(np.concatenate([sigma, np.zeros(self.l)])))
+        return m - sp.diags(np.concatenate([sigma, np.zeros(self.l)]))
 
     monkeypatch.setattr(solver.KktSystem, "jacobian", without_sigma)
     cfg_path = tmp_path / "small.cfg"

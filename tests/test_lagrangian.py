@@ -105,11 +105,11 @@ def test_hessian_at_zero_fields(coarse_lagrangian, params, rng):
     zero = np.zeros(lagr.n_disp)
     h = lagr.hessian(rho, zero, zero)
     rp = lagr.hessian(rho, zero, zero).ru  # d2L/drho dp: ru at u and p swapped
-    assert h.ru.nnz == 0 or np.max(np.abs(h.ru.csr.toarray())) == 0.0
-    assert rp.nnz == 0 or np.max(np.abs(rp.csr.toarray())) == 0.0
-    expected_rr = params.beta * params.epsilon * lagr.k_rho.csr.toarray() \
-        - params.beta / params.epsilon * lagr.mass.csr.toarray()
-    assert np.max(np.abs(h.rr.csr.toarray() - expected_rr)) <= 1e-12 * np.max(np.abs(expected_rr))
+    assert h.ru.nnz == 0 or np.max(np.abs(h.ru.toarray())) == 0.0
+    assert rp.nnz == 0 or np.max(np.abs(rp.toarray())) == 0.0
+    expected_rr = params.beta * params.epsilon * lagr.k_rho.toarray() \
+        - params.beta / params.epsilon * lagr.mass.toarray()
+    assert np.max(np.abs(h.rr.toarray() - expected_rr)) <= 1e-12 * np.max(np.abs(expected_rr))
 
 
 def test_hessian_matches_fd_of_gradient(coarse_lagrangian, rng):
@@ -125,25 +125,25 @@ def test_hessian_matches_fd_of_gradient(coarse_lagrangian, rng):
             d_rho /= np.linalg.norm(d_rho)
             gp = lagr.gradient(rho + h * d_rho, u, p)
             gm = lagr.gradient(rho - h * d_rho, u, p)
-            assert rel_err((gp.d_rho - gm.d_rho) / (2 * h), blocks.rr.matvec(d_rho)) <= 1e-5
+            assert rel_err((gp.d_rho - gm.d_rho) / (2 * h), blocks.rr @ d_rho) <= 1e-5
             assert rel_err((gp.d_u - gm.d_u) / (2 * h),
-                           blocks.ru.transpose().matvec(d_rho)) <= 1e-5
+                           blocks.ru.T @ d_rho) <= 1e-5
             assert rel_err((gp.d_p - gm.d_p) / (2 * h),
-                           rp.transpose().matvec(d_rho)) <= 1e-5
+                           rp.T @ d_rho) <= 1e-5
             d_u = rng.standard_normal(l)
             d_u /= np.linalg.norm(d_u)
             gp = lagr.gradient(rho, u + h * d_u, p)
             gm = lagr.gradient(rho, u - h * d_u, p)
-            assert rel_err((gp.d_rho - gm.d_rho) / (2 * h), blocks.ru.matvec(d_u)) <= 1e-5
-            assert rel_err((gp.d_p - gm.d_p) / (2 * h), blocks.up.matvec(d_u)) <= 1e-5
+            assert rel_err((gp.d_rho - gm.d_rho) / (2 * h), blocks.ru @ d_u) <= 1e-5
+            assert rel_err((gp.d_p - gm.d_p) / (2 * h), blocks.up @ d_u) <= 1e-5
             # u-u block is identically zero for the compliance objective
             assert np.max(np.abs((gp.d_u - gm.d_u) / (2 * h))) <= 1e-7
             d_p = rng.standard_normal(l)
             d_p /= np.linalg.norm(d_p)
             gp = lagr.gradient(rho, u, p + h * d_p)
             gm = lagr.gradient(rho, u, p - h * d_p)
-            assert rel_err((gp.d_rho - gm.d_rho) / (2 * h), rp.matvec(d_p)) <= 1e-5
-            assert rel_err((gp.d_u - gm.d_u) / (2 * h), blocks.up.matvec(d_p)) <= 1e-5
+            assert rel_err((gp.d_rho - gm.d_rho) / (2 * h), rp @ d_p) <= 1e-5
+            assert rel_err((gp.d_u - gm.d_u) / (2 * h), blocks.up @ d_p) <= 1e-5
             assert np.max(np.abs((gp.d_p - gm.d_p) / (2 * h))) <= 1e-7
 
 
@@ -183,7 +183,7 @@ def test_element_fields_are_never_served_stale(coarse_dofmap, material, params, 
         got = lagr.hessian(rho, u, p)
         want = Lagrangian(coarse_dofmap, material, params, coarse_load).hessian(rho, u, p)
         for block in ("rr", "ru", "up"):
-            assert getattr(got, block).csr.data.tobytes() == getattr(want, block).csr.data.tobytes()
+            assert getattr(got, block).data.tobytes() == getattr(want, block).data.tobytes()
 
     lagr.gradient(rho, u, p)
     assert_fresh(rho, u, p)
@@ -202,16 +202,16 @@ def test_hessian_superblock_symmetry(coarse_lagrangian, rng):
     lagr = coarse_lagrangian
     rho, u, p = random_point(lagr, rng)
     h = lagr.hessian(rho, u, p)
-    rp = lagr.hessian(rho, p, u).ru.csr.toarray()  # d2L/drho dp
+    rp = lagr.hessian(rho, p, u).ru.toarray()  # d2L/drho dp
     n, l = lagr.n_density, lagr.n_disp
     full = np.zeros((n + 2 * l, n + 2 * l))
-    full[:n, :n] = h.rr.csr.toarray()
-    full[:n, n:n + l] = h.ru.csr.toarray()
+    full[:n, :n] = h.rr.toarray()
+    full[:n, n:n + l] = h.ru.toarray()
     full[:n, n + l:] = rp
-    full[n:n + l, :n] = h.ru.csr.toarray().T
-    full[n:n + l, n + l:] = h.up.csr.toarray()
+    full[n:n + l, :n] = h.ru.toarray().T
+    full[n:n + l, n + l:] = h.up.toarray()
     full[n + l:, :n] = rp.T
-    full[n + l:, n:n + l] = h.up.csr.toarray().T
+    full[n + l:, n:n + l] = h.up.toarray().T
     assert np.max(np.abs(full - full.T)) <= 1e-11 * np.max(np.abs(full))
 
 
@@ -220,7 +220,7 @@ def test_up_block_is_state_matrix(coarse_lagrangian, rng):
     rho, u, p = random_point(lagr, rng)
     h = lagr.hessian(rho, u, p)
     k = fem.assemble_state_operator(lagr.dofmap, lagr.material, rho)
-    assert np.max(np.abs(h.up.csr.toarray() - k.csr.toarray())) == 0.0
+    assert np.max(np.abs(h.up.toarray() - k.toarray())) == 0.0
 
 
 def test_compliance_self_adjointness(coarse_lagrangian, rng):

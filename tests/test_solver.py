@@ -55,9 +55,14 @@ def dense_basis(q):
 
 
 def kept_order(system):
-    """The order M_s's first factorization kept: position in the permuted
-    M_s -> index in M_s."""
-    return system._blocks._kept[system._symmetric][0]
+    """The order M_s's first factorization kept, read from its permuted
+    basis: position in the permuted M_s -> index in M_s."""
+    basis = system._symmetric
+    permuted = system._blocks._kept[basis][0]
+    rows = basis.column >= 0
+    order = np.empty(basis.size, dtype=np.int64)
+    order[permuted.column[rows]] = basis.column[rows]
+    return order
 
 
 def recorded_splu(monkeypatch):
@@ -76,7 +81,7 @@ def recorded_splu(monkeypatch):
 def m_block(system, m, row, col):
     """Block (row, col) of M in (drho, w), "rho" or "u", as a dense array."""
     cut = {"rho": slice(0, system.n), "u": slice(system.n, system.n + system.l)}
-    return m.csr[cut[row], cut[col]].toarray()
+    return m[cut[row], cut[col]].toarray()
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +215,7 @@ def test_jacobian_matches_fd_of_residual(small_system, rng):
         assert all(np.array_equal(x.p_adj, -x.u) for x in moved)
         rp, rm = (system.residual(x, anchor, t, schedule) for x in moved)
         fd = (rp - rm) / (2 * h)
-        assert rel_err(fd[:n + l], m.matvec(y)) <= 1e-5
+        assert rel_err(fd[:n + l], m @ y) <= 1e-5
         assert np.linalg.norm(fd[n + l:3 * n + l]) <= 1e-8
 
 
@@ -239,11 +244,11 @@ def test_jacobian_barrier_rows(small_system):
                   z_b=np.full(system.n, 5.0))
     m = system.jacobian(pt)
     h = system.lagr.hessian(pt.rho, pt.u, pt.p_adj)
-    shift = m_block(system, m, "rho", "rho") - h.rr.csr.toarray()
+    shift = m_block(system, m, "rho", "rho") - h.rr.toarray()
     assert np.count_nonzero(shift - np.diag(np.diag(shift))) == 0
     assert np.diag(shift) == pytest.approx(np.full(system.n, 2.0 / 0.3 + 5.0 / 0.7),
                                            rel=1e-14)
-    assert np.array_equal(m_block(system, m, "u", "u"), -0.5 * h.up.csr.toarray())
+    assert np.array_equal(m_block(system, m, "u", "u"), -0.5 * h.up.toarray())
 
 
 def test_density_pattern_without_its_diagonal_is_refused(small_system):
@@ -265,12 +270,12 @@ def test_reduced_matrix_bit_identical_to_bmat(small_system, rng):
         pt = random_point(system, rng)
         pt.p_adj = -pt.u
         h = system.lagr.hessian(pt.rho, pt.u, pt.p_adj)
-        rr, ru, up = h.rr.csr, h.ru.csr, h.up.csr
+        rr, ru, up = h.rr, h.ru, h.up
         sigma = pt.z_a / system.box.lower_gap(pt.rho) + pt.z_b / system.box.upper_gap(pt.rho)
         want = sp.bmat([[rr + sp.diags(sigma), ru], [ru.T, -up / 2]], format="csr")
         want.sort_indices()
         want.data += 0.0  # M stores K's exact zeros as +0.0, as the sums of M_s do
-        got = system.jacobian(pt).csr
+        got = system.jacobian(pt)
         assert got.shape == want.shape == (system.n + system.l,) * 2
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
@@ -367,7 +372,7 @@ def test_operator_fills_m_s_as_the_congruence_of_m(rng, monkeypatch):
         points.append(point)
     for i, point in enumerate(points):
         system.factor(point)
-        want = qs.T @ system.jacobian(point).csr.toarray() @ qs
+        want = qs.T @ system.jacobian(point).toarray() @ qs
         if i > 0:
             want = want[np.ix_(kept_order(system), kept_order(system))]
         got = factored[-1][0].toarray()
@@ -385,7 +390,7 @@ def test_final_m_a_is_the_congruence_of_m(small_run, monkeypatch):
     factored = recorded_splu(monkeypatch)
     assert system.negative_by_class(point) == (8, 8)
     assert [spec for _, spec in factored] == ["MMD_AT_PLUS_A"] * 2  # M_s ordered, then M_a
-    m = system.jacobian(point).csr.toarray()
+    m = system.jacobian(point).toarray()
     got = factored[-1][0].toarray()
     assert got.shape == (q_a.size,) * 2
     assert np.abs(got - qa.T @ m @ qa).max() <= 1e-14 * np.abs(m).max()
@@ -405,13 +410,13 @@ def test_final_m_a_order_is_kept(small_run, monkeypatch):
 def test_one_solve_transposes_no_matrix(monkeypatch):
     # the KKT block system places ru^T from ru's own values
     calls = []
-    transpose = sparse.SparseMatrix.transpose
+    transpose = sp.csr_matrix.transpose
 
-    def counted_transpose(self):
+    def counted_transpose(self, *args, **kwargs):
         calls.append(self.shape)
-        return transpose(self)
+        return transpose(self, *args, **kwargs)
 
-    monkeypatch.setattr(sparse.SparseMatrix, "transpose", counted_transpose)
+    monkeypatch.setattr(sp.csr_matrix, "transpose", counted_transpose)
     _, trace = solver.run(small_config())
     assert trace.accepted()[-1].t == 1.0
     assert calls == []
@@ -527,8 +532,8 @@ def test_condensed_step_equals_full_kkt_solve(small_run, small_system):
     full_sign = np.concatenate([sign, np.ones(2 * n), sign[n:]])
     for t, point in accepted:
         h = system.lagr.hessian(point.rho, point.u, point.p_adj)
-        rp = system.lagr.hessian(point.rho, point.p_adj, point.u).ru.csr  # d2L/drho dp
-        rr, ru, up = h.rr.csr, h.ru.csr, h.up.csr
+        rp = system.lagr.hessian(point.rho, point.p_adj, point.u).ru  # d2L/drho dp
+        rr, ru, up = h.rr, h.ru, h.up
         full = sp.bmat([
             [rr, ru, -eye, eye, rp],
             [ru.T, None, None, None, up],
@@ -559,7 +564,7 @@ def test_negative_pivots_count_the_reduced_hessian_inertia(small_run):
     qs, qa = dense_basis(q_s), dense_basis(q_a)
     counts = []
     for t, point in accepted:
-        dense = system.jacobian(point).csr.toarray()
+        dense = system.jacobian(point).toarray()
         assert np.abs(dense - dense.T).max() <= 1e-14 * np.abs(dense).max()
         negative = [int(np.count_nonzero(np.linalg.eigvalsh(q.T @ dense @ q) < 0.0)) - l_q
                     for q, l_q in ((qs, l_s), (qa, l_a))]
@@ -665,7 +670,7 @@ def test_kkt_matrix_splits_by_mirror_class_along_the_run(small_run, monkeypatch)
     qs = dense_basis(q_s)
     factored = recorded_splu(monkeypatch)
     for i, (_, point) in enumerate(accepted):
-        m = system.jacobian(point).csr.toarray()
+        m = system.jacobian(point).toarray()
         mirrored = sign[:, None] * sign[None, :] * m[np.ix_(image, image)]
         assert np.abs(mirrored - m).max() <= 1e-11 * np.abs(m).max()
         system.factor(point)
@@ -686,7 +691,7 @@ def test_right_mesh_factors_m_itself(rng, monkeypatch):
     other.p_adj = -other.u
     factored = recorded_splu(monkeypatch)
     for i, point in enumerate((start, other)):
-        m = system.jacobian(point).csr
+        m = system.jacobian(point)
         negative = system.factor(point).negative
         dense = m.toarray()
         assert negative == np.count_nonzero(np.linalg.eigvalsh(dense) < 0.0) - system.l

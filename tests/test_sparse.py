@@ -12,26 +12,34 @@ from homotopt.sparse import (BlockSystem, SingularMatrixError, SparseMatrix, Sub
 
 
 def identity(n):
-    return SparseMatrix.from_dense(np.eye(n))
+    return sp.identity(n, format="csr")
+
+
+def stored(array):
+    """``array`` as a CSR matrix that stores every entry, zeros included."""
+    array = np.atleast_2d(np.asarray(array, dtype=np.float64))
+    csr = sp.csr_matrix(np.ones(array.shape))
+    csr.data = array.ravel()
+    return csr
 
 
 def test_finalize_sums_duplicates():
     m = SparseMatrix.from_triplets(1, 1, [0, 0], [0, 0], [1.0, 2.0])
-    assert m.csr.toarray() == pytest.approx(np.array([[3.0]]))
+    assert m.toarray() == pytest.approx(np.array([[3.0]]))
     assert m.nnz == 1
 
 
 def test_finalize_empty_is_zero():
     m = SparseMatrix.from_triplets(3, 3, [], [], [])
     assert m.nnz == 0
-    assert np.all(m.matvec(np.ones(3)) == 0.0)
+    assert np.all(m @ np.ones(3) == 0.0)
 
 
 def test_identity_matvec(rng):
     m = SparseMatrix.from_triplets(2, 2, [0, 1], [0, 1], [1.0, 1.0])
     for _ in range(5):
         v = rng.standard_normal(2)
-        assert m.matvec(v) == pytest.approx(v)
+        assert m @ v == pytest.approx(v)
 
 
 def test_finalize_rejects_out_of_range():
@@ -54,8 +62,8 @@ def test_matvec_matches_triplet_accumulation(rng):
             dense[r, c] += v
         m = SparseMatrix.from_triplets(nr, nc, rows, cols, vals)
         v = rng.standard_normal(nc)
-        assert m.matvec(v) == pytest.approx(dense @ v, abs=1e-12)
-        assert m.csr.toarray() == pytest.approx(dense, abs=1e-12)
+        assert m @ v == pytest.approx(dense @ v, abs=1e-12)
+        assert m.toarray() == pytest.approx(dense, abs=1e-12)
 
 
 def one_shot_compression(nrows, rows, cols, values):
@@ -73,9 +81,9 @@ def one_shot_compression(nrows, rows, cols, values):
 
 
 def assert_same_csr(m, data, indices, indptr):
-    assert m.csr.data.tobytes() == np.asarray(data, dtype=np.float64).tobytes()
-    assert np.array_equal(m.csr.indices, indices)
-    assert np.array_equal(m.csr.indptr, indptr)
+    assert m.data.tobytes() == np.asarray(data, dtype=np.float64).tobytes()
+    assert np.array_equal(m.indices, indices)
+    assert np.array_equal(m.indptr, indptr)
 
 
 @settings(max_examples=150, deadline=None)
@@ -95,7 +103,7 @@ def test_pattern_refill_bit_identical_to_from_triplets(data):
     masked = SparsityPattern(nrows, ncols, rows, cols, keep=keep)
     for _ in range(2):  # the second fill reuses the pattern with new values
         values = np.array(data.draw(st.lists(value, min_size=size, max_size=size)), float)
-        want = SparseMatrix.from_triplets(nrows, ncols, rows, cols, values).csr
+        want = SparseMatrix.from_triplets(nrows, ncols, rows, cols, values)
         assert_same_csr(pattern.fill(values), want.data, want.indices, want.indptr)
         assert_same_csr(pattern.fill(values), *one_shot_compression(nrows, rows, cols, values))
         assert_same_csr(masked.fill(values), *one_shot_compression(
@@ -136,6 +144,17 @@ def test_pattern_layout_and_sum_order_match_lexsort(data):
                           np.searchsorted(rows[order][first], np.arange(nrows + 1)))
 
 
+def test_pattern_matrix_is_csr_on_the_patterns_index_arrays(rng):
+    rows, cols = rng.integers(0, 4, size=30), rng.integers(0, 5, size=30)
+    pattern = SparsityPattern(4, 5, rows, cols)
+    values = rng.standard_normal(30)
+    m = pattern.matrix(pattern.reduce(values))
+    assert isinstance(m, sp.csr_matrix) and m.has_sorted_indices
+    assert np.shares_memory(m.indices, pattern.indices)
+    assert np.shares_memory(m.indptr, pattern.indptr)
+    assert_same_csr(pattern.fill(values), m.data, m.indices, m.indptr)
+
+
 def test_pattern_validation():
     with pytest.raises(ValueError):
         SparsityPattern(2, 2, [0, 1], [0])
@@ -145,11 +164,6 @@ def test_pattern_validation():
         SparseMatrix.from_triplets(2, 2, [0, 1], [0, 1], [1.0])
     with pytest.raises(ValueError, match="int64"):  # the sort key would overflow
         SparsityPattern(2 ** 32, 2 ** 32, [0], [0])
-
-
-def test_transpose():
-    m = SparseMatrix.from_triplets(2, 3, [0, 1], [1, 2], [2.0, -1.0])
-    assert m.transpose().csr.toarray() == pytest.approx(m.csr.toarray().T)
 
 
 def test_solve_identity(rng):
@@ -173,8 +187,7 @@ def test_solve_matches_dense_oracle(rng):
         dense[j, i] += v
     dense += n * np.eye(n)
     b = rng.standard_normal(n)
-    a = SparseMatrix.from_dense(dense)
-    x = solve_direct(a, b)
+    x = solve_direct(sp.csr_matrix(dense), b)
     x_ref = np.linalg.solve(dense, b)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
     norm_a = np.linalg.norm(dense)
@@ -185,9 +198,9 @@ def test_solve_after_matvec_roundtrip(rng):
     for _ in range(5):
         n = int(rng.integers(2, 12))
         dense = rng.standard_normal((n, n)) + n * np.eye(n)
-        a = SparseMatrix.from_dense(dense)
+        a = sp.csr_matrix(dense)
         x = rng.standard_normal(n)
-        assert solve_direct(a, a.matvec(x)) == pytest.approx(x, abs=1e-10)
+        assert solve_direct(a, a @ x) == pytest.approx(x, abs=1e-10)
 
 
 def test_singularity_reported_distinctly():
@@ -222,8 +235,7 @@ def direct_system(dense, n):
     stored, whose input z is their concatenated CSR data, and a function
     giving z for a matrix of that layout."""
     def blocks(values):
-        return [SparseMatrix.from_dense(x).csr for x in
-                (values[:n, :n], values[:n, n:], values[n:, n:])]
+        return [stored(x) for x in (values[:n, :n], values[:n, n:], values[n:, n:])]
 
     def z(values):
         return np.concatenate([x.data for x in blocks(values)])
@@ -239,7 +251,7 @@ def test_symmetric_factor_solves_and_counts_negative_eigenvalues(rng):
     blocks, z = direct_system(dense, 30)
     for k in range(3):
         values = dense + np.diag(np.full(42, 0.5 * k))
-        assert np.array_equal(blocks.assemble(z(values)).csr.toarray(), values)
+        assert np.array_equal(blocks.assemble(z(values)).toarray(), values)
         factor = blocks.factor(z(values))
         rhs = rng.standard_normal(42)
         x = factor.solve(rhs)
@@ -298,13 +310,13 @@ def test_composed_system_factors_from_the_blocks_input(rng):
     # factor(z) solves and counts as the M of those sums
     n, m = 30, 12
     dense = quasi_definite(rng, n, m)
-    a, b, c = map(SparseMatrix.from_dense, (dense[:n, :n], dense[:n, n:], dense[n:, n:]))
+    a, b, c = map(stored, (dense[:n, :n], dense[:n, n:], dense[n:, n:]))
     size = a.nnz + b.nnz + c.nnz
     source = sp.hstack([sp.identity(size), sp.identity(size)], format="csr")
-    blocks = BlockSystem(a.csr, b.csr, c.csr, source)
+    blocks = BlockSystem(a, b, c, source)
     for k in range(3):
         values = dense + np.diag(np.full(n + m, 0.5 * k))
-        data = np.concatenate([SparseMatrix.from_dense(x).csr.data for x in
+        data = np.concatenate([stored(x).data for x in
                                (values[:n, :n], values[:n, n:], values[n:, n:])])
         part = rng.standard_normal(size)
         factor = blocks.factor(np.concatenate([part, data - part]))
@@ -324,7 +336,7 @@ def test_block_system_refuses_a_source_of_the_wrong_row_count():
 
 
 def test_symmetric_factor_refusals():
-    one, zero = SparseMatrix.from_dense([[1.0]]).csr, SparseMatrix.from_dense([[0.0]]).csr
+    one, zero = stored([[1.0]]), stored([[0.0]])
     # a zero diagonal needs an off-diagonal pivot
     blocks = BlockSystem(zero, one, zero, sp.identity(3, format="csr"))
     with pytest.raises(SingularMatrixError, match="diagonal"):
@@ -336,34 +348,34 @@ def test_symmetric_factor_refusals():
 
 def test_block_diagonal_layout():
     # a B without entries leaves M block diagonal
-    one = SparseMatrix.from_dense([[1.0]]).csr
+    one = stored([[1.0]])
     blocks = BlockSystem(one, SparsityPattern(1, 1, [], []), one, sp.identity(2, format="csr"))
     m = blocks.assemble(np.array([3.0, 7.0]))
-    assert np.array_equal(m.csr.toarray(), np.array([[3.0, 0.0], [0.0, 7.0]]))
+    assert np.array_equal(m.toarray(), np.array([[3.0, 0.0], [0.0, 7.0]]))
 
 
 def test_block_identity_blocks_give_global_identity():
     diagonal = [SparsityPattern(k, k, np.arange(k), np.arange(k)) for k in (2, 3)]
     blocks = BlockSystem(diagonal[0], SparsityPattern(2, 3, [], []), diagonal[1],
                          sp.identity(5, format="csr"))
-    assert np.array_equal(blocks.assemble(np.ones(5)).csr.toarray(), np.eye(5))
+    assert np.array_equal(blocks.assemble(np.ones(5)).toarray(), np.eye(5))
 
 
 def test_block_roundtrip_every_block(rng):
     a, b, c = (rng.standard_normal(shape) for shape in ((2, 2), (2, 3), (3, 3)))
     full = np.block([[a, b], [b.T, c]])
     blocks, z = direct_system(full, 2)
-    assert np.array_equal(blocks.assemble(z(full)).csr.toarray(), full)
+    assert np.array_equal(blocks.assemble(z(full)).toarray(), full)
 
 
 def test_block_size_validation():
     # A must be square with B's rows, C square with B's columns
-    a, b, c = identity(2), SparseMatrix.from_dense(np.ones((2, 3))), identity(3)
-    for blocks in [(identity(3), b, c), (a, b.transpose(), c), (a, b, identity(2)),
-                   (a, SparseMatrix.from_dense(np.ones((2, 2))), c)]:
+    a, b, c = identity(2), stored(np.ones((2, 3))), identity(3)
+    for blocks in [(identity(3), b, c), (a, b.T, c), (a, b, identity(2)),
+                   (a, stored(np.ones((2, 2))), c)]:
         size = sum(x.nnz for x in blocks)
         with pytest.raises(ValueError, match="do not fit"):
-            BlockSystem(*(x.csr for x in blocks), sp.identity(size, format="csr"))
+            BlockSystem(*blocks, sp.identity(size, format="csr"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -378,7 +390,7 @@ def test_block_refill_bit_identical_to_fresh_assembly(data):
     layouts = []
     for shape in ((n, n), (n, m), (m, m)):
         if data.draw(st.sampled_from(["sparse", "dense"])) == "dense":
-            layouts.append(SparseMatrix.from_dense(np.zeros(shape)).csr)
+            layouts.append(stored(np.zeros(shape)))
         else:
             layouts.append(SparsityPattern(*shape, *np.nonzero(rng.random(shape) < 0.6)))
     rows = sum(x.indices.size for x in layouts)
@@ -389,7 +401,7 @@ def test_block_refill_bit_identical_to_fresh_assembly(data):
     for _ in range(data.draw(st.integers(1, 4))):
         z = rng.standard_normal(width) * 10.0 ** rng.integers(-8, 9, width)
         got = blocks.assemble(z)
-        want = BlockSystem(*layouts, source).assemble(z).csr
+        want = BlockSystem(*layouts, source).assemble(z)
         assert_same_csr(got, want.data, want.indices, want.indptr)
         values = np.split(source @ z, np.cumsum([x.indices.size for x in layouts])[:-1])
         a, b, c = (sp.csr_matrix((v, x.indices, x.indptr), shape=x.shape)

@@ -22,7 +22,9 @@
 # less the `outputs in DIR` line, plus the exit status.  For each file that
 # differs it also prints how many of its numbers differ and the largest
 # absolute and relative difference among them, so a change in the last bits
-# reads apart from a changed result.  Exits 1 on any difference.
+# reads apart from a changed result.  Last it prints the line count of
+# src/homotopt/*.py in REV's tree and in this checkout.  Exits 1 on any
+# difference.
 set -euo pipefail
 
 usage="usage: tools/same_outputs.sh REV [--full]"
@@ -132,4 +134,6 @@ done
 for name in $(ls head-*.txt | sed 's/^head-//'); do
     compare "rev-$name" "head-$name"
 done
+echo "src/homotopt lines: $(cat rev/src/homotopt/*.py | wc -l) at $rev," \
+    "$(cat "$root"/src/homotopt/*.py | wc -l) in this checkout"
 exit $status
