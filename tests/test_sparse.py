@@ -17,7 +17,7 @@ def identity(n):
 
 def stored(array):
     """``array`` as a CSR matrix that stores every entry, zeros included."""
-    array = np.atleast_2d(np.asarray(array, dtype=np.float64))
+    array = np.asarray(array, dtype=np.float64)
     csr = sp.csr_matrix(np.ones(array.shape))
     csr.data = array.ravel()
     return csr
