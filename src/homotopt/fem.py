@@ -22,6 +22,7 @@ __all__ = [
     "default_material",
     "make_dofmap",
     "element_pattern",
+    "vertex_block_pattern",
     "assemble_state_operator",
     "assemble_traction_load",
     "assemble_gl_operators",
@@ -84,6 +85,7 @@ class _ElementTables:
     div6: np.ndarray   # (E, 6) divergence of the six local displacement modes
     dmat6: np.ndarray  # (E, 6, 6) div outer div
     gmat6: np.ndarray  # (E, 6, 6) 2 E(psi_a):E(psi_b)
+    gg: np.ndarray     # (E, 3, 3) hat-gradient inner products
     pattern: SparsityPattern  # density-space layout of the (E, 3, 3) element blocks
 
 
@@ -114,16 +116,20 @@ class DofMap:
 
 def make_dofmap(mesh: TriMesh) -> DofMap:
     """Number the free displacement DOFs and derive the element layouts of
-    ``mesh`` once; every assembly on this map reads them."""
+    ``mesh`` once; every assembly on this map reads them.
+
+    The numbers rise with vertex, then component, so K(rho)'s layout is
+    expanded from the density pattern (:func:`vertex_block_pattern`), the
+    one element layout of a mesh that is sorted."""
     free = np.ones(mesh.n_vertices, dtype=bool)
     free[list(dirichlet_vertex_set(mesh))] = False
     disp = np.full((mesh.n_vertices, 2), -1, dtype=np.int64)
     k = 2 * int(np.count_nonzero(free))
     disp[free] = np.arange(k, dtype=np.int64).reshape(-1, 2)
     geo = _element_tables(mesh)
-    gdof = disp[geo.tri].reshape(-1, 6)
     return DofMap(mesh=mesh, n_density=mesh.n_vertices, disp_index=disp, n_disp=k, geometry=geo,
-                  element_dofs=gdof, state_pattern=element_pattern(k, k, gdof, gdof))
+                  element_dofs=disp[geo.tri].reshape(-1, 6),
+                  state_pattern=vertex_block_pattern(geo, k, k, disp, disp))
 
 
 def element_pattern(nrows: int, ncols: int, row_dofs: np.ndarray,
@@ -137,6 +143,16 @@ def element_pattern(nrows: int, ncols: int, row_dofs: np.ndarray,
     cols = np.broadcast_to(col_dofs[:, None, :], shape)
     keep = (rows >= 0) & (cols >= 0)
     return SparsityPattern(nrows, ncols, rows, cols, keep=keep)
+
+
+def vertex_block_pattern(geo: _ElementTables, nrows: int, ncols: int, row_dofs: np.ndarray,
+                         col_dofs: np.ndarray) -> SparsityPattern:
+    """Layout of (E, 3r, 3c) element blocks on ``geo``'s triangles, vertex
+    v's r rows ``row_dofs[v]`` and c columns ``col_dofs[v]`` (-1 where
+    clamped), expanded from the density pattern without a sort: bitwise
+    :func:`element_pattern` of the element dofs, for dof numbers that rise
+    with vertex, then component."""
+    return SparsityPattern.expanded(geo.pattern, (3, 3), nrows, ncols, row_dofs, col_dofs)
 
 
 def _element_tables(mesh: TriMesh) -> _ElementTables:
@@ -164,9 +180,11 @@ def _element_tables(mesh: TriMesh) -> _ElementTables:
     gmat6 = np.zeros((ne, 6, 6))
     gmat6[:, 0::2, 0::2] = gg
     gmat6[:, 1::2, 1::2] = gg
-    gmat6 += np.einsum("eib,eja->eiajb", grads, grads).reshape(ne, 6, 6)
+    # (e, i, a, j, b) = grads[e, i, b] * grads[e, j, a]
+    gmat6 += (grads[:, :, None, None, :] * grads.transpose(0, 2, 1)[:, None, :, :, None]
+              ).reshape(ne, 6, 6)
     pattern = element_pattern(mesh.n_vertices, mesh.n_vertices, tri, tri)
-    return _ElementTables(tri, area, grads, div6, dmat6, gmat6, pattern)
+    return _ElementTables(tri, area, grads, div6, dmat6, gmat6, gg, pattern)
 
 
 def local_displacements(dofmap: DofMap, vec: np.ndarray) -> np.ndarray:
@@ -219,8 +237,7 @@ def assemble_gl_operators(dofmap: DofMap):
     """
     geo = dofmap.geometry
     n = dofmap.n_density
-    gg = np.einsum("eik,ejk->eij", geo.grads, geo.grads)
-    k_rho = geo.pattern.fill(geo.area[:, None, None] * gg)
+    k_rho = geo.pattern.fill(geo.area[:, None, None] * geo.gg)
     mass = geo.pattern.fill(geo.area[:, None, None] * _MASS3)
     phi_vol = np.bincount(geo.tri.ravel(), weights=np.repeat(geo.area / 3.0, 3), minlength=n)
     return k_rho, mass, phi_vol

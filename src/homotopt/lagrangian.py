@@ -186,10 +186,12 @@ class Lagrangian:
     @property
     def cross_pattern(self) -> SparsityPattern:
         """Layout of ru from its (E, 3, 6) element values: rows are density
-        DOFs, columns displacement DOFs; sorted at first use."""
+        DOFs, columns displacement DOFs; expanded from the density pattern at
+        first use."""
         if self._cross_pattern is None:
-            self._cross_pattern = fem.element_pattern(
-                self.n_density, self.n_disp, self.dofmap.geometry.tri, self.dofmap.element_dofs)
+            self._cross_pattern = fem.vertex_block_pattern(
+                self.dofmap.geometry, self.n_density, self.n_disp,
+                np.arange(self.n_density)[:, None], self.dofmap.disp_index)
         return self._cross_pattern
 
     def _element_fields(self, rho, u, p_adj) -> "_ElementFields":

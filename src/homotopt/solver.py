@@ -105,6 +105,16 @@ class KktSystem:
             raise ValueError("the density Hessian's pattern lacks diagonal entries")
         self._mirror = lagr.dofmap.mesh.mirror
         (self._symmetric, self._l_s), self._antisymmetric = mirror_subspaces(lagr.dofmap)
+        self._q_w = None  # Q_w and Q_w^T, on a mesh with a mirror
+        if self._mirror is not None:
+            _check_load_symmetry(lagr.dofmap, lagr.load)
+            # Q_s's displacement rows and last l_s (w) columns
+            column = self._symmetric.column[self.n:]
+            rows = np.flatnonzero(column >= 0)
+            cols = column[rows] - (self._symmetric.size - self._l_s)
+            weight = self._symmetric.weight[self.n:][rows]
+            self._q_w = (sp.csr_matrix((weight, (rows, cols)), shape=(self.l, self._l_s)),
+                         sp.csr_matrix((weight, (cols, rows)), shape=(self._l_s, self.l)))
         self._blocks = None  # M's block system, built at first use
 
     def _split(self, v: np.ndarray):
@@ -125,9 +135,19 @@ class KktSystem:
     def initialize(self, mu0: float) -> Tuple[KktPoint, np.ndarray]:
         """State solve at the uniform density 0.5, adjoint p = -u, duals
         from mu0 / gaps; returns the point and, as the anchor, its
-        design-row residual, read-only."""
+        design-row residual, read-only.
+
+        At a uniform density K and the load are mirror-symmetric, so u lies
+        in the range of Q_w, the displacement part of Q_s: the solve is
+        ``Q_w^T K Q_w y = Q_w^T f``, of dimension l_s, and ``u = Q_w y`` is
+        mirror-symmetric bitwise.  Without a mirror it is ``K u = f``."""
         rho = np.full(self.n, 0.5)
-        u = solve_direct(self.lagr.state_matrix(rho), self.lagr.load)
+        k, f = self.lagr.state_matrix(rho), self.lagr.load
+        if self._q_w is None:
+            u = solve_direct(k, f)
+        else:
+            q_w, q_wt = self._q_w
+            u = q_w @ solve_direct(q_wt @ k @ q_w, q_wt @ f)
         z_a = mu0 / self.box.lower_gap(rho)
         z_b = mu0 / self.box.upper_gap(rho)
         point = KktPoint(rho, u, -u, z_a, z_b)
@@ -319,8 +339,9 @@ def mirror_subspaces(dofmap: DofMap):
     column of each basis, with the weights 1/sqrt(2) and +-1/sqrt(2); a
     coordinate T maps to itself (up to sign) is one column of weight 1 in
     the class its sign names.  Columns follow their first coordinate, so
-    rho's come first.  The clamps must be mirror-symmetric; the load and
-    the box, which the bridge problem also keeps symmetric, are not checked.
+    rho's come first.  The clamps must be mirror-symmetric; the box, which
+    the bridge problem also keeps symmetric, is not checked (the load is, by
+    :class:`KktSystem`).
     """
     n, l = dofmap.n_density, dofmap.n_disp
     mirror = dofmap.mesh.mirror
@@ -346,6 +367,19 @@ def mirror_subspaces(dofmap: DofMap):
         return Subspace(columns, weights), int(np.count_nonzero(lead >= n))
 
     return basis(1.0), basis(-1.0)
+
+
+def _check_load_symmetry(dofmap: DofMap, load: np.ndarray) -> None:
+    """Raise ``ValueError`` unless the load's x components equal minus
+    their mirror images and its y components their mirror images, up to
+    1e-12 times its largest entry."""
+    disp = dofmap.disp_index
+    free = np.flatnonzero(disp[:, 0] >= 0)
+    own, image = load[disp[free]], load[disp[dofmap.mesh.mirror[free]]]
+    defect = np.abs(own - image * np.array([-1.0, 1.0])).max(initial=0.0)
+    if defect > 1e-12 * np.abs(load).max(initial=0.0):
+        raise ValueError(f"the load breaks the mesh's mirror symmetry: a component differs "
+                         f"from its mirror image by {defect:.3e}")
 
 
 def build_system(config: "SolverConfig", mesh: Optional[TriMesh] = None

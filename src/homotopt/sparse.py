@@ -109,6 +109,66 @@ class SparsityPattern:
         self.summation = sp.csr_matrix((weights, source, np.append(starts, r.size)),
                                        shape=(starts.size, nvalues))
 
+    @classmethod
+    def expanded(cls, vertex: "SparsityPattern", block, nrows: int, ncols: int,
+                 row_dofs, col_dofs) -> "SparsityPattern":
+        """The layout of (E, m r, n c) element blocks, derived without a sort
+        from ``vertex``, the layout of the (E, m, n) = (E, *block) element
+        blocks on vertex numbers.
+
+        Vertex va carries the r row dofs ``row_dofs[va]``, and vertex vb the
+        c column dofs ``col_dofs[vb]`` (-1 where clamped), so the vertex
+        entry (va, vb) becomes the dof block (``row_dofs[va, i]``,
+        ``col_dofs[vb, j]``), clamped dofs dropped.  Each entry sums its
+        vertex entry's triplets, each (e, a, b) mapped to the element entry
+        (e, r a + i, c b + j), in the same order and with the same weights.
+        Where the dof numbers rise with vertex, then component, this is
+        bitwise the pattern the constructor sorts from those element
+        triplets; other numberings raise ``ValueError``.
+        """
+        m, n = block
+        row_dofs = np.asarray(row_dofs, dtype=np.int64)
+        col_dofs = np.asarray(col_dofs, dtype=np.int64)
+        for dofs in (row_dofs, col_dofs):
+            if np.any(np.diff(dofs[dofs >= 0]) <= 0):
+                raise ValueError("dof numbers must rise with vertex, then component")
+        r, c = row_dofs.shape[1], col_dofs.shape[1]
+        nnz = vertex.indices.size
+        va = np.repeat(np.arange(vertex.shape[0]), np.diff(vertex.indptr))
+        start = vertex.indptr[va]
+        # entry (i, j, k), the (i, j) dof block of vertex entry k, sits at
+        # ``position`` of the layout's rows (va, i), each listing vertex row
+        # va's entries k, each once per column component j
+        position = (start * r * c + (np.arange(nnz) - start) * c
+                    + np.arange(r)[:, None, None] * (np.diff(vertex.indptr)[va] * c)
+                    + np.arange(c)[:, None])
+        order = np.empty(r * c * nnz, dtype=np.int64)
+        order[position.ravel()] = np.arange(order.size)
+        rows = np.broadcast_to(row_dofs[va].T[:, None, :], position.shape).ravel()[order]
+        cols = np.broadcast_to(col_dofs[vertex.indices].T, position.shape).ravel()[order]
+        keep = (rows >= 0) & (cols >= 0)
+        rows, cols, order = rows[keep], cols[keep], order[keep]
+        if rows.size and (rows[-1] >= nrows or cols.max() >= ncols):
+            raise IndexError(f"dof index out of range for {nrows}x{ncols} matrix")
+        pattern = cls.__new__(cls)  # the constructor would sort
+        pattern.shape = (nrows, ncols)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nrows))])
+        csr = sp.csr_matrix((np.zeros(rows.size), cols, indptr), shape=pattern.shape)
+        pattern.indices, pattern.indptr = csr.indices, csr.indptr
+        # the summation of every (i, j, k), its terms (e, a, b) -> (e, r a +
+        # i, c b + j) in order, then the kept ones picked in layout order
+        summation = vertex.summation
+        e, ab = np.divmod(summation.indices, m * n)
+        a, b = np.divmod(ab, n)
+        terms = (e * (m * r * n * c) + r * a * (n * c) + c * b
+                 + (np.arange(r)[:, None] * (n * c) + np.arange(c)).reshape(-1, 1))
+        starts = summation.indptr[:-1] + terms.shape[1] * np.arange(r * c)[:, None]
+        every = sp.csr_matrix((np.tile(summation.data, r * c), terms.ravel(),
+                               np.append(starts.ravel(), terms.size)),
+                              shape=(r * c * nnz, summation.shape[1] * r * c))
+        pattern.summation = every[order]
+        return pattern
+
     def reduce(self, values) -> np.ndarray:
         """CSR data: each entry sums its triplets' weighted values."""
         return self.summation @ np.asarray(values, dtype=np.float64).ravel()

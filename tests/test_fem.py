@@ -8,6 +8,7 @@ from homotopt import fem
 from homotopt.fem import (MaterialModel, assemble_gl_operators,
                           assemble_state_operator, assemble_traction_load,
                           default_material, make_dofmap)
+from homotopt.lagrangian import Lagrangian, default_params
 from homotopt.mesh import (BoundarySegment, DomainSpec, EdgeTag, build_structured_mesh,
                            dirichlet_vertex_set)
 from homotopt.sparse import solve_direct
@@ -285,6 +286,52 @@ def test_array_built_dofs_and_load_equal_the_loops(bridge, nx, ny, diagonal):
     assert np.array_equal(dofmap.disp_index, disp) and dofmap.n_disp == n_disp
     load = assemble_traction_load(dofmap, bridge)
     assert load.tobytes() == loop_traction_load(msh, disp, bridge).tobytes()
+
+
+def assert_same_pattern(got, want):
+    assert got.shape == want.shape
+    for name in ("indices", "indptr"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.summation.shape == want.summation.shape
+    for name in ("indices", "indptr", "data"):
+        assert getattr(got.summation, name).tobytes() == getattr(want.summation, name).tobytes()
+
+
+@pytest.mark.parametrize("diagonal", ["right", "mirrored"])
+@pytest.mark.parametrize("nx, ny", [(20, 8), (40, 12)])
+def test_expanded_layouts_equal_the_sorted_ones(bridge, material, nx, ny, diagonal):
+    # K(rho)'s and ru's layouts, expanded from the density pattern, are
+    # bitwise the layouts and summations sorted from their element triplets
+    dofmap = make_dofmap(build_structured_mesh(bridge, nx, ny, diagonal))
+    lagr = Lagrangian(dofmap, material, default_params(), np.zeros(dofmap.n_disp))
+    n, l, tri, dofs = dofmap.n_density, dofmap.n_disp, dofmap.geometry.tri, dofmap.element_dofs
+    assert_same_pattern(dofmap.state_pattern, fem.element_pattern(l, l, dofs, dofs))
+    assert_same_pattern(lagr.cross_pattern, fem.element_pattern(n, l, tri, dofs))
+
+
+def test_expansion_refuses_bad_numberings(coarse_dofmap):
+    # the expansion keeps the density pattern's order, which is the sorted
+    # one only for dof numbers that rise with vertex, then component; a dof
+    # past the matrix is refused too
+    disp = coarse_dofmap.disp_index
+    swapped = np.where(disp >= 0, disp ^ 1, -1)  # y before x at every vertex
+    with pytest.raises(ValueError, match="must rise"):
+        fem.vertex_block_pattern(coarse_dofmap.geometry, coarse_dofmap.n_disp,
+                                 coarse_dofmap.n_disp, swapped, swapped)
+    with pytest.raises(IndexError, match="out of range"):
+        fem.vertex_block_pattern(coarse_dofmap.geometry, coarse_dofmap.n_disp - 1,
+                                 coarse_dofmap.n_disp, disp, disp)
+
+
+def test_element_tables_equal_their_einsums(coarse_mesh):
+    geo = fem._element_tables(coarse_mesh)
+    ne = geo.tri.shape[0]
+    assert geo.gg.tobytes() == np.einsum("eik,ejk->eij", geo.grads, geo.grads).tobytes()
+    gmat6 = np.zeros((ne, 6, 6))
+    gmat6[:, 0::2, 0::2] = geo.gg
+    gmat6[:, 1::2, 1::2] = geo.gg
+    gmat6 += np.einsum("eib,eja->eiajb", geo.grads, geo.grads).reshape(ne, 6, 6)
+    assert geo.gmat6.tobytes() == gmat6.tobytes()
 
 
 # --- phase-field operators ---------------------------------------------------

@@ -469,13 +469,13 @@ def test_cli_failed_solve_keeps_partial_outputs(tmp_path, capsys, extra, last_t,
 
 
 def test_cli_solve_reports_an_unsolved_start(tmp_path, capsys):
-    # the 20x8 start solves t = 0 to 8.701e-15; 1e-22 * sqrt(1307) is far below
+    # the 20x8 start solves t = 0 to 1.107e-14; 1e-22 * sqrt(1307) is far below
     cfg_path = tmp_path / "tol.cfg"
     cfg_path.write_text(SMALL_CONFIG + "newton.tol = 1e-22\n")
     assert run_cli(["solve", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "error: solve failed: x0 does not solve the t=0 problem" in err
-    assert "Newton tolerance 3.615e-21 (residual 8.701e-15)" in err
+    assert "Newton tolerance 3.615e-21 (residual 1.107e-14)" in err
     assert "the tolerance is too small" in err
 
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Alternating in-process A/B timing of ``homotopt solve`` jobs: another
-revision's ``src/`` against this checkout's.
+"""Alternating in-process A/B timing of ``homotopt solve`` jobs, or of
+their set-up: another revision's ``src/`` against this checkout's.
 
-    python3 tools/ab_solve.py REV [--mesh 40x12] [--pairs 20]
+    python3 tools/ab_solve.py REV [--mesh 40x12] [--pairs 20] [--setup]
 
 REV's ``src/`` is exported with ``git archive`` into a temporary directory,
 and both trees are imported into this one process, each keeping its own
@@ -14,14 +14,19 @@ the config, building the mesh and writing the VTK and CSV outputs.  After
 one untimed job of each tree, every pair times one job per tree, and the
 side that runs first alternates from pair to pair.
 
+With ``--setup`` the timed work is perfbench's set-up instead:
+``io_cli.parse_config`` of that config, ``solver.build_system`` and
+``KktSystem.initialize``, a few milliseconds, so a few hundred pairs are
+cheap, and the pairs are not printed one by one.
+
 Prints each side's median and quartiles of the job's wall time and of its
 CPU time (``time.process_time``), and for each the number of pairs the
 checkout won: CPU time drifts less than the wall clock on a shared
 machine.  Exits 1 if a job fails, or if the two trees' steps attempted,
 steps accepted or Newton iterations differ on any job; the counts come
 from the trace of each job's ``solver.run``, which is wrapped as perfbench
-wraps it.  BLAS threads are pinned to 1 unless the environment sets them,
-as perfbench pins them.
+wraps it (a set-up has no counts).  BLAS threads are pinned to 1 unless
+the environment sets them, as perfbench pins them.
 """
 from __future__ import annotations
 
@@ -91,9 +96,21 @@ def solve(modules: dict, config: Path, out_dir: Path):
                      sum(r.newton_iters for r in trace.records))
 
 
+def set_up(modules: dict, config: Path, out_dir: Path):
+    """One timed set-up, as perfbench times it, with ``modules`` as the live
+    ``homotopt``; returns the wall and CPU seconds taken, and no counts."""
+    sys.modules.update(modules)
+    io_cli, solver = modules["homotopt.io_cli"], modules["homotopt.solver"]
+    start, cpu = time.perf_counter(), time.process_time()
+    cfg = io_cli.parse_config(config)
+    system, _ = solver.build_system(cfg)
+    system.initialize(cfg.barrier.mu0)
+    return (time.perf_counter() - start, time.process_time() - cpu), None
+
+
 def summary(times) -> str:
     q1, med, q3 = np.percentile(times, [25, 50, 75])
-    return f"median {med:.4f} s (quartiles {q1:.4f}-{q3:.4f} s)"
+    return f"median {med * 1e3:.3f} ms (quartiles {q1 * 1e3:.3f}-{q3 * 1e3:.3f} ms)"
 
 
 def main(argv=None) -> int:
@@ -101,6 +118,8 @@ def main(argv=None) -> int:
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
     parser.add_argument("--mesh", default="40x12", help="NXxNY of the bridge mesh (default 40x12)")
     parser.add_argument("--pairs", type=int, default=20, help="timed pairs (default 20)")
+    parser.add_argument("--setup", action="store_true",
+                        help="time the set-up (config, system, initial point), not the job")
     args = parser.parse_args(argv)
     size = re.fullmatch(r"(\d+)x(\d+)", args.mesh)
     if size is None or args.pairs < 1:
@@ -117,19 +136,23 @@ def main(argv=None) -> int:
         config, out_dir = Path(tmp) / "bridge.cfg", Path(tmp) / "out"
         config.write_text(f"mesh.nx = {nx}\nmesh.ny = {ny}\n", encoding="utf-8")
 
-        counts = {name: {solve(modules, config, out_dir)[1]} for name, modules in trees.items()}
+        timed = set_up if args.setup else solve
+        counts = {name: {timed(modules, config, out_dir)[1]} for name, modules in trees.items()}
         times = {name: [] for name in trees}  # (wall, CPU) seconds of each run
         for pair in range(args.pairs):
             order = ("base", "checkout") if pair % 2 == 0 else ("checkout", "base")
             for name in order:
-                seconds, count = solve(trees[name], config, out_dir)
+                seconds, count = timed(trees[name], config, out_dir)
                 times[name].append(seconds)
                 counts[name].add(count)
-            (base, base_cpu), (checkout, checkout_cpu) = times["base"][-1], times["checkout"][-1]
-            print(f"pair {pair + 1:2d}: base {base:.4f} s (CPU {base_cpu:.4f} s), "
-                  f"checkout {checkout:.4f} s (CPU {checkout_cpu:.4f} s)", flush=True)
+            if not args.setup:
+                base, checkout = (" ".join(f"{t * 1e3:.3f}" for t in times[name][-1])
+                                  for name in ("base", "checkout"))
+                print(f"pair {pair + 1:2d}: wall and CPU ms: base {base}, checkout {checkout}",
+                      flush=True)
 
-    print(f"mesh {nx}x{ny}, {args.pairs} pairs, base = {args.rev}")
+    print(f"mesh {nx}x{ny}, {args.pairs} pairs of {'set-ups' if args.setup else 'jobs'}, "
+          f"base = {args.rev}")
     for clock, column in (("wall", 0), ("CPU", 1)):
         side = {name: [t[column] for t in times[name]] for name in trees}
         wins = sum(c < b for b, c in zip(side["base"], side["checkout"]))
@@ -137,6 +160,8 @@ def main(argv=None) -> int:
             print(f"{name:>8} {clock:>4}: {summary(side[name])}")
         print(f"{clock}: checkout faster in {wins} of {args.pairs} pairs; median ratio "
               f"{np.median(side['checkout']) / np.median(side['base']):.3f}")
+    if args.setup:
+        return 0
     for name, seen in counts.items():
         print(f"{name:>8}: (steps attempted, accepted, Newton iterations) {sorted(seen)}")
     if counts["base"] != counts["checkout"]:
