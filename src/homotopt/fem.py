@@ -22,7 +22,6 @@ __all__ = [
     "default_material",
     "make_dofmap",
     "element_pattern",
-    "vertex_block_pattern",
     "assemble_state_operator",
     "assemble_traction_load",
     "assemble_gl_operators",
@@ -119,7 +118,7 @@ def make_dofmap(mesh: TriMesh) -> DofMap:
     ``mesh`` once; every assembly on this map reads them.
 
     The numbers rise with vertex, then component, so K(rho)'s layout is
-    expanded from the density pattern (:func:`vertex_block_pattern`), the
+    expanded from the density pattern (``SparsityPattern.expanded``), the
     one element layout of a mesh that is sorted."""
     free = np.ones(mesh.n_vertices, dtype=bool)
     free[list(dirichlet_vertex_set(mesh))] = False
@@ -129,7 +128,7 @@ def make_dofmap(mesh: TriMesh) -> DofMap:
     geo = _element_tables(mesh)
     return DofMap(mesh=mesh, n_density=mesh.n_vertices, disp_index=disp, n_disp=k, geometry=geo,
                   element_dofs=disp[geo.tri].reshape(-1, 6),
-                  state_pattern=vertex_block_pattern(geo, k, k, disp, disp))
+                  state_pattern=SparsityPattern.expanded(geo.pattern, (3, 3), k, k, disp, disp))
 
 
 def element_pattern(nrows: int, ncols: int, row_dofs: np.ndarray,
@@ -143,16 +142,6 @@ def element_pattern(nrows: int, ncols: int, row_dofs: np.ndarray,
     cols = np.broadcast_to(col_dofs[:, None, :], shape)
     keep = (rows >= 0) & (cols >= 0)
     return SparsityPattern(nrows, ncols, rows, cols, keep=keep)
-
-
-def vertex_block_pattern(geo: _ElementTables, nrows: int, ncols: int, row_dofs: np.ndarray,
-                         col_dofs: np.ndarray) -> SparsityPattern:
-    """Layout of (E, 3r, 3c) element blocks on ``geo``'s triangles, vertex
-    v's r rows ``row_dofs[v]`` and c columns ``col_dofs[v]`` (-1 where
-    clamped), expanded from the density pattern without a sort: bitwise
-    :func:`element_pattern` of the element dofs, for dof numbers that rise
-    with vertex, then component."""
-    return SparsityPattern.expanded(geo.pattern, (3, 3), nrows, ncols, row_dofs, col_dofs)
 
 
 def _element_tables(mesh: TriMesh) -> _ElementTables:

@@ -189,8 +189,8 @@ class Lagrangian:
         DOFs, columns displacement DOFs; expanded from the density pattern at
         first use."""
         if self._cross_pattern is None:
-            self._cross_pattern = fem.vertex_block_pattern(
-                self.dofmap.geometry, self.n_density, self.n_disp,
+            self._cross_pattern = SparsityPattern.expanded(
+                self.dofmap.geometry.pattern, (3, 3), self.n_density, self.n_disp,
                 np.arange(self.n_density)[:, None], self.dofmap.disp_index)
         return self._cross_pattern
 

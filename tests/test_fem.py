@@ -11,7 +11,7 @@ from homotopt.fem import (MaterialModel, assemble_gl_operators,
 from homotopt.lagrangian import Lagrangian, default_params
 from homotopt.mesh import (BoundarySegment, DomainSpec, EdgeTag, build_structured_mesh,
                            dirichlet_vertex_set)
-from homotopt.sparse import solve_direct
+from homotopt.sparse import SparsityPattern, solve_direct
 
 
 # --- independent oracles -----------------------------------------------------
@@ -313,14 +313,13 @@ def test_expansion_refuses_bad_numberings(coarse_dofmap):
     # the expansion keeps the density pattern's order, which is the sorted
     # one only for dof numbers that rise with vertex, then component; a dof
     # past the matrix is refused too
-    disp = coarse_dofmap.disp_index
+    disp, l = coarse_dofmap.disp_index, coarse_dofmap.n_disp
+    density = coarse_dofmap.geometry.pattern
     swapped = np.where(disp >= 0, disp ^ 1, -1)  # y before x at every vertex
     with pytest.raises(ValueError, match="must rise"):
-        fem.vertex_block_pattern(coarse_dofmap.geometry, coarse_dofmap.n_disp,
-                                 coarse_dofmap.n_disp, swapped, swapped)
+        SparsityPattern.expanded(density, (3, 3), l, l, swapped, swapped)
     with pytest.raises(IndexError, match="out of range"):
-        fem.vertex_block_pattern(coarse_dofmap.geometry, coarse_dofmap.n_disp - 1,
-                                 coarse_dofmap.n_disp, disp, disp)
+        SparsityPattern.expanded(density, (3, 3), l - 1, l, disp, disp)
 
 
 def test_element_tables_equal_their_einsums(coarse_mesh):
