@@ -117,9 +117,10 @@ def make_dofmap(mesh: TriMesh) -> DofMap:
     """Number the free displacement DOFs and derive the element layouts of
     ``mesh`` once; every assembly on this map reads them.
 
-    The numbers rise with vertex, then component, so K(rho)'s layout is
-    expanded from the density pattern (``SparsityPattern.expanded``), the
-    one element layout of a mesh that is sorted."""
+    The free dofs are numbered 0, 1, ..., k - 1 in vertex, then component
+    order, so K(rho)'s layout is expanded from the density pattern
+    (``SparsityPattern.expanded``), the one element layout of a mesh that is
+    sorted."""
     free = np.ones(mesh.n_vertices, dtype=bool)
     free[list(dirichlet_vertex_set(mesh))] = False
     disp = np.full((mesh.n_vertices, 2), -1, dtype=np.int64)
@@ -128,7 +129,7 @@ def make_dofmap(mesh: TriMesh) -> DofMap:
     geo = _element_tables(mesh)
     return DofMap(mesh=mesh, n_density=mesh.n_vertices, disp_index=disp, n_disp=k, geometry=geo,
                   element_dofs=disp[geo.tri].reshape(-1, 6),
-                  state_pattern=SparsityPattern.expanded(geo.pattern, (3, 3), k, k, disp, disp))
+                  state_pattern=SparsityPattern.expanded(geo.pattern, (3, 3), disp, disp))
 
 
 def element_pattern(nrows: int, ncols: int, row_dofs: np.ndarray,

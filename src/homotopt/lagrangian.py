@@ -190,8 +190,8 @@ class Lagrangian:
         first use."""
         if self._cross_pattern is None:
             self._cross_pattern = SparsityPattern.expanded(
-                self.dofmap.geometry.pattern, (3, 3), self.n_density, self.n_disp,
-                np.arange(self.n_density)[:, None], self.dofmap.disp_index)
+                self.dofmap.geometry.pattern, (3, 3), np.arange(self.n_density)[:, None],
+                self.dofmap.disp_index)
         return self._cross_pattern
 
     def _element_fields(self, rho, u, p_adj) -> "_ElementFields":

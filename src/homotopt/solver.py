@@ -212,19 +212,21 @@ class KktSystem:
         lagr = self.lagr
         rr = lagr.dofmap.geometry.pattern.summation.tocoo()
         ru = lagr.cross_pattern.summation.tocoo()
-        n_rr = rr.shape[1]  # rr's element values; ru has twice as many
         n_k = lagr.dofmap.state_pattern.indices.size
+        # where each segment of z starts: rr's element values, 1, Sigma,
+        # ru's element values, K's data; the last offset is z's length
+        at = np.cumsum([0, rr.shape[1], 1, self.n, ru.shape[1], n_k])
         const = np.flatnonzero(lagr.rr_const)  # the stored entries of the constant column
         # (row, column, value) of each block at its offset in the operator
-        blocks = [(rr.row, rr.col, rr.data),
-                  (const, np.full(const.size, n_rr), lagr.rr_const[const]),
-                  (self._rr_diagonal, n_rr + 1 + np.arange(self.n), np.ones(self.n)),
-                  (rr.shape[0] + ru.row, n_rr + 1 + self.n + ru.col, ru.data),
-                  (rr.shape[0] + ru.shape[0] + np.arange(n_k),
-                   3 * n_rr + 1 + self.n + np.arange(n_k), np.full(n_k, -0.5))]
+        blocks = [(rr.row, at[0] + rr.col, rr.data),
+                  (const, np.full(const.size, at[1]), lagr.rr_const[const]),
+                  (self._rr_diagonal, at[2] + np.arange(self.n), np.ones(self.n)),
+                  (rr.shape[0] + ru.row, at[3] + ru.col, ru.data),
+                  (rr.shape[0] + ru.shape[0] + np.arange(n_k), at[4] + np.arange(n_k),
+                   np.full(n_k, -0.5))]
         rows, cols, data = (np.concatenate(part) for part in zip(*blocks))
         return sp.csr_matrix((data, (rows, cols)),
-                             shape=(rr.shape[0] + ru.shape[0] + n_k, 3 * n_rr + 1 + self.n + n_k))
+                             shape=(rr.shape[0] + ru.shape[0] + n_k, at[5]))
 
     def factor(self, point: KktPoint) -> Factor:
         """The solve for the step ``d`` in (rho, u, z_a, z_b) of the

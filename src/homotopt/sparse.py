@@ -19,8 +19,6 @@ raises it too when SuperLU left the diagonal.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -110,8 +108,7 @@ class SparsityPattern:
                                        shape=(starts.size, nvalues))
 
     @classmethod
-    def expanded(cls, vertex: "SparsityPattern", block, nrows: int, ncols: int,
-                 row_dofs, col_dofs) -> "SparsityPattern":
+    def expanded(cls, vertex: "SparsityPattern", block, row_dofs, col_dofs) -> "SparsityPattern":
         """The layout of (E, m r, n c) element blocks, derived without a sort
         from ``vertex``, the layout of the (E, m, n) = (E, *block) element
         blocks on vertex numbers.
@@ -122,39 +119,29 @@ class SparsityPattern:
         ``col_dofs[vb, j]``), clamped dofs dropped.  Each entry sums its
         vertex entry's triplets, each (e, a, b) mapped to the element entry
         (e, r a + i, c b + j), in the same order and with the same weights.
-        Where the dof numbers rise with vertex, then component, this is
-        bitwise the pattern the constructor sorts from those element
-        triplets; other numberings raise ``ValueError``.
+        The free dofs must be numbered 0, 1, ..., k - 1 in vertex, then
+        component order, which makes the matrix k rows (or columns) wide
+        and the result bitwise the pattern the constructor sorts from those
+        element triplets; other numberings raise ``ValueError``.
         """
         m, n = block
-        row_dofs = np.asarray(row_dofs, dtype=np.int64)
-        col_dofs = np.asarray(col_dofs, dtype=np.int64)
-        for dofs in (row_dofs, col_dofs):
-            if np.any(np.diff(dofs[dofs >= 0]) <= 0):
-                raise ValueError("dof numbers must rise with vertex, then component")
-        r, c = row_dofs.shape[1], col_dofs.shape[1]
+        free = []
+        for dofs in (np.asarray(row_dofs), np.asarray(col_dofs)):
+            dofs = dofs.ravel()
+            free.append(np.flatnonzero(dofs >= 0))
+            if not np.array_equal(dofs[free[-1]], np.arange(free[-1].size)):
+                raise ValueError("the free dofs must be numbered 0, 1, ..., k - 1 "
+                                 "in vertex, then component order")
+        r, c = np.shape(row_dofs)[1], np.shape(col_dofs)[1]
         nnz = vertex.indices.size
-        va = np.repeat(np.arange(vertex.shape[0]), np.diff(vertex.indptr))
-        start = vertex.indptr[va]
-        # entry (i, j, k), the (i, j) dof block of vertex entry k, sits at
-        # ``position`` of the layout's rows (va, i), each listing vertex row
-        # va's entries k, each once per column component j
-        position = (start * r * c + (np.arange(nnz) - start) * c
-                    + np.arange(r)[:, None, None] * (np.diff(vertex.indptr)[va] * c)
-                    + np.arange(c)[:, None])
-        order = np.empty(r * c * nnz, dtype=np.int64)
-        order[position.ravel()] = np.arange(order.size)
-        rows = np.broadcast_to(row_dofs[va].T[:, None, :], position.shape).ravel()[order]
-        cols = np.broadcast_to(col_dofs[vertex.indices].T, position.shape).ravel()[order]
-        keep = (rows >= 0) & (cols >= 0)
-        rows, cols, order = rows[keep], cols[keep], order[keep]
-        if rows.size and (rows[-1] >= nrows or cols.max() >= ncols):
-            raise IndexError(f"dof index out of range for {nrows}x{ncols} matrix")
+        # the (i, j) dof block of vertex entry k holds 1 + its row of ``every``
+        ids = (np.arange(r * c).reshape(r, c) * nnz + np.arange(nnz)[:, None, None]) + 1
+        full = sp.bsr_matrix((ids, vertex.indices, vertex.indptr),
+                             shape=(vertex.shape[0] * r, vertex.shape[1] * c)).tocsr()
+        layout = full[free[0]][:, free[1]]
         pattern = cls.__new__(cls)  # the constructor would sort
-        pattern.shape = (nrows, ncols)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=nrows))])
-        csr = sp.csr_matrix((np.zeros(rows.size), cols, indptr), shape=pattern.shape)
-        pattern.indices, pattern.indptr = csr.indices, csr.indptr
+        pattern.shape = layout.shape
+        pattern.indices, pattern.indptr = layout.indices, layout.indptr
         # the summation of every (i, j, k), its terms (e, a, b) -> (e, r a +
         # i, c b + j) in order, then the kept ones picked in layout order
         summation = vertex.summation
@@ -166,7 +153,7 @@ class SparsityPattern:
         every = sp.csr_matrix((np.tile(summation.data, r * c), terms.ravel(),
                                np.append(starts.ravel(), terms.size)),
                               shape=(r * c * nnz, summation.shape[1] * r * c))
-        pattern.summation = every[order]
+        pattern.summation = every[layout.data - 1]
         return pattern
 
     def reduce(self, values) -> np.ndarray:
@@ -388,10 +375,9 @@ class BlockSystem:
         pattern, operator = self._restricted(self._identity)
         return pattern.matrix(operator @ z)
 
-    def factor(self, z, basis: Optional[Subspace] = None) -> SymmetricFactor:
-        """``Q^T M Q`` at the input z for the basis Q (default: all of M's
-        space), factored on the order of the basis's first call."""
-        basis = self._identity if basis is None else basis
+    def factor(self, z, basis: Subspace) -> SymmetricFactor:
+        """``Q^T M Q`` at the input z for the basis Q, factored on the order
+        of the basis's first call."""
         if basis in self._kept:
             permuted, operator, indices, indptr = self._kept[basis]
             csc = sp.csc_matrix((operator @ z, indices, indptr), shape=(basis.size,) * 2)
@@ -400,15 +386,12 @@ class BlockSystem:
         pattern, operator = self._restricted(basis)
         reduced = pattern.matrix(operator @ z)
         lu = _splu(reduced.tocsc(), permc_spec="MMD_AT_PLUS_A", **_DIAGONAL_PIVOTS)
-        # entry k of the CSR data sits at (perm_c[row], perm_c[col]) of the
-        # permuted matrix; sorting by column, then row, gives its CSC order
-        rows, cols = (lu.perm_c[i] for i in _coordinates(pattern))
-        entries = np.lexsort((rows, cols))
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=basis.size))])
-        # scipy picks the index dtype; keep its arrays so refills share them
-        layout = sp.csc_matrix((np.zeros(entries.size), rows[entries], indptr),
-                               shape=reduced.shape)
+        # entry (row, col) sits at (perm_c[row], perm_c[col]) of the permuted
+        # matrix; carried as its CSR position plus 1, it orders the operator
+        inv = np.argsort(lu.perm_c)
+        layout = pattern.matrix(np.arange(1, operator.shape[0] + 1))[inv][:, inv].tocsc()
         # column c of the basis becomes perm_c[c]; -1, no column, stays -1
         permuted = Subspace(np.append(lu.perm_c, -1)[basis.column], basis.weight)
-        self._kept[basis] = (permuted, operator[entries], layout.indices, layout.indptr)
+        self._kept[basis] = (permuted, operator[layout.data.astype(np.int64) - 1],
+                             layout.indices, layout.indptr)
         return SymmetricFactor(lu, reduced, basis)

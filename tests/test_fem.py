@@ -297,29 +297,58 @@ def assert_same_pattern(got, want):
         assert getattr(got.summation, name).tobytes() == getattr(want.summation, name).tobytes()
 
 
-@pytest.mark.parametrize("diagonal", ["right", "mirrored"])
-@pytest.mark.parametrize("nx, ny", [(20, 8), (40, 12)])
-def test_expanded_layouts_equal_the_sorted_ones(bridge, material, nx, ny, diagonal):
+def unclamped_bridge(bridge):
+    """The bridge's domain and load, with no clamped vertex."""
+    return DomainSpec(bridge.width, bridge.height,
+                      neumann_traction_segments=bridge.neumann_traction_segments,
+                      traction=bridge.traction)
+
+
+def wall_clamped_cantilever(bridge):
+    """A 2 x 1 cantilever clamped along the wall x = 0."""
+    return DomainSpec(2.0, 1.0, dirichlet_segments=(BoundarySegment((0.0, 0.0), (0.0, 1.0)),),
+                      neumann_traction_segments=(BoundarySegment((2.0, 0.25), (2.0, 0.75)),),
+                      traction=(0.0, -1.0))
+
+
+def assert_expansion_is_sorted(spec, nx, ny, diagonal, material):
     # K(rho)'s and ru's layouts, expanded from the density pattern, are
     # bitwise the layouts and summations sorted from their element triplets
-    dofmap = make_dofmap(build_structured_mesh(bridge, nx, ny, diagonal))
+    dofmap = make_dofmap(build_structured_mesh(spec, nx, ny, diagonal))
     lagr = Lagrangian(dofmap, material, default_params(), np.zeros(dofmap.n_disp))
     n, l, tri, dofs = dofmap.n_density, dofmap.n_disp, dofmap.geometry.tri, dofmap.element_dofs
     assert_same_pattern(dofmap.state_pattern, fem.element_pattern(l, l, dofs, dofs))
     assert_same_pattern(lagr.cross_pattern, fem.element_pattern(n, l, tri, dofs))
 
 
+@pytest.mark.parametrize("diagonal", ["right", "mirrored"])
+@pytest.mark.parametrize("nx, ny", [(20, 8), (40, 12), (60, 20)])
+def test_expanded_layouts_equal_the_sorted_ones(bridge, material, nx, ny, diagonal):
+    assert_expansion_is_sorted(bridge, nx, ny, diagonal, material)
+
+
+@pytest.mark.parametrize("diagonal", ["right", "mirrored"])
+@pytest.mark.parametrize("domain, nx, ny", [(unclamped_bridge, 20, 8),
+                                            (wall_clamped_cantilever, 8, 4),
+                                            (wall_clamped_cantilever, 10, 10)])
+def test_expanded_layouts_equal_the_sorted_ones_off_the_bridge(bridge, material, domain, nx, ny,
+                                                               diagonal):
+    assert_expansion_is_sorted(domain(bridge), nx, ny, diagonal, material)
+
+
 def test_expansion_refuses_bad_numberings(coarse_dofmap):
-    # the expansion keeps the density pattern's order, which is the sorted
-    # one only for dof numbers that rise with vertex, then component; a dof
-    # past the matrix is refused too
-    disp, l = coarse_dofmap.disp_index, coarse_dofmap.n_disp
+    # the expansion keeps the density pattern's order and sizes the matrix
+    # by the free dofs, so their numbers must be 0, 1, ..., k - 1 in vertex,
+    # then component order: y before x, or a numbering with gaps, is refused
+    disp = coarse_dofmap.disp_index
     density = coarse_dofmap.geometry.pattern
     swapped = np.where(disp >= 0, disp ^ 1, -1)  # y before x at every vertex
-    with pytest.raises(ValueError, match="must rise"):
-        SparsityPattern.expanded(density, (3, 3), l, l, swapped, swapped)
-    with pytest.raises(IndexError, match="out of range"):
-        SparsityPattern.expanded(density, (3, 3), l - 1, l, disp, disp)
+    gapped = np.where(disp >= 0, 2 * disp, -1)
+    for dofs in (swapped, gapped):
+        with pytest.raises(ValueError, match="numbered 0, 1, ..., k - 1"):
+            SparsityPattern.expanded(density, (3, 3), dofs, dofs)
+        with pytest.raises(ValueError, match="numbered 0, 1, ..., k - 1"):
+            SparsityPattern.expanded(density, (3, 3), np.arange(disp.shape[0])[:, None], dofs)
 
 
 def test_element_tables_equal_their_einsums(coarse_mesh):

@@ -408,6 +408,45 @@ def test_final_m_a_order_is_kept(small_run, monkeypatch):
     assert [spec for _, spec in factored] == ["NATURAL", "NATURAL"]
 
 
+def lexsorted_layout(blocks, basis):
+    """The CSC layout of the permuted Q^T M Q that ``blocks`` keeps for
+    ``basis``, and its operator, sorted by column, then row, from the
+    entries' permuted coordinates."""
+    permuted = blocks._kept[basis][0]
+    rows = basis.column >= 0
+    perm_c = np.empty(basis.size, dtype=np.int64)
+    perm_c[basis.column[rows]] = permuted.column[rows]
+    pattern, operator = blocks._restricted(basis)
+    row = perm_c[np.repeat(np.arange(basis.size), np.diff(pattern.indptr))]
+    col = perm_c[pattern.indices]
+    entries = np.lexsort((row, col))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=basis.size))])
+    return row[entries], indptr, operator[entries]
+
+
+@pytest.mark.parametrize("nx, ny, diagonal", [(20, 8, "mirrored"), (40, 12, "mirrored"),
+                                              (40, 12, "right")])
+def test_kept_csc_layouts_equal_the_lexsorted_ones(nx, ny, diagonal):
+    # the kept CSC order of M_s, and of M_a where the mesh has a mirror, is
+    # the one sorted by column, then row, from the permuted coordinates
+    system, _ = solver.build_system(small_config(mesh=MeshConfig(nx=nx, ny=ny,
+                                                                 diagonal=diagonal)))
+    point, _ = system.initialize(50.0)
+    bases = [system._symmetric]
+    if system._antisymmetric is not None:
+        bases.append(system._antisymmetric[0])
+        assert system.negative_by_class(point) is not None
+    else:
+        system.factor(point)
+    for basis in bases:
+        _, operator, indices, indptr = system._blocks._kept[basis]
+        want_indices, want_indptr, want = lexsorted_layout(system._blocks, basis)
+        assert np.array_equal(indices, want_indices)
+        assert np.array_equal(indptr, want_indptr)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(operator, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_one_solve_transposes_no_matrix(monkeypatch):
     # the KKT block system places ru^T from ru's own values
     calls = []

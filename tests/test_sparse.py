@@ -252,7 +252,7 @@ def test_symmetric_factor_solves_and_counts_negative_eigenvalues(rng):
     for k in range(3):
         values = dense + np.diag(np.full(42, 0.5 * k))
         assert np.array_equal(blocks.assemble(z(values)).toarray(), values)
-        factor = blocks.factor(z(values))
+        factor = blocks.factor(z(values), Subspace.identity(42))
         rhs = rng.standard_normal(42)
         x = factor.solve(rhs)
         assert np.linalg.norm(x - np.linalg.solve(values, rhs)) <= 1e-10 * np.linalg.norm(x)
@@ -307,7 +307,7 @@ def test_block_system_refuses_a_basis_of_the_wrong_dimension(rng):
 
 def test_composed_system_factors_from_the_blocks_input(rng):
     # each entry of the blocks here sums two entries of the input z, and
-    # factor(z) solves and counts as the M of those sums
+    # factor(z, I) solves and counts as the M of those sums
     n, m = 30, 12
     dense = quasi_definite(rng, n, m)
     a, b, c = map(stored, (dense[:n, :n], dense[:n, n:], dense[n:, n:]))
@@ -319,7 +319,7 @@ def test_composed_system_factors_from_the_blocks_input(rng):
         data = np.concatenate([stored(x).data for x in
                                (values[:n, :n], values[:n, n:], values[n:, n:])])
         part = rng.standard_normal(size)
-        factor = blocks.factor(np.concatenate([part, data - part]))
+        factor = blocks.factor(np.concatenate([part, data - part]), Subspace.identity(n + m))
         rhs = rng.standard_normal(n + m)
         x = factor.solve(rhs)
         assert np.linalg.norm(x - np.linalg.solve(values, rhs)) <= 1e-10 * np.linalg.norm(x)
@@ -340,10 +340,10 @@ def test_symmetric_factor_refusals():
     # a zero diagonal needs an off-diagonal pivot
     blocks = BlockSystem(zero, one, zero, sp.identity(3, format="csr"))
     with pytest.raises(SingularMatrixError, match="diagonal"):
-        blocks.factor(np.array([0.0, 1.0, 0.0]))
+        blocks.factor(np.array([0.0, 1.0, 0.0]), Subspace.identity(2))
     blocks = BlockSystem(one, SparsityPattern(1, 1, [], []), one, sp.identity(2, format="csr"))
     with pytest.raises(SingularMatrixError, match="threshold"):
-        blocks.factor(np.array([1.0, -1e-16]))
+        blocks.factor(np.array([1.0, -1e-16]), Subspace.identity(2))
 
 
 def test_block_diagonal_layout():
