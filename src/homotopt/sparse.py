@@ -119,23 +119,24 @@ class SparsityPattern:
         ``col_dofs[vb, j]``), clamped dofs dropped.  Each entry sums its
         vertex entry's triplets, each (e, a, b) mapped to the element entry
         (e, r a + i, c b + j), in the same order and with the same weights.
-        The free dofs must be numbered 0, 1, ..., k - 1 in vertex, then
-        component order, which makes the matrix k rows (or columns) wide
-        and the result bitwise the pattern the constructor sorts from those
-        element triplets; other numberings raise ``ValueError``.
+        The free row dofs, and the free column dofs, must be numbered 0, 1,
+        ..., k - 1 in vertex, then component order; other numberings raise
+        ``ValueError``.  The matrix then has one row (column) per free row
+        (column) dof, and the result is bitwise the pattern the constructor
+        sorts from those element triplets.
         """
         m, n = block
         free = []
-        for dofs in (np.asarray(row_dofs), np.asarray(col_dofs)):
-            dofs = dofs.ravel()
+        for dofs in (np.ravel(row_dofs), np.ravel(col_dofs)):
             free.append(np.flatnonzero(dofs >= 0))
             if not np.array_equal(dofs[free[-1]], np.arange(free[-1].size)):
                 raise ValueError("the free dofs must be numbered 0, 1, ..., k - 1 "
                                  "in vertex, then component order")
         r, c = np.shape(row_dofs)[1], np.shape(col_dofs)[1]
         nnz = vertex.indices.size
-        # the (i, j) dof block of vertex entry k holds 1 + its row of ``every``
-        ids = (np.arange(r * c).reshape(r, c) * nnz + np.arange(nnz)[:, None, None]) + 1
+        # the (i, j) dof block of vertex entry k holds its row of ``every``
+        # plus 1, so that no stored entry is zero
+        ids = np.arange(r * c).reshape(r, c) * nnz + np.arange(1, nnz + 1)[:, None, None]
         full = sp.bsr_matrix((ids, vertex.indices, vertex.indptr),
                              shape=(vertex.shape[0] * r, vertex.shape[1] * c)).tocsr()
         layout = full[free[0]][:, free[1]]

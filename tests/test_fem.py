@@ -9,8 +9,8 @@ from homotopt.fem import (MaterialModel, assemble_gl_operators,
                           assemble_state_operator, assemble_traction_load,
                           default_material, make_dofmap)
 from homotopt.lagrangian import Lagrangian, default_params
-from homotopt.mesh import (BoundarySegment, DomainSpec, EdgeTag, build_structured_mesh,
-                           dirichlet_vertex_set)
+from homotopt.mesh import (BoundarySegment, DomainSpec, EdgeTag, bridge_domain,
+                           build_structured_mesh, dirichlet_vertex_set)
 from homotopt.sparse import SparsityPattern, solve_direct
 
 
@@ -297,43 +297,37 @@ def assert_same_pattern(got, want):
         assert getattr(got.summation, name).tobytes() == getattr(want.summation, name).tobytes()
 
 
-def unclamped_bridge(bridge):
+def unclamped_bridge():
     """The bridge's domain and load, with no clamped vertex."""
+    bridge = bridge_domain()
     return DomainSpec(bridge.width, bridge.height,
                       neumann_traction_segments=bridge.neumann_traction_segments,
                       traction=bridge.traction)
 
 
-def wall_clamped_cantilever(bridge):
+def wall_clamped_cantilever():
     """A 2 x 1 cantilever clamped along the wall x = 0."""
     return DomainSpec(2.0, 1.0, dirichlet_segments=(BoundarySegment((0.0, 0.0), (0.0, 1.0)),),
                       neumann_traction_segments=(BoundarySegment((2.0, 0.25), (2.0, 0.75)),),
                       traction=(0.0, -1.0))
 
 
-def assert_expansion_is_sorted(spec, nx, ny, diagonal, material):
+@pytest.mark.parametrize("diagonal", ["right", "mirrored"])
+@pytest.mark.parametrize("domain, nx, ny", [
+    pytest.param(bridge_domain, 20, 8, id="20-8"),
+    pytest.param(bridge_domain, 40, 12, id="40-12"),
+    pytest.param(bridge_domain, 60, 20, id="60-20"),
+    pytest.param(unclamped_bridge, 20, 8, id="unclamped-20-8"),
+    pytest.param(wall_clamped_cantilever, 8, 4, id="cantilever-8-4"),
+    pytest.param(wall_clamped_cantilever, 10, 10, id="cantilever-10-10")])
+def test_expanded_layouts_equal_the_sorted_ones(material, domain, nx, ny, diagonal):
     # K(rho)'s and ru's layouts, expanded from the density pattern, are
     # bitwise the layouts and summations sorted from their element triplets
-    dofmap = make_dofmap(build_structured_mesh(spec, nx, ny, diagonal))
+    dofmap = make_dofmap(build_structured_mesh(domain(), nx, ny, diagonal))
     lagr = Lagrangian(dofmap, material, default_params(), np.zeros(dofmap.n_disp))
     n, l, tri, dofs = dofmap.n_density, dofmap.n_disp, dofmap.geometry.tri, dofmap.element_dofs
     assert_same_pattern(dofmap.state_pattern, fem.element_pattern(l, l, dofs, dofs))
     assert_same_pattern(lagr.cross_pattern, fem.element_pattern(n, l, tri, dofs))
-
-
-@pytest.mark.parametrize("diagonal", ["right", "mirrored"])
-@pytest.mark.parametrize("nx, ny", [(20, 8), (40, 12), (60, 20)])
-def test_expanded_layouts_equal_the_sorted_ones(bridge, material, nx, ny, diagonal):
-    assert_expansion_is_sorted(bridge, nx, ny, diagonal, material)
-
-
-@pytest.mark.parametrize("diagonal", ["right", "mirrored"])
-@pytest.mark.parametrize("domain, nx, ny", [(unclamped_bridge, 20, 8),
-                                            (wall_clamped_cantilever, 8, 4),
-                                            (wall_clamped_cantilever, 10, 10)])
-def test_expanded_layouts_equal_the_sorted_ones_off_the_bridge(bridge, material, domain, nx, ny,
-                                                               diagonal):
-    assert_expansion_is_sorted(domain(bridge), nx, ny, diagonal, material)
 
 
 def test_expansion_refuses_bad_numberings(coarse_dofmap):
